@@ -1,25 +1,20 @@
-"""Sequent rules, proof objects, the proof checker, and backward rule
-application for the four systems.
+"""Backward rule application for proof search, proof measures, and
+proof serialization.
 
 Rule application is read backward: ``apply_rule(goal, rule)`` lists
 every ordered premise tuple from which ``rule`` can conclude ``goal``.
 For the tree systems the goal's antecedent is first expanded through
-``structural_preimages`` (the entropy rule read backward); entropy is
-therefore available both folded into ordinary rule matching and as an
-explicit ``Ent`` proof node, and the checker accepts both styles.
+``structural_preimages`` (the entropy rule read backward), so entropy
+is folded into ordinary rule matching; an explicit ``Ent`` step is
+listed as well.
 
-Premise order follows the rule schemas:
-
-    Cut          Γ, A ⊢ C   and   Γ′ ⊢ A      then  Γ, Γ′ ⊢ C
-    TensorR      Γ ⊢ A      and   Γ′ ⊢ B      then  Γ, Γ′ ⊢ A ⊗ B
-    LimpL        Γ ⊢ A      and   Δ, B ⊢ C    then  Δ, Γ, A -o B ⊢ C
-    LresL        Γ ⊢ A      and   Δ(B) ⊢ C    then  Δ(Γ; A \\ B) ⊢ C
-    RresL        Γ ⊢ A      and   Δ(B) ⊢ C    then  Δ(B / A; Γ) ⊢ C
-    BoxRe        A ⊢ B      and   B ⊢ A       then  []A ⊢ []B
+Proofs are checked elsewhere: ``check_proof`` is the independent kernel
+in ``kernel.py``, which reads each inference forward and never calls
+this enumerator.  The rule names, ``Rule``, ``Proof``, ``SYSTEM_RULES``
+and the checker are defined there and re-exported here.  Premise order
+follows the rule schemas listed in ``kernel.py``.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .context import (
     EMPTY,
@@ -39,8 +34,42 @@ from .context import (
     split_parallel,
     split_serial,
     structural_preimages,
-    validate_sequent,
     DEFAULT_STRUCTURAL_BOUND,
+)
+from .kernel import (  # noqa: F401  (re-exported)
+    AGENT_RULES,
+    AX,
+    BOX_RE,
+    BRINGS_ODOT,
+    BRINGS_RE,
+    BRINGS_REFL,
+    BRINGS_TENSOR,
+    BRINGS_WITH,
+    CUT,
+    ENT,
+    LIMP_L,
+    LIMP_R,
+    LRES_L,
+    LRES_R,
+    NOT_NEC,
+    ODOT_L,
+    ODOT_R,
+    ONE_L,
+    ONE_R,
+    RRES_L,
+    RRES_R,
+    SYSTEM_RULES,
+    TENSOR_L,
+    TENSOR_R,
+    WITH_L1,
+    WITH_L2,
+    WITH_R,
+    CheckReport,
+    Proof,
+    Rule,
+    check_proof,
+    proof_nodes,
+    rule_admissible,
 )
 from .syntax import (
     BOT,
@@ -58,105 +87,6 @@ from .syntax import (
     With,
     brings,
 )
-
-# ---------------------------------------------------------------------------
-# Rule identifiers
-
-AX = "Ax"
-CUT = "Cut"
-TENSOR_L = "TensorL"
-TENSOR_R = "TensorR"
-LIMP_L = "LimpL"
-LIMP_R = "LimpR"
-WITH_L1 = "WithL1"
-WITH_L2 = "WithL2"
-WITH_R = "WithR"
-ONE_L = "OneL"
-ONE_R = "OneR"
-BOX_RE = "BoxRe"
-ODOT_L = "OdotL"
-ODOT_R = "OdotR"
-LRES_L = "LresL"
-LRES_R = "LresR"
-RRES_L = "RresL"
-RRES_R = "RresR"
-ENT = "Ent"
-BRINGS_RE = "BringsRe"
-BRINGS_REFL = "BringsRefl"
-BRINGS_TENSOR = "BringsTensor"
-BRINGS_WITH = "BringsWith"
-BRINGS_ODOT = "BringsOdot"
-NOT_NEC = "NotNec"
-
-AGENT_RULES = frozenset(
-    {BRINGS_RE, BRINGS_REFL, BRINGS_TENSOR, BRINGS_WITH, BRINGS_ODOT, NOT_NEC}
-)
-
-_CORE = (
-    AX,
-    CUT,
-    TENSOR_L,
-    TENSOR_R,
-    LIMP_L,
-    LIMP_R,
-    WITH_L1,
-    WITH_L2,
-    WITH_R,
-    ONE_L,
-    ONE_R,
-)
-_SERIAL = (ODOT_L, ODOT_R, LRES_L, LRES_R, RRES_L, RRES_R, ENT)
-_BRINGS = (BRINGS_RE, BRINGS_REFL, BRINGS_TENSOR, BRINGS_WITH, NOT_NEC)
-
-SYSTEM_RULES: dict[SystemId, tuple[str, ...]] = {
-    SystemId.MILL: _CORE + (BOX_RE,),
-    SystemId.PCMILL: _CORE + (BOX_RE,) + _SERIAL,
-    SystemId.RSBIAT: _CORE + _BRINGS,
-    SystemId.SRSBIAT: _CORE + _BRINGS + _SERIAL + (BRINGS_ODOT,),
-}
-
-
-@dataclass(frozen=True)
-class Rule:
-    name: str
-    agent: str | None = None
-
-    def __post_init__(self) -> None:
-        if (self.agent is not None) != (self.name in AGENT_RULES):
-            raise ValueError(f"rule {self.name} and agent {self.agent!r} mismatch")
-
-    def __str__(self) -> str:
-        return self.name if self.agent is None else f"{self.name}[{self.agent}]"
-
-
-def rule_admissible(rule: Rule, system: System) -> bool:
-    if rule.name not in SYSTEM_RULES[system.ident]:
-        return False
-    if rule.name in AGENT_RULES and rule.agent not in system.agents:
-        return False
-    return True
-
-
-@dataclass(frozen=True)
-class Proof:
-    conclusion: Sequent
-    rule: Rule
-    premises: tuple["Proof", ...] = ()
-
-    @property
-    def system(self) -> System:
-        return self.conclusion.system
-
-
-def proof_nodes(p: Proof):
-    """Preorder (path, node) traversal."""
-    stack: list[tuple[tuple[int, ...], Proof]] = [((), p)]
-    while stack:
-        path, node = stack.pop()
-        yield path, node
-        for i in reversed(range(len(node.premises))):
-            stack.append((path + (i,), node.premises[i]))
-
 
 def proof_size(p: Proof) -> int:
     return sum(1 for _ in proof_nodes(p))
@@ -610,102 +540,6 @@ def apply_rule(
     if not rule_admissible(rule, goal.system):
         raise ValueError(f"rule {rule} not admissible in {goal.system}")
     return _Matcher(goal, bound).run(rule)
-
-
-# ---------------------------------------------------------------------------
-# Proof checking
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    ok: bool
-    violations: tuple[tuple[tuple[int, ...], str], ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _check_cut(node: Proof) -> str | None:
-    if len(node.premises) != 2:
-        return "Cut needs two premises"
-    consumer, producer = node.premises[0].conclusion, node.premises[1].conclusion
-    a = producer.succ
-    concl = node.conclusion
-    if consumer.succ != concl.succ:
-        return "Cut conclusion succedent differs from first premise"
-    if isinstance(concl.ctx, MSet):
-        assert isinstance(consumer.ctx, MSet) and isinstance(producer.ctx, MSet)
-        if a not in consumer.ctx.formulas:
-            return "cut formula missing from first premise antecedent"
-        expect = mset(
-            _mset_without(consumer.ctx, a).formulas + producer.ctx.formulas
-        )
-        if expect != concl.ctx:
-            return "Cut antecedent bookkeeping mismatch"
-        return None
-    for path, n in positions(consumer.ctx):
-        if isinstance(n, Leaf) and n.formula == a:
-            if fill(consumer.ctx, path, producer.ctx) == concl.ctx:
-                return None
-    return "no cut-formula occurrence reproduces the conclusion antecedent"
-
-
-def _check_ent(node: Proof, bound: int) -> str | None:
-    if len(node.premises) != 1:
-        return "Ent needs one premise"
-    prem = node.premises[0].conclusion
-    if prem.succ != node.conclusion.succ:
-        return "Ent must preserve the succedent"
-    if prem.ctx == node.conclusion.ctx:
-        return "Ent must change the antecedent grouping"
-    pres, overflow = structural_preimages(node.conclusion.ctx, bound)
-    if prem.ctx in pres:
-        return None
-    if overflow:
-        return "premise not found within the structural bound"
-    return "premise is not an entropy preimage of the conclusion"
-
-
-def check_proof(p: Proof, bound: int = DEFAULT_STRUCTURAL_BOUND) -> CheckReport:
-    violations: list[tuple[tuple[int, ...], str]] = []
-    system = p.conclusion.system
-    for path, node in proof_nodes(p):
-        if node.conclusion.system != system:
-            violations.append((path, "mixed systems in one proof"))
-            continue
-        try:
-            validate_sequent(node.conclusion)
-        except ValueError as exc:
-            violations.append((path, f"ill-formed sequent: {exc}"))
-            continue
-        rule = node.rule
-        if rule.name == CUT:
-            if CUT not in SYSTEM_RULES[system.ident]:
-                violations.append((path, f"{rule} not admissible in {system}"))
-                continue
-            err = _check_cut(node)
-            if err:
-                violations.append((path, err))
-            continue
-        if rule.name == ENT:
-            if not rule_admissible(rule, system):
-                violations.append((path, f"{rule} not admissible in {system}"))
-                continue
-            err = _check_ent(node, bound)
-            if err:
-                violations.append((path, err))
-            continue
-        if not rule_admissible(rule, system):
-            violations.append((path, f"{rule} not admissible in {system}"))
-            continue
-        want = [s.key for s in (q.conclusion for q in node.premises)]
-        candidates = apply_rule(node.conclusion, rule, bound)
-        if want not in ([s.key for s in prem] for prem in candidates):
-            if rule.name == BOX_RE and len(node.premises) == 1:
-                violations.append((path, "missing converse premise"))
-            else:
-                violations.append((path, f"premises do not instantiate {rule}"))
-    return CheckReport(not violations, tuple(violations))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Every subcommand is a thin adapter: parse the arguments, call the same
 library functions any program would, format the result.  Exit status is
 0 when the requested check fully succeeds, 1 when it runs but the
 verdict is negative (not proved, proof fails checking, model invalid,
-corpus mismatch, no countermodel found), and 2 on usage or input parse
-errors.
+corpus mismatch, no countermodel found), 2 on usage or input parse
+errors, and 3 on an internal error (an unexpected exception, reported
+as one line on stderr).
 
 Agent-indexed systems may be named bare (``RSBIAT``, ``SRSBIAT``) on
 subcommands that also take a sequent; the agent alphabet is then read
@@ -52,6 +53,7 @@ from .syntax import System, parse_system
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 _AGENT_TOKEN = re.compile(r"E\[([A-Za-z0-9_]+)\]")
 
@@ -380,6 +382,9 @@ def run(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

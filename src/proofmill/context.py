@@ -17,6 +17,7 @@ only structural rule that is not absorbed by the normal form.
 """
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from typing import Iterable, Union
 
@@ -374,6 +375,130 @@ def structural_preimages(
             order.append(nxt)
             queue.append(nxt)
     return order, overflow
+
+
+def entropy_le(x: Context, c: Context) -> bool:
+    """Whether ``x`` lies in the backward entropy closure of ``c``, that
+    is ``x in structural_preimages(c)[0]`` with no bound.
+
+    Entropy strengthens a series-parallel order (de Groote's partially
+    commutative logic) and never breaks a parallel child apart, so:
+    a leaf or ``()`` is only below itself; below ``c1 ; ... ; ck`` lie
+    the trees whose serial children split into k consecutive runs, the
+    j-th run below ``cj``; below ``c1, ..., cn`` lie the series-parallel
+    arrangements of n blocks, the i-th block below ``ci``.  A serial
+    sequence ``xs`` stands for ``ser(xs)`` so no context is built; the
+    memo lives for this call only.
+    """
+    if x == c:
+        return True
+    if not isinstance(x, (Leaf, Par, Ser)) or not isinstance(c, (Leaf, Par, Ser)):
+        return False
+    bags: dict[Context, Counter] = {}
+    memo: dict[tuple, bool] = {}
+
+    def bag(n: Context) -> Counter:
+        got = bags.get(n)
+        if got is None:
+            got = bags[n] = Counter(context_formulas(n))
+        return got
+
+    def size(n: Context) -> int:
+        return 1 if isinstance(n, Leaf) else sum(bag(n).values())
+
+    def serial(n: Context) -> tuple:
+        return n.children if isinstance(n, Ser) else (n,)
+
+    def below(xs: tuple, c: Context) -> bool:
+        if isinstance(c, Leaf):
+            return len(xs) == 1 and xs[0] == c
+        key = (xs, c)
+        got = memo.get(key)
+        if got is None:
+            if isinstance(c, Ser):
+                got = runs(xs, c.children)
+            else:
+                got = arranged(xs, c, tuple(range(len(c.children))))
+            memo[key] = got
+        return got
+
+    def runs(xs: tuple, cs: tuple) -> bool:
+        # each run's length is fixed by the leaf count of its child
+        i = 0
+        for cj in cs:
+            start, want, have = i, size(cj), 0
+            while have < want and i < len(xs):
+                have += size(xs[i])
+                i += 1
+            if have != want or not below(xs[start:i], cj):
+                return False
+        return i == len(xs)
+
+    def covers(c: Par, idx: tuple, target: Counter) -> list[tuple]:
+        """Sub-tuples of ``idx`` whose children's leaves make up exactly
+        ``target``; equal children (adjacent, as Par sorts them) are
+        taken lowest index first so each choice is listed once."""
+        kids = c.children
+        out: list[tuple] = []
+
+        def go(k: int, chosen: tuple, left: Counter) -> None:
+            if not left:
+                out.append(chosen)
+                return
+            if k == len(idx):
+                return
+            i = idx[k]
+            b = bag(kids[i])
+            if all(left[f] >= n for f, n in b.items()):
+                go(k + 1, chosen + (i,), left - b)
+            k += 1
+            while k < len(idx) and kids[idx[k]] == kids[i]:
+                k += 1
+            go(k, chosen, left)
+
+        go(0, (), target)
+        return out
+
+    def arranged(xs: tuple, c: Par, idx: tuple) -> bool:
+        """``ser(xs)`` arranges the blocks ``c.children[i]``, i in idx."""
+        if len(idx) == 1:
+            return below(xs, c.children[idx[0]])
+        key = (xs, c, idx)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        got = False
+        if len(xs) == 1:
+            # a Par arranges its children side by side; nothing else
+            # arranges two or more blocks as one serial child
+            got = isinstance(xs[0], Par) and spread(xs[0].children, c, idx)
+        else:
+            # a serial arrangement: some prefix of xs arranges some blocks
+            first: Counter = Counter()
+            for i in range(1, len(xs)):
+                first += bag(xs[i - 1])
+                if any(
+                    arranged(xs[:i], c, sub) and arranged(xs[i:], c, without(idx, sub))
+                    for sub in covers(c, idx, first)
+                ):
+                    got = True
+                    break
+        memo[key] = got
+        return got
+
+    def spread(zs: tuple, c: Par, idx: tuple) -> bool:
+        """The parallel children ``zs`` share out the blocks in idx."""
+        if not zs:
+            return not idx
+        return any(
+            arranged(serial(zs[0]), c, sub) and spread(zs[1:], c, without(idx, sub))
+            for sub in covers(c, idx, bag(zs[0]))
+        )
+
+    def without(idx: tuple, sub: tuple) -> tuple:
+        return tuple(j for j in idx if j not in sub)
+
+    return below(serial(x), c)
 
 
 # ---------------------------------------------------------------------------

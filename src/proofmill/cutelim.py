@@ -59,10 +59,8 @@ from .calculus import (
     Rule,
     check_proof,
     cut_count,
-    proof_nodes,
 )
 from .context import (
-    DEFAULT_STRUCTURAL_BOUND,
     Context,
     Leaf,
     MSet,
@@ -374,16 +372,24 @@ def _permute_into_consumer(node: Proof) -> list[Proof]:
 
 
 def _topmost_cut(p: Proof) -> tuple[int, ...] | None:
-    for path, node in proof_nodes(p):
-        if node.rule.name == CUT and cut_count(node) == 1:
-            return path
+    """The first cut in postorder.  Its premises are cut-free, and since
+    cuts with cut-free premises never nest, it is also the first such
+    cut in preorder."""
+    stack: list[tuple[tuple[int, ...], Proof, bool]] = [((), p, False)]
+    while stack:
+        path, node, done = stack.pop()
+        if done:
+            if node.rule.name == CUT:
+                return path
+            continue
+        stack.append((path, node, True))
+        for i in reversed(range(len(node.premises))):
+            stack.append((path + (i,), node.premises[i], False))
     return None
 
 
 def reduce_once(
-    p: Proof,
-    path: tuple[int, ...] | None = None,
-    bound: int = DEFAULT_STRUCTURAL_BOUND,
+    p: Proof, path: tuple[int, ...] | None = None
 ) -> tuple[Proof, ReductionStep]:
     """Rewrite one topmost cut (or the cut at ``path``) and return the
     new proof together with the step taken."""
@@ -436,7 +442,7 @@ def reduce_once(
         closed = _close_ctx(cand, node.conclusion)
         if closed is None:
             continue
-        if check_proof(closed, bound).ok:
+        if check_proof(closed).ok:
             return _splice(p, path, closed), ReductionStep(kind, a, path)
     raise CutEliminationError(
         "no verified reduction applies",
@@ -447,12 +453,10 @@ def reduce_once(
 
 
 def eliminate_cuts(
-    p: Proof,
-    bound: int = DEFAULT_STRUCTURAL_BOUND,
-    step_cap: int = STEP_CAP,
+    p: Proof, step_cap: int = STEP_CAP
 ) -> tuple[Proof, ReductionTrace]:
     """Drive ``reduce_once`` to a cut-free proof of the same sequent."""
-    report = check_proof(p, bound)
+    report = check_proof(p)
     if not report.ok:
         raise ValueError(f"input proof does not check: {report.violations[:3]}")
     steps: list[ReductionStep] = []
@@ -465,6 +469,6 @@ def eliminate_cuts(
             raise CutEliminationError(
                 f"no normal form within {step_cap} steps", path=path
             )
-        current, step = reduce_once(current, path, bound)
+        current, step = reduce_once(current, path)
         steps.append(step)
     return current, ReductionTrace(tuple(steps), current)

@@ -302,21 +302,27 @@ class SystemMismatchError(ValueError):
     """A formula uses a connective outside the given system's language."""
 
 
+def connective_error(g: Formula, system: System) -> str | None:
+    """Why the main connective of ``g`` lies outside ``system``'s
+    language, or None when it does not."""
+    if isinstance(g, Box) and system.ident not in BOX_SYSTEMS:
+        return f"[] not available in {system}: {g.key}"
+    if isinstance(g, Brings):
+        if system.ident not in AGENT_SYSTEMS:
+            return f"E[_] not available in {system}: {g.key}"
+        if g.agent not in system.agents:
+            return f"agent {g.agent!r} not in alphabet {list(system.agents)}: {g.key}"
+    if isinstance(g, (Odot, Lres, Rres)) and system.ident not in SERIAL_SYSTEMS:
+        return f"{type(g).op} not available in {system}: {g.key}"
+    return None
+
+
 def validate_formula(f: Formula, system: System) -> None:
     for g in subformulas(f):
-        if isinstance(g, Box) and system.ident not in BOX_SYSTEMS:
-            raise SystemMismatchError(f"[] not available in {system}: {g.key}")
-        if isinstance(g, Brings):
-            if system.ident not in AGENT_SYSTEMS:
-                raise SystemMismatchError(f"E[_] not available in {system}: {g.key}")
-            if g.agent not in system.agents:
-                raise SystemMismatchError(
-                    f"agent {g.agent!r} not in alphabet {list(system.agents)}: {g.key}"
-                )
-        if isinstance(g, (Odot, Lres, Rres)) and system.ident not in SERIAL_SYSTEMS:
-            raise SystemMismatchError(
-                f"{type(g).op} not available in {system}: {g.key}"
-            )
+        if isinstance(g, (Box, Brings, Odot, Lres, Rres)):
+            err = connective_error(g, system)
+            if err is not None:
+                raise SystemMismatchError(err)
 
 
 def print_formula(f: Formula) -> str:

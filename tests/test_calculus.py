@@ -313,6 +313,16 @@ def test_check_rejects_mixed_systems():
     assert any("mixed" in msg for _, msg in rep.violations)
 
 
+def test_check_reports_mixed_systems_under_a_cut():
+    # a multiset cut over a tree-system premise is reported, not a crash
+    producer = ax(parse_sequent("p |- p", PCMILL))
+    consumer = ax(parse_sequent("p |- p", MILL))
+    cut = Proof(parse_sequent("p |- p", MILL), Rule("Cut"), (consumer, producer))
+    rep = check_proof(cut)
+    assert [v[0] for v in rep.violations] == [(1,)]
+    assert "mixed" in rep.violations[0][1]
+
+
 def test_check_rejects_foreign_connective():
     # an RSBIAT sequent may not use the box
     with pytest.raises(Exception):

@@ -77,6 +77,16 @@ class TestProve:
         assert code == 2
         assert "position" in err
 
+    def test_internal_error_has_its_own_exit_code(self):
+        # nesting past the parser's recursion limit is an internal error,
+        # which must not leave with the "negative verdict" code
+        deep = "(" * 300 + "p" + ")" * 300
+        code, out, err = cli("prove", "MILL", f"{deep} |- p")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: RecursionError: ")
+        assert len(err.splitlines()) == 1
+
     def test_agentless_agent_system_without_modalities(self):
         code, _, err = cli("prove", "RSBIAT", "p |- p")
         assert code == 2

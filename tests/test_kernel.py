@@ -1,0 +1,326 @@
+"""The proof kernel: entropy as a membership test, agreement with a
+reference checker built on the search's premise enumerator, and the
+kernel's import boundary."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+
+from proofmill.calculus import (
+    AGENT_RULES,
+    AX,
+    CUT,
+    ENT,
+    SYSTEM_RULES,
+    Proof,
+    Rule,
+    apply_rule,
+    check_proof,
+    proof_nodes,
+    rule_admissible,
+)
+from proofmill.context import (
+    EMPTY,
+    Leaf,
+    MSet,
+    Sequent,
+    context_formulas,
+    entropy_le,
+    fill,
+    leaf,
+    mset,
+    par,
+    positions,
+    ser,
+    structural_preimages,
+    validate_sequent,
+)
+from proofmill.corpus import load_corpus_dir
+from proofmill.search import Proved, prove
+from proofmill.syntax import atom, parse_formula, parse_system
+
+from test_context import _trees
+
+ROOT = Path(__file__).resolve().parent.parent
+p, q = atom("p"), atom("q")
+
+
+def normal_trees(formulas, max_leaves):
+    """Every normal-form tree with 1..max_leaves leaves over ``formulas``,
+    grouped by leaf multiset."""
+    by_size = {1: {leaf(f) for f in formulas}}
+    for n in range(2, max_leaves + 1):
+        by_size[n] = {
+            make([a, b])
+            for k in range(1, n)
+            for a in by_size[k]
+            for b in by_size[n - k]
+            for make in (par, ser)
+        }
+    groups: dict[tuple[str, ...], list] = {}
+    for trees in by_size.values():
+        for t in sorted(trees, key=lambda t: t.key):
+            groups.setdefault(leaf_bag(t), []).append(t)
+    return list(groups.values())
+
+
+def leaf_bag(t) -> tuple[str, ...]:
+    return tuple(sorted(f.key for f in context_formulas(t)))
+
+
+# -- entropy as a membership test -----------------------------------------------
+
+
+def test_entropy_le_matches_preimages_exhaustively():
+    pairs = 0
+    for group in normal_trees([p, q], 4):
+        for c in group:
+            pres = set(structural_preimages(c, 10**6)[0])
+            for x in group:
+                assert entropy_le(x, c) == (x in pres), (x, c)
+                pairs += 1
+    assert pairs == 8059
+
+
+@settings(max_examples=60, deadline=None)
+@given(_trees(), _trees())
+def test_entropy_le_matches_preimages_on_random_trees(c, other):
+    pres, overflow = structural_preimages(c, 10**6)
+    assert not overflow
+    for x in pres:
+        assert entropy_le(x, c)
+    if leaf_bag(other) == leaf_bag(c):
+        assert entropy_le(other, c) == (other in set(pres))
+    else:
+        assert not entropy_le(other, c)
+
+
+def test_entropy_le_basics():
+    pq = par([leaf(p), leaf(q)])
+    assert entropy_le(ser([leaf(q), leaf(p)]), pq)
+    assert not entropy_le(pq, ser([leaf(p), leaf(q)]))
+    assert entropy_le(EMPTY, EMPTY) and not entropy_le(EMPTY, leaf(p))
+    assert entropy_le(mset([p, q]), mset([q, p]))
+    assert not entropy_le(mset([p]), leaf(p))
+    # a parallel child is never broken apart: p ; r ; q keeps p ; q whole
+    # only when r is outside it
+    r = atom("r")
+    c = par([ser([leaf(p), leaf(q)]), leaf(r)])
+    assert entropy_le(ser([leaf(r), leaf(p), leaf(q)]), c)
+    assert not entropy_le(ser([leaf(p), leaf(r), leaf(q)]), c)
+
+
+# -- a reference checker built on the search's premise enumerator ---------------
+
+
+def _reference_cut(node: Proof) -> bool:
+    if len(node.premises) != 2:
+        return False
+    consumer, producer = (n.conclusion for n in node.premises)
+    concl, a = node.conclusion, producer.succ
+    if consumer.succ != concl.succ:
+        return False
+    if isinstance(concl.ctx, MSet):
+        rest = list(consumer.ctx.formulas)
+        if a not in rest:
+            return False
+        rest.remove(a)
+        return mset(rest + list(producer.ctx.formulas)) == concl.ctx
+    return any(
+        isinstance(n, Leaf)
+        and n.formula == a
+        and fill(consumer.ctx, path, producer.ctx) == concl.ctx
+        for path, n in positions(consumer.ctx)
+    )
+
+
+def _reference_node(node: Proof) -> bool:
+    rule, concl = node.rule, node.conclusion
+    if rule.name == CUT:
+        return _reference_cut(node)
+    if rule.name == ENT:
+        if len(node.premises) != 1:
+            return False
+        prem = node.premises[0].conclusion
+        pres, _ = structural_preimages(concl.ctx, 10**6)
+        return prem.succ == concl.succ and prem.ctx in pres[1:]
+    want = [n.conclusion.key for n in node.premises]
+    return want in ([s.key for s in prems] for prems in apply_rule(concl, rule, 10**6))
+
+
+def reference_violations(proof: Proof) -> list[tuple[int, ...]]:
+    """Paths of the nodes that the premise-enumeration algorithm rejects:
+    each node is accepted when ``apply_rule`` lists its premises."""
+    bad = []
+    system = proof.conclusion.system
+    for path, node in proof_nodes(proof):
+        if node.conclusion.system != system:
+            bad.append(path)
+            continue
+        try:
+            validate_sequent(node.conclusion)
+        except ValueError:
+            bad.append(path)
+            continue
+        if not rule_admissible(node.rule, system) or not _reference_node(node):
+            bad.append(path)
+    return bad
+
+
+def kernel_violations(proof: Proof) -> list[tuple[int, ...]]:
+    return [path for path, _ in check_proof(proof).violations]
+
+
+def node_verdicts(node: Proof) -> tuple[bool, bool]:
+    """(reference, kernel) verdict on one inference; premises become
+    leaves so only the node itself is judged."""
+    shallow = Proof(
+        node.conclusion,
+        node.rule,
+        tuple(Proof(n.conclusion, Rule(AX)) for n in node.premises),
+    )
+    return () not in reference_violations(shallow), () not in kernel_violations(shallow)
+
+
+def _corpus_proofs() -> list[tuple[str, Proof]]:
+    out = []
+    for entry in load_corpus_dir(ROOT / "corpus"):
+        result = prove(entry.sequent)
+        if isinstance(result, Proved):
+            out.append((entry.entry_id, result.proof))
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus_proofs():
+    proofs = _corpus_proofs()
+    assert len(proofs) >= 20
+    return proofs
+
+
+def test_kernel_agrees_with_reference_on_corpus_proofs(corpus_proofs):
+    for entry_id, proof in corpus_proofs:
+        assert reference_violations(proof) == [], entry_id
+        assert kernel_violations(proof) == [], entry_id
+
+
+def _other_rules(node: Proof):
+    system = node.conclusion.system
+    for name in SYSTEM_RULES[system.ident]:
+        agents = system.agents if name in AGENT_RULES else (None,)
+        for agent in agents:
+            rule = Rule(name, agent)
+            if rule != node.rule:
+                yield rule
+
+
+def _mutants(node: Proof, sequents: list[Sequent]):
+    prems = node.premises
+    if len(prems) >= 2:
+        yield Proof(node.conclusion, node.rule, prems[::-1])
+    for i, prem in enumerate(prems):
+        for s in sequents:
+            if s != prem.conclusion:
+                moved = Proof(s, prem.rule, prem.premises)
+                yield Proof(node.conclusion, node.rule, prems[:i] + (moved,) + prems[i + 1 :])
+    for rule in _other_rules(node):
+        yield Proof(node.conclusion, rule, prems)
+
+
+def test_kernel_agrees_with_reference_on_mutants(corpus_proofs):
+    judged = rejected = 0
+    for entry_id, proof in corpus_proofs:
+        nodes = [n for _, n in proof_nodes(proof)]
+        sequents = list(dict.fromkeys(n.conclusion for n in nodes))
+        for node in nodes:
+            for mutant in _mutants(node, sequents):
+                ref, kernel = node_verdicts(mutant)
+                assert ref == kernel, (entry_id, mutant.rule, mutant.conclusion,
+                                       [n.conclusion for n in mutant.premises])
+                judged += 1
+                rejected += not ref
+    assert judged > 1000 and rejected > judged // 2
+
+
+def test_kernel_rejects_mutated_proofs_where_reference_does(corpus_proofs):
+    # whole proofs, one node mutated: the same nodes are flagged
+    for entry_id, proof in corpus_proofs[:8]:
+        nodes = list(proof_nodes(proof))
+        sequents = list(dict.fromkeys(n.conclusion for _, n in nodes))
+        for path, node in nodes:
+            for mutant in list(_mutants(node, sequents))[:6]:
+                whole = _splice(proof, path, mutant)
+                assert kernel_violations(whole) == reference_violations(whole), entry_id
+
+
+def _splice(proof: Proof, path, new: Proof) -> Proof:
+    if not path:
+        return new
+    prems = list(proof.premises)
+    prems[path[0]] = _splice(prems[path[0]], path[1:], new)
+    return Proof(proof.conclusion, proof.rule, tuple(prems))
+
+
+# -- rule by rule on small antecedents -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, alphabet, succs, leaves",
+    [
+        ("OneL", ["1", "p", "q"], ["p", "p @ q"], 3),
+        # deleting a unit can merge blocks, which shows from 4 leaves on
+        ("OneL", ["1", "p"], ["p"], 4),
+        ("TensorL", ["p * q", "p", "q"], ["p", "q * p"], 3),
+        ("OdotL", ["p @ q", "p", "q"], ["p", "q @ p"], 3),
+        ("LimpL", ["p -o q", "p", "q"], ["q", "q * p"], 3),
+        ("LresL", ["p \\ q", "p", "q"], ["q", "q @ p"], 3),
+        ("RresL", ["q / p", "p", "q"], ["q", "p @ q"], 3),
+        ("TensorR", ["p", "q"], ["p * q"], 3),
+        ("OdotR", ["p", "q"], ["p @ q"], 3),
+        ("LimpR", ["p", "q"], ["p -o q"], 3),
+        ("LresR", ["p", "q"], ["p \\ q", "q \\ p"], 3),
+        ("RresR", ["p", "q"], ["p / q", "q / p"], 3),
+        ("WithR", ["p", "q"], ["p & q"], 3),
+        ("WithL1", ["p & q", "p", "q"], ["p"], 3),
+        ("Ent", ["p", "q"], ["p"], 3),
+    ],
+)
+def test_tree_rules_accept_exactly_what_the_enumerator_lists(name, alphabet, succs, leaves):
+    # for each small conclusion, the premises the enumerator lists for
+    # any conclusion with the same leaves are accepted exactly when they
+    # are listed for this one
+    system = parse_system("PCMILL")
+    rule = Rule(name)
+    for succ in map(parse_formula, succs):
+        listed = {}
+        for group in normal_trees([parse_formula(a) for a in alphabet], leaves):
+            for c in group:
+                listed[c] = apply_rule(Sequent(c, succ, system), rule, 10**6)
+            for c in group:
+                want = {tuple(s.key for s in prems) for prems in listed[c]}
+                for other in group:
+                    for prems in listed[other]:
+                        node = Proof(Sequent(c, succ, system), rule,
+                                     tuple(Proof(s, Rule(AX)) for s in prems))
+                        got = () not in kernel_violations(node)
+                        assert got == (tuple(s.key for s in prems) in want), (
+                            node.conclusion, [s.key for s in prems])
+
+
+# -- import boundary -------------------------------------------------------------
+
+
+def test_kernel_imports_only_syntax_and_context():
+    source = (ROOT / "src" / "proofmill" / "kernel.py").read_text()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                assert node.module in ("syntax", "context"), node.module
+            else:
+                assert node.module.split(".")[0] != "proofmill", node.module
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] != "proofmill", alias.name
