@@ -38,7 +38,7 @@ from .hilbert import (
     deduction_from_json,
     hilbert_to_sequent,
 )
-from .search import Proved, SearchBudget, prove
+from .search import Proved, prove
 from .semantics import (
     Evaluator,
     Model,
@@ -130,8 +130,7 @@ def _model_system(m: Model, sequent_text: str) -> System:
 def _cmd_prove(args) -> int:
     system = _system_for(args.system, args.sequent)
     seq = _parse(args.sequent, system)
-    budget = SearchBudget(max_depth=args.depth) if args.depth else None
-    result = prove(seq, budget)
+    result = prove(seq)
     print(verdict_word(result, system))
     print(f"explored {result.explored} sequents, "
           f"peak depth {result.peak_depth}")
@@ -307,11 +306,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prove", help="bounded backward proof search")
+    p = sub.add_parser("prove", help="backward proof search")
     p.add_argument("system", help="MILL, PCMILL, RSBIAT[:a,b], SRSBIAT[:a,b]")
     p.add_argument("sequent", help="e.g. 'p, p -o q |- q'")
-    p.add_argument("--depth", type=int, default=None,
-                   help="override the depth bound (default 4x complexity)")
     p.add_argument("--emit-proof", metavar="PATH",
                    help="write the found proof as JSON")
     p.set_defaults(fn=_cmd_prove)

@@ -29,10 +29,8 @@ from pathlib import Path
 
 from .context import Sequent, parse_sequent
 from .search import (
-    BudgetExceeded,
     Exhausted,
     Proved,
-    SearchBudget,
     SearchResult,
     prove,
 )
@@ -303,6 +301,8 @@ def load_corpus_dir(path: str | Path) -> list[CorpusEntry]:
     out: list[CorpusEntry] = []
     for f in files:
         out.extend(load_corpus_file(f))
+    if not out:
+        raise CorpusError(f"no corpus entries in {path}")
     ids = [e.entry_id for e in out]
     dupes = {i for i in ids if ids.count(i) > 1}
     if dupes:
@@ -332,9 +332,8 @@ def outcome_matches(outcome: SearchResult, entry: CorpusEntry) -> bool:
     return not isinstance(outcome, Proved)  # bounded-unknown
 
 
-def run_entry(entry: CorpusEntry,
-              budget: SearchBudget | None = None) -> EntryResult:
-    outcome = prove(entry.sequent, budget)
+def run_entry(entry: CorpusEntry) -> EntryResult:
+    outcome = prove(entry.sequent)
     return EntryResult(
         entry=entry,
         outcome=outcome,
@@ -343,6 +342,5 @@ def run_entry(entry: CorpusEntry,
     )
 
 
-def run_corpus(entries: list[CorpusEntry],
-               budget: SearchBudget | None = None) -> list[EntryResult]:
-    return [run_entry(e, budget) for e in entries]
+def run_corpus(entries: list[CorpusEntry]) -> list[EntryResult]:
+    return [run_entry(e) for e in entries]

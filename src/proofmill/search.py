@@ -1,4 +1,4 @@
-"""Bounded backward proof search.
+"""Backward proof search.
 
 The engine works goal-down over the cut-free rules.  Entropy is never
 emitted as an explicit proof step: rule matching already folds every
@@ -10,22 +10,22 @@ only its first premise list is explored and no other rule is tried at
 that goal.  The remaining rules backtrack over every premise list.
 
 Every searched rule strictly decreases the premise total complexity,
-which has two useful consequences.  First, a goal can never recur on
-its own branch, so the per-branch repeat check never fires (it is kept
-as a guard).  Second, once the remaining depth at a goal is at least
-its total complexity, depth can never be the reason a subtree fails;
-failures found under that condition are final and are memoized.
+so no branch is longer than the goal's total complexity and search
+terminates without a depth budget.  A goal's result depends only on
+the goal, so every success and every failure is memoized.
 
-``Exhausted`` therefore means every candidate collapsed for a final
-reason, while ``BudgetExceeded`` means some branch was cut by depth or
-by the structural preimage bound and a deeper run might still succeed.
-For the multiset systems the default depth already clears the
-memoization threshold, so a default-budget run never returns
-``BudgetExceeded``: the verdict is a decision procedure there.
+The one bound that can bind is the structural preimage cap
+(``DEFAULT_STRUCTURAL_BOUND`` contexts per goal) in the tree systems.
+``Exhausted`` means every candidate collapsed with no preimage closure
+truncated, while ``BudgetExceeded`` means some closure was cut at the
+cap and a larger cap might still find a proof.  Multiset antecedents
+have no preimages other than themselves, so there the verdict is a
+decision procedure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 from .calculus import (
     AX,
@@ -58,8 +58,8 @@ from .calculus import (
     _Matcher,
     proof_nodes,
 )
-from .context import Sequent, context_formulas, total_complexity
-from .syntax import Formula, subformulas
+from .context import DEFAULT_STRUCTURAL_BOUND, Sequent, context_formulas
+from .syntax import Formula, System, subformulas
 
 INVERTIBLE_RULES: tuple[str, ...] = (
     TENSOR_L,
@@ -90,23 +90,6 @@ DEFAULT_RULE_ORDER: tuple[str, ...] = INVERTIBLE_RULES + (
     BRINGS_WITH,
 )
 
-DEFAULT_DEPTH_FACTOR = 4
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Limits for one search run.
-
-    ``max_depth=None`` resolves to ``4 * total_complexity(goal)``.
-    ``rule_order`` lists rule names; names that are unavailable in the
-    goal's system (or Cut/Ent, which are never searched) are skipped.
-    """
-
-    max_depth: int | None = None
-    max_structural: int = 4096
-    rule_order: tuple[str, ...] = DEFAULT_RULE_ORDER
-
-
 @dataclass(frozen=True)
 class Proved:
     proof: Proof
@@ -134,80 +117,57 @@ class SearchStats:
     explored: int = 0
     peak_depth: int = 0
     memo_hits: int = 0
-    max_depth: int = 0
     truncated: bool = False
 
 
+@functools.cache
+def _rule_tables(system: System) -> tuple[tuple[Rule, ...], tuple[Rule, ...]]:
+    """The invertible and the choice rules of ``system``, in
+    ``DEFAULT_RULE_ORDER``, agent rules instantiated per agent."""
+    avail = SYSTEM_RULES[system.ident]
+    inv: list[Rule] = []
+    rest: list[Rule] = []
+    for name in DEFAULT_RULE_ORDER:
+        if name not in avail:
+            continue
+        bucket = inv if name in INVERTIBLE_RULES else rest
+        if name in AGENT_RULES:
+            bucket.extend(Rule(name, a) for a in system.agents)
+        else:
+            bucket.append(Rule(name))
+    return tuple(inv), tuple(rest)
+
+
 class _Engine:
-    def __init__(self, goal: Sequent, budget: SearchBudget):
-        self.system = goal.system
-        self.budget = budget
-        self.max_depth = (
-            budget.max_depth
-            if budget.max_depth is not None
-            else DEFAULT_DEPTH_FACTOR * total_complexity(goal)
-        )
-        avail = SYSTEM_RULES[self.system.ident]
-        inv: list[Rule] = []
-        rest: list[Rule] = []
-        for name in budget.rule_order:
-            if name not in avail or name in ("Cut", "Ent"):
-                continue
-            bucket = inv if name in INVERTIBLE_RULES else rest
-            if name in AGENT_RULES:
-                bucket.extend(Rule(name, a) for a in self.system.agents)
-            else:
-                bucket.append(Rule(name))
-        self.invertible = tuple(inv)
-        self.choice = tuple(rest)
+    def __init__(self, system: System):
+        self.invertible, self.choice = _rule_tables(system)
         self.success: dict[Sequent, Proof] = {}
-        self.failed: set[Sequent] = set()
-        # non-final failures, keyed by the remaining depth they were seen
-        # at; anything that failed with more room fails with less
-        self.fail_depth: dict[Sequent, int] = {}
-        self.stats = SearchStats(max_depth=self.max_depth)
-        self.visited: set[Sequent] = set()
+        # failed goal -> final; a goal's result depends only on the goal
+        self.failed: dict[Sequent, bool] = {}
+        self.stats = SearchStats()
 
     # returns (proof or None, final) where ``final`` marks a failure that
-    # no larger budget could turn into a proof
+    # no larger structural bound could turn into a proof
     def search(self, goal: Sequent, depth: int) -> tuple[Proof | None, bool]:
         hit = self.success.get(goal)
         if hit is not None:
             return hit, True
-        if goal in self.failed:
+        final = self.failed.get(goal)
+        if final is not None:
             self.stats.memo_hits += 1
-            return None, True
-        if goal in self.visited:
-            return None, False
-        if depth >= self.max_depth:
-            self.stats.truncated = True
-            return None, False
-        remaining = self.max_depth - depth
-        if self.fail_depth.get(goal, -1) >= remaining:
-            self.stats.memo_hits += 1
-            return None, False
+            return None, final
         self.stats.explored += 1
         if depth > self.stats.peak_depth:
             self.stats.peak_depth = depth
-        matcher = _Matcher(goal, self.budget.max_structural)
+        matcher = _Matcher(goal, DEFAULT_STRUCTURAL_BOUND)
         if matcher.overflow:
             self.stats.truncated = True
-        deep_enough = self.max_depth - depth >= total_complexity(goal)
-
-        self.visited.add(goal)
-        try:
-            proof, final = self._expand(goal, depth, matcher)
-        finally:
-            self.visited.discard(goal)
-
+        proof, final = self._expand(goal, depth, matcher)
         if proof is not None:
             self.success[goal] = proof
             return proof, True
         final = final and not matcher.overflow
-        if final and deep_enough:
-            self.failed.add(goal)
-        elif remaining > self.fail_depth.get(goal, -1):
-            self.fail_depth[goal] = remaining
+        self.failed[goal] = final
         return None, final
 
     def _try_list(
@@ -242,11 +202,8 @@ class _Engine:
         return None, final
 
 
-def prove_with_stats(
-    goal: Sequent, budget: SearchBudget | None = None
-) -> tuple[SearchResult, SearchStats]:
-    budget = budget or SearchBudget()
-    engine = _Engine(goal, budget)
+def prove_with_stats(goal: Sequent) -> tuple[SearchResult, SearchStats]:
+    engine = _Engine(goal.system)
     proof, final = engine.search(goal, 0)
     st = engine.stats
     if proof is not None:
@@ -256,8 +213,8 @@ def prove_with_stats(
     return BudgetExceeded(st.explored, st.peak_depth), st
 
 
-def prove(goal: Sequent, budget: SearchBudget | None = None) -> SearchResult:
-    return prove_with_stats(goal, budget)[0]
+def prove(goal: Sequent) -> SearchResult:
+    return prove_with_stats(goal)[0]
 
 
 # ---------------------------------------------------------------------------

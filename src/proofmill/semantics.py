@@ -100,6 +100,14 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _up(above: list[int], mask: int) -> int:
+    """Upward closure of a world set; ``above[j]`` masks the worlds >= j."""
+    out = 0
+    for j in _bits(mask):
+        out |= above[j]
+    return out
+
+
 class _Frame:
     """Index tables for one model; world sets are int bitmasks."""
 
@@ -121,15 +129,6 @@ class _Frame:
                 t[i][j] = self.idx[op[(w, v)]]
         return t
 
-    def ge(self, i: int, j: int) -> bool:
-        return bool(self.above[j] >> i & 1)
-
-    def up(self, mask: int) -> int:
-        out = 0
-        for j in _bits(mask):
-            out |= self.above[j]
-        return out
-
     def set_name(self, mask: int) -> str:
         return "{" + ",".join(self.names[i] for i in _bits(mask)) + "}"
 
@@ -150,6 +149,30 @@ def _closure(n: int, pairs: list[tuple[int, int]]) -> list[int]:
                 above[j] = acc
                 changed = True
     return above
+
+
+def _order_violations(n: int, above: list[int], op, ser):
+    """Yield ``(law, greater, lesser, witness)`` for every pair the order
+    must relate (``greater >= lesser``) but does not: bifunctoriality of
+    each table (law ``"op"``/``"serial_op"``, witness ``(hi1, low1, hi2,
+    low2)``), then entropy ``op >= serial_op`` (law ``"entropy"``,
+    witness ``(i, j)``)."""
+    for law, t in (("op", op), ("serial_op", ser)):
+        if t is None:
+            continue
+        for low1 in range(n):
+            for hi1 in _bits(above[low1]):
+                for low2 in range(n):
+                    for hi2 in _bits(above[low2]):
+                        a, b = t[hi1][hi2], t[low1][low2]
+                        if not above[b] >> a & 1:
+                            yield law, a, b, (hi1, low1, hi2, low2)
+    if ser is not None:
+        for i in range(n):
+            for j in range(n):
+                a, b = op[i][j], ser[i][j]
+                if not above[b] >> a & 1:
+                    yield "entropy", a, b, (i, j)
 
 
 def _mask_of(frame: _Frame, worlds) -> int:
@@ -195,7 +218,7 @@ class Evaluator:
         return frozenset(self._fr.names[i] for i in _bits(mask))
 
     def upward(self, worlds) -> frozenset[str]:
-        mask = self._fr.up(_mask_of(self._fr, worlds))
+        mask = _up(self._fr.above, _mask_of(self._fr, worlds))
         return frozenset(self._fr.names[i] for i in _bits(mask))
 
     def sequent_valid(self, s: Sequent) -> bool:
@@ -204,7 +227,7 @@ class Evaluator:
 
     def extension_upward_closed(self, f: Formula) -> bool:
         mask = self.extension_mask(f)
-        return self._fr.up(mask) == mask
+        return _up(self._fr.above, mask) == mask
 
     def falsifying_world(self, s: Sequent) -> str | None:
         """A world satisfying the folded antecedent but not the succedent."""
@@ -277,7 +300,7 @@ class Evaluator:
             row = table[i]
             for j in _bits(b):
                 prods |= 1 << row[j]
-        return self._fr.up(prods)
+        return _up(self._fr.above, prods)
 
     def _arrow(self, f, table: list[list[int]], flip: bool) -> int:
         # flip=False: require n . m in ||right|| for all n in ||left||
@@ -398,36 +421,24 @@ def validate_model(m: Model, system: System) -> ModelReport:
                         bad.append(f"{label} not associative at "
                                    f"{names[i]},{names[j]},{names[k]}")
 
-    def bifunctorial(t: list[list[int]], label: str) -> None:
-        for low1 in range(n):
-            for hi1 in _bits(fr.above[low1]):
-                for low2 in range(n):
-                    for hi2 in _bits(fr.above[low2]):
-                        if not fr.ge(t[hi1][hi2], t[low1][low2]):
-                            bad.append(
-                                f"{label} not bifunctorial: "
-                                f"{names[hi1]} >= {names[low1]}, "
-                                f"{names[hi2]} >= {names[low2]}, but "
-                                f"{names[t[hi1][hi2]]} !>= "
-                                f"{names[t[low1][low2]]}"
-                            )
-
     law_table(fr.op, "op", commutative=True)
-    bifunctorial(fr.op, "op")
     if fr.ser is not None:
         law_table(fr.ser, "serial_op", commutative=False)
-        bifunctorial(fr.ser, "serial_op")
-        for i in range(n):
-            for j in range(n):
-                if not fr.ge(fr.op[i][j], fr.ser[i][j]):
-                    bad.append(
-                        f"entropy fails: {names[i]} op {names[j]} !>= "
-                        f"{names[i]} serial_op {names[j]}"
-                    )
+    for law, a, b, w in _order_violations(n, fr.above, fr.op, fr.ser):
+        if law == "entropy":
+            i, j = w
+            bad.append(f"entropy fails: {names[i]} op {names[j]} !>= "
+                       f"{names[i]} serial_op {names[j]}")
+        else:
+            hi1, low1, hi2, low2 = w
+            bad.append(f"{law} not bifunctorial: "
+                       f"{names[hi1]} >= {names[low1]}, "
+                       f"{names[hi2]} >= {names[low2]}, but "
+                       f"{names[a]} !>= {names[b]}")
 
     for p, ws in m.valuation.items():
         mask = _mask_of(fr, ws)
-        if fr.up(mask) != mask:
+        if _up(fr.above, mask) != mask:
             bad.append(f"valuation of {p!r} is not upward closed")
 
     nbhd = _nbhd_masks(fr, m)
@@ -483,7 +494,7 @@ def validate_model(m: Model, system: System) -> ModelReport:
                                 for i in _bits(x):
                                     for j in _bits(y):
                                         prod |= 1 << t[i][j]
-                                want = fr.up(prod)
+                                want = _up(fr.above, prod)
                                 home = t[w1][w2]
                                 if want not in table[home]:
                                     bad.append(
@@ -604,28 +615,10 @@ def _repair_order(n: int, op, ser, pairs: set[tuple[int, int]]):
     the closure masks."""
     while True:
         above = _closure(n, list(pairs))
-
-        def ge(i, j):
-            return bool(above[j] >> i & 1)
-
         added = False
-        for t in (op, ser):
-            if t is None:
-                continue
-            for low1 in range(n):
-                for hi1 in _bits(above[low1]):
-                    for low2 in range(n):
-                        for hi2 in _bits(above[low2]):
-                            a, b = t[hi1][hi2], t[low1][low2]
-                            if not ge(a, b):
-                                pairs.add((a, b))
-                                added = True
-        if ser is not None:
-            for i in range(n):
-                for j in range(n):
-                    if not ge(op[i][j], ser[i][j]):
-                        pairs.add((op[i][j], ser[i][j]))
-                        added = True
+        for _, greater, lesser, _ in _order_violations(n, above, op, ser):
+            pairs.add((greater, lesser))
+            added = True
         if not added:
             return above
 
@@ -636,13 +629,6 @@ def _close_neighbourhoods(
 ) -> int:
     """Close each agent table under heredity and the selected
     conditions; returns the (possibly grown) bot mask."""
-
-    def up(mask: int) -> int:
-        out = 0
-        for j in _bits(mask):
-            out |= above[j]
-        return out
-
     changed = True
     while changed:
         changed = False
@@ -674,7 +660,7 @@ def _close_neighbourhoods(
                                 for i in _bits(x):
                                     for j in _bits(y):
                                         prod |= 1 << t[i][j]
-                                z = up(prod)
+                                z = _up(above, prod)
                                 home = t[w1][w2]
                                 if z not in table[home]:
                                     table[home].add(z)
@@ -695,10 +681,7 @@ def _random_upset(rng: random.Random, n: int, above, within: int = -1) -> int:
             base |= 1 << i
     if not base:
         base = 1 << rng.randrange(n)
-    out = 0
-    for j in _bits(base):
-        out |= above[j]
-    return out
+    return _up(above, base)
 
 
 def random_model(seed: int, size: int, system: System) -> Model:
@@ -727,19 +710,13 @@ def random_model(seed: int, size: int, system: System) -> Model:
         pairs.add((rng.randrange(n), rng.randrange(n)))
     above = _repair_order(n, op, ser, pairs)
 
-    def up(mask: int) -> int:
-        out = 0
-        for j in _bits(mask):
-            out |= above[j]
-        return out
-
     # valuation: random upward closed sets; diamond biases the two
     # generator worlds so serial order becomes observable
     val_masks: dict[str, int] = {}
     for k, p in enumerate(_FAMILY_ATOMS):
         if rng.random() < 0.8:
             if family in ("diamond", "leftproj") and rng.random() < 0.7:
-                val_masks[p] = up(1 << (1 + k % 2))
+                val_masks[p] = _up(above, 1 << (1 + k % 2))
             else:
                 val_masks[p] = _random_upset(rng, n, above)
     bot_mask = 0
@@ -763,7 +740,7 @@ def random_model(seed: int, size: int, system: System) -> Model:
         for w in range(n):
             if rng.random() < 0.45:
                 extra = 1 << rng.randrange(n) if rng.random() < 0.5 else 0
-                x = up((1 << w) | extra)
+                x = _up(above, (1 << w) | extra)
                 table[w].add(x)
         nbhd[agent] = table
     bot_mask = _close_neighbourhoods(

@@ -52,12 +52,6 @@ class TestProve:
         assert code == 1
         assert out.splitlines()[0] == "not proved (bounded)"
 
-    def test_depth_flag_bounds_search(self):
-        code, out, _ = cli("prove", "MILL", "p * (q * r) |- (p * q) * r",
-                           "--depth", "1")
-        assert code == 1
-        assert out.splitlines()[0] == "budget exceeded"
-
     def test_emit_proof_round_trips(self, tmp_path):
         path = tmp_path / "p.json"
         code, out, _ = cli("prove", "MILL", "p * q |- q * p",
@@ -294,6 +288,13 @@ class TestCorpus:
     def test_missing_dir_is_usage_error(self, tmp_path):
         code, _, err = cli("corpus", str(tmp_path / "void"))
         assert code == 2
+
+    def test_comment_only_corpus_is_usage_error(self, tmp_path):
+        (tmp_path / "t.corpus").write_text("# nothing yet\n\n   \n")
+        code, out, err = cli("corpus", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: no corpus entries in")
 
 
 class TestUsage:

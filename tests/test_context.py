@@ -265,14 +265,14 @@ def test_sequent_round_trip_property():
 _leafs = st.sampled_from([p, q, r]).map(leaf)
 
 
-def _trees():
+def _trees(leafs=_leafs, max_leaves=5):
     return st.recursive(
-        _leafs,
+        leafs,
         lambda kids: st.one_of(
             st.lists(kids, min_size=2, max_size=3).map(par),
             st.lists(kids, min_size=2, max_size=3).map(ser),
         ),
-        max_leaves=5,
+        max_leaves=max_leaves,
     )
 
 

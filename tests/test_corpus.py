@@ -17,7 +17,7 @@ from proofmill.corpus import (
     run_entry,
     verdict_word,
 )
-from proofmill.search import BudgetExceeded, Exhausted, Proved, SearchBudget
+from proofmill.search import BudgetExceeded, Exhausted, Proved
 from proofmill.syntax import (
     atom,
     lres,
@@ -209,6 +209,11 @@ class TestLoadFiles:
         with pytest.raises(CorpusError, match="no .corpus files"):
             load_corpus_dir(tmp_path)
 
+    def test_dir_requires_entries(self, tmp_path):
+        (tmp_path / "a.corpus").write_text("# header only\n\n")
+        with pytest.raises(CorpusError, match="no corpus entries in"):
+            load_corpus_dir(tmp_path)
+
     def test_dir_must_exist(self, tmp_path):
         with pytest.raises(CorpusError, match="not a directory"):
             load_corpus_dir(tmp_path / "missing")
@@ -270,10 +275,11 @@ class TestRunner:
         assert r.verdict == "Exhausted (unprovable)"
 
     def test_run_corpus_respects_budget(self):
+        # six parallel atoms overflow the structural cap
         e = parse_corpus_line(
-            "a | PCMILL | p @ q |- q @ p | bounded-unknown | s")
-        tight = SearchBudget(max_structural=1)
-        (r,) = run_corpus([e], tight)
+            "a | PCMILL | a, b, c, d, e, f |- g | bounded-unknown | s")
+        (r,) = run_corpus([e])
+        assert isinstance(r.outcome, BudgetExceeded)
         assert r.passed  # bounded-unknown accepts budget exhaustion too
 
     def test_shipped_axiom_file_all_pass(self):

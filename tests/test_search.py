@@ -1,23 +1,52 @@
-"""Bounded backward proof search."""
+"""Backward proof search."""
 from __future__ import annotations
+
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proofmill.calculus import check_proof, cut_count
-from proofmill.context import parse_sequent, sequent, mset, total_complexity
+from proofmill.calculus import (
+    AGENT_RULES,
+    Rule,
+    apply_rule,
+    check_proof,
+    cut_count,
+    rule_admissible,
+)
+from proofmill.context import (
+    leaf,
+    mset,
+    parse_sequent,
+    sequent,
+    total_complexity,
+)
+from proofmill.corpus import load_corpus_dir
 from proofmill.search import (
     DEFAULT_RULE_ORDER,
     INVERTIBLE_RULES,
     BudgetExceeded,
     Exhausted,
     Proved,
-    SearchBudget,
     prove,
     prove_with_stats,
     subformula_audit,
 )
-from proofmill.syntax import atom, limp, parse_formula, parse_system, tensor
+from proofmill.syntax import (
+    atom,
+    box,
+    limp,
+    lres,
+    odot,
+    parse_formula,
+    parse_system,
+    rres,
+    tensor,
+    unit,
+    with_,
+)
+
+from test_context import _trees
 
 MILL = parse_system("MILL")
 PCMILL = parse_system("PCMILL")
@@ -131,37 +160,19 @@ def test_deterministic():
     assert a.explored == b.explored
 
 
-# -- budgets ----------------------------------------------------------------------
-
-
-def test_depth_budget_exceeded_reported():
-    s = parse_sequent("p, q |- p * q", MILL)
-    r = prove(s, SearchBudget(max_depth=1))
-    assert isinstance(r, BudgetExceeded)
+# -- the structural cap -------------------------------------------------------------
 
 
 def test_structural_budget_flagged():
-    # four parallel atoms feeding a serial goal overflow a tiny preimage
-    # bound, so the failure cannot be reported as definitive
-    s = parse_sequent("a0, a1, a2, a3 |- ((a0 @ a1) @ a2) @ a3", PCMILL)
-    r = prove(s, SearchBudget(max_depth=40, max_structural=4))
+    # six parallel atoms have more entropy preimages than the cap, so
+    # the failure cannot be reported as definitive
+    s = parse_sequent("a, b, c, d, e, f |- g", PCMILL)
+    r, st_ = prove_with_stats(s)
     assert isinstance(r, BudgetExceeded)
-    # with the default bound the same goal is provable
-    assert isinstance(prove(s), Proved)
-
-
-def test_default_depth_scales_with_goal():
-    s = parse_sequent("p, q |- p * q", MILL)
-    _, st_ = prove_with_stats(s)
-    assert st_.max_depth == 4 * total_complexity(s)
-
-
-def test_rule_order_override_preserves_verdict():
-    s = parse_sequent("p, p -o q |- q", MILL)
-    reordered = tuple(reversed(DEFAULT_RULE_ORDER))
-    r = prove(s, SearchBudget(rule_order=reordered))
-    assert isinstance(r, Proved)
-    assert check_proof(r.proof).ok
+    assert st_.truncated
+    # the same failure in a multiset system is a decision
+    assert isinstance(prove(parse_sequent("a, b, c, d, e, f |- g", MILL)),
+                      Exhausted)
 
 
 def test_stats_track_exploration():
@@ -205,3 +216,59 @@ def test_search_idempotent_across_runs(antecedent, succ):
     assert type(a) is type(b)
     if isinstance(a, Proved):
         assert a.proof == b.proof
+
+
+# -- the invariant that bounds every branch ------------------------------------
+# Every rule that search tries lists premises of strictly smaller total
+# complexity, so no branch is longer than the goal's complexity and
+# search needs no depth budget.
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def _assert_premises_shrink(goal):
+    size = total_complexity(goal)
+    for name in DEFAULT_RULE_ORDER:
+        agents = goal.system.agents if name in AGENT_RULES else (None,)
+        for agent in agents:
+            rule = Rule(name, agent)
+            if not rule_admissible(rule, goal.system):
+                continue
+            for premises in apply_rule(goal, rule):
+                for prem in premises:
+                    assert total_complexity(prem) < size, (
+                        goal.key, str(rule), prem.key)
+
+
+def test_premises_shrink_on_corpus_goals():
+    for entry in load_corpus_dir(CORPUS_DIR):
+        _assert_premises_shrink(entry.sequent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_FORMULAS, max_size=3), _FORMULAS)
+def test_premises_shrink_on_mill_goals(antecedent, succ):
+    _assert_premises_shrink(sequent(mset(antecedent), succ, MILL))
+
+
+_TREE_FORMULAS = st.recursive(
+    st.one_of(_ATOMS, st.just(unit())),
+    lambda kids: st.one_of(
+        st.builds(box, kids),
+        *(st.builds(op, kids, kids)
+          for op in (tensor, odot, limp, lres, rres, with_)),
+    ),
+    max_leaves=3,
+)
+
+
+# four leaves keep each entropy closure small (a parallel node of five
+# leaves has 2,791 preimages, recomputed for every rule)
+_TREE_CONTEXTS = st.one_of(
+    _trees(max_leaves=4), _trees(_TREE_FORMULAS.map(leaf), max_leaves=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TREE_CONTEXTS, _TREE_FORMULAS)
+def test_premises_shrink_on_pcmill_goals(ctx, succ):
+    _assert_premises_shrink(sequent(ctx, succ, PCMILL))
