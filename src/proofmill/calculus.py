@@ -2,11 +2,15 @@
 proof serialization.
 
 Rule application is read backward: ``apply_rule(goal, rule)`` lists
-every ordered premise tuple from which ``rule`` can conclude ``goal``.
-For the tree systems the goal's antecedent is first expanded through
-``structural_preimages`` (the entropy rule read backward), so entropy
-is folded into ordinary rule matching; an explicit ``Ent`` step is
-listed as well.
+the premise tuples from which ``rule`` concludes ``goal``.  Every rule
+reads the goal's own antecedent.  In the tree systems entropy (``Γ ; Δ``
+gives ``Γ , Δ``) moves above every rule except those that build ``;``:
+``OdotR`` and ``BringsOdot`` list the maximal serial cuts of the goal
+(``split_serial``), ``LresL`` and ``RresL`` the maximal argument groups
+around the principal leaf (``_arg_groups``).  What a rule gives at any
+structural preimage of the goal is thereby dominated by what it gives
+at the goal, and no preimage closure is computed; only ``Ent`` itself
+lists the preimages (``structural_preimages``).
 
 Proofs are checked elsewhere: ``check_proof`` is the independent kernel
 in ``kernel.py``, which reads each inference forward and never calls
@@ -19,22 +23,26 @@ from __future__ import annotations
 from .context import (
     EMPTY,
     Context,
-    EmptyCtx,
     Leaf,
     MSet,
     Par,
+    Path,
     Sequent,
     Ser,
+    empty,
     fill,
+    join,
     leaf,
     mset,
+    mset_without,
     par,
     positions,
     ser,
+    single,
+    singleton_body,
     split_parallel,
     split_serial,
     structural_preimages,
-    DEFAULT_STRUCTURAL_BOUND,
 )
 from .kernel import (  # noqa: F401  (re-exported)
     AGENT_RULES,
@@ -115,30 +123,6 @@ def _seq(ctx: Context, succ: Formula, system: System) -> Sequent:
     return Sequent(ctx, succ, system)
 
 
-def _mset_without(ms: MSet, f: Formula) -> MSet:
-    i = ms.formulas.index(f)
-    return mset(ms.formulas[:i] + ms.formulas[i + 1 :])
-
-
-def _mset_with(ms: MSet, *fs: Formula) -> MSet:
-    return mset(ms.formulas + fs)
-
-
-def _singleton_body(ctx: Context) -> Formula | None:
-    """The sole antecedent formula, when the antecedent is a singleton."""
-    if isinstance(ctx, MSet):
-        return ctx.formulas[0] if len(ctx.formulas) == 1 else None
-    if isinstance(ctx, Leaf):
-        return ctx.formula
-    return None
-
-
-def _is_empty(ctx: Context) -> bool:
-    if isinstance(ctx, MSet):
-        return not ctx.formulas
-    return isinstance(ctx, EmptyCtx)
-
-
 def _distinct_members(ctx: Context):
     """Distinct principal candidates: (formula, occurrence handle)."""
     if isinstance(ctx, MSet):
@@ -157,23 +141,88 @@ def _replace(ctx: Context, f: Formula, handle, repl: Context) -> Context:
     """Replace one occurrence of ``f`` (at ``handle`` for trees) by a
     subcontext, splicing multisets."""
     if isinstance(ctx, MSet):
-        assert isinstance(repl, MSet)
-        base = _mset_without(ctx, f)
-        return mset(base.formulas + repl.formulas)
+        return join(mset_without(ctx, f), repl, serial=False)
     return fill(ctx, handle, repl)
 
 
-class _Matcher:
-    """Premise enumeration for one goal, sharing the preimage expansion."""
+def _arg_groups(ctx: Context, path: Path, res: Formula, before: bool):
+    """The maximal argument groups of a residual left rule whose
+    principal leaf sits at ``path`` in ``ctx``, as triples
+    ``(Γ, rest, exposed)``.
 
-    def __init__(self, goal: Sequent, bound: int):
-        self.goal = goal
+    ``Γ`` is taken from just before the leaf (LresL, ``before``) or just
+    after it (RresL), and ``rest`` is ``ctx`` with the group and the
+    leaf replaced by ``res``.  Putting ``Γ ; A \\ B`` (or ``B / A ; Γ``)
+    back in place of ``res`` gives a tree below ``ctx`` by entropy, and
+    every group and rest that some tree below ``ctx`` offers lie below
+    a listed pair.  ``exposed`` marks a ``rest`` that starts (ends)
+    with ``res``, so that context placed just before (after) it can
+    still join ``Γ``.  Lists below read from the far side of the group
+    towards the principal leaf; ``seq`` puts them back in order.
+    """
+    if not path:
+        return [(EMPTY, leaf(res), True)]
+
+    def seq(parts: list[Context]) -> Context:
+        return ser(parts if before else parts[::-1])  # type: ignore[arg-type]
+
+    def cuts(c: Context):
+        """Proper serial cuts of ``c`` as (far part, near part)."""
+        for l, r in split_serial(c):
+            if l != EMPTY and r != EMPTY:
+                yield (l, r) if before else (r, l)
+
+    kids = list(ctx.children)  # type: ignore[union-attr]
+    i = path[0]
+    out: dict[tuple[str, str, bool], tuple[Context, Context, bool]] = {}
+
+    def push(gamma: Context, rest: Context, exposed: bool) -> None:
+        out.setdefault((gamma.key, rest.key, exposed), (gamma, rest, exposed))
+
+    for gamma, rest, exposed in _arg_groups(kids[i], path[1:], res, before):
+        if isinstance(ctx, Ser):
+            # siblings on the group's side, far to near, and the others
+            side = kids[:i] if before else kids[i + 1 :][::-1]
+            tail = kids[i + 1 :] if before else kids[:i][::-1]
+            push(gamma, seq(side + [rest] + tail), exposed and not side)
+            if not exposed:
+                continue
+            # lengthen the group over the nearest siblings, starting
+            # inside the farthest of them
+            for j, sib in enumerate(side):
+                for far, near in [(EMPTY, sib), *cuts(sib)]:
+                    push(seq([near] + side[j + 1 :] + [gamma]),
+                         seq(side[:j] + [far, rest] + tail),
+                         j == 0 and far == EMPTY)
+        elif not exposed:
+            push(gamma, par(kids[:i] + kids[i + 1 :] + [rest]), False)
+        else:
+            # any other children join the group as one parallel block;
+            # the remaining ones stay parallel or follow the residue
+            others = kids[:i] + kids[i + 1 :]
+            for group, left in split_parallel(par(others)):
+                push(seq([group, gamma]), par([left, rest]), False)
+                push(seq([group, gamma]), seq([rest, left]), True)
+            # or one serial child is cut and its near part joins too
+            for k, o in enumerate(others):
+                for far, near in cuts(o):
+                    for group, left in split_parallel(par(others[:k] + others[k + 1 :])):
+                        push(seq([near, group, gamma]),
+                             par([left, seq([far, rest])]), False)
+    return list(out.values())
+
+
+class _Matcher:
+    """Premise enumeration for one goal.  Every rule reads the goal's
+    own antecedent: entropy is absorbed into the shapes that the rules
+    building ``;`` list (``split_serial`` and ``_arg_groups``), and only
+    ``Ent`` itself lists the goal's structural preimages."""
+
+    def __init__(self, goal: Sequent):
+        self.ctx = goal.ctx
         self.system = goal.system
+        self.tree = goal.system.is_tree
         self.succ = goal.succ
-        self.bound = bound
-        pres, overflow = structural_preimages(goal.ctx, bound)
-        self.preimages = pres
-        self.overflow = overflow
         self._out: list[list[Sequent]] = []
         self._seen: set[tuple[str, ...]] = set()
 
@@ -193,11 +242,11 @@ class _Matcher:
     # -- leaves ------------------------------------------------------------
 
     def _ax(self, rule: Rule) -> None:
-        if _singleton_body(self.goal.ctx) == self.succ:
+        if singleton_body(self.ctx) == self.succ:
             self.emit([])
 
     def _one_r(self, rule: Rule) -> None:
-        if isinstance(self.succ, Unit) and _is_empty(self.goal.ctx):
+        if isinstance(self.succ, Unit) and self.ctx == empty(self.tree):
             self.emit([])
 
     # -- unary left rules ----------------------------------------------------
@@ -205,111 +254,67 @@ class _Matcher:
     def _left_unary(self, pick) -> None:
         """Apply a left rule replacing one principal occurrence; ``pick``
         maps a formula to the replacement subcontext (or None)."""
-        sys = self.system
-        for ctx in self.preimages:
-            for f, handle in _distinct_members(ctx):
-                repl = pick(f)
-                if repl is None:
-                    continue
-                self.emit([_seq(_replace(ctx, f, handle, repl), self.succ, sys)])
+        for f, handle in _distinct_members(self.ctx):
+            repl = pick(f)
+            if repl is not None:
+                self.emit([_seq(_replace(self.ctx, f, handle, repl), self.succ, self.system)])
 
     def _tensor_l(self, rule: Rule) -> None:
-        tree = self.system.is_tree
-
-        def pick(f: Formula):
-            if not isinstance(f, Tensor):
-                return None
-            if tree:
-                return par([leaf(f.left), leaf(f.right)])
-            return mset([f.left, f.right])
-
-        self._left_unary(pick)
+        self._left_unary(
+            lambda f: join(single(f.left, self.tree), single(f.right, self.tree), False)
+            if isinstance(f, Tensor) else None
+        )
 
     def _odot_l(self, rule: Rule) -> None:
-        def pick(f: Formula):
-            if not isinstance(f, Odot):
-                return None
-            return ser([leaf(f.left), leaf(f.right)])
-
-        self._left_unary(pick)
+        self._left_unary(
+            lambda f: ser([leaf(f.left), leaf(f.right)]) if isinstance(f, Odot) else None
+        )
 
     def _one_l(self, rule: Rule) -> None:
-        tree = self.system.is_tree
-
-        def pick(f: Formula):
-            if not isinstance(f, Unit):
-                return None
-            return EMPTY if tree else mset([])
-
-        self._left_unary(pick)
+        self._left_unary(lambda f: empty(self.tree) if isinstance(f, Unit) else None)
 
     def _with_l(self, rule: Rule, first: bool) -> None:
-        tree = self.system.is_tree
-
-        def pick(f: Formula):
-            if not isinstance(f, With):
-                return None
-            side = f.left if first else f.right
-            return leaf(side) if tree else mset([side])
-
-        self._left_unary(pick)
+        self._left_unary(
+            lambda f: single(f.left if first else f.right, self.tree)
+            if isinstance(f, With) else None
+        )
 
     def _brings_refl(self, rule: Rule) -> None:
-        tree = self.system.is_tree
-        agent = rule.agent
-
-        def pick(f: Formula):
-            if not isinstance(f, Brings) or f.agent != agent:
-                return None
-            return leaf(f.body) if tree else mset([f.body])
-
-        self._left_unary(pick)
+        self._left_unary(
+            lambda f: single(f.body, self.tree)
+            if isinstance(f, Brings) and f.agent == rule.agent else None
+        )
 
     # -- right rules ---------------------------------------------------------
 
-    def _with_r(self, rule: Rule) -> None:
-        if not isinstance(self.succ, With):
-            return
+    def _pair(self, left_succ: Formula, right_succ: Formula) -> None:
         sys = self.system
-        for ctx in self.preimages:
-            self.emit(
-                [_seq(ctx, self.succ.left, sys), _seq(ctx, self.succ.right, sys)]
-            )
+        self.emit([_seq(self.ctx, left_succ, sys), _seq(self.ctx, right_succ, sys)])
+
+    def _with_r(self, rule: Rule) -> None:
+        if isinstance(self.succ, With):
+            self._pair(self.succ.left, self.succ.right)
 
     def _limp_r(self, rule: Rule) -> None:
-        if not isinstance(self.succ, Limp):
-            return
-        sys = self.system
-        a, b = self.succ.left, self.succ.right
-        for ctx in self.preimages:
-            if sys.is_tree:
-                prem = par([ctx, leaf(a)])  # type: ignore[list-item]
-            else:
-                prem = _mset_with(ctx, a)  # type: ignore[arg-type]
-            self.emit([_seq(prem, b, sys)])
+        if isinstance(self.succ, Limp):
+            prem = join(self.ctx, single(self.succ.left, self.tree), serial=False)
+            self.emit([_seq(prem, self.succ.right, self.system)])
 
     def _lres_r(self, rule: Rule) -> None:
-        if not isinstance(self.succ, Lres):
-            return
-        sys = self.system
-        for ctx in self.preimages:
-            self.emit([_seq(ser([leaf(self.succ.left), ctx]), self.succ.right, sys)])  # type: ignore[list-item]
+        if isinstance(self.succ, Lres):
+            prem = ser([leaf(self.succ.left), self.ctx])  # type: ignore[list-item]
+            self.emit([_seq(prem, self.succ.right, self.system)])
 
     def _rres_r(self, rule: Rule) -> None:
-        if not isinstance(self.succ, Rres):
-            return
-        sys = self.system
-        for ctx in self.preimages:
-            self.emit([_seq(ser([ctx, leaf(self.succ.right)]), self.succ.left, sys)])  # type: ignore[list-item]
+        if isinstance(self.succ, Rres):
+            prem = ser([self.ctx, leaf(self.succ.right)])  # type: ignore[list-item]
+            self.emit([_seq(prem, self.succ.left, self.system)])
 
     def _split_pair(self, left_succ: Formula, right_succ: Formula, serial: bool) -> None:
         sys = self.system
-        for ctx in self.preimages:
-            pairs = split_serial(ctx) if serial else split_parallel(ctx)
-            for lctx, rctx in pairs:
-                self.emit(
-                    [_seq(lctx, left_succ, sys), _seq(rctx, right_succ, sys)]
-                )
+        pairs = split_serial(self.ctx) if serial else split_parallel(self.ctx)
+        for lctx, rctx in pairs:
+            self.emit([_seq(lctx, left_succ, sys), _seq(rctx, right_succ, sys)])
 
     def _tensor_r(self, rule: Rule) -> None:
         if isinstance(self.succ, Tensor):
@@ -324,98 +329,49 @@ class _Matcher:
     def _limp_l(self, rule: Rule) -> None:
         sys = self.system
         succ = self.succ
-        if not sys.is_tree:
-            ctx = self.goal.ctx
+        ctx = self.ctx
+        if not self.tree:
             assert isinstance(ctx, MSet)
             for f, _ in _distinct_members(ctx):
                 if not isinstance(f, Limp):
                     continue
-                rest = _mset_without(ctx, f)
-                for gamma, delta in split_parallel(rest):
+                for gamma, delta in split_parallel(mset_without(ctx, f)):
                     self.emit(
                         [
                             _seq(gamma, f.left, sys),
-                            _seq(_mset_with(delta, f.right), succ, sys),  # type: ignore[arg-type]
+                            _seq(join(delta, mset([f.right]), False), succ, sys),
                         ]
                     )
             return
-        for ctx in self.preimages:
-            for path, node in positions(ctx):
-                if not isinstance(node, Leaf) or not isinstance(node.formula, Limp):
-                    continue
-                f = node.formula
-                # the implication alone, with an empty argument group
-                self.emit(
-                    [
-                        _seq(EMPTY, f.left, sys),
-                        _seq(fill(ctx, path, leaf(f.right)), succ, sys),
-                    ]
-                )
-                if len(path) == 0:
-                    continue
-                parent = ctx
-                for step in path[:-1]:
-                    parent = parent.children[step]  # type: ignore[union-attr]
-                if not isinstance(parent, Par):
-                    continue
-                i = path[-1]
-                kids = parent.children
-                others = [k for j, k in enumerate(kids) if j != i]
-                n = len(others)
-                for mask in range(1, 1 << n):
-                    gamma = par([others[j] for j in range(n) if mask >> j & 1])
-                    keep = [others[j] for j in range(n) if not mask >> j & 1]
-                    new_parent = par(keep + [leaf(f.right)])
-                    self.emit(
-                        [
-                            _seq(gamma, f.left, sys),
-                            _seq(fill(ctx, path[:-1], new_parent), succ, sys),
-                        ]
-                    )
+        for path, node in positions(ctx):
+            if not isinstance(node, Leaf) or not isinstance(node.formula, Limp):
+                continue
+            f = node.formula
+            # the implication alone, with an empty argument group
+            self.emit([_seq(EMPTY, f.left, sys), _seq(fill(ctx, path, leaf(f.right)), succ, sys)])
+            if len(path) == 0:
+                continue
+            parent = ctx
+            for step in path[:-1]:
+                parent = parent.children[step]  # type: ignore[union-attr]
+            if not isinstance(parent, Par):
+                continue
+            i = path[-1]
+            others = parent.children[:i] + parent.children[i + 1 :]
+            for gamma, keep in split_parallel(par(others))[1:]:
+                new_parent = par([keep, leaf(f.right)])
+                self.emit([_seq(gamma, f.left, sys), _seq(fill(ctx, path[:-1], new_parent), succ, sys)])
 
     def _res_l(self, rule: Rule, left_residual: bool) -> None:
         sys = self.system
-        succ = self.succ
         want = Lres if left_residual else Rres
-        for ctx in self.preimages:
-            for path, node in positions(ctx):
-                if not isinstance(node, Leaf) or not isinstance(node.formula, want):
-                    continue
-                f = node.formula
-                arg = f.left if left_residual else f.right
-                res = f.right if left_residual else f.left
-                # empty argument group: Δ(; A\B) = Δ(A\B)
-                self.emit(
-                    [
-                        _seq(EMPTY, arg, sys),
-                        _seq(fill(ctx, path, leaf(res)), succ, sys),
-                    ]
-                )
-                if len(path) == 0:
-                    continue
-                parent = ctx
-                for step in path[:-1]:
-                    parent = parent.children[step]  # type: ignore[union-attr]
-                if not isinstance(parent, Ser):
-                    continue
-                i = path[-1]
-                kids = parent.children
-                if left_residual:
-                    runs = [(start, i) for start in range(i)]
-                else:
-                    runs = [(i + 1, end) for end in range(i + 2, len(kids) + 1)]
-                for lo, hi in runs:
-                    gamma = ser(kids[lo:hi])
-                    if left_residual:
-                        new_kids = list(kids[:lo]) + [leaf(res)] + list(kids[i + 1 :])
-                    else:
-                        new_kids = list(kids[:i]) + [leaf(res)] + list(kids[hi:])
-                    self.emit(
-                        [
-                            _seq(gamma, arg, sys),
-                            _seq(fill(ctx, path[:-1], ser(new_kids)), succ, sys),
-                        ]
-                    )
+        for path, node in positions(self.ctx):
+            if not isinstance(node, Leaf) or not isinstance(node.formula, want):
+                continue
+            f = node.formula
+            arg, res = (f.left, f.right) if left_residual else (f.right, f.left)
+            for gamma, rest, _ in _arg_groups(self.ctx, path, res, left_residual):
+                self.emit([_seq(gamma, arg, sys), _seq(rest, self.succ, sys)])
 
     def _lres_l(self, rule: Rule) -> None:
         self._res_l(rule, left_residual=True)
@@ -425,79 +381,58 @@ class _Matcher:
 
     # -- modal rules -----------------------------------------------------------
 
-    def _box_re(self, rule: Rule) -> None:
-        body = _singleton_body(self.goal.ctx)
-        if body is None or not isinstance(body, Box) or not isinstance(self.succ, Box):
-            return
+    def _converse(self, a: Formula, b: Formula) -> None:
+        """BoxRe and BringsRe: A ⊢ B and B ⊢ A."""
         sys = self.system
-        a, b = body.body, self.succ.body
-        single = leaf if sys.is_tree else (lambda f: mset([f]))
-        self.emit([_seq(single(a), b, sys), _seq(single(b), a, sys)])
+        self.emit([_seq(single(a, self.tree), b, sys), _seq(single(b, self.tree), a, sys)])
+
+    def _box_re(self, rule: Rule) -> None:
+        body = singleton_body(self.ctx)
+        if isinstance(body, Box) and isinstance(self.succ, Box):
+            self._converse(body.body, self.succ.body)
 
     def _brings_re(self, rule: Rule) -> None:
-        body = _singleton_body(self.goal.ctx)
+        body = singleton_body(self.ctx)
         if (
-            body is None
-            or not isinstance(body, Brings)
-            or not isinstance(self.succ, Brings)
-            or body.agent != rule.agent
-            or self.succ.agent != rule.agent
+            isinstance(body, Brings)
+            and isinstance(self.succ, Brings)
+            and body.agent == rule.agent
+            and self.succ.agent == rule.agent
         ):
-            return
-        sys = self.system
-        a, b = body.body, self.succ.body
-        single = leaf if sys.is_tree else (lambda f: mset([f]))
-        self.emit([_seq(single(a), b, sys), _seq(single(b), a, sys)])
+            self._converse(body.body, self.succ.body)
 
     def _not_nec(self, rule: Rule) -> None:
-        body = _singleton_body(self.goal.ctx)
-        if (
-            self.succ != BOT
-            or body is None
-            or not isinstance(body, Brings)
-            or body.agent != rule.agent
-        ):
-            return
-        sys = self.system
-        empty = EMPTY if sys.is_tree else mset([])
-        self.emit([_seq(empty, body.body, sys)])
+        body = singleton_body(self.ctx)
+        if self.succ == BOT and isinstance(body, Brings) and body.agent == rule.agent:
+            self.emit([_seq(empty(self.tree), body.body, self.system)])
 
-    def _brings_pair(self, rule: Rule, shape, serial: bool) -> None:
+    def _brings_body(self, rule: Rule, shape) -> Formula | None:
         succ = self.succ
-        if (
-            not isinstance(succ, Brings)
-            or succ.agent != rule.agent
-            or not isinstance(succ.body, shape)
-        ):
-            return
-        la = brings(rule.agent, succ.body.left)
-        ra = brings(rule.agent, succ.body.right)
-        self._split_pair(la, ra, serial=serial)
+        if isinstance(succ, Brings) and succ.agent == rule.agent and isinstance(succ.body, shape):
+            return succ.body
+        return None
 
     def _brings_tensor(self, rule: Rule) -> None:
-        self._brings_pair(rule, Tensor, serial=False)
+        body = self._brings_body(rule, Tensor)
+        if body is not None:
+            a = rule.agent
+            self._split_pair(brings(a, body.left), brings(a, body.right), serial=False)
 
     def _brings_odot(self, rule: Rule) -> None:
-        self._brings_pair(rule, Odot, serial=True)
+        body = self._brings_body(rule, Odot)
+        if body is not None:
+            a = rule.agent
+            self._split_pair(brings(a, body.left), brings(a, body.right), serial=True)
 
     def _brings_with(self, rule: Rule) -> None:
-        succ = self.succ
-        if (
-            not isinstance(succ, Brings)
-            or succ.agent != rule.agent
-            or not isinstance(succ.body, With)
-        ):
-            return
-        sys = self.system
-        la = brings(rule.agent, succ.body.left)
-        ra = brings(rule.agent, succ.body.right)
-        for ctx in self.preimages:
-            self.emit([_seq(ctx, la, sys), _seq(ctx, ra, sys)])
+        body = self._brings_body(rule, With)
+        if body is not None:
+            a = rule.agent
+            self._pair(brings(a, body.left), brings(a, body.right))
 
     def _ent(self, rule: Rule) -> None:
-        sys = self.system
-        for ctx in self.preimages[1:]:
-            self.emit([_seq(ctx, self.succ, sys)])
+        for ctx in structural_preimages(self.ctx)[0][1:]:
+            self.emit([_seq(ctx, self.succ, self.system)])
 
     def _cut(self, rule: Rule) -> None:
         # not enumerable backward (any cut formula); search never uses it
@@ -533,13 +468,20 @@ _DISPATCH = {
 }
 
 
-def apply_rule(
-    goal: Sequent, rule: Rule, bound: int = DEFAULT_STRUCTURAL_BOUND
-) -> list[list[Sequent]]:
-    """All premise lists from which ``rule`` concludes ``goal``."""
+def apply_rule(goal: Sequent, rule: Rule) -> list[list[Sequent]]:
+    """The premise lists from which ``rule`` concludes ``goal``.
+
+    In the multiset systems these are all of them.  In the tree systems
+    they are the maximal ones, beside a few that a listed one dominates:
+    any premise list that ``rule`` gives at a structural preimage of the
+    goal has each premise below (by entropy) the matching premise of a
+    listed one, so a provable list there makes a listed one provable.
+    ``Ent`` lists the goal's proper preimages, up to
+    ``DEFAULT_STRUCTURAL_BOUND`` contexts.
+    """
     if not rule_admissible(rule, goal.system):
         raise ValueError(f"rule {rule} not admissible in {goal.system}")
-    return _Matcher(goal, bound).run(rule)
+    return _Matcher(goal).run(rule)
 
 
 # ---------------------------------------------------------------------------

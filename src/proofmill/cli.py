@@ -131,7 +131,7 @@ def _cmd_prove(args) -> int:
     system = _system_for(args.system, args.sequent)
     seq = _parse(args.sequent, system)
     result = prove(seq)
-    print(verdict_word(result, system))
+    print(verdict_word(result))
     print(f"explored {result.explored} sequents, "
           f"peak depth {result.peak_depth}")
     if isinstance(result, Proved):

@@ -11,9 +11,14 @@ parallel node are sorted by printed form (``,`` is commutative).  The
 smart constructors ``par`` and ``ser`` establish the normal form, so
 every Context in the system is normalized by construction.
 
-``structural_preimages`` enumerates the contexts reachable backward
-through the entropy rule (turning some parallel grouping serial), the
-only structural rule that is not absorbed by the normal form.
+Entropy (``Γ ; Δ`` gives ``Γ , Δ``) is the only structural rule that
+the normal form does not absorb.  Search never closes an antecedent
+under it: ``split_serial`` lists the maximal serial cuts that entropy
+makes available, and the residual rules in ``calculus`` do the same
+for their argument groups.  ``structural_preimages`` enumerates the
+contexts reachable backward through entropy, for the explicit ``Ent``
+rule and as a reference; ``entropy_le`` tests membership in that
+closure without building it.
 """
 from __future__ import annotations
 
@@ -183,6 +188,36 @@ def normalize(c: Context) -> Context:
     return c
 
 
+def single(f: Formula, tree: bool) -> Context:
+    """The antecedent holding ``f`` alone."""
+    return leaf(f) if tree else mset([f])
+
+
+def empty(tree: bool) -> Context:
+    return EMPTY if tree else mset([])
+
+
+def singleton_body(c: Context) -> Formula | None:
+    """The sole antecedent formula, when the antecedent is a singleton."""
+    if isinstance(c, MSet):
+        return c.formulas[0] if len(c.formulas) == 1 else None
+    return c.formula if isinstance(c, Leaf) else None
+
+
+def mset_without(ms: MSet, f: Formula) -> MSet:
+    """``ms`` less one occurrence of ``f``."""
+    i = ms.formulas.index(f)
+    return mset(ms.formulas[:i] + ms.formulas[i + 1 :])
+
+
+def join(a: Context, b: Context, serial: bool) -> Context:
+    """``a , b``, or ``a ; b`` when ``serial`` (trees only); multisets
+    join by union."""
+    if isinstance(a, MSet):
+        return mset(a.formulas + b.formulas)  # type: ignore[union-attr]
+    return ser([a, b]) if serial else par([a, b])  # type: ignore[list-item]
+
+
 def context_formulas(c: Context) -> list[Formula]:
     """The leaf formulas, left to right (multiset order for MSet)."""
     if isinstance(c, MSet):
@@ -303,8 +338,16 @@ def split_parallel(c: Context) -> list[tuple[Context, Context]]:
 
 
 def split_serial(c: Context) -> list[tuple[Context, Context]]:
-    """Every order-respecting two-part cut of the top-level serial
-    structure (k+1 cuts for a Ser node with k children)."""
+    """The maximal serial cuts of ``c``: every pair (L, R) such that
+    ``L ; R`` lies below ``c`` by entropy is below one listed pair,
+    componentwise, and every listed ``L ; R`` lies below ``c``.
+
+    A leaf or ``()`` has only the trivial cuts.  A serial node is cut
+    inside one child, by that child's own cuts.  A parallel node puts
+    each child wholly on one side (entropy orders the two sides), or
+    cuts one serial child into (l, r) and orders the other children in
+    two groups around it: ``(S1 ; l, r ; S2)``.
+    """
     if isinstance(c, MSet):
         raise TypeError("serial split is only defined on tree contexts")
     out: list[tuple[Context, Context]] = []
@@ -318,11 +361,25 @@ def split_serial(c: Context) -> list[tuple[Context, Context]]:
 
     if isinstance(c, Ser):
         kids = c.children
-        for i in range(len(kids) + 1):
-            push(ser(kids[:i]), ser(kids[i:]))
-        return out
-    push(EMPTY, c)
-    push(c, EMPTY)
+        for i, kid in enumerate(kids):
+            for l, r in split_serial(kid):
+                push(ser(kids[:i] + (l,)), ser((r,) + kids[i + 1 :]))  # type: ignore[operator]
+    elif isinstance(c, Par):
+        kids = c.children
+        for first, second in split_parallel(c):
+            push(first, second)
+        for i, kid in enumerate(kids):
+            if not isinstance(kid, Ser):
+                continue
+            others = par(kids[:i] + kids[i + 1 :])
+            for l, r in split_serial(kid):
+                if isinstance(l, EmptyCtx) or isinstance(r, EmptyCtx):
+                    continue
+                for s1, s2 in split_parallel(others):
+                    push(ser([s1, l]), ser([r, s2]))  # type: ignore[list-item]
+    else:
+        push(EMPTY, c)
+        push(c, EMPTY)
     return out
 
 
@@ -591,7 +648,7 @@ def _parse_item(p: _Parser, system: System) -> Context:
         # "[" starts a grouped subcontext unless it is the box prefix "[]"
         if t[0] == "[" and p.peek(1)[0] != "]":
             p.next()
-            sub = _parse_group(p, system, "]")
+            sub = p.nested(t[2], lambda: _parse_group(p, system, "]"))
             p.expect("]")
             return sub
     f = p.formula()

@@ -7,9 +7,7 @@ A corpus file holds one entry per line:
 Fields are separated by space-pipe-space; the turnstile ``|-`` inside
 the sequent is never followed by a space-pipe pair, so it survives the
 split.  Blank lines and ``#`` comments are skipped.  ``expected`` is
-``provable``, ``unprovable`` (multiset systems only, where exhausted
-search decides), or ``bounded-unknown`` (tree systems, where a failed
-bounded search is not an unprovability verdict).
+``provable`` or ``unprovable``; search decides in every system.
 
 Two macros are expanded in the sequent text before parsing:
 
@@ -28,12 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .context import Sequent, parse_sequent
-from .search import (
-    Exhausted,
-    Proved,
-    SearchResult,
-    prove,
-)
+from .search import Proved, SearchResult, prove
 from .syntax import (
     Atom,
     Box,
@@ -59,7 +52,7 @@ from .syntax import (
     with_,
 )
 
-EXPECTED_VERDICTS = ("provable", "unprovable", "bounded-unknown")
+EXPECTED_VERDICTS = ("provable", "unprovable")
 
 POW_CAP = 5
 
@@ -267,11 +260,6 @@ def parse_corpus_line(line: str, where: str = "corpus") -> CorpusEntry | None:
             f"{where}: expected verdict must be one of "
             f"{', '.join(EXPECTED_VERDICTS)}, got {expected!r}"
         )
-    if expected == "unprovable" and system.is_tree:
-        raise CorpusError(
-            f"{where}: bounded search cannot certify unprovability in "
-            f"{system.ident.value}; use bounded-unknown"
-        )
     try:
         text = expand_macros(raw_text, system)
         sequent = parse_sequent(text, system)
@@ -314,22 +302,12 @@ def load_corpus_dir(path: str | Path) -> list[CorpusEntry]:
 # running
 
 
-def verdict_word(outcome: SearchResult, system: System) -> str:
-    if isinstance(outcome, Proved):
-        return "Proved"
-    if system.is_tree:
-        return "not proved (bounded)"
-    if isinstance(outcome, Exhausted):
-        return "Exhausted (unprovable)"
-    return "budget exceeded"
+def verdict_word(outcome: SearchResult) -> str:
+    return "Proved" if isinstance(outcome, Proved) else "Exhausted (unprovable)"
 
 
 def outcome_matches(outcome: SearchResult, entry: CorpusEntry) -> bool:
-    if entry.expected == "provable":
-        return isinstance(outcome, Proved)
-    if entry.expected == "unprovable":
-        return isinstance(outcome, Exhausted)
-    return not isinstance(outcome, Proved)  # bounded-unknown
+    return isinstance(outcome, Proved) == (entry.expected == "provable")
 
 
 def run_entry(entry: CorpusEntry) -> EntryResult:
@@ -337,7 +315,7 @@ def run_entry(entry: CorpusEntry) -> EntryResult:
     return EntryResult(
         entry=entry,
         outcome=outcome,
-        verdict=verdict_word(outcome, entry.system),
+        verdict=verdict_word(outcome),
         passed=outcome_matches(outcome, entry),
     )
 

@@ -66,11 +66,9 @@ from .context import (
     MSet,
     Sequent,
     fill,
-    leaf,
-    mset,
-    par,
+    join,
     positions,
-    ser,
+    single,
 )
 from .syntax import BOT, Formula, brings, odot, tensor, with_
 
@@ -214,22 +212,11 @@ def _close_ctx(cand: Proof, want: Sequent) -> Proof | None:
     return None
 
 
-def _single(f: Formula, system) -> Context:
-    return leaf(f) if system.is_tree else mset([f])
-
-
 def _refl_ax(agent: str, f: Formula, system) -> Proof:
     """E[a]f |- f by reflexive elimination over an axiom."""
-    inner = Sequent(_single(f, system), f, system)
-    outer = Sequent(_single(brings(agent, f), system), f, system)
+    inner = Sequent(single(f, system.is_tree), f, system)
+    outer = Sequent(single(brings(agent, f), system.is_tree), f, system)
     return Proof(outer, Rule(BRINGS_REFL, agent), (Proof(inner, Rule(AX)),))
-
-
-def _combine(l: Context, r: Context, serial: bool) -> Context:
-    if isinstance(l, MSet):
-        assert isinstance(r, MSet)
-        return mset(l.formulas + r.formulas)
-    return ser([l, r]) if serial else par([l, r])
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +290,7 @@ def _principal_candidates(node: Proof) -> list[Proof]:
             )
         else:
             serial = pname == BRINGS_ODOT
-            ctx = _combine(cut_x.conclusion.ctx, cut_y.conclusion.ctx, serial)
+            ctx = join(cut_x.conclusion.ctx, cut_y.conclusion.ctx, serial)
             comb = Proof(
                 Sequent(ctx, odot(x, y) if serial else tensor(x, y), system),
                 Rule(ODOT_R if serial else TENSOR_R),
@@ -323,7 +310,7 @@ def _principal_candidates(node: Proof) -> list[Proof]:
             first = cp.premises[0]  # |- U
             u = first.conclusion.succ
             nn = Proof(
-                Sequent(_single(brings(agent, u), system), BOT, system),
+                Sequent(single(brings(agent, u), system.is_tree), BOT, system),
                 Rule(NOT_NEC, agent),
                 (first,),
             )

@@ -35,13 +35,18 @@ from .context import (
     Sequent,
     Ser,
     context_formulas,
+    empty,
     entropy_le,
     fill,
+    join,
     leaf,
     mset,
+    mset_without,
     par,
     positions,
     ser,
+    single,
+    singleton_body,
 )
 from .syntax import (
     BOT,
@@ -178,31 +183,6 @@ class CheckReport:
 # Antecedent helpers
 
 
-def _mset_without(ms: MSet, f: Formula) -> MSet:
-    i = ms.formulas.index(f)
-    return mset(ms.formulas[:i] + ms.formulas[i + 1 :])
-
-
-def _single(f: Formula, tree: bool) -> Context:
-    return leaf(f) if tree else mset([f])
-
-
-def _empty(tree: bool) -> Context:
-    return EMPTY if tree else mset([])
-
-
-def _singleton_body(ctx: Context) -> Formula | None:
-    if isinstance(ctx, MSet):
-        return ctx.formulas[0] if len(ctx.formulas) == 1 else None
-    return ctx.formula if isinstance(ctx, Leaf) else None
-
-
-def _join(a: Context, b: Context, serial: bool) -> Context:
-    if isinstance(a, MSet):
-        return mset(a.formulas + b.formulas)  # type: ignore[union-attr]
-    return ser([a, b]) if serial else par([a, b])  # type: ignore[list-item]
-
-
 def _principals(c: Sequent, kind) -> list[Formula]:
     """Distinct leaves of the conclusion with main connective ``kind``."""
     found: dict[str, Formula] = {}
@@ -257,11 +237,11 @@ def _unfill(y: Context, parts: tuple[Formula, ...], serial: bool, f: Formula):
 
 
 def _ax(c: Sequent, ps: list[Sequent], agent) -> bool:
-    return not ps and _singleton_body(c.ctx) == c.succ
+    return not ps and singleton_body(c.ctx) == c.succ
 
 
 def _one_r(c: Sequent, ps: list[Sequent], agent) -> bool:
-    return not ps and isinstance(c.succ, Unit) and c.ctx == _empty(c.system.is_tree)
+    return not ps and isinstance(c.succ, Unit) and c.ctx == empty(c.system.is_tree)
 
 
 def _left_unary(kind, parts, serial: bool = False, agentive: bool = False):
@@ -350,7 +330,7 @@ def _pair_right(kind, serial: bool, shared: bool, agentive: bool = False):
             return False
         if shared:
             return ps[0].ctx == ps[1].ctx and _fits(ps[0].ctx, c)
-        return _fits(_join(ps[0].ctx, ps[1].ctx, serial), c)
+        return _fits(join(ps[0].ctx, ps[1].ctx, serial), c)
 
     return check
 
@@ -363,7 +343,7 @@ def _limp_r(c: Sequent, ps: list[Sequent], agent) -> bool:
     if isinstance(y, MSet):
         if g.left not in y.formulas:
             return False
-        return _fits(_mset_without(y, g.left), c)
+        return _fits(mset_without(y, g.left), c)
     a = leaf(g.left)
     if y == a:
         return _fits(EMPTY, c)
@@ -406,7 +386,7 @@ def _imp_left(kind, arg_of, res_of, block):
             res = res_of(f)
             if isinstance(y, MSet):
                 if res in y.formulas:
-                    rest = _mset_without(y, res).formulas
+                    rest = mset_without(y, res).formulas
                     if _fits(mset(gamma.formulas + rest + (f,)), c):  # type: ignore[union-attr]
                         return True
                 continue
@@ -420,7 +400,7 @@ def _imp_left(kind, arg_of, res_of, block):
 
 def _converse(c: Sequent, ps: list[Sequent], agent) -> bool:
     """BoxRe and BringsRe: []A ⊢ []B from A ⊢ B and B ⊢ A."""
-    body, g = _singleton_body(c.ctx), c.succ
+    body, g = singleton_body(c.ctx), c.succ
     if agent is None:
         if not isinstance(body, Box) or not isinstance(g, Box):
             return False
@@ -433,16 +413,15 @@ def _converse(c: Sequent, ps: list[Sequent], agent) -> bool:
         return False
     tree = c.system.is_tree
     a, b = body.body, g.body
-    want = [(_single(a, tree), b), (_single(b, tree), a)]
+    want = [(single(a, tree), b), (single(b, tree), a)]
     return [(s.ctx, s.succ) for s in ps] == want
 
 
 def _not_nec(c: Sequent, ps: list[Sequent], agent) -> bool:
-    body = _singleton_body(c.ctx)
+    body = singleton_body(c.ctx)
     if c.succ != BOT or not isinstance(body, Brings) or body.agent != agent:
         return False
-    empty = _empty(c.system.is_tree)
-    return [(s.ctx, s.succ) for s in ps] == [(empty, body.body)]
+    return [(s.ctx, s.succ) for s in ps] == [(empty(c.system.is_tree), body.body)]
 
 
 _CHECKS = {
@@ -491,7 +470,7 @@ def _check_cut(node: Proof) -> str | None:
         if a not in consumer.ctx.formulas:
             return "cut formula missing from first premise antecedent"
         expect = mset(
-            _mset_without(consumer.ctx, a).formulas + producer.ctx.formulas
+            mset_without(consumer.ctx, a).formulas + producer.ctx.formulas
         )
         if expect != concl.ctx:
             return "Cut antecedent bookkeeping mismatch"

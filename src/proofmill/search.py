@@ -1,9 +1,10 @@
 """Backward proof search.
 
 The engine works goal-down over the cut-free rules.  Entropy is never
-emitted as an explicit proof step: rule matching already folds every
-structural preimage of the goal antecedent (see ``apply_rule``), so a
-proof found here mentions only logical rules and axioms.
+emitted as an explicit proof step: in the tree systems every rule lists
+its premises at the goal so that they dominate what it lists at any
+structural preimage (see ``apply_rule``), so a proof found here
+mentions only logical rules and axioms.
 
 Invertible rules are tried first and committed to: when one matches,
 only its first premise list is explored and no other rule is tried at
@@ -11,16 +12,9 @@ that goal.  The remaining rules backtrack over every premise list.
 
 Every searched rule strictly decreases the premise total complexity,
 so no branch is longer than the goal's total complexity and search
-terminates without a depth budget.  A goal's result depends only on
-the goal, so every success and every failure is memoized.
-
-The one bound that can bind is the structural preimage cap
-(``DEFAULT_STRUCTURAL_BOUND`` contexts per goal) in the tree systems.
-``Exhausted`` means every candidate collapsed with no preimage closure
-truncated, while ``BudgetExceeded`` means some closure was cut at the
-cap and a larger cap might still find a proof.  Multiset antecedents
-have no preimages other than themselves, so there the verdict is a
-decision procedure.
+terminates without a budget.  A goal's result depends only on the
+goal, so every success and every failure is memoized.  Search decides
+in every system: ``Exhausted`` means the goal is not provable.
 """
 from __future__ import annotations
 
@@ -58,7 +52,7 @@ from .calculus import (
     _Matcher,
     proof_nodes,
 )
-from .context import DEFAULT_STRUCTURAL_BOUND, Sequent, context_formulas
+from .context import Sequent, context_formulas
 from .syntax import Formula, System, subformulas
 
 INVERTIBLE_RULES: tuple[str, ...] = (
@@ -103,13 +97,7 @@ class Exhausted:
     peak_depth: int = 0
 
 
-@dataclass(frozen=True)
-class BudgetExceeded:
-    explored: int
-    peak_depth: int = 0
-
-
-SearchResult = Proved | Exhausted | BudgetExceeded
+SearchResult = Proved | Exhausted
 
 
 @dataclass
@@ -117,6 +105,7 @@ class SearchStats:
     explored: int = 0
     peak_depth: int = 0
     memo_hits: int = 0
+    # always False: nothing cuts search short (bench/tracer.py reads it)
     truncated: bool = False
 
 
@@ -142,75 +131,57 @@ class _Engine:
     def __init__(self, system: System):
         self.invertible, self.choice = _rule_tables(system)
         self.success: dict[Sequent, Proof] = {}
-        # failed goal -> final; a goal's result depends only on the goal
-        self.failed: dict[Sequent, bool] = {}
+        self.failed: set[Sequent] = set()
         self.stats = SearchStats()
 
-    # returns (proof or None, final) where ``final`` marks a failure that
-    # no larger structural bound could turn into a proof
-    def search(self, goal: Sequent, depth: int) -> tuple[Proof | None, bool]:
+    def search(self, goal: Sequent, depth: int) -> Proof | None:
         hit = self.success.get(goal)
         if hit is not None:
-            return hit, True
-        final = self.failed.get(goal)
-        if final is not None:
+            return hit
+        if goal in self.failed:
             self.stats.memo_hits += 1
-            return None, final
+            return None
         self.stats.explored += 1
         if depth > self.stats.peak_depth:
             self.stats.peak_depth = depth
-        matcher = _Matcher(goal, DEFAULT_STRUCTURAL_BOUND)
-        if matcher.overflow:
-            self.stats.truncated = True
-        proof, final = self._expand(goal, depth, matcher)
-        if proof is not None:
+        proof = self._expand(goal, depth)
+        if proof is None:
+            self.failed.add(goal)
+        else:
             self.success[goal] = proof
-            return proof, True
-        final = final and not matcher.overflow
-        self.failed[goal] = final
-        return None, final
+        return proof
 
-    def _try_list(
-        self, premises: list[Sequent], depth: int
-    ) -> tuple[list[Proof] | None, bool]:
+    def _try_list(self, premises: list[Sequent], depth: int) -> list[Proof] | None:
         subs: list[Proof] = []
         for prem in premises:
-            sub, final = self.search(prem, depth + 1)
+            sub = self.search(prem, depth + 1)
             if sub is None:
-                return None, final
+                return None
             subs.append(sub)
-        return subs, True
+        return subs
 
-    def _expand(
-        self, goal: Sequent, depth: int, matcher: _Matcher
-    ) -> tuple[Proof | None, bool]:
+    def _expand(self, goal: Sequent, depth: int) -> Proof | None:
+        matcher = _Matcher(goal)
         for rule in self.invertible:
             lists = matcher.run(rule)
-            if not lists:
-                continue
-            subs, final = self._try_list(lists[0], depth)
-            if subs is None:
-                return None, final
-            return Proof(goal, rule, tuple(subs)), True
-        final = True
+            if lists:
+                subs = self._try_list(lists[0], depth)
+                return None if subs is None else Proof(goal, rule, tuple(subs))
         for rule in self.choice:
             for premises in matcher.run(rule):
-                subs, sub_final = self._try_list(premises, depth)
+                subs = self._try_list(premises, depth)
                 if subs is not None:
-                    return Proof(goal, rule, tuple(subs)), True
-                final = final and sub_final
-        return None, final
+                    return Proof(goal, rule, tuple(subs))
+        return None
 
 
 def prove_with_stats(goal: Sequent) -> tuple[SearchResult, SearchStats]:
     engine = _Engine(goal.system)
-    proof, final = engine.search(goal, 0)
+    proof = engine.search(goal, 0)
     st = engine.stats
     if proof is not None:
         return Proved(proof, st.explored, st.peak_depth), st
-    if final:
-        return Exhausted(st.explored, st.peak_depth), st
-    return BudgetExceeded(st.explored, st.peak_depth), st
+    return Exhausted(st.explored, st.peak_depth), st
 
 
 def prove(goal: Sequent) -> SearchResult:

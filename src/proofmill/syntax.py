@@ -360,6 +360,14 @@ class UnexpectedTokenError(ParseError):
         super().__init__(f"expected {want}, found {found}", text, pos)
 
 
+MAX_NESTING = 100
+
+
+class NestingTooDeepError(ParseError):
+    def __init__(self, text: str, pos: int):
+        super().__init__(f"nesting deeper than {MAX_NESTING} levels", text, pos)
+
+
 class MixedImplicationError(ParseError):
     def __init__(self, text: str, pos: int, first: str, second: str):
         self.first = first
@@ -414,6 +422,7 @@ class _Parser:
         self.text = text
         self.toks = tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
         j = min(self.i + ahead, len(self.toks) - 1)
@@ -433,6 +442,19 @@ class _Parser:
 
     def at(self, kind: str) -> bool:
         return self.peek()[0] == kind
+
+    def nested(self, pos: int, parse):
+        """Run ``parse`` one nesting level deeper, for the opener at
+        ``pos``.  Parentheses, prefix operators and bracketed groups
+        nest; past ``MAX_NESTING`` levels the input is refused, before
+        the recursion can run out."""
+        if self.depth >= MAX_NESTING:
+            raise NestingTooDeepError(self.text, pos)
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
 
     def formula(self) -> Formula:
         first = self.additive()
@@ -488,16 +510,16 @@ class _Parser:
         if t[0] == "[":
             self.next()
             self.expect("]")
-            return box(self.unary())
+            return box(self.nested(t[2], self.unary))
         if t[0] == "NAME" and t[1] == "E" and self.peek(1)[0] == "[":
             self.next()
             self.next()
             agent = self.expect("NAME")[1]
             self.expect("]")
-            return brings(agent, self.unary())
+            return brings(agent, self.nested(t[2], self.unary))
         if t[0] == "~":
             self.next()
-            return neg(self.unary())
+            return neg(self.nested(t[2], self.unary))
         return self.primary()
 
     def primary(self) -> Formula:
@@ -507,7 +529,7 @@ class _Parser:
             return unit() if t[1] == "1" else atom(t[1])
         if t[0] == "(":
             self.next()
-            f = self.formula()
+            f = self.nested(t[2], self.formula)
             self.expect(")")
             return f
         raise UnexpectedTokenError(

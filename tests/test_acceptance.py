@@ -4,7 +4,7 @@ Each test exercises one guarantee across module boundaries: the bundled
 corpus proves and refutes as labelled, axiom instances derive, cut
 elimination terminates and preserves conclusions on composed proofs,
 random models satisfy every proved sequent, search agrees with
-an independent oracle over a small exhaustive universe, the Hilbert
+independent oracles over small exhaustive universes, the Hilbert
 bridge round-trips, and search depth stays within its advertised bound.
 
 These are deliberately heavyweight.  Fine-grained behaviour lives in
@@ -73,6 +73,7 @@ from proofmill.syntax import (
 
 from gentrees import random_deduction
 from oracle import MillOracle, formula_layers
+from tree_oracle import PcmillOracle
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -115,7 +116,7 @@ def test_provable_corpus_entries_prove_within_a_minute(corpus):
 
 
 # ---------------------------------------------------------------------------
-# every entry labelled unprovable/bounded-unknown refutes as labelled,
+# every entry labelled unprovable refutes as labelled,
 # and the reordered-resource sequents have an explicit countermodel
 
 
@@ -187,13 +188,13 @@ def test_unprovable_corpus_entries_refute_as_labelled(corpus):
     assert two_screws.passed
 
     warranty = run_entry(by_id["warranty-parallel-goal"])
-    assert not isinstance(warranty.outcome, Proved), warranty.verdict
+    assert isinstance(warranty.outcome, Exhausted), warranty.verdict
     assert warranty.passed
 
     wrong_orders = ["wrong-order-1", "wrong-order-2", "wrong-order-3"]
     for entry_id in wrong_orders:
         result = run_entry(by_id[entry_id])
-        assert not isinstance(result.outcome, Proved), \
+        assert isinstance(result.outcome, Exhausted), \
             f"{entry_id}: {result.verdict}"
         assert result.passed
 
@@ -234,9 +235,7 @@ def test_axiom_entries_prove_and_separating_nontheorems_refute(corpus):
     for text, system in separating:
         goal = parse_sequent(text, system)
         outcome = prove(goal)
-        assert not isinstance(outcome, Proved), text
-        if system.ident is SystemId.MILL:
-            assert isinstance(outcome, Exhausted), text
+        assert isinstance(outcome, Exhausted), text
         found = find_countermodel(goal, max_size=4)
         assert found is not None, f"no countermodel at size <= 4 for {text}"
         assert validate_model(found.model, system).ok
@@ -466,6 +465,21 @@ def test_search_matches_oracle_on_exhaustive_small_universe(oracle):
                 break
     assert not mismatches, mismatches[:20]
     assert goals == 427119
+
+
+def test_tree_search_matches_oracle_on_exhaustive_small_universe():
+    oracle = PcmillOracle(bound=6)
+    mismatches = []
+    goals = 0
+    for ctx, succ in oracle.goals():
+        goals += 1
+        outcome = prove(sequent(ctx, succ, PCMILL))
+        if isinstance(outcome, Proved) != oracle.provable(ctx, succ):
+            mismatches.append((ctx.key, succ.key, type(outcome).__name__))
+            if len(mismatches) >= 20:
+                break
+    assert not mismatches, mismatches[:20]
+    assert goals == 54609
 
 
 # ---------------------------------------------------------------------------

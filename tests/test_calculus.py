@@ -23,8 +23,10 @@ from proofmill.calculus import (
     proof_to_json,
     rule_admissible,
 )
-from proofmill.context import parse_sequent, total_complexity
-from proofmill.syntax import parse_system
+from proofmill.context import Sequent, parse_sequent, total_complexity
+from proofmill.syntax import parse_formula, parse_system
+
+from closure import closure_premises, dominated, normal_trees
 
 MILL = parse_system("MILL")
 PCMILL = parse_system("PCMILL")
@@ -114,6 +116,21 @@ def test_rres_l_consumes_right_run():
     assert ["S ; F |- (S @ F)", "T |- T"] in got
 
 
+def test_residual_groups_reach_across_levels():
+    # the group may take a parallel sibling of the principal leaf and
+    # then run on over the serial context before (after) the pair
+    g = parse_sequent("a ; [b, p \\ q] |- r", PCMILL)
+    got = keys(apply_rule(g, Rule("LresL")))
+    for want in (["() |- p", "a ; [b, q] |- r"], ["a |- p", "q ; b |- r"],
+                 ["b |- p", "a ; q |- r"], ["a ; b |- p", "q |- r"]):
+        assert want in got
+    g = parse_sequent("[q / p, b] ; a |- r", PCMILL)
+    got = keys(apply_rule(g, Rule("RresL")))
+    for want in (["() |- p", "[b, q] ; a |- r"], ["a |- p", "b ; q |- r"],
+                 ["b |- p", "q ; a |- r"], ["b ; a |- p", "q |- r"]):
+        assert want in got
+
+
 def test_lres_r_prepends_argument():
     g = parse_sequent("q |- p \\ r", SRS)
     assert keys(apply_rule(g, Rule("LresR"))) == [["p ; q |- r"]]
@@ -196,6 +213,61 @@ def test_premise_totals_strictly_decrease():
                 for prem in apply_rule(g, rule):
                     for s in prem:
                         assert total_complexity(s) < total_complexity(g)
+
+
+# -- the maximal premise lists at the goal ----------------------------------------
+# What a rule gives at any structural preimage of the goal must be
+# dominated by what it gives at the goal, or search at the goal would
+# miss proofs; and what it gives at the goal must be a valid inference.
+
+
+@pytest.mark.parametrize(
+    "system_text, alphabet, succs",
+    [
+        ("PCMILL", ["p", "q", "p \\ q"], ["q", "p @ q", "q @ p"]),
+        ("PCMILL", ["p", "q", "q / p"], ["q", "q @ p"]),
+        ("PCMILL", ["p", "p -o q", "p @ q"], ["q", "q * p"]),
+        ("PCMILL", ["1", "p", "q"], ["p @ q", "p & q", "p -o q", "p \\ q", "q / p"]),
+        ("PCMILL", ["[]p", "p * q", "p & q"], ["p", "[]p"]),
+        ("SRSBIAT:a", ["E[a]p", "p", "q"], ["E[a](p @ q)", "E[a](p * q)", "E[a](p & q)"]),
+        ("SRSBIAT:a", ["E[a]p", "p \\ q", "q / p"], ["q", "bot"]),
+    ],
+)
+def test_maximal_premise_lists_dominate_the_closure(system_text, alphabet, succs):
+    system = parse_system(system_text)
+    rules = [
+        Rule(name, agent)
+        for name in SYSTEM_RULES[system.ident]
+        if name not in ("Cut", "Ent")
+        for agent in (system.agents if name in AGENT_RULES else (None,))
+    ]
+    formulas = [parse_formula(a, system) for a in alphabet]
+    checked = 0
+    for i, succ in enumerate(parse_formula(t, system) for t in succs):
+        # a left rule lists the same antecedents whatever the succedent
+        todo = rules if i == 0 else [r for r in rules if r.name not in _LEFT_RULES]
+        for group in normal_trees(formulas, 4):
+            for c in group:
+                goal = Sequent(c, succ, system)
+                for rule in todo:
+                    listed = apply_rule(goal, rule)
+                    tops = set(map(tuple, keys(listed)))
+                    for prems in closure_premises(goal, rule):
+                        assert tuple(keys([prems])[0]) in tops or any(
+                            dominated(prems, top) for top in listed
+                        ), (str(rule), goal.key, keys([prems]))
+                        checked += 1
+                    for prems in listed:
+                        node = Proof(goal, rule, tuple(ax(s) for s in prems))
+                        bad = [path for path, _ in check_proof(node).violations]
+                        assert () not in bad, (str(rule), goal.key, keys([prems]))
+    assert checked > 1000
+
+
+_LEFT_RULES = frozenset(
+    ("TensorL", "OdotL", "OneL", "WithL1", "WithL2", "LimpL", "LresL", "RresL",
+     "BringsRefl")
+)
 
 
 # -- proof checking -------------------------------------------------------------

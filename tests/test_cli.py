@@ -50,7 +50,7 @@ class TestProve:
     def test_tree_verdict_word(self):
         code, out, _ = cli("prove", "PCMILL", "p @ q |- q @ p")
         assert code == 1
-        assert out.splitlines()[0] == "not proved (bounded)"
+        assert out.splitlines()[0] == "Exhausted (unprovable)"
 
     def test_emit_proof_round_trips(self, tmp_path):
         path = tmp_path / "p.json"
@@ -71,15 +71,25 @@ class TestProve:
         assert code == 2
         assert "position" in err
 
-    def test_internal_error_has_its_own_exit_code(self):
-        # nesting past the parser's recursion limit is an internal error,
-        # which must not leave with the "negative verdict" code
-        deep = "(" * 300 + "p" + ")" * 300
-        code, out, err = cli("prove", "MILL", f"{deep} |- p")
+    def test_internal_error_has_its_own_exit_code(self, monkeypatch):
+        # an unexpected exception must not leave with the "negative
+        # verdict" code
+        def broken(goal):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("proofmill.cli.prove", broken)
+        code, out, err = cli("prove", "MILL", "p |- p")
         assert code == 3
         assert out == ""
         assert err.startswith("internal error: RecursionError: ")
         assert len(err.splitlines()) == 1
+
+    def test_deep_nesting_is_a_parse_error(self):
+        deep = "(" * 300 + "p" + ")" * 300
+        code, out, err = cli("prove", "MILL", f"{deep} |- p")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "at position" in err
 
     def test_agentless_agent_system_without_modalities(self):
         code, _, err = cli("prove", "RSBIAT", "p |- p")

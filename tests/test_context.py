@@ -141,6 +141,31 @@ def test_split_serial_cuts():
     ]
 
 
+def test_split_serial_par_puts_children_on_either_side():
+    t = par([leaf(p), leaf(q), leaf(r)])
+    pairs = {(a.key, b.key) for a, b in split_serial(t)}
+    assert pairs == {
+        ("()", "p, q, r"), ("p", "q, r"), ("q", "p, r"), ("r", "p, q"),
+        ("p, q", "r"), ("p, r", "q"), ("q, r", "p"), ("p, q, r", "()"),
+    }
+
+
+def test_split_serial_par_cuts_a_serial_child():
+    # p ; q stays one block under entropy, but it may be cut with r
+    # placed before its first part or after its second
+    t = par([ser([leaf(p), leaf(q)]), leaf(r)])
+    pairs = [(a.key, b.key) for a, b in split_serial(t)]
+    assert pairs == [
+        ("()", "[p ; q], r"),
+        ("p ; q", "r"),
+        ("r", "p ; q"),
+        ("[p ; q], r", "()"),
+        ("p", "q ; r"),
+        ("r ; p", "q"),
+    ]
+    assert ("p, r", "q") not in pairs
+
+
 def test_split_serial_rejects_mset():
     with pytest.raises(TypeError):
         split_serial(mset([p]))

@@ -17,7 +17,7 @@ from proofmill.corpus import (
     run_entry,
     verdict_word,
 )
-from proofmill.search import BudgetExceeded, Exhausted, Proved
+from proofmill.search import Exhausted, Proved
 from proofmill.syntax import (
     atom,
     lres,
@@ -176,12 +176,15 @@ class TestParseLine:
     def test_unknown_expected_verdict(self):
         with pytest.raises(CorpusError, match="expected verdict"):
             parse_corpus_line("x | MILL | p |- p | maybe | s")
-        for word in EXPECTED_VERDICTS:
-            assert word in ("provable", "unprovable", "bounded-unknown")
+        assert EXPECTED_VERDICTS == ("provable", "unprovable")
+        with pytest.raises(CorpusError, match="expected verdict"):
+            parse_corpus_line("x | PCMILL | p |- q | bounded-unknown | s")
 
-    def test_tree_systems_cannot_claim_unprovable(self):
-        with pytest.raises(CorpusError, match="bounded-unknown"):
-            parse_corpus_line("x | PCMILL | p |- q | unprovable | s")
+    def test_tree_systems_may_claim_unprovable(self):
+        # tree search decides, so an unprovable label is a claim it checks
+        e = parse_corpus_line("x | PCMILL | p @ q |- q @ p | unprovable | s")
+        assert e.expected == "unprovable" and e.system.is_tree
+        assert run_entry(e).passed
 
     def test_bad_system_reported_with_location(self):
         with pytest.raises(CorpusError, match="f.corpus:3"):
@@ -244,23 +247,25 @@ class TestRunner:
         from proofmill.search import prove
         proved = prove(parse_sequent("p |- p", MILL))
         exhausted = Exhausted(explored=1, peak_depth=1)
-        budget = BudgetExceeded(explored=1, peak_depth=1)
-        assert verdict_word(proved, MILL) == "Proved"
-        assert verdict_word(exhausted, MILL) == "Exhausted (unprovable)"
-        assert verdict_word(budget, MILL) == "budget exceeded"
-        assert verdict_word(proved, PCM) == "Proved"
-        assert verdict_word(exhausted, PCM) == "not proved (bounded)"
-        assert verdict_word(budget, PCM) == "not proved (bounded)"
+        assert verdict_word(proved) == "Proved"
+        assert verdict_word(exhausted) == "Exhausted (unprovable)"
+        tree_proved = prove(parse_sequent("p ; q |- p @ q", PCM))
+        tree_exhausted = prove(parse_sequent("p @ q |- q @ p", PCM))
+        assert verdict_word(tree_proved) == "Proved"
+        assert verdict_word(tree_exhausted) == "Exhausted (unprovable)"
 
     def test_outcome_matching(self):
         e_prov = parse_corpus_line("a | MILL | p |- p | provable | s")
         e_unpr = parse_corpus_line("b | MILL | p |- q | unprovable | s")
-        e_bdd = parse_corpus_line(
-            "c | PCMILL | p @ q |- q @ p | bounded-unknown | s")
+        e_tree = parse_corpus_line(
+            "c | PCMILL | p @ q |- q @ p | unprovable | s")
         exhausted = Exhausted(explored=1, peak_depth=1)
+        proved = run_entry(e_prov).outcome
         assert not outcome_matches(exhausted, e_prov)
+        assert outcome_matches(proved, e_prov)
         assert outcome_matches(exhausted, e_unpr)
-        assert outcome_matches(exhausted, e_bdd)
+        assert not outcome_matches(proved, e_unpr)
+        assert outcome_matches(exhausted, e_tree)
 
     def test_run_entry_success(self):
         e = parse_corpus_line("a | MILL | p |- p | provable | s")
@@ -274,13 +279,13 @@ class TestRunner:
         assert not r.passed
         assert r.verdict == "Exhausted (unprovable)"
 
-    def test_run_corpus_respects_budget(self):
-        # six parallel atoms overflow the structural cap
+    def test_run_corpus_decides_wide_tree_entries(self):
+        # six parallel atoms: no preimage closure stands in the way
         e = parse_corpus_line(
-            "a | PCMILL | a, b, c, d, e, f |- g | bounded-unknown | s")
+            "a | PCMILL | a, b, c, d, e, f |- g | unprovable | s")
         (r,) = run_corpus([e])
-        assert isinstance(r.outcome, BudgetExceeded)
-        assert r.passed  # bounded-unknown accepts budget exhaustion too
+        assert isinstance(r.outcome, Exhausted)
+        assert r.passed and r.verdict == "Exhausted (unprovable)"
 
     def test_shipped_axiom_file_all_pass(self):
         entries = load_corpus_file(CORPUS_DIR / "schemata.corpus")

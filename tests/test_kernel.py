@@ -1,6 +1,6 @@
 """The proof kernel: entropy as a membership test, agreement with a
-reference checker built on the search's premise enumerator, and the
-kernel's import boundary."""
+reference checker built on the search's premise enumerator read
+through the whole entropy closure, and the kernel's import boundary."""
 from __future__ import annotations
 
 import ast
@@ -17,7 +17,6 @@ from proofmill.calculus import (
     SYSTEM_RULES,
     Proof,
     Rule,
-    apply_rule,
     check_proof,
     proof_nodes,
     rule_admissible,
@@ -27,7 +26,6 @@ from proofmill.context import (
     Leaf,
     MSet,
     Sequent,
-    context_formulas,
     entropy_le,
     fill,
     leaf,
@@ -42,33 +40,11 @@ from proofmill.corpus import load_corpus_dir
 from proofmill.search import Proved, prove
 from proofmill.syntax import atom, parse_formula, parse_system
 
+from closure import closure_premises, leaf_bag, normal_trees
 from test_context import _trees
 
 ROOT = Path(__file__).resolve().parent.parent
 p, q = atom("p"), atom("q")
-
-
-def normal_trees(formulas, max_leaves):
-    """Every normal-form tree with 1..max_leaves leaves over ``formulas``,
-    grouped by leaf multiset."""
-    by_size = {1: {leaf(f) for f in formulas}}
-    for n in range(2, max_leaves + 1):
-        by_size[n] = {
-            make([a, b])
-            for k in range(1, n)
-            for a in by_size[k]
-            for b in by_size[n - k]
-            for make in (par, ser)
-        }
-    groups: dict[tuple[str, ...], list] = {}
-    for trees in by_size.values():
-        for t in sorted(trees, key=lambda t: t.key):
-            groups.setdefault(leaf_bag(t), []).append(t)
-    return list(groups.values())
-
-
-def leaf_bag(t) -> tuple[str, ...]:
-    return tuple(sorted(f.key for f in context_formulas(t)))
 
 
 # -- entropy as a membership test -----------------------------------------------
@@ -148,12 +124,13 @@ def _reference_node(node: Proof) -> bool:
         pres, _ = structural_preimages(concl.ctx, 10**6)
         return prem.succ == concl.succ and prem.ctx in pres[1:]
     want = [n.conclusion.key for n in node.premises]
-    return want in ([s.key for s in prems] for prems in apply_rule(concl, rule, 10**6))
+    return want in ([s.key for s in prems] for prems in closure_premises(concl, rule))
 
 
 def reference_violations(proof: Proof) -> list[tuple[int, ...]]:
     """Paths of the nodes that the premise-enumeration algorithm rejects:
-    each node is accepted when ``apply_rule`` lists its premises."""
+    each node is accepted when ``apply_rule`` lists its premises at some
+    structural preimage of its conclusion."""
     bad = []
     system = proof.conclusion.system
     for path, node in proof_nodes(proof):
@@ -291,14 +268,14 @@ def _splice(proof: Proof, path, new: Proof) -> Proof:
 def test_tree_rules_accept_exactly_what_the_enumerator_lists(name, alphabet, succs, leaves):
     # for each small conclusion, the premises the enumerator lists for
     # any conclusion with the same leaves are accepted exactly when they
-    # are listed for this one
+    # are listed for one of its structural preimages
     system = parse_system("PCMILL")
     rule = Rule(name)
     for succ in map(parse_formula, succs):
         listed = {}
         for group in normal_trees([parse_formula(a) for a in alphabet], leaves):
             for c in group:
-                listed[c] = apply_rule(Sequent(c, succ, system), rule, 10**6)
+                listed[c] = closure_premises(Sequent(c, succ, system), Rule(name))
             for c in group:
                 want = {tuple(s.key for s in prems) for prems in listed[c]}
                 for other in group:

@@ -1,6 +1,7 @@
 """Backward proof search."""
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,6 @@ from proofmill.corpus import load_corpus_dir
 from proofmill.search import (
     DEFAULT_RULE_ORDER,
     INVERTIBLE_RULES,
-    BudgetExceeded,
     Exhausted,
     Proved,
     prove,
@@ -160,17 +160,23 @@ def test_deterministic():
     assert a.explored == b.explored
 
 
-# -- the structural cap -------------------------------------------------------------
+# -- wide tree antecedents ----------------------------------------------------------
+# six parallel atoms have more than 4,096 entropy preimages; search
+# reads the goal itself and never builds that closure
 
 
-def test_structural_budget_flagged():
-    # six parallel atoms have more entropy preimages than the cap, so
-    # the failure cannot be reported as definitive
-    s = parse_sequent("a, b, c, d, e, f |- g", PCMILL)
-    r, st_ = prove_with_stats(s)
-    assert isinstance(r, BudgetExceeded)
-    assert st_.truncated
-    # the same failure in a multiset system is a decision
+def test_wide_parallel_tree_goals_decide():
+    atoms = [f"a{i}" for i in range(1, 7)]
+    refute = parse_sequent("a, b, c, d, e, f |- g", PCMILL)
+    chain = parse_sequent(", ".join(atoms) + " |- " + " @ ".join(reversed(atoms)),
+                          PCMILL)
+    for goal, want in ((refute, Exhausted), (chain, Proved)):
+        start = time.perf_counter()
+        r, st_ = prove_with_stats(goal)
+        assert time.perf_counter() - start < 1.0, goal
+        assert isinstance(r, want) and not st_.truncated
+    assert check_proof(prove(chain).proof).ok
+    # the same failure in a multiset system
     assert isinstance(prove(parse_sequent("a, b, c, d, e, f |- g", MILL)),
                       Exhausted)
 
@@ -262,10 +268,8 @@ _TREE_FORMULAS = st.recursive(
 )
 
 
-# four leaves keep each entropy closure small (a parallel node of five
-# leaves has 2,791 preimages, recomputed for every rule)
 _TREE_CONTEXTS = st.one_of(
-    _trees(max_leaves=4), _trees(_TREE_FORMULAS.map(leaf), max_leaves=4))
+    _trees(max_leaves=5), _trees(_TREE_FORMULAS.map(leaf), max_leaves=5))
 
 
 @settings(max_examples=100, deadline=None)

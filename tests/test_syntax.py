@@ -11,7 +11,9 @@ from proofmill.syntax import (
     Brings,
     Limp,
     Lres,
+    MAX_NESTING,
     MixedImplicationError,
+    NestingTooDeepError,
     Odot,
     ParseError,
     Rres,
@@ -133,6 +135,25 @@ def test_unbalanced_parens():
 def test_empty_input():
     with pytest.raises(ParseError):
         parse_formula("")
+
+
+def test_nesting_is_bounded():
+    from proofmill.context import parse_sequent
+
+    assert parse_formula("(" * MAX_NESTING + "p" + ")" * MAX_NESTING) == atom("p")
+    # each error points at the opener one level too deep
+    too_deep = [
+        ("(" * 300 + "p" + ")" * 300, "MILL", MAX_NESTING),
+        ("[]" * 1000 + "p", "MILL", 2 * MAX_NESTING),
+        ("E[a]" * 300 + "p", "RSBIAT:a", 4 * MAX_NESTING),
+    ]
+    for text, system, pos in too_deep:
+        with pytest.raises(NestingTooDeepError) as ei:
+            parse_formula(text, parse_system(system))
+        assert ei.value.pos == pos
+    with pytest.raises(NestingTooDeepError) as ei:
+        parse_sequent("[" * 300 + "p" + "]" * 300 + " |- p", parse_system("PCMILL"))
+    assert ei.value.pos == MAX_NESTING
 
 
 # -- systems ------------------------------------------------------------------
