@@ -20,25 +20,20 @@ follows the rule schemas listed in ``kernel.py``.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 from .context import (
     EMPTY,
     Context,
     Leaf,
-    MSet,
     Par,
     Path,
     Sequent,
     Ser,
-    empty,
     fill,
-    join,
     leaf,
-    mset,
-    mset_without,
     par,
-    positions,
     ser,
-    single,
     singleton_body,
     split_parallel,
     split_serial,
@@ -123,28 +118,6 @@ def _seq(ctx: Context, succ: Formula, system: System) -> Sequent:
     return Sequent(ctx, succ, system)
 
 
-def _distinct_members(ctx: Context):
-    """Distinct principal candidates: (formula, occurrence handle)."""
-    if isinstance(ctx, MSet):
-        seen = set()
-        for f in ctx.formulas:
-            if f not in seen:
-                seen.add(f)
-                yield f, None
-    else:
-        for path, node in positions(ctx):
-            if isinstance(node, Leaf):
-                yield node.formula, path
-
-
-def _replace(ctx: Context, f: Formula, handle, repl: Context) -> Context:
-    """Replace one occurrence of ``f`` (at ``handle`` for trees) by a
-    subcontext, splicing multisets."""
-    if isinstance(ctx, MSet):
-        return join(mset_without(ctx, f), repl, serial=False)
-    return fill(ctx, handle, repl)
-
-
 def _arg_groups(ctx: Context, path: Path, res: Formula, before: bool):
     """The maximal argument groups of a residual left rule whose
     principal leaf sits at ``path`` in ``ctx``, as triples
@@ -221,10 +194,29 @@ class _Matcher:
     def __init__(self, goal: Sequent):
         self.ctx = goal.ctx
         self.system = goal.system
-        self.tree = goal.system.is_tree
         self.succ = goal.succ
         self._out: list[list[Sequent]] = []
         self._seen: set[tuple[str, ...]] = set()
+
+    @cached_property
+    def leaves(self) -> list[tuple[Formula, Path]]:
+        """The principal candidates: each leaf as (formula, path), in
+        preorder.  A child equal to its left sibling under a parallel
+        node is skipped, as it gives the same premises."""
+        out: list[tuple[Formula, Path]] = []
+
+        def walk(n: Context, path: Path) -> None:
+            if isinstance(n, Leaf):
+                out.append((n.formula, path))
+            elif isinstance(n, (Par, Ser)):
+                prev = None
+                for i, ch in enumerate(n.children):
+                    if not (ch == prev and isinstance(n, Par)):
+                        walk(ch, path + (i,))
+                    prev = ch
+
+        walk(self.ctx, ())
+        return out
 
     def emit(self, premises: list[Sequent]) -> None:
         key = tuple(s.key for s in premises)
@@ -246,7 +238,7 @@ class _Matcher:
             self.emit([])
 
     def _one_r(self, rule: Rule) -> None:
-        if isinstance(self.succ, Unit) and self.ctx == empty(self.tree):
+        if isinstance(self.succ, Unit) and self.ctx is EMPTY:
             self.emit([])
 
     # -- unary left rules ----------------------------------------------------
@@ -254,15 +246,14 @@ class _Matcher:
     def _left_unary(self, pick) -> None:
         """Apply a left rule replacing one principal occurrence; ``pick``
         maps a formula to the replacement subcontext (or None)."""
-        for f, handle in _distinct_members(self.ctx):
+        for f, path in self.leaves:
             repl = pick(f)
             if repl is not None:
-                self.emit([_seq(_replace(self.ctx, f, handle, repl), self.succ, self.system)])
+                self.emit([_seq(fill(self.ctx, path, repl), self.succ, self.system)])
 
     def _tensor_l(self, rule: Rule) -> None:
         self._left_unary(
-            lambda f: join(single(f.left, self.tree), single(f.right, self.tree), False)
-            if isinstance(f, Tensor) else None
+            lambda f: par([leaf(f.left), leaf(f.right)]) if isinstance(f, Tensor) else None
         )
 
     def _odot_l(self, rule: Rule) -> None:
@@ -271,17 +262,16 @@ class _Matcher:
         )
 
     def _one_l(self, rule: Rule) -> None:
-        self._left_unary(lambda f: empty(self.tree) if isinstance(f, Unit) else None)
+        self._left_unary(lambda f: EMPTY if isinstance(f, Unit) else None)
 
     def _with_l(self, rule: Rule, first: bool) -> None:
         self._left_unary(
-            lambda f: single(f.left if first else f.right, self.tree)
-            if isinstance(f, With) else None
+            lambda f: leaf(f.left if first else f.right) if isinstance(f, With) else None
         )
 
     def _brings_refl(self, rule: Rule) -> None:
         self._left_unary(
-            lambda f: single(f.body, self.tree)
+            lambda f: leaf(f.body)
             if isinstance(f, Brings) and f.agent == rule.agent else None
         )
 
@@ -297,7 +287,7 @@ class _Matcher:
 
     def _limp_r(self, rule: Rule) -> None:
         if isinstance(self.succ, Limp):
-            prem = join(self.ctx, single(self.succ.left, self.tree), serial=False)
+            prem = par([self.ctx, leaf(self.succ.left)])
             self.emit([_seq(prem, self.succ.right, self.system)])
 
     def _lres_r(self, rule: Rule) -> None:
@@ -330,23 +320,9 @@ class _Matcher:
         sys = self.system
         succ = self.succ
         ctx = self.ctx
-        if not self.tree:
-            assert isinstance(ctx, MSet)
-            for f, _ in _distinct_members(ctx):
-                if not isinstance(f, Limp):
-                    continue
-                for gamma, delta in split_parallel(mset_without(ctx, f)):
-                    self.emit(
-                        [
-                            _seq(gamma, f.left, sys),
-                            _seq(join(delta, mset([f.right]), False), succ, sys),
-                        ]
-                    )
-            return
-        for path, node in positions(ctx):
-            if not isinstance(node, Leaf) or not isinstance(node.formula, Limp):
+        for f, path in self.leaves:
+            if not isinstance(f, Limp):
                 continue
-            f = node.formula
             # the implication alone, with an empty argument group
             self.emit([_seq(EMPTY, f.left, sys), _seq(fill(ctx, path, leaf(f.right)), succ, sys)])
             if len(path) == 0:
@@ -365,10 +341,9 @@ class _Matcher:
     def _res_l(self, rule: Rule, left_residual: bool) -> None:
         sys = self.system
         want = Lres if left_residual else Rres
-        for path, node in positions(self.ctx):
-            if not isinstance(node, Leaf) or not isinstance(node.formula, want):
+        for f, path in self.leaves:
+            if not isinstance(f, want):
                 continue
-            f = node.formula
             arg, res = (f.left, f.right) if left_residual else (f.right, f.left)
             for gamma, rest, _ in _arg_groups(self.ctx, path, res, left_residual):
                 self.emit([_seq(gamma, arg, sys), _seq(rest, self.succ, sys)])
@@ -384,7 +359,7 @@ class _Matcher:
     def _converse(self, a: Formula, b: Formula) -> None:
         """BoxRe and BringsRe: A ⊢ B and B ⊢ A."""
         sys = self.system
-        self.emit([_seq(single(a, self.tree), b, sys), _seq(single(b, self.tree), a, sys)])
+        self.emit([_seq(leaf(a), b, sys), _seq(leaf(b), a, sys)])
 
     def _box_re(self, rule: Rule) -> None:
         body = singleton_body(self.ctx)
@@ -404,7 +379,7 @@ class _Matcher:
     def _not_nec(self, rule: Rule) -> None:
         body = singleton_body(self.ctx)
         if self.succ == BOT and isinstance(body, Brings) and body.agent == rule.agent:
-            self.emit([_seq(empty(self.tree), body.body, self.system)])
+            self.emit([_seq(EMPTY, body.body, self.system)])
 
     def _brings_body(self, rule: Rule, shape) -> Formula | None:
         succ = self.succ

@@ -1,9 +1,13 @@
 """Antecedent structures and sequents.
 
-MILL and RSBIAT read antecedents as finite multisets.  PCMILL and
-SRSBIAT read them as trees built from parallel composition (written
-``,``) and serial composition (written ``;``) over formula leaves and
-the empty context ``()``.
+Every antecedent is one normal-form tree: formula leaves and the empty
+context ``()`` composed in parallel (written ``,``) and in series
+(written ``;``).  PCMILL and SRSBIAT use the whole language.  MILL and
+RSBIAT read antecedents as finite multisets, and a multiset is exactly
+a ``;``-free tree: a leaf, ``()``, or a flat parallel node of leaves
+(``mset`` builds one).  The only difference left between the systems
+is how the empty antecedent prints: ``|- A`` in the multiset systems,
+``() |- A`` in the tree systems.
 
 Trees are kept in a normal form: nested compositions of the same kind
 are flattened, empty contexts are dropped, and the children of a
@@ -24,7 +28,8 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from typing import Iterable, Union
+from operator import attrgetter
+from typing import Iterable
 
 from .syntax import (
     Formula,
@@ -43,85 +48,60 @@ Path = tuple[int, ...]
 
 
 class Context:
-    __slots__ = ("key",)
+    __slots__ = ("key", "_formulas")
     key: str
+    # the leaf formulas, left to right; computed once by context_formulas
+    _formulas: tuple[Formula, ...] | None
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, Context)
-            and self.key == other.key
-            and isinstance(self, MSet) == isinstance(other, MSet)
-        )
+        return self is other or (isinstance(other, Context) and self.key == other.key)
 
     def __hash__(self) -> int:
         return hash(self.key)
 
     def __repr__(self) -> str:
-        return self.key or "<empty mset>"
+        return self.key
 
 
-class MSet(Context):
-    """Multiset antecedent; ``formulas`` is sorted by printed form."""
-
-    __slots__ = ("formulas",)
-
-    def __init__(self, formulas: tuple[Formula, ...], key: str):
-        self.formulas = formulas
-        self.key = key
-
-
-class TreeContext(Context):
-    __slots__ = ()
-
-
-class Leaf(TreeContext):
+class Leaf(Context):
     __slots__ = ("formula",)
 
     def __init__(self, formula: Formula):
         self.formula = formula
         self.key = formula.key
+        self._formulas = (formula,)
 
 
-class EmptyCtx(TreeContext):
+class EmptyCtx(Context):
     __slots__ = ()
 
     def __init__(self) -> None:
         self.key = "()"
+        self._formulas = ()
 
 
 EMPTY = EmptyCtx()
 
 
-class Par(TreeContext):
+class Par(Context):
     __slots__ = ("children",)
 
-    def __init__(self, children: tuple[TreeContext, ...], key: str):
+    def __init__(self, children: tuple[Context, ...], key: str):
         self.children = children
         self.key = key
+        self._formulas = None
 
 
-class Ser(TreeContext):
+class Ser(Context):
     __slots__ = ("children",)
 
-    def __init__(self, children: tuple[TreeContext, ...], key: str):
+    def __init__(self, children: tuple[Context, ...], key: str):
         self.children = children
         self.key = key
+        self._formulas = None
 
 
-_MSET_INTERN: dict[str, MSet] = {}
-_TREE_INTERN: dict[str, TreeContext] = {"()": EMPTY}
-
-
-def mset(formulas: Iterable[Formula]) -> MSet:
-    fs = tuple(sorted(formulas, key=lambda f: f.key))
-    key = ", ".join(f.key for f in fs)
-    got = _MSET_INTERN.get(key)
-    if got is None:
-        got = MSet(fs, key)
-        _MSET_INTERN[key] = got
-    return got
+_TREE_INTERN: dict[str, Context] = {"()": EMPTY}
 
 
 def leaf(f: Formula) -> Leaf:
@@ -132,34 +112,44 @@ def leaf(f: Formula) -> Leaf:
     return got  # type: ignore[return-value]
 
 
-def _bracket(child: TreeContext) -> str:
-    if isinstance(child, (Par, Ser)):
-        return f"[{child.key}]"
-    return child.key
+_KEY = attrgetter("key")
 
 
-def par(children: Iterable[TreeContext]) -> TreeContext:
-    flat: list[TreeContext] = []
+def _sorted_par(kids: list[Context]) -> Context:
+    """``par(kids)`` for children already in normal form and order: no
+    ``Par`` or ``()`` among them, sorted by printed form."""
+    if not kids:
+        return EMPTY
+    if len(kids) == 1:
+        return kids[0]
+    # a child is a leaf or a bracketed serial node
+    key = ", ".join(c.key if isinstance(c, Leaf) else f"[{c.key}]" for c in kids)
+    got = _TREE_INTERN.get(key)
+    if got is None:
+        got = Par(tuple(kids), key)
+        _TREE_INTERN[key] = got
+    return got
+
+
+def par(children: Iterable[Context]) -> Context:
+    flat: list[Context] = []
     for c in children:
         if isinstance(c, Par):
             flat.extend(c.children)
         elif not isinstance(c, EmptyCtx):
             flat.append(c)
-    if not flat:
-        return EMPTY
-    if len(flat) == 1:
-        return flat[0]
-    flat.sort(key=lambda c: c.key)
-    key = ", ".join(_bracket(c) for c in flat)
-    got = _TREE_INTERN.get(key)
-    if got is None:
-        got = Par(tuple(flat), key)
-        _TREE_INTERN[key] = got
-    return got
+    flat.sort(key=_KEY)
+    return _sorted_par(flat)
 
 
-def ser(children: Iterable[TreeContext]) -> TreeContext:
-    flat: list[TreeContext] = []
+def mset(formulas: Iterable[Formula]) -> Context:
+    """The multiset of ``formulas`` as an antecedent: a flat ``Par`` of
+    leaves, a single leaf, or ``()``."""
+    return par([leaf(f) for f in formulas])
+
+
+def ser(children: Iterable[Context]) -> Context:
+    flat: list[Context] = []
     for c in children:
         if isinstance(c, Ser):
             flat.extend(c.children)
@@ -169,7 +159,8 @@ def ser(children: Iterable[TreeContext]) -> TreeContext:
         return EMPTY
     if len(flat) == 1:
         return flat[0]
-    key = " ; ".join(_bracket(c) for c in flat)
+    # a child is a leaf or a bracketed parallel node
+    key = " ; ".join(c.key if isinstance(c, Leaf) else f"[{c.key}]" for c in flat)
     got = _TREE_INTERN.get(key)
     if got is None:
         got = Ser(tuple(flat), key)
@@ -179,8 +170,6 @@ def ser(children: Iterable[TreeContext]) -> TreeContext:
 
 def normalize(c: Context) -> Context:
     """Rebuild through the smart constructors (idempotent)."""
-    if isinstance(c, MSet):
-        return mset(c.formulas)
     if isinstance(c, Par):
         return par(normalize(ch) for ch in c.children)
     if isinstance(c, Ser):
@@ -188,51 +177,24 @@ def normalize(c: Context) -> Context:
     return c
 
 
-def single(f: Formula, tree: bool) -> Context:
-    """The antecedent holding ``f`` alone."""
-    return leaf(f) if tree else mset([f])
-
-
-def empty(tree: bool) -> Context:
-    return EMPTY if tree else mset([])
-
-
 def singleton_body(c: Context) -> Formula | None:
-    """The sole antecedent formula, when the antecedent is a singleton."""
-    if isinstance(c, MSet):
-        return c.formulas[0] if len(c.formulas) == 1 else None
+    """The sole antecedent formula, when the antecedent is a leaf."""
     return c.formula if isinstance(c, Leaf) else None
 
 
-def mset_without(ms: MSet, f: Formula) -> MSet:
-    """``ms`` less one occurrence of ``f``."""
-    i = ms.formulas.index(f)
-    return mset(ms.formulas[:i] + ms.formulas[i + 1 :])
-
-
 def join(a: Context, b: Context, serial: bool) -> Context:
-    """``a , b``, or ``a ; b`` when ``serial`` (trees only); multisets
-    join by union."""
-    if isinstance(a, MSet):
-        return mset(a.formulas + b.formulas)  # type: ignore[union-attr]
-    return ser([a, b]) if serial else par([a, b])  # type: ignore[list-item]
+    """``a ; b`` when ``serial``, else ``a , b``."""
+    return ser([a, b]) if serial else par([a, b])
 
 
 def context_formulas(c: Context) -> list[Formula]:
-    """The leaf formulas, left to right (multiset order for MSet)."""
-    if isinstance(c, MSet):
-        return list(c.formulas)
-    out: list[Formula] = []
-
-    def walk(n: TreeContext) -> None:
-        if isinstance(n, Leaf):
-            out.append(n.formula)
-        elif isinstance(n, (Par, Ser)):
-            for ch in n.children:
-                walk(ch)
-
-    walk(c)
-    return out
+    """The leaf formulas, left to right."""
+    got = c._formulas
+    if got is None:
+        got = c._formulas = tuple(
+            f for ch in c.children for f in context_formulas(ch)  # type: ignore[attr-defined]
+        )
+    return list(got)
 
 
 def context_complexity(c: Context) -> int:
@@ -241,13 +203,6 @@ def context_complexity(c: Context) -> int:
 
 def to_formula(c: Context) -> Formula:
     """Fold a context to a formula: ``,`` as *, ``;`` as @, () as 1."""
-    if isinstance(c, MSet):
-        if not c.formulas:
-            return unit()
-        acc = c.formulas[0]
-        for f in c.formulas[1:]:
-            acc = tensor(acc, f)
-        return acc
     if isinstance(c, Leaf):
         return c.formula
     if isinstance(c, EmptyCtx):
@@ -259,43 +214,27 @@ def to_formula(c: Context) -> Formula:
     return acc
 
 
-def positions(c: Context) -> list[tuple[Path, object]]:
-    """Preorder list of (path, node).  For an MSet the entries below the
-    root are the formula occurrences, indexed into the sorted tuple."""
-    if isinstance(c, MSet):
-        entries: list[tuple[Path, object]] = [((), c)]
-        entries.extend(((i,), f) for i, f in enumerate(c.formulas))
-        return entries
-    out: list[tuple[Path, object]] = []
+def positions(c: Context) -> list[tuple[Path, Context]]:
+    """Preorder list of (path, node)."""
+    out: list[tuple[Path, Context]] = [((), c)]
 
-    def walk(n: TreeContext, path: Path) -> None:
-        out.append((path, n))
-        if isinstance(n, (Par, Ser)):
-            for i, ch in enumerate(n.children):
+    def walk(n: Context, path: Path) -> None:
+        for i, ch in enumerate(n.children):  # type: ignore[attr-defined]
+            out.append((path + (i,), ch))
+            if not isinstance(ch, Leaf):
                 walk(ch, path + (i,))
 
-    walk(c, ())
+    if isinstance(c, (Par, Ser)):
+        walk(c, ())
     return out
 
 
 def fill(c: Context, path: Path, replacement: Context) -> Context:
-    """Replace the node at ``path`` and renormalize.
-
-    For an MSet, ``path`` is a single index and the replacement MSet is
-    spliced in place of that occurrence.
-    """
+    """Replace the node at ``path`` and renormalize."""
     if not path:
-        return normalize(replacement)
-    if isinstance(c, MSet):
-        if not isinstance(replacement, MSet):
-            raise TypeError("multiset fill needs an MSet replacement")
-        (i,) = path
-        rest = c.formulas[:i] + c.formulas[i + 1 :]
-        return mset(rest + replacement.formulas)
+        return replacement
     if not isinstance(c, (Par, Ser)):
         raise IndexError(f"no child {path} under {c.key!r}")
-    if not isinstance(replacement, TreeContext):
-        raise TypeError("tree fill needs a tree replacement")
     i = path[0]
     kids = list(c.children)
     kids[i] = fill(kids[i], path[1:], replacement)  # type: ignore[assignment]
@@ -304,36 +243,22 @@ def fill(c: Context, path: Path, replacement: Context) -> Context:
 
 def split_parallel(c: Context) -> list[tuple[Context, Context]]:
     """Every two-part split of the top-level parallel structure, as
-    ordered pairs.  Multisets split by sub-multiset; a Par root splits
-    by any subset of children; other tree roots admit only the trivial
-    splits against the empty context."""
+    ordered pairs.  A Par root splits by any subset of its children
+    (a multiset by any sub-multiset); other roots admit only the
+    trivial splits against the empty context."""
+    if not isinstance(c, Par):
+        return [(EMPTY, c)] if c is EMPTY else [(EMPTY, c), (c, EMPTY)]
     out: list[tuple[Context, Context]] = []
     seen: set[tuple[str, str]] = set()
-
-    def push(a: Context, b: Context) -> None:
-        k = (a.key, b.key)
+    kids = c.children
+    n = len(kids)
+    for mask in range(1 << n):
+        sel = _sorted_par([kids[i] for i in range(n) if mask >> i & 1])
+        rest = _sorted_par([kids[i] for i in range(n) if not mask >> i & 1])
+        k = (sel.key, rest.key)
         if k not in seen:
             seen.add(k)
-            out.append((a, b))
-
-    if isinstance(c, MSet):
-        fs = c.formulas
-        n = len(fs)
-        for mask in range(1 << n):
-            sel = tuple(fs[i] for i in range(n) if mask >> i & 1)
-            rest = tuple(fs[i] for i in range(n) if not mask >> i & 1)
-            push(mset(sel), mset(rest))
-        return out
-    if isinstance(c, Par):
-        kids = c.children
-        n = len(kids)
-        for mask in range(1 << n):
-            sel = [kids[i] for i in range(n) if mask >> i & 1]
-            rest = [kids[i] for i in range(n) if not mask >> i & 1]
-            push(par(sel), par(rest))
-        return out
-    push(EMPTY, c)
-    push(c, EMPTY)
+            out.append((sel, rest))
     return out
 
 
@@ -348,8 +273,6 @@ def split_serial(c: Context) -> list[tuple[Context, Context]]:
     cuts one serial child into (l, r) and orders the other children in
     two groups around it: ``(S1 ; l, r ; S2)``.
     """
-    if isinstance(c, MSet):
-        raise TypeError("serial split is only defined on tree contexts")
     out: list[tuple[Context, Context]] = []
     seen: set[tuple[str, str]] = set()
 
@@ -386,10 +309,10 @@ def split_serial(c: Context) -> list[tuple[Context, Context]]:
 DEFAULT_STRUCTURAL_BOUND = 4096
 
 
-def _ent_steps(c: TreeContext) -> list[TreeContext]:
+def _ent_steps(c: Context) -> list[Context]:
     """Single backward entropy steps: somewhere in ``c``, group part of
     a parallel node and make the grouping serial."""
-    out: list[TreeContext] = []
+    out: list[Context] = []
     for path, node in positions(c):
         if not isinstance(node, Par):
             continue
@@ -414,8 +337,6 @@ def structural_preimages(
     """Close ``c`` backward under entropy.  Returns the reachable
     contexts in discovery order (``c`` first) and an overflow flag set
     when the closure was truncated at ``bound`` contexts."""
-    if isinstance(c, MSet):
-        return [c], False
     seen = {c}
     order: list[Context] = [c]
     queue = [c]
@@ -566,15 +487,13 @@ class Sequent:
     __slots__ = ("ctx", "succ", "system", "key")
 
     def __init__(self, ctx: Context, succ: Formula, system: System):
-        if system.is_tree:
-            if not isinstance(ctx, TreeContext):
-                raise TypeError(f"{system} wants a tree antecedent")
-        elif not isinstance(ctx, MSet):
-            raise TypeError(f"{system} wants a multiset antecedent")
         self.ctx = ctx
         self.succ = succ
         self.system = system
-        self.key = f"{ctx.key} |- {succ.key}" if ctx.key else f"|- {succ.key}"
+        if ctx is EMPTY and not system.is_tree:
+            self.key = f"|- {succ.key}"
+        else:
+            self.key = f"{ctx.key} |- {succ.key}"
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -591,7 +510,12 @@ class Sequent:
 
 
 def sequent(ctx: Context, succ: Formula, system: System) -> Sequent:
-    return Sequent(normalize(ctx), succ, system)
+    """The sequent over ``ctx`` in normal form; a multiset system refuses
+    an antecedent with ``;``."""
+    ctx = normalize(ctx)
+    if not system.is_tree and any(isinstance(n, Ser) for _, n in positions(ctx)):
+        raise ValueError(f"{system} antecedents are multisets, not {ctx.key!r}")
+    return Sequent(ctx, succ, system)
 
 
 def total_complexity(s: Sequent) -> int:
@@ -631,11 +555,7 @@ def _parse_group(p: _Parser, system: System, closer: str) -> Context:
             p.next()
         elif t[0] != closer:
             raise UnexpectedTokenError(p.text, t[2], _show(t), (f"{closer!r}", "','"))
-    if not system.is_tree:
-        return mset(c.formula for c in items)  # type: ignore[union-attr]
-    if len(items) == 1:
-        return items[0]
-    return ser(items) if sep == ";" else par(items)  # type: ignore[arg-type]
+    return ser(items) if sep == ";" else par(items)
 
 
 def _parse_item(p: _Parser, system: System) -> Context:
@@ -665,4 +585,5 @@ def parse_sequent(text: str, system: System) -> Sequent:
     if t[0] != "EOF":
         raise UnexpectedTokenError(text, t[2], _show(t), ("end of input",))
     validate_formula(succ, system)
-    return sequent(ctx, succ, system)
+    # the parser builds normal forms and reads ';' only in tree systems
+    return Sequent(ctx, succ, system)

@@ -28,6 +28,7 @@ case table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .calculus import (
     AX,
@@ -63,12 +64,11 @@ from .calculus import (
 from .context import (
     Context,
     Leaf,
-    MSet,
     Sequent,
     fill,
     join,
+    leaf,
     positions,
-    single,
 )
 from .syntax import BOT, Formula, brings, odot, tensor, with_
 
@@ -160,42 +160,34 @@ def _splice(p: Proof, path: tuple[int, ...], new: Proof) -> Proof:
     return Proof(p.conclusion, p.rule, tuple(prems))
 
 
-def _occurrences(ctx: Context, f: Formula) -> list[tuple[int, ...] | int]:
-    if isinstance(ctx, MSet):
-        return [i for i, g in enumerate(ctx.formulas) if g == f]
-    return [pt for pt, n in positions(ctx) if isinstance(n, Leaf) and n.formula == f]
+def _cut(consumer: Proof, producer: Proof, ctx: Context) -> Proof:
+    """The cut of ``producer`` into ``consumer`` concluding antecedent ``ctx``."""
+    c = consumer.conclusion
+    return Proof(Sequent(ctx, c.succ, c.system), Rule(CUT), (consumer, producer))
 
 
-def _replace_occ(ctx: Context, occ, repl: Context) -> Context:
-    if isinstance(ctx, MSet):
-        return fill(ctx, (occ,), repl)
-    return fill(ctx, occ, repl)
-
-
-class _NoOccurrence(Exception):
-    """Raised while building a candidate whose sub-cut formula does not
-    occur where the construction expects it.  This happens when the rule
-    under a cut merely shares its name with the principal case (it acted
-    on a different formula); such candidates cannot exist, and the
-    permutation candidates take over."""
-
-
-def _mk_cut(consumer: Proof, producer: Proof, occ=None) -> Proof:
-    """A cut node combining the two subproofs at the given occurrence of
-    the cut formula (first occurrence when unspecified)."""
+def _cuts(consumer: Proof, producer: Proof, early: int = 1) -> Iterator[tuple[bool, Proof]]:
+    """The cuts of ``producer`` into ``consumer``, one per occurrence of
+    the cut formula in preorder, skipping an occurrence whose replacement
+    gives an antecedent already listed (as all occurrences of a formula
+    in one parallel node do).  Yields ``(late, cut)``; ``late`` marks an
+    occurrence after the first ``early`` ones."""
     a = producer.conclusion.succ
     cctx = consumer.conclusion.ctx
-    if occ is None:
-        occs = _occurrences(cctx, a)
-        if not occs:
-            raise _NoOccurrence(a.key)
-        occ = occs[0]
-    concl = Sequent(
-        _replace_occ(cctx, occ, producer.conclusion.ctx),
-        consumer.conclusion.succ,
-        consumer.conclusion.system,
-    )
-    return Proof(concl, Rule(CUT), (consumer, producer))
+    occs = [pt for pt, n in positions(cctx) if isinstance(n, Leaf) and n.formula == a]
+    seen: set[Context] = set()
+    for i, pt in enumerate(occs):
+        ctx = fill(cctx, pt, producer.conclusion.ctx)
+        if ctx not in seen:
+            seen.add(ctx)
+            yield i >= early, _cut(consumer, producer, ctx)
+
+
+def _then(cuts: Iterable[tuple[bool, Proof]], build) -> Iterator[tuple[bool, Proof]]:
+    """``build(cut)`` for each of ``cuts``, late when either step is."""
+    for late, cut in cuts:
+        for later, out in build(cut):
+            yield late or later, out
 
 
 def _close_ctx(cand: Proof, want: Sequent) -> Proof | None:
@@ -214,8 +206,8 @@ def _close_ctx(cand: Proof, want: Sequent) -> Proof | None:
 
 def _refl_ax(agent: str, f: Formula, system) -> Proof:
     """E[a]f |- f by reflexive elimination over an axiom."""
-    inner = Sequent(single(f, system.is_tree), f, system)
-    outer = Sequent(single(brings(agent, f), system.is_tree), f, system)
+    inner = Sequent(leaf(f), f, system)
+    outer = Sequent(leaf(brings(agent, f)), f, system)
     return Proof(outer, Rule(BRINGS_REFL, agent), (Proof(inner, Rule(AX)),))
 
 
@@ -223,65 +215,46 @@ def _refl_ax(agent: str, f: Formula, system) -> Proof:
 # candidate constructions
 
 
-def _principal_candidates(node: Proof) -> list[Proof]:
+def _principal_candidates(node: Proof) -> Iterator[tuple[bool, Proof]]:
+    """Principal reductions of a cut, each sub-cut at every occurrence of
+    its formula; the one at the first occurrences comes first and is the
+    only early one."""
     consumer, producer = node.premises
-    a = producer.conclusion.succ
     system = node.conclusion.system
     cname, pname = consumer.rule.name, producer.rule.name
-    out: list[Proof] = []
+    agent = consumer.rule.agent
 
-    if cname == TENSOR_L and pname == TENSOR_R:
-        cp = consumer.premises[0]
+    if (cname, pname) in ((TENSOR_L, TENSOR_R), (ODOT_L, ODOT_R)):
         p1, p2 = producer.premises
-        cut1 = _mk_cut(cp, p1)
-        out.append(_mk_cut(cut1, p2))
-    elif cname == ODOT_L and pname == ODOT_R:
-        cp = consumer.premises[0]
-        p1, p2 = producer.premises
-        cut1 = _mk_cut(cp, p1)
-        out.append(_mk_cut(cut1, p2))
+        yield from _then(_cuts(consumer.premises[0], p1), lambda cut1: _cuts(cut1, p2))
     elif cname == ONE_L and pname == ONE_R:
-        out.append(consumer.premises[0])
+        yield False, consumer.premises[0]
     elif cname in (WITH_L1, WITH_L2) and pname == WITH_R:
         side = producer.premises[0 if cname == WITH_L1 else 1]
-        out.append(_mk_cut(consumer.premises[0], side))
-    elif cname == LIMP_L and pname == LIMP_R:
+        yield from _cuts(consumer.premises[0], side)
+    elif (cname, pname) == (LIMP_L, LIMP_R) or (
+        cname in (LRES_L, RRES_L) and pname in (LRES_R, RRES_R)
+    ):
         arg, body = consumer.premises  # Σ |- X and Δ(Y) |- C
         q = producer.premises[0]  # (Γ', X) |- Y
-        cut1 = _mk_cut(q, arg)
-        out.append(_mk_cut(body, cut1))
-    elif cname in (LRES_L, RRES_L) and pname in (LRES_R, RRES_R):
-        arg, body = consumer.premises
-        q = producer.premises[0]
-        cut1 = _mk_cut(q, arg)
-        out.append(_mk_cut(body, cut1))
-    elif cname == BOX_RE and pname == BOX_RE:
+        yield from _then(_cuts(q, arg), lambda cut1: _cuts(body, cut1))
+    elif cname == pname and cname in (BOX_RE, BRINGS_RE):
         c1, c2 = consumer.premises  # X |- W, W |- X
         d1, d2 = producer.premises  # Z |- X, X |- Z
-        left = _mk_cut(c1, d1)  # Z |- W
-        right = _mk_cut(d2, c2)  # W |- Z
-        out.append(Proof(node.conclusion, Rule(BOX_RE), (left, right)))
-    elif cname == BRINGS_RE and pname == BRINGS_RE:
-        agent = consumer.rule.agent
-        c1, c2 = consumer.premises
-        d1, d2 = producer.premises
-        left = _mk_cut(c1, d1)
-        right = _mk_cut(d2, c2)
-        out.append(Proof(node.conclusion, Rule(BRINGS_RE, agent), (left, right)))
+        for late, left in _cuts(c1, d1):  # Z |- W
+            for later, right in _cuts(d2, c2):  # W |- Z
+                yield late or later, Proof(node.conclusion, Rule(cname, agent), (left, right))
     elif cname == BRINGS_REFL and pname == BRINGS_RE:
-        agent = consumer.rule.agent
-        cp = consumer.premises[0]  # Γ(X) |- C
-        d1, d2 = producer.premises  # Z |- X, X |- Z
-        cut1 = _mk_cut(cp, d1)  # Γ(Z) |- C
-        out.append(Proof(node.conclusion, Rule(BRINGS_REFL, agent), (cut1,)))
+        d1 = producer.premises[0]  # Z |- X
+        for late, cut1 in _cuts(consumer.premises[0], d1):  # Γ(Z) |- C
+            yield late, Proof(node.conclusion, Rule(BRINGS_REFL, agent), (cut1,))
     elif cname == BRINGS_REFL and pname in (BRINGS_TENSOR, BRINGS_ODOT, BRINGS_WITH):
-        agent = consumer.rule.agent
         cp = consumer.premises[0]  # Γ(X op Y) |- C
         p1, p2 = producer.premises  # Γ1 |- E[a]X, Γ2 |- E[a]Y
         x = p1.conclusion.succ.body
         y = p2.conclusion.succ.body
-        cut_x = _mk_cut(_refl_ax(agent, x, system), p1)  # Γ1 |- X
-        cut_y = _mk_cut(_refl_ax(agent, y, system), p2)  # Γ2 |- Y
+        cut_x = _cut(_refl_ax(agent, x, system), p1, p1.conclusion.ctx)  # Γ1 |- X
+        cut_y = _cut(_refl_ax(agent, y, system), p2, p2.conclusion.ctx)  # Γ2 |- Y
         if pname == BRINGS_WITH:
             comb = Proof(
                 Sequent(cut_x.conclusion.ctx, with_(x, y), system),
@@ -296,62 +269,66 @@ def _principal_candidates(node: Proof) -> list[Proof]:
                 Rule(ODOT_R if serial else TENSOR_R),
                 (cut_x, cut_y),
             )
-        out.append(_mk_cut(cp, comb))
+        yield from _cuts(cp, comb)
     elif cname == NOT_NEC and pname == BRINGS_RE:
-        agent = consumer.rule.agent
-        cp = consumer.premises[0]  # |- W
         d2 = producer.premises[1]  # W |- Z
-        cut1 = _mk_cut(d2, cp)  # |- Z
-        out.append(Proof(node.conclusion, Rule(NOT_NEC, agent), (cut1,)))
+        for late, cut1 in _cuts(d2, consumer.premises[0]):  # |- Z
+            yield late, Proof(node.conclusion, Rule(NOT_NEC, agent), (cut1,))
     elif cname == NOT_NEC and pname == BRINGS_WITH:
-        agent = consumer.rule.agent
         cp = consumer.premises[0]  # |- U & V, cut-free, must end in WithR
         if cp.rule.name == WITH_R:
             first = cp.premises[0]  # |- U
             u = first.conclusion.succ
             nn = Proof(
-                Sequent(single(brings(agent, u), system.is_tree), BOT, system),
+                Sequent(leaf(brings(agent, u)), BOT, system),
                 Rule(NOT_NEC, agent),
                 (first,),
             )
-            out.append(_mk_cut(nn, producer.premises[0]))
-    return out
+            yield from _cuts(nn, producer.premises[0])
 
 
-def _permute_into_producer(node: Proof) -> list[Proof]:
+def _permute_into_producer(node: Proof) -> Iterator[tuple[bool, Proof]]:
     consumer, producer = node.premises
-    out: list[Proof] = []
     rule = producer.rule
     if rule.name in (TENSOR_L, ODOT_L, ONE_L, WITH_L1, WITH_L2, BRINGS_REFL, ENT):
-        inner = _mk_cut(consumer, producer.premises[0])
-        out.append(Proof(node.conclusion, rule, (inner,)))
+        for late, inner in _cuts(consumer, producer.premises[0]):
+            yield late, Proof(node.conclusion, rule, (inner,))
     elif rule.name in (LIMP_L, LRES_L, RRES_L):
         arg, body = producer.premises
-        inner = _mk_cut(consumer, body)
-        out.append(Proof(node.conclusion, rule, (arg, inner)))
-    return out
+        for late, inner in _cuts(consumer, body):
+            yield late, Proof(node.conclusion, rule, (arg, inner))
 
 
-def _permute_into_consumer(node: Proof) -> list[Proof]:
+def _permute_into_consumer(node: Proof) -> Iterator[tuple[bool, Proof]]:
+    """The cut moved into a premise of the consumer, at each occurrence;
+    the first four occurrences in each premise are early."""
     consumer, producer = node.premises
-    a = producer.conclusion.succ
-    out: list[Proof] = []
     rule = consumer.rule
     prems = consumer.premises
     if rule.name in (WITH_R, BRINGS_WITH):
-        # the antecedent is shared: cut into both premises
-        occs = _occurrences(prems[0].conclusion.ctx, a)
-        for occ in occs[:4]:
-            new = tuple(_mk_cut(pr, producer, occ) for pr in prems)
-            out.append(Proof(node.conclusion, rule, new))
-        return out
+        # the antecedent is shared: cut into both premises at one occurrence
+        for (late, left), (_, right) in zip(
+            _cuts(prems[0], producer, 4), _cuts(prems[1], producer, 4)
+        ):
+            yield late, Proof(node.conclusion, rule, (left, right))
+        return
     for i, pr in enumerate(prems):
-        occs = _occurrences(pr.conclusion.ctx, a)
-        for occ in occs[:4]:
-            inner = _mk_cut(pr, producer, occ)
+        for late, inner in _cuts(pr, producer, 4):
             new = tuple(inner if j == i else q for j, q in enumerate(prems))
-            out.append(Proof(node.conclusion, rule, new))
-    return out
+            yield late, Proof(node.conclusion, rule, new)
+
+
+def _early_first(sources) -> Iterator[tuple[str, Proof]]:
+    """The ``(kind, candidate)`` pairs of each ``(kind, candidates)``
+    source in order, every early candidate before every late one."""
+    late: list[tuple[str, Proof]] = []
+    for kind, cands in sources:
+        for is_late, cand in cands:
+            if is_late:
+                late.append((kind, cand))
+            else:
+                yield kind, cand
+    yield from late
 
 
 # ---------------------------------------------------------------------------
@@ -392,21 +369,18 @@ def reduce_once(
     consumer, producer = node.premises
     a = producer.conclusion.succ
 
-    candidates: list[tuple[str, Proof]] = []
     if consumer.rule.name == AX:
-        candidates.append(("principal", producer))
+        sources = [("principal", [(False, producer)])]
     elif producer.rule.name == AX:
-        candidates.append(("principal", consumer))
+        sources = [("principal", [(False, consumer)])]
     elif producer.rule.name not in _RIGHT_INTRO:
         # a left rule or entropy on the producer side; lift the cut past
         # it, falling back to the consumer side (needed when the producer
         # ends in NotNec, whose premise loses the cut formula)
-        candidates.extend(
-            ("permutation", c) for c in _permute_into_producer(node)
-        )
-        candidates.extend(
-            ("permutation", c) for c in _permute_into_consumer(node)
-        )
+        sources = [
+            ("permutation", _permute_into_producer(node)),
+            ("permutation", _permute_into_consumer(node)),
+        ]
     else:
         pair = (consumer.rule.name, producer.rule.name)
         if pair in DEFECTIVE_PAIRS:
@@ -416,16 +390,14 @@ def reduce_once(
                 formula=a,
                 path=path,
             )
-        try:
-            principal = _principal_candidates(node)
-        except _NoOccurrence:
-            principal = []
-        candidates.extend(("principal", c) for c in principal)
-        candidates.extend(
-            ("permutation", c) for c in _permute_into_consumer(node)
-        )
+        sources = [
+            ("principal", _principal_candidates(node)),
+            ("permutation", _permute_into_consumer(node)),
+        ]
 
-    for kind, cand in candidates:
+    # every occurrence of the cut formula is tried, but the candidates
+    # at the first one (the first four, into the consumer) come first
+    for kind, cand in _early_first(sources):
         closed = _close_ctx(cand, node.conclusion)
         if closed is None:
             continue

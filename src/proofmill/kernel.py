@@ -30,22 +30,17 @@ from .context import (
     EMPTY,
     Context,
     Leaf,
-    MSet,
     Par,
     Sequent,
     Ser,
     context_formulas,
-    empty,
     entropy_le,
     fill,
     join,
     leaf,
-    mset,
-    mset_without,
     par,
     positions,
     ser,
-    single,
     singleton_body,
 )
 from .syntax import (
@@ -204,12 +199,6 @@ def _fits(x: Context, c: Sequent) -> bool:
 def _unfill(y: Context, parts: tuple[Formula, ...], serial: bool, f: Formula):
     """Every antecedent with an occurrence of ``f`` at which putting the
     parallel (or serial) composition of ``parts`` gives ``y``."""
-    if isinstance(y, MSet):
-        left = Counter(y.formulas)
-        left.subtract(parts)
-        if min(left.values(), default=0) >= 0:
-            yield mset(tuple(left.elements()) + (f,))
-        return
     if len(parts) == 1:
         for pt in _leaf_paths(y, parts[0]):
             yield fill(y, pt, leaf(f))
@@ -241,7 +230,7 @@ def _ax(c: Sequent, ps: list[Sequent], agent) -> bool:
 
 
 def _one_r(c: Sequent, ps: list[Sequent], agent) -> bool:
-    return not ps and isinstance(c.succ, Unit) and c.ctx == empty(c.system.is_tree)
+    return not ps and isinstance(c.succ, Unit) and c.ctx is EMPTY
 
 
 def _left_unary(kind, parts, serial: bool = False, agentive: bool = False):
@@ -266,10 +255,10 @@ def _with_leaf(y: Context, u: Leaf):
     tree ``y``.  Deleting a leaf collapses its parent when one sibling
     is left, and that sibling may then flatten into its grandparent, so
     ``u`` may sit beside any node, inside any serial node, or beside a
-    proper run (serial) or group (parallel) of a node's children."""
-    if y == EMPTY:
-        yield u
-        return
+    proper run (serial) or group (parallel) of a node's children.
+    ``u`` beside the whole of ``y`` comes first: in a multiset it is
+    the only place."""
+    yield par([y, u])
     for pt, n in positions(y):
         yield fill(y, pt, par([n, u]))
         yield fill(y, pt, ser([u, n]))
@@ -300,13 +289,11 @@ def _one_l(c: Sequent, ps: list[Sequent], agent) -> bool:
     units = _principals(c, Unit)
     if not units:
         return False
-    if isinstance(y, MSet):
-        return _fits(mset(y.formulas + tuple(units)), c)
     seen: set[Context] = set()
     for x in _with_leaf(y, leaf(units[0])):
         if x not in seen:
             seen.add(x)
-            if entropy_le(x, c.ctx):
+            if _fits(x, c):
                 return True
     return False
 
@@ -340,10 +327,6 @@ def _limp_r(c: Sequent, ps: list[Sequent], agent) -> bool:
     if len(ps) != 1 or not isinstance(g, Limp) or ps[0].succ != g.right:
         return False
     y = ps[0].ctx
-    if isinstance(y, MSet):
-        if g.left not in y.formulas:
-            return False
-        return _fits(mset_without(y, g.left), c)
     a = leaf(g.left)
     if y == a:
         return _fits(EMPTY, c)
@@ -384,12 +367,6 @@ def _imp_left(kind, arg_of, res_of, block):
             if arg_of(f) != ps[0].succ:
                 continue
             res = res_of(f)
-            if isinstance(y, MSet):
-                if res in y.formulas:
-                    rest = mset_without(y, res).formulas
-                    if _fits(mset(gamma.formulas + rest + (f,)), c):  # type: ignore[union-attr]
-                        return True
-                continue
             for pt in _leaf_paths(y, res):
                 if _fits(fill(y, pt, block(gamma, leaf(f))), c):
                     return True
@@ -411,9 +388,8 @@ def _converse(c: Sequent, ps: list[Sequent], agent) -> bool:
         and g.agent == agent
     ):
         return False
-    tree = c.system.is_tree
     a, b = body.body, g.body
-    want = [(single(a, tree), b), (single(b, tree), a)]
+    want = [(leaf(a), b), (leaf(b), a)]
     return [(s.ctx, s.succ) for s in ps] == want
 
 
@@ -421,7 +397,7 @@ def _not_nec(c: Sequent, ps: list[Sequent], agent) -> bool:
     body = singleton_body(c.ctx)
     if c.succ != BOT or not isinstance(body, Brings) or body.agent != agent:
         return False
-    return [(s.ctx, s.succ) for s in ps] == [(empty(c.system.is_tree), body.body)]
+    return [(s.ctx, s.succ) for s in ps] == [(EMPTY, body.body)]
 
 
 _CHECKS = {
@@ -465,16 +441,6 @@ def _check_cut(node: Proof) -> str | None:
     concl = node.conclusion
     if consumer.succ != concl.succ:
         return "Cut conclusion succedent differs from first premise"
-    if isinstance(concl.ctx, MSet):
-        assert isinstance(consumer.ctx, MSet) and isinstance(producer.ctx, MSet)
-        if a not in consumer.ctx.formulas:
-            return "cut formula missing from first premise antecedent"
-        expect = mset(
-            mset_without(consumer.ctx, a).formulas + producer.ctx.formulas
-        )
-        if expect != concl.ctx:
-            return "Cut antecedent bookkeeping mismatch"
-        return None
     for path, n in positions(consumer.ctx):
         if isinstance(n, Leaf) and n.formula == a:
             if fill(consumer.ctx, path, producer.ctx) == concl.ctx:

@@ -108,6 +108,17 @@ def _up(above: list[int], mask: int) -> int:
     return out
 
 
+def _product(above: list[int], table: list[list[int]], x: int, y: int) -> int:
+    """The up-closed pointwise product of world sets ``x`` and ``y``
+    under the operation ``table``."""
+    prods = 0
+    for i in _bits(x):
+        row = table[i]
+        for j in _bits(y):
+            prods |= 1 << row[j]
+    return _up(above, prods)
+
+
 class _Frame:
     """Index tables for one model; world sets are int bitmasks."""
 
@@ -293,14 +304,8 @@ class Evaluator:
         return self._fr.ser
 
     def _product(self, f, table: list[list[int]]) -> int:
-        a = self.extension_mask(f.left)
-        b = self.extension_mask(f.right)
-        prods = 0
-        for i in _bits(a):
-            row = table[i]
-            for j in _bits(b):
-                prods |= 1 << row[j]
-        return _up(self._fr.above, prods)
+        return _product(self._fr.above, table, self.extension_mask(f.left),
+                        self.extension_mask(f.right))
 
     def _arrow(self, f, table: list[list[int]], flip: bool) -> int:
         # flip=False: require n . m in ||right|| for all n in ||left||
@@ -490,11 +495,7 @@ def validate_model(m: Model, system: System) -> ModelReport:
                     for x in table[w1]:
                         for w2 in range(n):
                             for y in table[w2]:
-                                prod = 0
-                                for i in _bits(x):
-                                    for j in _bits(y):
-                                        prod |= 1 << t[i][j]
-                                want = _up(fr.above, prod)
+                                want = _product(fr.above, t, x, y)
                                 home = t[w1][w2]
                                 if want not in table[home]:
                                     bad.append(
@@ -656,11 +657,7 @@ def _close_neighbourhoods(
                     for x in list(table[w1]):
                         for w2 in range(n):
                             for y in list(table[w2]):
-                                prod = 0
-                                for i in _bits(x):
-                                    for j in _bits(y):
-                                        prod |= 1 << t[i][j]
-                                z = _up(above, prod)
+                                z = _product(above, t, x, y)
                                 home = t[w1][w2]
                                 if z not in table[home]:
                                     table[home].add(z)

@@ -1,8 +1,12 @@
-"""Seeded random deduction trees for the Hilbert tests."""
+"""Random test inputs: seeded deduction trees for the Hilbert tests and
+a Hypothesis strategy for normal-form antecedent trees."""
 from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
+from proofmill.context import leaf, par, ser
 from proofmill.hilbert import (
     AXIOM_SCHEMATA,
     DeductionTree,
@@ -27,6 +31,19 @@ from proofmill.syntax import (
 )
 
 _ATOMS = tuple(atom(n) for n in ("p", "q", "r"))
+
+
+def trees(leafs=st.sampled_from(_ATOMS).map(leaf), max_leaves=5):
+    """Normal-form trees over ``leafs``, parallel and serial nodes of two
+    or three children."""
+    return st.recursive(
+        leafs,
+        lambda kids: st.one_of(
+            st.lists(kids, min_size=2, max_size=3).map(par),
+            st.lists(kids, min_size=2, max_size=3).map(ser),
+        ),
+        max_leaves=max_leaves,
+    )
 
 
 def random_formula(rng: random.Random, depth: int = 2):

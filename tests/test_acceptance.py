@@ -22,6 +22,7 @@ import pytest
 from proofmill.calculus import CUT, Proof, Rule, check_proof, cut_count
 from proofmill.context import (
     Leaf,
+    context_formulas,
     fill,
     leaf,
     mset,
@@ -281,7 +282,7 @@ def _mill_cut_proofs(oracle, rng, count):
             (consumer, producer),
         )
         for _ in range(rng.randrange(3)):
-            members = node.conclusion.ctx.formulas
+            members = context_formulas(node.conclusion.ctx)
             cuttable = [f for f in members if f in by_succ]
             if not cuttable:
                 break
@@ -502,7 +503,7 @@ def test_hilbert_schemata_check_translate_and_discharge():
         translated = hilbert_to_sequent(d, system)
         assert check_proof(translated).ok, schema.name
         assert translated.conclusion.succ is instance
-        assert not translated.conclusion.ctx.formulas
+        assert not context_formulas(translated.conclusion.ctx)
 
     for i in range(50):
         rng = random.Random(1000 + i)

@@ -421,6 +421,34 @@ def test_json_round_trip():
     assert proof_to_json(back) == json.loads(blob)
 
 
+@pytest.mark.parametrize(
+    "system, shown",
+    [(MILL, "|- "), (RS, "|- "), (PCMILL, "() |- "), (SRS, "() |- ")],
+)
+def test_empty_antecedent_prints_and_round_trips(system, shown):
+    from proofmill.search import Proved, prove
+
+    goal = parse_sequent("|- (p -o p) * 1", system)
+    assert goal.key == shown + "((p -o p) * 1)"
+    assert parse_sequent(goal.key, system) == goal
+    result = prove(goal)
+    assert isinstance(result, Proved)
+    d = proof_to_json(result.proof)
+    assert d["proof"]["sequent"] == goal.key
+    # the conclusion, the LimpR conclusion and the OneR leaf
+    texts = [n["sequent"] for n in _json_nodes(d["proof"])]
+    assert sum(t.startswith(shown) for t in texts) == 3
+    back = proof_from_json(json.loads(json.dumps(d)))
+    assert back == result.proof
+    assert proof_to_json(back) == d
+
+
+def _json_nodes(node: dict):
+    yield node
+    for q in node["premises"]:
+        yield from _json_nodes(q)
+
+
 def test_json_keeps_agent_and_system():
     g = parse_sequent("E[i]p |- bot", RS)
     pr = Proof(g, Rule("NotNec", "i"), (ax(parse_sequent("|- p", RS)),))

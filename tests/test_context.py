@@ -1,17 +1,16 @@
-"""Antecedent structure: multisets, trees, splits, entropy preimages."""
+"""Antecedent structure: multisets as flat trees, trees, splits, entropy
+preimages."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from proofmill.context import (
     DEFAULT_STRUCTURAL_BOUND,
     EMPTY,
     Leaf,
-    MSet,
     MixedSeparatorError,
     Par,
-    Sequent,
     Ser,
     context_complexity,
     context_formulas,
@@ -34,6 +33,8 @@ from proofmill.context import (
 )
 from proofmill.syntax import atom, odot, parse_formula, parse_system, tensor, unit
 
+from gentrees import trees
+
 MILL = parse_system("MILL")
 PCMILL = parse_system("PCMILL")
 SRS = parse_system("SRSBIAT:i,s")
@@ -50,12 +51,14 @@ def test_mset_is_order_insensitive():
 
 
 def test_mset_keeps_duplicates():
-    assert mset([p, p]).formulas == (p, p)
+    assert context_formulas(mset([p, p])) == [p, p]
     assert mset([p, p]) != mset([p])
 
 
-def test_mset_differs_from_leaf():
-    assert mset([p]) != leaf(p)
+def test_mset_is_a_flat_par():
+    assert mset([q, p]) is par([leaf(p), leaf(q)])
+    assert mset([p]) is leaf(p)
+    assert mset([]) is EMPTY
 
 
 # -- trees --------------------------------------------------------------------
@@ -115,7 +118,7 @@ def test_fill_mset_splices():
 
 def test_split_parallel_mset():
     pairs = {(a.key, b.key) for a, b in split_parallel(mset([p, q]))}
-    assert pairs == {("", "p, q"), ("p", "q"), ("q", "p"), ("p, q", "")}
+    assert pairs == {("()", "p, q"), ("p", "q"), ("q", "p"), ("p, q", "()")}
 
 
 def test_split_parallel_par_tree():
@@ -166,11 +169,6 @@ def test_split_serial_par_cuts_a_serial_child():
     assert ("p, r", "q") not in pairs
 
 
-def test_split_serial_rejects_mset():
-    with pytest.raises(TypeError):
-        split_serial(mset([p]))
-
-
 # -- entropy preimages ----------------------------------------------------------
 
 
@@ -212,11 +210,6 @@ def test_preimage_overflow_flag():
     assert len(pres) <= 64
 
 
-def test_preimages_of_mset_trivial():
-    pres, overflow = structural_preimages(mset([p, q]))
-    assert pres == [mset([p, q])] and not overflow
-
-
 # -- sequents -------------------------------------------------------------------
 
 
@@ -234,11 +227,19 @@ def test_sequent_system_part_of_identity():
     assert a != b
 
 
-def test_sequent_kind_enforced():
-    with pytest.raises(TypeError):
-        Sequent(mset([p]), p, SRS)
-    with pytest.raises(TypeError):
-        Sequent(leaf(p), p, MILL)
+def test_multiset_systems_refuse_serial_antecedents():
+    from proofmill.syntax import ParseError
+
+    rs = parse_system("RSBIAT:i")
+    for system in (MILL, rs):
+        with pytest.raises(ValueError):
+            sequent(ser([leaf(p), leaf(q)]), p, system)
+        with pytest.raises(ValueError):
+            sequent(par([ser([leaf(p), leaf(q)]), leaf(r)]), p, system)
+        for text in ("p ; q |- p", "[p ; q], r |- p", "r, [p ; q] |- p"):
+            with pytest.raises(ParseError):
+                parse_sequent(text, system)
+    assert sequent(ser([leaf(p), leaf(q)]), p, PCMILL).key == "p ; q |- p"
 
 
 def test_parse_tree_sequent():
@@ -287,26 +288,12 @@ def test_sequent_round_trip_property():
 
 # -- context properties -----------------------------------------------------------
 
-_leafs = st.sampled_from([p, q, r]).map(leaf)
-
-
-def _trees(leafs=_leafs, max_leaves=5):
-    return st.recursive(
-        leafs,
-        lambda kids: st.one_of(
-            st.lists(kids, min_size=2, max_size=3).map(par),
-            st.lists(kids, min_size=2, max_size=3).map(ser),
-        ),
-        max_leaves=max_leaves,
-    )
-
-
-@given(_trees())
+@given(trees())
 def test_normalize_idempotent_property(t):
     assert normalize(t) is t
 
 
-@given(_trees())
+@given(trees())
 def test_preimages_preserve_leaves_property(t):
     pres, overflow = structural_preimages(t, 512)
     base = sorted(f.key for f in context_formulas(t))
@@ -316,12 +303,12 @@ def test_preimages_preserve_leaves_property(t):
     assert len(set(pres)) == len(pres)
 
 
-@given(_trees())
+@given(trees())
 def test_split_parallel_reassembles_property(t):
     for a, b in split_parallel(t):
         assert par([a, b]) == t or (a is EMPTY and b == t) or (b is EMPTY and a == t)
 
 
-@given(_trees())
+@given(trees())
 def test_context_complexity_matches_formulas(t):
     assert context_complexity(t) == sum(f.size for f in context_formulas(t))

@@ -373,6 +373,63 @@ def test_stacked_cuts_reduce_topmost_first():
     assert_eliminated(cut)
 
 
+# -- every occurrence of the cut formula is tried --------------------------------
+
+
+def _tensor_cut(system, after: str, before: str, concl: str, succ: str):
+    """A TensorL consumer (antecedent ``after`` from ``before``) cut on
+    ``a * b`` against a TensorR proof of ``x, x -o a, b |- a * b``."""
+    consumer = Proof(
+        parse_sequent(f"{after} |- {succ}", system),
+        Rule("TensorL"),
+        (proved(f"{before} |- {succ}", system),),
+    )
+    producer = Proof(
+        parse_sequent("x, x -o a, b |- a * b", system),
+        Rule("TensorR"),
+        (proved("x, x -o a |- a", system), ax("b |- b", system)),
+    )
+    return Proof(parse_sequent(f"{concl} |- {succ}", system), Rule("Cut"), (consumer, producer))
+
+
+def test_principal_sub_cut_at_a_later_occurrence():
+    # the sub-cut on a belongs at the second a, inside the parallel node
+    cut = _tensor_cut(
+        PCMILL, "a ; (a * b)", "a ; [a, b]", "a ; [x, x -o a, b]", "a @ (a * b)"
+    )
+    assert check_proof(cut).ok
+    _, trace = assert_eliminated(cut)
+    assert trace.steps[0].kind == "principal"
+    twin = _tensor_cut(MILL, "a, (a * b)", "a, a, b", "a, x, x -o a, b", "a * (a * b)")
+    assert len(assert_eliminated(twin)[1]) == 4
+
+
+def _odot_cut(n: int):
+    """OdotR over ``X ; ... ; X ; a`` (n copies of X = p * q), cut at its
+    last X against ``p, q |- p * q``."""
+    xs = " ; ".join(["(p * q)"] * n)
+    left = " @ ".join(["(p * q)"] * n)
+    consumer = Proof(
+        parse_sequent(f"{xs} ; a |- ({left}) @ a", PCMILL),
+        Rule("OdotR"),
+        (proved(f"{xs} |- {left}", PCMILL), ax("a |- a", PCMILL)),
+    )
+    producer = proved("p, q |- p * q", PCMILL)
+    concl = " ; ".join(["(p * q)"] * (n - 1) + ["[p, q]", "a"])
+    return Proof(
+        parse_sequent(f"{concl} |- ({left}) @ a", PCMILL), Rule("Cut"), (consumer, producer)
+    )
+
+
+def test_permutation_reaches_past_the_fourth_occurrence():
+    assert len(assert_eliminated(_odot_cut(4))[1]) == 7
+    cut = _odot_cut(5)
+    assert check_proof(cut).ok
+    reduced, step = reduce_once(cut)
+    assert step.kind == "permutation" and reduced.rule.name == "OdotR"
+    assert_eliminated(cut)
+
+
 # -- dead ends ------------------------------------------------------------------
 
 

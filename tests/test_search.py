@@ -46,7 +46,7 @@ from proofmill.syntax import (
     with_,
 )
 
-from test_context import _trees
+from gentrees import trees
 
 MILL = parse_system("MILL")
 PCMILL = parse_system("PCMILL")
@@ -269,7 +269,7 @@ _TREE_FORMULAS = st.recursive(
 
 
 _TREE_CONTEXTS = st.one_of(
-    _trees(max_leaves=5), _trees(_TREE_FORMULAS.map(leaf), max_leaves=5))
+    trees(max_leaves=5), trees(_TREE_FORMULAS.map(leaf), max_leaves=5))
 
 
 @settings(max_examples=100, deadline=None)
