@@ -123,7 +123,7 @@ def _sorted_par(kids: list[Context]) -> Context:
     if len(kids) == 1:
         return kids[0]
     # a child is a leaf or a bracketed serial node
-    key = ", ".join(c.key if isinstance(c, Leaf) else f"[{c.key}]" for c in kids)
+    key = ", ".join([c.key if isinstance(c, Leaf) else f"[{c.key}]" for c in kids])
     got = _TREE_INTERN.get(key)
     if got is None:
         got = Par(tuple(kids), key)
@@ -160,7 +160,7 @@ def ser(children: Iterable[Context]) -> Context:
     if len(flat) == 1:
         return flat[0]
     # a child is a leaf or a bracketed parallel node
-    key = " ; ".join(c.key if isinstance(c, Leaf) else f"[{c.key}]" for c in flat)
+    key = " ; ".join([c.key if isinstance(c, Leaf) else f"[{c.key}]" for c in flat])
     got = _TREE_INTERN.get(key)
     if got is None:
         got = Ser(tuple(flat), key)
@@ -191,9 +191,10 @@ def context_formulas(c: Context) -> list[Formula]:
     """The leaf formulas, left to right."""
     got = c._formulas
     if got is None:
-        got = c._formulas = tuple(
-            f for ch in c.children for f in context_formulas(ch)  # type: ignore[attr-defined]
-        )
+        out: list[Formula] = []
+        for ch in c.children:  # type: ignore[attr-defined]
+            out += ch._formulas if ch._formulas is not None else context_formulas(ch)
+        got = c._formulas = tuple(out)
     return list(got)
 
 

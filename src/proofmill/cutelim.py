@@ -7,6 +7,10 @@ cut by cuts on strictly smaller formulas, or permutes the cut upward
 past a rule that does not touch the cut formula.  Candidate subtrees
 are built semantically and verified with the proof checker before
 being spliced in, so context bookkeeping mistakes cannot slip through.
+One ``CheckSession`` serves the whole elimination, so each candidate
+check covers only the nodes that no earlier check in it accepted, and
+the search for the next cut resumes where the last rewrite was spliced
+in rather than starting again from the root.
 
 The agent systems admit five principal pairs with no reduction: a
 ``NotNec`` or ``BringsRe`` step consuming a formula that the producer
@@ -56,6 +60,7 @@ from .calculus import (
     WITH_L1,
     WITH_L2,
     WITH_R,
+    CheckSession,
     Proof,
     Rule,
     check_proof,
@@ -145,19 +150,21 @@ class ReductionTrace:
 # helpers
 
 
-def _subproof(p: Proof, path: tuple[int, ...]) -> Proof:
+def _spine(p: Proof, path: tuple[int, ...]) -> list[Proof]:
+    """The nodes from ``p`` down to the one at ``path``, both included."""
+    nodes = [p]
     for i in path:
-        p = p.premises[i]
-    return p
+        nodes.append(nodes[-1].premises[i])
+    return nodes
 
 
 def _splice(p: Proof, path: tuple[int, ...], new: Proof) -> Proof:
-    if not path:
-        return new
-    i = path[0]
-    prems = list(p.premises)
-    prems[i] = _splice(prems[i], path[1:], new)
-    return Proof(p.conclusion, p.rule, tuple(prems))
+    """``p`` with ``new`` in place of the node at ``path``."""
+    for node, i in zip(reversed(_spine(p, path[:-1])), reversed(path)):
+        prems = list(node.premises)
+        prems[i] = new
+        new = Proof(node.conclusion, node.rule, tuple(prems))
+    return new
 
 
 def _cut(consumer: Proof, producer: Proof, ctx: Context) -> Proof:
@@ -335,11 +342,12 @@ def _early_first(sources) -> Iterator[tuple[str, Proof]]:
 # the reduction driver
 
 
-def _topmost_cut(p: Proof) -> tuple[int, ...] | None:
-    """The first cut in postorder.  Its premises are cut-free, and since
-    cuts with cut-free premises never nest, it is also the first such
-    cut in preorder."""
-    stack: list[tuple[tuple[int, ...], Proof, bool]] = [((), p, False)]
+def _topmost_cut(p: Proof, at: tuple[int, ...] = ()) -> tuple[int, ...] | None:
+    """The path of the first cut in postorder, below ``at`` when ``p`` is
+    the node at ``at``.  Its premises are cut-free, and since cuts with
+    cut-free premises never nest, it is also the first such cut in
+    preorder."""
+    stack: list[tuple[tuple[int, ...], Proof, bool]] = [(at, p, False)]
     while stack:
         path, node, done = stack.pop()
         if done:
@@ -352,19 +360,46 @@ def _topmost_cut(p: Proof) -> tuple[int, ...] | None:
     return None
 
 
+def _next_cut(p: Proof, path: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The first cut in postorder of ``p``, just rewritten at ``path``
+    where the first cut was.  What precedes ``path`` in postorder was
+    cut-free and is unchanged, so the search starts in the new subtree
+    at ``path``, then takes each ancestor's later premises and the
+    ancestor itself, going up."""
+    spine = _spine(p, path)
+    found = _topmost_cut(spine[-1], path)
+    for k in range(len(path) - 1, -1, -1):
+        if found is not None:
+            return found
+        parent = spine[k]
+        for i in range(path[k] + 1, len(parent.premises)):
+            found = _topmost_cut(parent.premises[i], path[:k] + (i,))
+            if found is not None:
+                return found
+        if parent.rule.name == CUT:
+            return path[:k]
+    return found
+
+
 def reduce_once(
-    p: Proof, path: tuple[int, ...] | None = None
+    p: Proof,
+    path: tuple[int, ...] | None = None,
+    session: CheckSession | None = None,
 ) -> tuple[Proof, ReductionStep]:
     """Rewrite one topmost cut (or the cut at ``path``) and return the
-    new proof together with the step taken."""
+    new proof together with the step taken.
+
+    ``eliminate_cuts`` passes its ``session``: candidates are checked in
+    it, and the cut at ``path`` is taken to be topmost, as its next-cut
+    search makes it, without counting the cuts above it."""
     if path is None:
         path = _topmost_cut(p)
         if path is None:
             raise ValueError("proof is cut-free")
-    node = _subproof(p, path)
+    node = _spine(p, path)[-1]
     if node.rule.name != CUT:
         raise ValueError(f"no cut at {path}")
-    if cut_count(node) != 1:
+    if session is None and cut_count(node) != 1:
         raise ValueError(f"cut at {path} has cuts above it")
     consumer, producer = node.premises
     a = producer.conclusion.succ
@@ -401,7 +436,7 @@ def reduce_once(
         closed = _close_ctx(cand, node.conclusion)
         if closed is None:
             continue
-        if check_proof(closed).ok:
+        if check_proof(closed, session).ok:
             return _splice(p, path, closed), ReductionStep(kind, a, path)
     raise CutEliminationError(
         "no verified reduction applies",
@@ -414,20 +449,23 @@ def reduce_once(
 def eliminate_cuts(
     p: Proof, step_cap: int = STEP_CAP
 ) -> tuple[Proof, ReductionTrace]:
-    """Drive ``reduce_once`` to a cut-free proof of the same sequent."""
-    report = check_proof(p)
+    """Drive ``reduce_once`` to a cut-free proof of the same sequent.
+
+    One check session lives for the call: the input is checked in it,
+    and so is every candidate, so a node is checked at most once."""
+    session = CheckSession()
+    report = check_proof(p, session)
     if not report.ok:
         raise ValueError(f"input proof does not check: {report.violations[:3]}")
     steps: list[ReductionStep] = []
     current = p
-    while True:
-        path = _topmost_cut(current)
-        if path is None:
-            break
+    path = _topmost_cut(current)
+    while path is not None:
         if len(steps) >= step_cap:
             raise CutEliminationError(
                 f"no normal form within {step_cap} steps", path=path
             )
-        current, step = reduce_once(current, path)
+        current, step = reduce_once(current, path, session)
         steps.append(step)
+        path = _next_cut(current, path)
     return current, ReductionTrace(tuple(steps), current)

@@ -11,6 +11,12 @@ conclusion as it stands in every system.  The kernel imports only
 ``syntax`` and ``context``: it shares nothing with the premise
 enumerator that proof search uses.
 
+A ``CheckSession`` lets a run of checks over proofs that share subtrees
+(cut elimination splices each checked candidate into the proof and
+reuses its cut-free parts in the next one) check each node once: a
+check that passes records every node it visited, and a later check in
+the same session skips any subtree so recorded.
+
 Premise order follows the rule schemas:
 
     Cut          Γ, A ⊢ C   and   Γ′ ⊢ A      then  Γ, Γ′ ⊢ C
@@ -165,6 +171,26 @@ def proof_nodes(p: Proof):
             stack.append((path + (i,), node.premises[i]))
 
 
+class CheckSession:
+    """Nodes accepted by earlier ``check_proof`` calls, and the formulas
+    and sequents found well formed, for proofs of one system.
+
+    Only ``check_proof`` fills a session, and only from a check that
+    passes: a check with violations records no node.  Nodes are held by
+    reference, so their ``id`` is not reused while the session lives.
+    A verdict on a node depends on the node, its premises' conclusions
+    and the system alone, so a recorded subtree needs no second look.
+    """
+
+    __slots__ = ("_system", "_accepted", "_formulas", "_sequents")
+
+    def __init__(self) -> None:
+        self._system: System | None = None
+        self._accepted: dict[int, Proof] = {}
+        self._formulas: set[str] = set()
+        self._sequents: set[str] = set()
+
+
 @dataclass(frozen=True)
 class CheckReport:
     ok: bool
@@ -286,11 +312,11 @@ def _one_l(c: Sequent, ps: list[Sequent], agent) -> bool:
     if len(ps) != 1 or ps[0].succ != c.succ:
         return False
     y = ps[0].ctx
-    units = _principals(c, Unit)
-    if not units:
+    unit = next((f for f in context_formulas(c.ctx) if isinstance(f, Unit)), None)
+    if unit is None:
         return False
     seen: set[Context] = set()
-    for x in _with_leaf(y, leaf(units[0])):
+    for x in _with_leaf(y, leaf(unit)):
         if x not in seen:
             seen.add(x)
             if _fits(x, c):
@@ -461,12 +487,26 @@ def _check_ent(node: Proof) -> str | None:
     return "premise is not an entropy preimage of the conclusion"
 
 
-def check_proof(p: Proof) -> CheckReport:
+def check_proof(p: Proof, session: CheckSession | None = None) -> CheckReport:
+    """Check every node of ``p``.  With a ``session``, skip each subtree
+    that a passing check in the session visited; the report is the one
+    a check without the session gives."""
     violations: list[tuple[tuple[int, ...], str]] = []
     system = p.conclusion.system
-    # keys of the formulas and sequents found well formed in this call
-    ok_formulas: set[str] = set()
-    ok_sequents: set[str] = set()
+    # keys of the formulas and sequents found well formed, in this call
+    # or in the session; nodes visited, when there is a session
+    accepted: dict[int, Proof] | None = None
+    visited: list[Proof] = []
+    if session is None:
+        ok_formulas: set[str] = set()
+        ok_sequents: set[str] = set()
+    else:
+        if session._system is None:
+            session._system = system
+        elif session._system != system:
+            raise ValueError(f"session checks {session._system} proofs, not {system}")
+        ok_formulas, ok_sequents = session._formulas, session._sequents
+        accepted = session._accepted
 
     def well_formed(f: Formula) -> bool:
         todo, seen = [f], []
@@ -499,6 +539,10 @@ def check_proof(p: Proof) -> CheckReport:
     stack: list[tuple[tuple[int, ...], Proof]] = [((), p)]
     while stack:
         path, node = stack.pop()
+        if accepted is not None:
+            if id(node) in accepted:
+                continue
+            visited.append(node)
         for i in reversed(range(len(node.premises))):
             stack.append((path + (i,), node.premises[i]))
         if node.conclusion.system is not system and node.conclusion.system != system:
@@ -527,4 +571,7 @@ def check_proof(p: Proof) -> CheckReport:
             err = f"premises do not instantiate {rule}"
         if err:
             violations.append((path, err))
+    if accepted is not None and not violations:
+        for node in visited:
+            accepted[id(node)] = node
     return CheckReport(not violations, tuple(violations))

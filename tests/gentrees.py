@@ -1,12 +1,25 @@
-"""Random test inputs: seeded deduction trees for the Hilbert tests and
-a Hypothesis strategy for normal-form antecedent trees."""
+"""Random test inputs: seeded deduction trees for the Hilbert tests,
+seeded composed-cut proofs for the cut-elimination tests, and a
+Hypothesis strategy for normal-form antecedent trees."""
 from __future__ import annotations
 
 import random
 
 from hypothesis import strategies as st
 
-from proofmill.context import leaf, par, ser
+from proofmill.calculus import CUT, Proof, Rule
+from proofmill.context import (
+    Leaf,
+    context_formulas,
+    fill,
+    leaf,
+    mset,
+    par,
+    positions,
+    sequent,
+    ser,
+    to_formula,
+)
 from proofmill.hilbert import (
     AXIOM_SCHEMATA,
     DeductionTree,
@@ -19,12 +32,17 @@ from proofmill.hilbert import (
     schema,
     with_rule,
 )
+from proofmill.search import Proved, prove
 from proofmill.syntax import (
     Limp,
     System,
     SystemId,
     atom,
+    box,
+    brings,
     limp,
+    odot,
+    parse_system,
     tensor,
     unit,
     with_,
@@ -108,3 +126,124 @@ def random_deduction(
             ),
         )
     return rng.choice(with_assumptions)
+
+
+# -- composed-cut proofs
+
+_MILL = parse_system("MILL")
+
+
+def _must_prove(goal):
+    outcome = prove(goal)
+    assert isinstance(outcome, Proved), goal.key
+    return outcome.proof
+
+
+def mill_cut_proofs(oracle, rng, count):
+    """Cut compositions of oracle-derivable parts, one to three cuts each."""
+    known = sorted(
+        oracle.known,
+        key=lambda s: (s[1].key, tuple(f.key for f in s[0])),
+    )
+    by_succ = {}
+    for ants, succ in known:
+        by_succ.setdefault(succ, []).append(ants)
+    consumers = [s for s in known if s[0]]
+
+    proofs = []
+    while len(proofs) < count:
+        ants, succ = consumers[rng.randrange(len(consumers))]
+        cuttable = [f for f in ants if f in by_succ]
+        if not cuttable:
+            continue
+        cut_f = cuttable[rng.randrange(len(cuttable))]
+        producer_ants = rng.choice(by_succ[cut_f])
+        consumer = _must_prove(sequent(mset(ants), succ, _MILL))
+        producer = _must_prove(sequent(mset(producer_ants), cut_f, _MILL))
+        rest = list(ants)
+        rest.remove(cut_f)
+        node = Proof(
+            sequent(mset(tuple(rest) + producer_ants), succ, _MILL),
+            Rule(CUT),
+            (consumer, producer),
+        )
+        for _ in range(rng.randrange(3)):
+            members = context_formulas(node.conclusion.ctx)
+            cuttable = [f for f in members if f in by_succ]
+            if not cuttable:
+                break
+            cut_f = cuttable[rng.randrange(len(cuttable))]
+            producer_ants = rng.choice(by_succ[cut_f])
+            producer = _must_prove(sequent(mset(producer_ants), cut_f, _MILL))
+            rest = list(members)
+            rest.remove(cut_f)
+            node = Proof(
+                sequent(mset(tuple(rest) + producer_ants), succ, _MILL),
+                Rule(CUT),
+                (node, producer),
+            )
+        proofs.append(node)
+    return proofs
+
+
+def _fold_context(rng, leaves):
+    parts = [leaf(f) for f in leaves]
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        combine = rng.choice((ser, par))
+        parts[i:i + 2] = [combine(parts[i:i + 2])]
+    return parts[0]
+
+
+def tree_cut_proofs(rng, system, count):
+    """Cut a proved subcontext into a serial or parallel consumer."""
+    if system.ident is SystemId.PCMILL:
+        pool = [atom("p"), atom("q"), atom("r"), box(atom("p"))]
+    else:
+        pool = [atom("p"), atom("q"),
+                brings("a", atom("p")), brings("b", atom("q"))]
+    proofs = []
+    for i in range(count):
+        leaves = [rng.choice(pool) for _ in range(rng.choice((2, 3)))]
+        ctx = _fold_context(rng, leaves)
+        cut_f = to_formula(ctx)
+        producer = _must_prove(sequent(ctx, cut_f, system))
+
+        extra = rng.choice(pool)
+        if rng.random() < 0.5:
+            consumer_ctx = ser([leaf(cut_f), leaf(extra)])
+            goal_succ = odot(cut_f, extra)
+        else:
+            consumer_ctx = par([leaf(cut_f), leaf(extra)])
+            goal_succ = tensor(cut_f, extra)
+        consumer = _must_prove(sequent(consumer_ctx, goal_succ, system))
+
+        cut_path = next(
+            path for path, node in positions(consumer_ctx)
+            if isinstance(node, Leaf) and node.formula is cut_f
+        )
+        node = Proof(
+            sequent(fill(consumer_ctx, cut_path, ctx), goal_succ, system),
+            Rule(CUT),
+            (consumer, producer),
+        )
+        if i % 2:
+            # stack a second cut on the leftover atom leaf
+            target = next(
+                (path, n.formula)
+                for path, n in positions(node.conclusion.ctx)
+                if isinstance(n, Leaf) and n.formula is extra
+            )
+            source = leaf(with_(extra, rng.choice(pool)))
+            producer2 = _must_prove(sequent(source, extra, system))
+            node = Proof(
+                sequent(
+                    fill(node.conclusion.ctx, target[0], source),
+                    goal_succ,
+                    system,
+                ),
+                Rule(CUT),
+                (node, producer2),
+            )
+        proofs.append(node)
+    return proofs

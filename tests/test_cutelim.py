@@ -1,7 +1,12 @@
 """Cut elimination: principal reductions, permutations, dead ends."""
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
+from gentrees import mill_cut_proofs, random_deduction, tree_cut_proofs
+from oracle import MillOracle
 
 from proofmill.calculus import (
     Proof,
@@ -10,7 +15,7 @@ from proofmill.calculus import (
     cut_count,
     proof_nodes,
 )
-from proofmill.context import parse_sequent
+from proofmill.context import mset, parse_sequent, sequent
 from proofmill.cutelim import (
     DEFECTIVE_PAIRS,
     CutEliminationError,
@@ -19,13 +24,21 @@ from proofmill.cutelim import (
     eliminate_cuts,
     reduce_once,
 )
+from proofmill.hilbert import (
+    assumption,
+    axiom_leaf,
+    hilbert_to_sequent,
+    modus_ponens,
+    schema,
+)
 from proofmill.search import Exhausted, Proved, prove
-from proofmill.syntax import parse_system
+from proofmill.syntax import parse_formula, parse_system
 
 MILL = parse_system("MILL")
 PCMILL = parse_system("PCMILL")
 RS = parse_system("RSBIAT:a,t")
 SRS = parse_system("SRSBIAT:a")
+SRS_AB = parse_system("SRSBIAT:a,b")
 
 
 def ax(text, sys):
@@ -38,8 +51,29 @@ def proved(text, sys):
     return r.proof
 
 
+def reference_eliminate(p):
+    """The reference for ``eliminate_cuts``: sessionless ``reduce_once`` from the root,
+    which finds the topmost cut by a full scan and recounts the cuts
+    above it, until no cut remains."""
+    steps, current = [], p
+    while cut_count(current):
+        current, step = reduce_once(current)
+        steps.append(step)
+    return current, tuple(steps)
+
+
+def assert_matches_reference(p):
+    """``eliminate_cuts`` takes the reference loop's steps (kind, cut
+    formula, path) and reaches an equal proof."""
+    final, trace = eliminate_cuts(p)
+    ref_final, ref_steps = reference_eliminate(p)
+    assert trace.steps == ref_steps
+    assert final == ref_final
+    return final, trace
+
+
 def assert_eliminated(cut_proof):
-    final, trace = eliminate_cuts(cut_proof)
+    final, trace = assert_matches_reference(cut_proof)
     assert cut_count(final) == 0
     assert check_proof(final).ok
     assert final.conclusion == cut_proof.conclusion
@@ -302,6 +336,7 @@ def test_axiom_consumer_collapses_to_producer():
     )
     reduced, step = reduce_once(cut)
     assert reduced == producer and step.kind == "principal"
+    assert_eliminated(cut)
 
 
 def test_axiom_producer_collapses_to_consumer():
@@ -312,6 +347,7 @@ def test_axiom_producer_collapses_to_consumer():
     )
     reduced, step = reduce_once(cut)
     assert reduced == consumer and step.kind == "principal"
+    assert_eliminated(cut)
 
 
 def test_permutation_into_left_rule_producer():
@@ -353,18 +389,23 @@ def test_permutation_into_consumer_with_r():
     assert_eliminated(cut)
 
 
-def test_stacked_cuts_reduce_topmost_first():
+def _stacked_cut():
+    """A cut whose producer ends in another cut."""
     step1 = proved("p * q |- q * p", MILL)
     step2 = proved("q * p |- 1 * (q * p)", MILL)
     inner = Proof(
         parse_sequent("p * q |- 1 * (q * p)", MILL), Rule("Cut"), (step2, step1)
     )
     outer_consumer = proved("1 * (q * p) |- q * p", MILL)
-    cut = Proof(
+    return Proof(
         parse_sequent("p * q |- q * p", MILL),
         Rule("Cut"),
         (outer_consumer, inner),
     )
+
+
+def test_stacked_cuts_reduce_topmost_first():
+    cut = _stacked_cut()
     assert check_proof(cut).ok
     assert cut_count(cut) == 2
     # first reduction must target the inner (topmost) cut
@@ -529,9 +570,83 @@ def test_reduce_once_needs_a_cut():
         reduce_once(proved("p |- p", MILL))
 
 
+def test_reduce_once_rejects_a_cut_with_a_cut_above_it():
+    cut = _stacked_cut()
+    with pytest.raises(ValueError, match=r"cut at \(\) has cuts above it"):
+        reduce_once(cut, ())
+
+
 def test_cut_free_input_round_trips():
     pr = proved("p, q |- p * q", MILL)
     final, trace = eliminate_cuts(pr)
     assert final == pr
     assert trace.steps == ()
     assert len(trace) == 0
+
+
+# -- eliminate_cuts against the reference loop ---------------------------------------
+# (every proof that ``assert_eliminated`` takes is compared as well)
+
+
+@pytest.mark.parametrize("build", [_defect_not_nec_tensor, _defect_re_tensor])
+def test_eliminate_stops_at_the_reference_dead_end(build):
+    with pytest.raises(CutEliminationError) as got:
+        eliminate_cuts(build())
+    with pytest.raises(CutEliminationError) as reference:
+        reference_eliminate(build())
+    assert (got.value.pair, got.value.path) == (
+        reference.value.pair,
+        reference.value.path,
+    )
+
+
+def _hilbert_cut_proofs():
+    """Translated Hilbert deductions with at least two cuts: q, p |- p * q
+    by two modus ponens on tensor-intro, and seeded random deductions."""
+    p, q = parse_formula("p", MILL), parse_formula("q", MILL)
+    intro = axiom_leaf(schema("tensor-intro").instantiate({"A": p, "B": q}), MILL)
+    tree = modus_ponens(assumption(q), modus_ponens(assumption(p), intro))
+    proofs = [hilbert_to_sequent(tree, MILL)]
+    for seed in range(40):
+        system = MILL if seed % 2 == 0 else RS
+        sp = hilbert_to_sequent(random_deduction(random.Random(seed), system), system)
+        if cut_count(sp) >= 2:
+            proofs.append(sp)
+    return proofs
+
+
+def test_eliminate_matches_reference_on_hilbert_translations():
+    proofs = _hilbert_cut_proofs()
+    assert len(proofs) >= 10
+    for p in proofs:
+        assert_eliminated(p)
+
+
+def test_eliminate_matches_reference_on_composed_proofs():
+    rng = random.Random(20260815)
+    proofs = (
+        mill_cut_proofs(MillOracle(bound=8), rng, 120)
+        + tree_cut_proofs(rng, PCMILL, 40)
+        + tree_cut_proofs(rng, SRS_AB, 40)
+    )
+    assert sum(cut_count(p) >= 2 for p in proofs) >= 50
+    for p in proofs:
+        assert_matches_reference(p)
+
+
+# -- deep proofs ------------------------------------------------------------------
+
+
+def test_deep_proof_eliminates():
+    # one Ax/Ax cut under 1,500 OneL steps: the cut's path is 1,500 long
+    ax_p = ax("p |- p", MILL)
+    node = Proof(ax_p.conclusion, Rule("Cut"), (ax_p, ax_p))
+    one, p = parse_formula("1", MILL), parse_formula("p", MILL)
+    for k in range(1, 1501):
+        node = Proof(sequent(mset([one] * k + [p]), p, MILL), Rule("OneL"), (node,))
+    start = time.perf_counter()
+    final, trace = eliminate_cuts(node)
+    assert time.perf_counter() - start < 1.0
+    assert [(s.kind, s.path) for s in trace.steps] == [("principal", (0,) * 1500)]
+    assert final.conclusion == node.conclusion
+    assert cut_count(final) == 0 and check_proof(final).ok

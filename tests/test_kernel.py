@@ -16,6 +16,7 @@ from proofmill.calculus import (
     CUT,
     ENT,
     SYSTEM_RULES,
+    CheckSession,
     Proof,
     Rule,
     check_proof,
@@ -32,6 +33,7 @@ from proofmill.context import (
     leaf,
     mset,
     par,
+    parse_sequent,
     positions,
     ser,
     structural_preimages,
@@ -289,6 +291,82 @@ def test_tree_rules_accept_exactly_what_the_enumerator_lists(name, alphabet, suc
                         got = () not in kernel_violations(node)
                         assert got == (tuple(s.key for s in prems) in want), (
                             node.conclusion, [s.key for s in prems])
+
+
+# -- check sessions ----------------------------------------------------------------
+
+MILL = parse_system("MILL")
+PCMILL = parse_system("PCMILL")
+
+
+def _node(text: str, rule: str, *premises: Proof) -> Proof:
+    return Proof(parse_sequent(text, MILL), Rule(rule), premises)
+
+
+def test_session_rejection_records_nothing():
+    # the TensorR node is sound and its Ax premise p |- q is not: once the
+    # check fails, a proof that reuses the TensorR subtree must still be
+    # rejected at that premise
+    bad = _node("p |- q", AX)
+    pair = _node("p, q |- q * q", "TensorR", bad, _node("q |- q", AX))
+    reuse = _node("p, q |- q * q", CUT, _node("q * q |- q * q", AX), pair)
+    session = CheckSession()
+    first = check_proof(pair, session)
+    assert [path for path, _ in first.violations] == [(0,)]
+    second = check_proof(reuse, session)
+    assert second == check_proof(reuse)
+    assert [path for path, _ in second.violations] == [(1, 0)]
+
+
+def test_session_reports_match_sessionless_reports(corpus_proofs):
+    # one session per system sees each proof, then its one-node mutants,
+    # which reuse every subtree off the mutated path
+    sessions: dict = {}
+    for entry_id, proof in corpus_proofs[:8]:
+        session = sessions.setdefault(proof.system, CheckSession())
+        assert check_proof(proof, session) == check_proof(proof), entry_id
+        nodes = list(proof_nodes(proof))
+        sequents = list(dict.fromkeys(n.conclusion for _, n in nodes))
+        for path, node in nodes:
+            for mutant in list(_mutants(node, sequents))[:6]:
+                whole = _splice(proof, path, mutant)
+                assert check_proof(whole, session) == check_proof(whole), entry_id
+
+
+def test_session_skips_only_what_it_accepted(corpus_proofs, monkeypatch):
+    import proofmill.kernel as kernel
+
+    # rule_admissible runs once for each node of a well-formed proof
+    judged = []
+    admissible = kernel.rule_admissible
+
+    def counting(rule, system):
+        judged.append(rule)
+        return admissible(rule, system)
+
+    monkeypatch.setattr(kernel, "rule_admissible", counting)
+    sized = [(len(list(proof_nodes(pr))), pr) for _, pr in corpus_proofs]
+    size, proof = max(sized, key=lambda t: t[0])
+    session = CheckSession()
+    assert check_proof(proof, session).ok and len(judged) == size
+    assert check_proof(proof, session).ok and len(judged) == size
+    # without a session, every node is checked again
+    assert check_proof(proof).ok and len(judged) == 2 * size
+    # a new root over the accepted proof: only the two new nodes
+    succ = proof.conclusion.succ
+    wrapped = Proof(
+        proof.conclusion,
+        Rule(CUT),
+        (Proof(Sequent(leaf(succ), succ, proof.system), Rule(AX)), proof),
+    )
+    assert check_proof(wrapped, session).ok and len(judged) == 2 * size + 2
+
+
+def test_session_serves_one_system():
+    session = CheckSession()
+    assert check_proof(_node("p |- p", AX), session).ok
+    with pytest.raises(ValueError, match="session"):
+        check_proof(Proof(parse_sequent("p |- p", PCMILL), Rule(AX)), session)
 
 
 # -- import boundary -------------------------------------------------------------
