@@ -21,6 +21,7 @@ follows the rule schemas listed in ``kernel.py``.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import Iterator
 
 from .context import (
     EMPTY,
@@ -190,14 +191,14 @@ class _Matcher:
     """Premise enumeration for one goal.  Every rule reads the goal's
     own antecedent: entropy is absorbed into the shapes that the rules
     building ``;`` list (``split_serial`` and ``_arg_groups``), and only
-    ``Ent`` itself lists the goal's structural preimages."""
+    ``Ent`` itself lists the goal's structural preimages.  Each rule
+    method is a generator of premise lists, so a caller that stops at
+    the first provable list never builds the others."""
 
     def __init__(self, goal: Sequent):
         self.ctx = goal.ctx
         self.system = goal.system
         self.succ = goal.succ
-        self._out: list[list[Sequent]] = []
-        self._seen: set[tuple[str, ...]] = set()
 
     @cached_property
     def leaves(self) -> list[tuple[Formula, Path]]:
@@ -219,105 +220,102 @@ class _Matcher:
         walk(self.ctx, ())
         return out
 
-    def emit(self, premises: list[Sequent]) -> None:
-        key = tuple(s.key for s in premises)
-        if key not in self._seen:
-            self._seen.add(key)
-            self._out.append(premises)
-
-    def run(self, rule: Rule) -> list[list[Sequent]]:
-        self._out = []
-        self._seen = set()
-        fn = _DISPATCH[rule.name]
-        fn(self, rule)
-        return self._out
+    def run(self, rule: Rule) -> Iterator[list[Sequent]]:
+        """The premise lists of ``rule``, as they are found, each once."""
+        seen: set[tuple[str, ...]] = set()
+        for premises in _DISPATCH[rule.name](self, rule):
+            key = tuple([s.key for s in premises])
+            if key not in seen:
+                seen.add(key)
+                yield premises
 
     # -- leaves ------------------------------------------------------------
 
-    def _ax(self, rule: Rule) -> None:
+    def _ax(self, rule: Rule) -> Iterator[list[Sequent]]:
         if singleton_body(self.ctx) == self.succ:
-            self.emit([])
+            yield []
 
-    def _one_r(self, rule: Rule) -> None:
+    def _one_r(self, rule: Rule) -> Iterator[list[Sequent]]:
         if isinstance(self.succ, Unit) and self.ctx is EMPTY:
-            self.emit([])
+            yield []
 
     # -- unary left rules ----------------------------------------------------
 
-    def _left_unary(self, pick) -> None:
+    def _left_unary(self, pick) -> Iterator[list[Sequent]]:
         """Apply a left rule replacing one principal occurrence; ``pick``
         maps a formula to the replacement subcontext (or None)."""
         for f, path in self.leaves:
             repl = pick(f)
             if repl is not None:
-                self.emit([_seq(fill(self.ctx, path, repl), self.succ, self.system)])
+                yield [_seq(fill(self.ctx, path, repl), self.succ, self.system)]
 
-    def _tensor_l(self, rule: Rule) -> None:
-        self._left_unary(
+    def _tensor_l(self, rule: Rule) -> Iterator[list[Sequent]]:
+        return self._left_unary(
             lambda f: par([leaf(f.left), leaf(f.right)]) if isinstance(f, Tensor) else None
         )
 
-    def _odot_l(self, rule: Rule) -> None:
-        self._left_unary(
+    def _odot_l(self, rule: Rule) -> Iterator[list[Sequent]]:
+        return self._left_unary(
             lambda f: ser([leaf(f.left), leaf(f.right)]) if isinstance(f, Odot) else None
         )
 
-    def _one_l(self, rule: Rule) -> None:
-        self._left_unary(lambda f: EMPTY if isinstance(f, Unit) else None)
+    def _one_l(self, rule: Rule) -> Iterator[list[Sequent]]:
+        return self._left_unary(lambda f: EMPTY if isinstance(f, Unit) else None)
 
-    def _with_l(self, rule: Rule, first: bool) -> None:
-        self._left_unary(
+    def _with_l(self, rule: Rule, first: bool) -> Iterator[list[Sequent]]:
+        return self._left_unary(
             lambda f: leaf(f.left if first else f.right) if isinstance(f, With) else None
         )
 
-    def _brings_refl(self, rule: Rule) -> None:
-        self._left_unary(
+    def _brings_refl(self, rule: Rule) -> Iterator[list[Sequent]]:
+        return self._left_unary(
             lambda f: leaf(f.body)
             if isinstance(f, Brings) and f.agent == rule.agent else None
         )
 
     # -- right rules ---------------------------------------------------------
 
-    def _pair(self, left_succ: Formula, right_succ: Formula) -> None:
+    def _pair(self, left_succ: Formula, right_succ: Formula) -> list[Sequent]:
         sys = self.system
-        self.emit([_seq(self.ctx, left_succ, sys), _seq(self.ctx, right_succ, sys)])
+        return [_seq(self.ctx, left_succ, sys), _seq(self.ctx, right_succ, sys)]
 
-    def _with_r(self, rule: Rule) -> None:
+    def _with_r(self, rule: Rule) -> Iterator[list[Sequent]]:
         if isinstance(self.succ, With):
-            self._pair(self.succ.left, self.succ.right)
+            yield self._pair(self.succ.left, self.succ.right)
 
-    def _limp_r(self, rule: Rule) -> None:
+    def _limp_r(self, rule: Rule) -> Iterator[list[Sequent]]:
         if isinstance(self.succ, Limp):
             prem = par([self.ctx, leaf(self.succ.left)])
-            self.emit([_seq(prem, self.succ.right, self.system)])
+            yield [_seq(prem, self.succ.right, self.system)]
 
-    def _lres_r(self, rule: Rule) -> None:
+    def _lres_r(self, rule: Rule) -> Iterator[list[Sequent]]:
         if isinstance(self.succ, Lres):
             prem = ser([leaf(self.succ.left), self.ctx])  # type: ignore[list-item]
-            self.emit([_seq(prem, self.succ.right, self.system)])
+            yield [_seq(prem, self.succ.right, self.system)]
 
-    def _rres_r(self, rule: Rule) -> None:
+    def _rres_r(self, rule: Rule) -> Iterator[list[Sequent]]:
         if isinstance(self.succ, Rres):
             prem = ser([self.ctx, leaf(self.succ.right)])  # type: ignore[list-item]
-            self.emit([_seq(prem, self.succ.left, self.system)])
+            yield [_seq(prem, self.succ.left, self.system)]
 
-    def _split_pair(self, left_succ: Formula, right_succ: Formula, serial: bool) -> None:
+    def _split_pair(self, left_succ: Formula, right_succ: Formula,
+                    serial: bool) -> Iterator[list[Sequent]]:
         sys = self.system
         pairs = split_serial(self.ctx) if serial else split_parallel(self.ctx)
         for lctx, rctx in pairs:
-            self.emit([_seq(lctx, left_succ, sys), _seq(rctx, right_succ, sys)])
+            yield [_seq(lctx, left_succ, sys), _seq(rctx, right_succ, sys)]
 
-    def _tensor_r(self, rule: Rule) -> None:
+    def _tensor_r(self, rule: Rule) -> Iterator[list[Sequent]]:
         if isinstance(self.succ, Tensor):
-            self._split_pair(self.succ.left, self.succ.right, serial=False)
+            yield from self._split_pair(self.succ.left, self.succ.right, serial=False)
 
-    def _odot_r(self, rule: Rule) -> None:
+    def _odot_r(self, rule: Rule) -> Iterator[list[Sequent]]:
         if isinstance(self.succ, Odot):
-            self._split_pair(self.succ.left, self.succ.right, serial=True)
+            yield from self._split_pair(self.succ.left, self.succ.right, serial=True)
 
     # -- implication left rules ----------------------------------------------
 
-    def _limp_l(self, rule: Rule) -> None:
+    def _limp_l(self, rule: Rule) -> Iterator[list[Sequent]]:
         sys = self.system
         succ = self.succ
         ctx = self.ctx
@@ -325,7 +323,7 @@ class _Matcher:
             if not isinstance(f, Limp):
                 continue
             # the implication alone, with an empty argument group
-            self.emit([_seq(EMPTY, f.left, sys), _seq(fill(ctx, path, leaf(f.right)), succ, sys)])
+            yield [_seq(EMPTY, f.left, sys), _seq(fill(ctx, path, leaf(f.right)), succ, sys)]
             if len(path) == 0:
                 continue
             parent = ctx
@@ -337,9 +335,9 @@ class _Matcher:
             others = parent.children[:i] + parent.children[i + 1 :]
             for gamma, keep in split_parallel(par(others))[1:]:
                 new_parent = par([keep, leaf(f.right)])
-                self.emit([_seq(gamma, f.left, sys), _seq(fill(ctx, path[:-1], new_parent), succ, sys)])
+                yield [_seq(gamma, f.left, sys), _seq(fill(ctx, path[:-1], new_parent), succ, sys)]
 
-    def _res_l(self, rule: Rule, left_residual: bool) -> None:
+    def _res_l(self, rule: Rule, left_residual: bool) -> Iterator[list[Sequent]]:
         sys = self.system
         want = Lres if left_residual else Rres
         for f, path in self.leaves:
@@ -347,27 +345,27 @@ class _Matcher:
                 continue
             arg, res = (f.left, f.right) if left_residual else (f.right, f.left)
             for gamma, rest, _ in _arg_groups(self.ctx, path, res, left_residual):
-                self.emit([_seq(gamma, arg, sys), _seq(rest, self.succ, sys)])
+                yield [_seq(gamma, arg, sys), _seq(rest, self.succ, sys)]
 
-    def _lres_l(self, rule: Rule) -> None:
-        self._res_l(rule, left_residual=True)
+    def _lres_l(self, rule: Rule) -> Iterator[list[Sequent]]:
+        return self._res_l(rule, left_residual=True)
 
-    def _rres_l(self, rule: Rule) -> None:
-        self._res_l(rule, left_residual=False)
+    def _rres_l(self, rule: Rule) -> Iterator[list[Sequent]]:
+        return self._res_l(rule, left_residual=False)
 
     # -- modal rules -----------------------------------------------------------
 
-    def _converse(self, a: Formula, b: Formula) -> None:
+    def _converse(self, a: Formula, b: Formula) -> list[Sequent]:
         """BoxRe and BringsRe: A ⊢ B and B ⊢ A."""
         sys = self.system
-        self.emit([_seq(leaf(a), b, sys), _seq(leaf(b), a, sys)])
+        return [_seq(leaf(a), b, sys), _seq(leaf(b), a, sys)]
 
-    def _box_re(self, rule: Rule) -> None:
+    def _box_re(self, rule: Rule) -> Iterator[list[Sequent]]:
         body = singleton_body(self.ctx)
         if isinstance(body, Box) and isinstance(self.succ, Box):
-            self._converse(body.body, self.succ.body)
+            yield self._converse(body.body, self.succ.body)
 
-    def _brings_re(self, rule: Rule) -> None:
+    def _brings_re(self, rule: Rule) -> Iterator[list[Sequent]]:
         body = singleton_body(self.ctx)
         if (
             isinstance(body, Brings)
@@ -375,12 +373,12 @@ class _Matcher:
             and body.agent == rule.agent
             and self.succ.agent == rule.agent
         ):
-            self._converse(body.body, self.succ.body)
+            yield self._converse(body.body, self.succ.body)
 
-    def _not_nec(self, rule: Rule) -> None:
+    def _not_nec(self, rule: Rule) -> Iterator[list[Sequent]]:
         body = singleton_body(self.ctx)
         if self.succ == BOT and isinstance(body, Brings) and body.agent == rule.agent:
-            self.emit([_seq(EMPTY, body.body, self.system)])
+            yield [_seq(EMPTY, body.body, self.system)]
 
     def _brings_body(self, rule: Rule, shape) -> Formula | None:
         succ = self.succ
@@ -388,31 +386,31 @@ class _Matcher:
             return succ.body
         return None
 
-    def _brings_tensor(self, rule: Rule) -> None:
+    def _brings_tensor(self, rule: Rule) -> Iterator[list[Sequent]]:
         body = self._brings_body(rule, Tensor)
         if body is not None:
             a = rule.agent
-            self._split_pair(brings(a, body.left), brings(a, body.right), serial=False)
+            yield from self._split_pair(brings(a, body.left), brings(a, body.right), serial=False)
 
-    def _brings_odot(self, rule: Rule) -> None:
+    def _brings_odot(self, rule: Rule) -> Iterator[list[Sequent]]:
         body = self._brings_body(rule, Odot)
         if body is not None:
             a = rule.agent
-            self._split_pair(brings(a, body.left), brings(a, body.right), serial=True)
+            yield from self._split_pair(brings(a, body.left), brings(a, body.right), serial=True)
 
-    def _brings_with(self, rule: Rule) -> None:
+    def _brings_with(self, rule: Rule) -> Iterator[list[Sequent]]:
         body = self._brings_body(rule, With)
         if body is not None:
             a = rule.agent
-            self._pair(brings(a, body.left), brings(a, body.right))
+            yield self._pair(brings(a, body.left), brings(a, body.right))
 
-    def _ent(self, rule: Rule) -> None:
+    def _ent(self, rule: Rule) -> Iterator[list[Sequent]]:
         for ctx in structural_preimages(self.ctx)[0][1:]:
-            self.emit([_seq(ctx, self.succ, self.system)])
+            yield [_seq(ctx, self.succ, self.system)]
 
-    def _cut(self, rule: Rule) -> None:
+    def _cut(self, rule: Rule) -> Iterator[list[Sequent]]:
         # not enumerable backward (any cut formula); search never uses it
-        return
+        return iter(())
 
 
 _DISPATCH = {
@@ -457,7 +455,7 @@ def apply_rule(goal: Sequent, rule: Rule) -> list[list[Sequent]]:
     """
     if not rule_admissible(rule, goal.system):
         raise ValueError(f"rule {rule} not admissible in {goal.system}")
-    return _Matcher(goal).run(rule)
+    return list(_Matcher(goal).run(rule))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Generator
 
 from .calculus import (
     AX,
@@ -110,74 +111,87 @@ class SearchStats:
 
 
 @functools.cache
-def _rule_tables(system: System) -> tuple[tuple[Rule, ...], tuple[Rule, ...]]:
-    """The invertible and the choice rules of ``system``, in
-    ``DEFAULT_RULE_ORDER``, agent rules instantiated per agent."""
+def _rule_table(system: System) -> tuple[tuple[Rule, bool], ...]:
+    """The rules of ``system`` in ``DEFAULT_RULE_ORDER``, agent rules
+    instantiated per agent, each paired with whether search commits to
+    its first premise list."""
     avail = SYSTEM_RULES[system.ident]
-    inv: list[Rule] = []
-    rest: list[Rule] = []
+    table: list[tuple[Rule, bool]] = []
     for name in DEFAULT_RULE_ORDER:
         if name not in avail:
             continue
-        bucket = inv if name in INVERTIBLE_RULES else rest
+        committed = name in INVERTIBLE_RULES
         if name in AGENT_RULES:
-            bucket.extend(Rule(name, a) for a in system.agents)
+            table.extend((Rule(name, a), committed) for a in system.agents)
         else:
-            bucket.append(Rule(name))
-    return tuple(inv), tuple(rest)
+            table.append((Rule(name), committed))
+    return tuple(table)
 
 
 class _Engine:
     def __init__(self, system: System):
-        self.invertible, self.choice = _rule_tables(system)
+        self.rules = _rule_table(system)
         self.success: dict[Sequent, Proof] = {}
         self.failed: set[Sequent] = set()
         self.stats = SearchStats()
 
-    def search(self, goal: Sequent, depth: int) -> Proof | None:
-        hit = self.success.get(goal)
-        if hit is not None:
-            return hit
-        if goal in self.failed:
-            self.stats.memo_hits += 1
-            return None
-        self.stats.explored += 1
-        if depth > self.stats.peak_depth:
-            self.stats.peak_depth = depth
-        proof = self._expand(goal, depth)
-        if proof is None:
-            self.failed.add(goal)
-        else:
-            self.success[goal] = proof
-        return proof
+    def search(self, goal: Sequent) -> Proof | None:
+        """Prove ``goal`` with one loop over a stack of open goals.  Each
+        frame holds a goal and its ``_expand`` generator; the stack
+        never holds more goals than the root's total complexity."""
+        stats = self.stats
+        stats.explored += 1
+        stack = [(goal, self._expand(goal))]
+        answer: Proof | None = None
+        while stack:
+            goal, expansion = stack[-1]
+            try:
+                premise = expansion.send(answer)
+            except StopIteration as done:
+                stack.pop()
+                answer = done.value
+                if answer is None:
+                    self.failed.add(goal)
+                else:
+                    self.success[goal] = answer
+                continue
+            stats.explored += 1
+            if len(stack) > stats.peak_depth:
+                stats.peak_depth = len(stack)
+            stack.append((premise, self._expand(premise)))
+            answer = None
+        return answer
 
-    def _try_list(self, premises: list[Sequent], depth: int) -> list[Proof] | None:
-        subs: list[Proof] = []
-        for prem in premises:
-            sub = self.search(prem, depth + 1)
-            if sub is None:
-                return None
-            subs.append(sub)
-        return subs
-
-    def _expand(self, goal: Sequent, depth: int) -> Proof | None:
+    def _expand(self, goal: Sequent) -> Generator[Sequent, Proof | None, Proof | None]:
+        """Try the rules at ``goal`` in order.  A premise the memo
+        decides is settled here; every other premise is yielded, and
+        its proof, or None, is sent back.  Returns the goal's proof, or
+        None."""
         matcher = _Matcher(goal)
-        for rule in self.invertible:
-            lists = matcher.run(rule)
-            if lists:
-                subs = self._try_list(lists[0], depth)
-                return None if subs is None else Proof(goal, rule, tuple(subs))
-        for rule in self.choice:
+        success, failed = self.success, self.failed
+        for rule, committed in self.rules:
             for premises in matcher.run(rule):
-                subs = self._try_list(premises, depth)
-                if subs is not None:
+                subs: list[Proof] = []
+                for premise in premises:
+                    sub = success.get(premise)
+                    if sub is None:
+                        if premise in failed:
+                            self.stats.memo_hits += 1
+                            break
+                        sub = yield premise
+                        if sub is None:
+                            break
+                    subs.append(sub)
+                else:
                     return Proof(goal, rule, tuple(subs))
+                if committed:
+                    return None
         return None
 
 
 def prove_with_stats(goal: Sequent) -> tuple[SearchResult, SearchStats]:
     engine = _Engine(goal.system)
-    proof = engine.search(goal, 0)
+    proof = engine.search(goal)
     st = engine.stats
     if proof is not None:
         return Proved(proof, st.explored, st.peak_depth), st
