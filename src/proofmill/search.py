@@ -6,9 +6,10 @@ its premises at the goal so that they dominate what it lists at any
 structural preimage (see ``apply_rule``), so a proof found here
 mentions only logical rules and axioms.
 
-Invertible rules are tried first and committed to: when one matches,
-only its first premise list is explored and no other rule is tried at
-that goal.  The remaining rules backtrack over every premise list.
+``Ax`` is tried first, then the invertible rules, and search commits
+to each of them: when one matches, only its first premise list is
+explored and no other rule is tried at that goal.  The remaining rules
+backtrack over every premise list.
 
 Every searched rule strictly decreases the premise total complexity,
 so no branch is longer than the goal's total complexity and search
@@ -66,8 +67,8 @@ INVERTIBLE_RULES: tuple[str, ...] = (
     WITH_R,
 )
 
-DEFAULT_RULE_ORDER: tuple[str, ...] = INVERTIBLE_RULES + (
-    AX,
+# Ax first: a goal it closes needs nothing else
+DEFAULT_RULE_ORDER: tuple[str, ...] = (AX,) + INVERTIBLE_RULES + (
     ONE_R,
     BOX_RE,
     BRINGS_RE,
