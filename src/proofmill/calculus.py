@@ -34,6 +34,8 @@ from .context import (
     fill,
     leaf,
     par,
+    parse_sequent,
+    print_sequent,
     ser,
     singleton_body,
     split_parallel,
@@ -188,12 +190,10 @@ def _arg_groups(ctx: Context, path: Path, res: Formula, before: bool):
 
 
 class _Matcher:
-    """Premise enumeration for one goal.  Every rule reads the goal's
-    own antecedent: entropy is absorbed into the shapes that the rules
-    building ``;`` list (``split_serial`` and ``_arg_groups``), and only
-    ``Ent`` itself lists the goal's structural preimages.  Each rule
-    method is a generator of premise lists, so a caller that stops at
-    the first provable list never builds the others."""
+    """Premise enumeration for one goal, one generator per rule.  Every
+    rule reads the goal's own antecedent: entropy is absorbed into the
+    shapes that the rules building ``;`` list (``split_serial`` and
+    ``_arg_groups``); only ``Ent`` lists structural preimages."""
 
     def __init__(self, goal: Sequent):
         self.ctx = goal.ctx
@@ -464,28 +464,42 @@ def apply_rule(goal: Sequent, rule: Rule) -> list[list[Sequent]]:
 
 def proof_to_json(p: Proof) -> dict:
     def node(n: Proof) -> dict:
-        d: dict = {"sequent": n.conclusion.key, "rule": n.rule.name}
+        d: dict = {"sequent": print_sequent(n.conclusion), "rule": n.rule.name}
         if n.rule.agent is not None:
             d["agent"] = n.rule.agent
-        d["premises"] = [node(q) for q in n.premises]
+        d["premises"] = []
         return d
 
+    root = node(p)
+    todo = [(p, root)]
+    while todo:
+        n, d = todo.pop()
+        for q in n.premises:
+            dq = node(q)
+            d["premises"].append(dq)
+            todo.append((q, dq))
     sys = p.conclusion.system
     return {
         "system": sys.ident.value,
         "agents": list(sys.agents),
-        "proof": node(p),
+        "proof": root,
     }
 
 
 def proof_from_json(data: dict) -> Proof:
-    from .context import parse_sequent
-
     system = System(SystemId(data["system"]), tuple(data.get("agents", ())))
-
-    def node(d: dict) -> Proof:
+    # post-order over the JSON tree; each node's premises are built first
+    done: list[Proof] = []
+    todo: list[tuple[dict, bool]] = [(data["proof"], False)]
+    while todo:
+        d, ready = todo.pop()
+        prems = d.get("premises", ())
+        if not ready:
+            todo.append((d, True))
+            todo += [(q, False) for q in reversed(prems)]
+            continue
+        subs = tuple(done[len(done) - len(prems):])
+        del done[len(done) - len(prems):]
         rule = Rule(d["rule"], d.get("agent"))
-        prems = tuple(node(q) for q in d.get("premises", ()))
-        return Proof(parse_sequent(d["sequent"], system), rule, prems)
-
-    return node(data["proof"])
+        done.append(Proof(parse_sequent(d["sequent"], system), rule, subs))
+    return done[0]

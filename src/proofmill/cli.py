@@ -123,6 +123,15 @@ def _model_system(m: Model, sequent_text: str) -> System:
     return parse_system("PCMILL" if serial else "MILL")
 
 
+def _emit_proof(path: str | None, proof) -> None:
+    """Write ``proof`` as JSON to ``path``, when the caller gave one."""
+    if path:
+        with open(path, "w") as fh:
+            json.dump(proof_to_json(proof), fh, indent=2)
+            fh.write("\n")
+        print(f"proof written to {path}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -135,11 +144,7 @@ def _cmd_prove(args) -> int:
     print(f"explored {result.explored} sequents, "
           f"peak depth {result.peak_depth}")
     if isinstance(result, Proved):
-        if args.emit_proof:
-            with open(args.emit_proof, "w") as fh:
-                json.dump(proof_to_json(result.proof), fh, indent=2)
-                fh.write("\n")
-            print(f"proof written to {args.emit_proof}")
+        _emit_proof(args.emit_proof, result.proof)
         return EXIT_OK
     hint = find_countermodel(seq, max_size=3, attempts=8)
     if hint is not None:
@@ -171,10 +176,7 @@ def _cmd_cut_eliminate(args) -> int:
         raise UsageError(f"{args.path}: {exc}") from None
     try:
         cut_free, trace = eliminate_cuts(p)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_FAIL
-    except CutEliminationError as exc:
+    except (ValueError, CutEliminationError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_FAIL
     if args.trace:
@@ -184,11 +186,7 @@ def _cmd_cut_eliminate(args) -> int:
     print(f"cut-free proof of {cut_free.conclusion.key} "
           f"in {len(trace)} steps "
           f"({proof_size(p)} -> {proof_size(cut_free)} nodes)")
-    if args.emit_proof:
-        with open(args.emit_proof, "w") as fh:
-            json.dump(proof_to_json(cut_free), fh, indent=2)
-            fh.write("\n")
-        print(f"proof written to {args.emit_proof}")
+    _emit_proof(args.emit_proof, cut_free)
     return EXIT_OK
 
 
@@ -219,11 +217,7 @@ def _cmd_hilbert_to_sequent(args) -> int:
         return EXIT_FAIL
     print(f"sequent proof of {p.conclusion.key}  "
           f"[{proof_size(p)} nodes, {cut_count(p)} cuts]")
-    if args.emit_proof:
-        with open(args.emit_proof, "w") as fh:
-            json.dump(proof_to_json(p), fh, indent=2)
-            fh.write("\n")
-        print(f"proof written to {args.emit_proof}")
+    _emit_proof(args.emit_proof, p)
     return EXIT_OK
 
 

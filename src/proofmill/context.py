@@ -38,6 +38,7 @@ from .syntax import (
     UnexpectedTokenError,
     _Parser,
     _show,
+    print_formula,
     validate_formula,
     tensor,
     odot,
@@ -529,8 +530,21 @@ def validate_sequent(s: Sequent) -> None:
     validate_formula(s.succ, s.system)
 
 
+def _print_context(c: Context) -> str:
+    """``c`` as ``key`` prints it, each formula by ``print_formula``."""
+    if isinstance(c, Leaf):
+        return print_formula(c.formula)
+    if isinstance(c, EmptyCtx):
+        return "()"
+    sep = ", " if isinstance(c, Par) else " ; "
+    return sep.join([_print_context(ch) if isinstance(ch, Leaf) else f"[{_print_context(ch)}]"
+                     for ch in c.children])  # type: ignore[attr-defined]
+
+
 def print_sequent(s: Sequent) -> str:
-    return s.key
+    """``s`` as ``key`` prints it, each formula by ``print_formula``."""
+    head = "" if s.ctx is EMPTY and not s.system.is_tree else _print_context(s.ctx) + " "
+    return f"{head}|- {print_formula(s.succ)}"
 
 
 class MixedSeparatorError(ParseError):

@@ -446,9 +446,7 @@ def reduce_once(
     )
 
 
-def eliminate_cuts(
-    p: Proof, step_cap: int = STEP_CAP
-) -> tuple[Proof, ReductionTrace]:
+def eliminate_cuts(p: Proof) -> tuple[Proof, ReductionTrace]:
     """Drive ``reduce_once`` to a cut-free proof of the same sequent.
 
     One check session lives for the call: the input is checked in it,
@@ -461,9 +459,9 @@ def eliminate_cuts(
     current = p
     path = _topmost_cut(current)
     while path is not None:
-        if len(steps) >= step_cap:
+        if len(steps) >= STEP_CAP:
             raise CutEliminationError(
-                f"no normal form within {step_cap} steps", path=path
+                f"no normal form within {STEP_CAP} steps", path=path
             )
         current, step = reduce_once(current, path, session)
         steps.append(step)

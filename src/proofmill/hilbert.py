@@ -554,7 +554,9 @@ def _searched(f: Formula, system: System,
     if got is None:
         result = prove(sequent(mset(()), f, system))
         if not isinstance(result, Proved):
-            raise ValueError(
+            # every axiom instance is provable, so this is a fault in
+            # search, not a verdict on the deduction
+            raise RuntimeError(
                 f"no sequent proof found for |- {print_formula(f)}"
             )
         got = memo[f] = result.proof

@@ -6,16 +6,18 @@ its premises at the goal so that they dominate what it lists at any
 structural preimage (see ``apply_rule``), so a proof found here
 mentions only logical rules and axioms.
 
-``Ax`` is tried first, then the invertible rules, and search commits
-to each of them: when one matches, only its first premise list is
-explored and no other rule is tried at that goal.  The remaining rules
-backtrack over every premise list.
+``Ax``, then the invertible rules, are tried first and committed to:
+when one matches, only its first premise list is explored and no other
+rule is tried at that goal.  The remaining rules backtrack over every
+premise list, which each rule streams, building none past the first
+that proves.
 
 Every searched rule strictly decreases the premise total complexity,
-so no branch is longer than the goal's total complexity and search
-terminates without a budget.  A goal's result depends only on the
-goal, so every success and every failure is memoized.  Search decides
-in every system: ``Exhausted`` means the goal is not provable.
+so the stack of open goals that the search loop keeps is never deeper
+than the goal's total complexity, and search terminates without a
+budget.  A goal's result depends only on the goal, so every success
+and every failure is memoized.  Search decides in every system:
+``Exhausted`` means the goal is not provable.
 """
 from __future__ import annotations
 
@@ -67,8 +69,10 @@ INVERTIBLE_RULES: tuple[str, ...] = (
     WITH_R,
 )
 
-# Ax first: a goal it closes needs nothing else
-DEFAULT_RULE_ORDER: tuple[str, ...] = (AX,) + INVERTIBLE_RULES + (
+# Ax closes its goal outright, so search commits to it as well
+COMMITTED_RULES: tuple[str, ...] = (AX,) + INVERTIBLE_RULES
+
+DEFAULT_RULE_ORDER: tuple[str, ...] = COMMITTED_RULES + (
     ONE_R,
     BOX_RE,
     BRINGS_RE,
@@ -112,20 +116,15 @@ class SearchStats:
 
 
 @functools.cache
-def _rule_table(system: System) -> tuple[tuple[Rule, bool], ...]:
+def _rule_table(system: System) -> tuple[Rule, ...]:
     """The rules of ``system`` in ``DEFAULT_RULE_ORDER``, agent rules
-    instantiated per agent, each paired with whether search commits to
-    its first premise list."""
+    instantiated per agent."""
     avail = SYSTEM_RULES[system.ident]
-    table: list[tuple[Rule, bool]] = []
+    table: list[Rule] = []
     for name in DEFAULT_RULE_ORDER:
-        if name not in avail:
-            continue
-        committed = name in INVERTIBLE_RULES
-        if name in AGENT_RULES:
-            table.extend((Rule(name, a), committed) for a in system.agents)
-        else:
-            table.append((Rule(name), committed))
+        if name in avail:
+            agents = system.agents if name in AGENT_RULES else (None,)
+            table.extend(Rule(name, a) for a in agents)
     return tuple(table)
 
 
@@ -137,9 +136,7 @@ class _Engine:
         self.stats = SearchStats()
 
     def search(self, goal: Sequent) -> Proof | None:
-        """Prove ``goal`` with one loop over a stack of open goals.  Each
-        frame holds a goal and its ``_expand`` generator; the stack
-        never holds more goals than the root's total complexity."""
+        """One loop over the stack of open goals and their expansions."""
         stats = self.stats
         stats.explored += 1
         stack = [(goal, self._expand(goal))]
@@ -164,13 +161,11 @@ class _Engine:
         return answer
 
     def _expand(self, goal: Sequent) -> Generator[Sequent, Proof | None, Proof | None]:
-        """Try the rules at ``goal`` in order.  A premise the memo
-        decides is settled here; every other premise is yielded, and
-        its proof, or None, is sent back.  Returns the goal's proof, or
-        None."""
+        """Yield each premise the memo does not decide, taking back its
+        proof or None; return the goal's proof or None."""
         matcher = _Matcher(goal)
         success, failed = self.success, self.failed
-        for rule, committed in self.rules:
+        for rule in self.rules:
             for premises in matcher.run(rule):
                 subs: list[Proof] = []
                 for premise in premises:
@@ -185,7 +180,7 @@ class _Engine:
                     subs.append(sub)
                 else:
                     return Proof(goal, rule, tuple(subs))
-                if committed:
+                if rule.name in COMMITTED_RULES:
                     return None
         return None
 

@@ -56,6 +56,7 @@ from .syntax import (
     Unit,
     With,
     limp,
+    operands,
     subformulas,
 )
 
@@ -251,23 +252,41 @@ class Evaluator:
     # -- clauses
 
     def extension_mask(self, f: Formula) -> int:
-        got = self._memo.get(f)
-        if got is None:
-            got = self._memo[f] = self._compute(f)
+        memo = self._memo
+        got = memo.get(f)
+        if got is not None:
+            return got
+        # post-order without recursion: a formula whose operands lack an
+        # extension puts them on the stack above itself
+        todo = [f]
+        while todo:
+            g = todo[-1]
+            try:
+                got = memo[g] = self._compute(g)
+            except KeyError:
+                kids = [k for k in operands(g) if k not in memo]
+                if not kids:
+                    raise
+                todo += kids
+                continue
+            todo.pop()
         return got
 
     def _compute(self, f: Formula) -> int:
+        """The extension of ``f``; raises ``KeyError`` while an operand
+        has none in the memo."""
         fr = self._fr
+        memo = self._memo
         if isinstance(f, Atom):
             return self._val.get(f.name, 0)
         if isinstance(f, Unit):
             return fr.above[fr.e]
         if isinstance(f, With):
-            return self.extension_mask(f.left) & self.extension_mask(f.right)
+            return memo[f.left] & memo[f.right]
         if isinstance(f, Tensor):
-            return self._product(f, fr.op)
+            return _product(fr.above, fr.op, memo[f.left], memo[f.right])
         if isinstance(f, Odot):
-            return self._product(f, self._serial(f))
+            return _product(fr.above, self._serial(f), memo[f.left], memo[f.right])
         if isinstance(f, Limp):
             return self._arrow(f, fr.op, flip=False)
         if isinstance(f, Lres):
@@ -276,7 +295,7 @@ class Evaluator:
             return self._arrow(f, self._serial(f), flip=True)
         if isinstance(f, Box):
             table = self._nbhd.get("box")
-            body = self.extension_mask(f.body)
+            body = memo[f.body]
             out = 0
             for m in range(fr.n):
                 if table is not None and body in table[m]:
@@ -288,7 +307,7 @@ class Evaluator:
                 raise ValueError(
                     f"model has no neighbourhood table for agent {f.agent!r}"
                 )
-            body = self.extension_mask(f.body)
+            body = memo[f.body]
             out = 0
             for m in range(fr.n):
                 if body in table[m]:
@@ -303,20 +322,13 @@ class Evaluator:
             )
         return self._fr.ser
 
-    def _product(self, f, table: list[list[int]]) -> int:
-        return _product(self._fr.above, table, self.extension_mask(f.left),
-                        self.extension_mask(f.right))
-
     def _arrow(self, f, table: list[list[int]], flip: bool) -> int:
         # flip=False: require n . m in ||right|| for all n in ||left||
         # flip=True (B / A): require m . n in ||right||; f.right holds the
         # argument side for / per the parser convention
+        arg, res = self._memo[f.left], self._memo[f.right]
         if flip:
-            arg = self.extension_mask(f.right)
-            res = self.extension_mask(f.left)
-        else:
-            arg = self.extension_mask(f.left)
-            res = self.extension_mask(f.right)
+            arg, res = res, arg
         out = 0
         for m in range(self._fr.n):
             if all(

@@ -11,8 +11,9 @@ Connectives, loosest to tightest binding:
 
 Atoms are ``[A-Za-z0-9_]+``; the bare token ``1`` is the multiplicative
 unit and ``bot`` is an ordinary atom that the ``~`` sugar targets:
-``~A`` parses to ``A -o bot``.  The printer emits fully parenthesized
-text, so ``parse_formula(print_formula(f)) == f`` always holds.
+``~A`` parses to ``A -o bot``.  ``print_formula`` emits the fewest
+parentheses that parse back, so ``parse_formula(print_formula(f)) is f``
+always holds; ``Formula.key`` is the fully parenthesized form.
 
 Formulas are interned: constructing the same shape twice returns the
 same object, and equality/hashing go through the cached printed form.
@@ -101,11 +102,13 @@ def parse_system(text: str) -> System:
 class Formula:
     """Base class.  ``key`` is the fully parenthesized printed form and
     doubles as the identity used for equality, hashing and ordering;
-    ``size`` is the complexity measure (connective/atom count)."""
+    ``size`` is the complexity measure (connective/atom count); ``text``
+    is the ``print_formula`` form, kept once printed."""
 
-    __slots__ = ("key", "size")
+    __slots__ = ("key", "size", "text")
     key: str
     size: int
+    text: str | None
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -124,7 +127,7 @@ class Atom(Formula):
 
     def __init__(self, name: str, key: str):
         self.name = name
-        self.key = key
+        self.key = self.text = key
         self.size = 1
 
 
@@ -132,7 +135,7 @@ class Unit(Formula):
     __slots__ = ()
 
     def __init__(self) -> None:
-        self.key = "1"
+        self.key = self.text = "1"
         self.size = 1
 
 
@@ -145,6 +148,7 @@ class BinOp(Formula):
         self.right = right
         self.key = key
         self.size = 1 + left.size + right.size
+        self.text = None
 
 
 class Tensor(BinOp):
@@ -188,6 +192,7 @@ class Box(Formula):
         self.body = body
         self.key = key
         self.size = 1 + body.size
+        self.text = None
 
 
 class Brings(Formula):
@@ -198,6 +203,7 @@ class Brings(Formula):
         self.body = body
         self.key = key
         self.size = 1 + body.size
+        self.text = None
 
 
 _INTERN: dict[str, Formula] = {}
@@ -274,6 +280,15 @@ def complexity(f: Formula) -> int:
     return f.size
 
 
+def operands(f: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of ``f``, left to right."""
+    if isinstance(f, BinOp):
+        return (f.left, f.right)
+    if isinstance(f, (Box, Brings)):
+        return (f.body,)
+    return ()
+
+
 def subformulas(f: Formula) -> set[Formula]:
     out: set[Formula] = set()
     stack = [f]
@@ -325,8 +340,43 @@ def validate_formula(f: Formula, system: System) -> None:
                 raise SystemMismatchError(err)
 
 
+# binding strength of each main connective; atoms and 1 bind tightest
+_LEVEL: dict[type, int] = {
+    Limp: 0, Lres: 0, Rres: 0, With: 1, Tensor: 2, Odot: 3, Box: 4, Brings: 4,
+}
+
+
+def _operand(g: BinOp, side: Formula, nests: bool) -> str:
+    """The text of ``side`` as an operand of ``g``: bracketed unless it
+    binds tighter, or is of ``g``'s own kind on the side where ``g``
+    nests without brackets."""
+    inner, outer = _LEVEL.get(type(side), 5), _LEVEL[type(g)]
+    if inner > outer or inner == outer and nests and type(side) is type(g):
+        return side.text  # type: ignore[return-value]
+    return f"({side.text})"
+
+
 def print_formula(f: Formula) -> str:
-    return f.key
+    """``f`` with the fewest parentheses that parse back to it.  Each
+    subformula keeps its text, so printing shares work across calls."""
+    todo = [f]
+    while todo:
+        g = todo[-1]
+        kids = [k for k in operands(g) if k.text is None]
+        if kids:
+            todo += kids
+            continue
+        todo.pop()
+        if g.text is not None:
+            continue
+        if isinstance(g, BinOp):
+            # -o and \ nest to the right, the others to the left
+            right = isinstance(g, (Limp, Lres))
+            g.text = f"{_operand(g, g.left, not right)} {g.op} {_operand(g, g.right, right)}"
+        else:
+            body = g.body.text if _LEVEL.get(type(g.body), 5) >= 4 else f"({g.body.text})"
+            g.text = ("[]" if isinstance(g, Box) else f"E[{g.agent}]") + body
+    return f.text  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------

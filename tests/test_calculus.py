@@ -434,7 +434,7 @@ def test_empty_antecedent_prints_and_round_trips(system, shown):
     result = prove(goal)
     assert isinstance(result, Proved)
     d = proof_to_json(result.proof)
-    assert d["proof"]["sequent"] == goal.key
+    assert d["proof"]["sequent"] == shown + "(p -o p) * 1"
     # the conclusion, the LimpR conclusion and the OneR leaf
     texts = [n["sequent"] for n in _json_nodes(d["proof"])]
     assert sum(t.startswith(shown) for t in texts) == 3
@@ -447,6 +447,35 @@ def _json_nodes(node: dict):
     yield node
     for q in node["premises"]:
         yield from _json_nodes(q)
+
+
+def _shape(p: Proof) -> list:
+    # proofs compare recursively, so deep ones are compared node by node
+    return [(path, n.conclusion, n.rule) for path, n in proof_nodes(p)]
+
+
+def test_deep_proof_round_trips_through_json():
+    # 1,500 cuts on p |- p, one above the other
+    s = parse_sequent("p |- p", MILL)
+    pr = ax(s)
+    for _ in range(1500):
+        pr = Proof(s, Rule("Cut"), (ax(s), pr))
+    assert check_proof(pr).ok
+    back = proof_from_json(proof_to_json(pr))
+    assert _shape(back) == _shape(pr)
+
+
+def test_long_chain_proof_reads_back():
+    # the fully parenthesized key of this goal nests 149 levels, past
+    # the parser's bound; the printed form does not nest at all
+    from proofmill.search import prove
+
+    chain = " & ".join(["p"] * 150)
+    pr = prove(parse_sequent(f"p |- {chain}", MILL)).proof
+    d = proof_to_json(pr)
+    assert d["proof"]["sequent"] == f"p |- {chain}"
+    back = proof_from_json(json.loads(json.dumps(d)))
+    assert _shape(back) == _shape(pr)
 
 
 def test_json_keeps_agent_and_system():

@@ -14,6 +14,7 @@ from proofmill.hilbert import (
     deduction_to_json,
     modus_ponens,
 )
+from proofmill.search import Exhausted
 from proofmill.semantics import model_from_json, model_to_json, random_model
 from proofmill.syntax import parse_formula, parse_system
 
@@ -60,6 +61,23 @@ class TestProve:
         assert f"proof written to {path}" in out
         data = json.loads(path.read_text())
         assert data["system"] == "MILL"
+
+    def test_emitted_long_chain_proof_checks(self, tmp_path):
+        # the fully parenthesized chain would nest past the parser's bound
+        path = tmp_path / "p.json"
+        chain = " & ".join(["p"] * 150)
+        code, _, _ = cli("prove", "MILL", f"p |- {chain}",
+                         "--emit-proof", str(path))
+        assert code == 0
+        code, out, err = cli("check-proof", str(path))
+        assert code == 0, err
+        assert "299 nodes" in out
+
+    def test_long_unprovable_chain_gets_a_hint(self):
+        chain = " & ".join(["p"] * 1500)
+        code, out, _ = cli("prove", "MILL", f"q |- {chain}")
+        assert code == 1
+        assert "countermodel hint" in out
 
     def test_bad_system_is_usage_error(self):
         code, _, err = cli("prove", "NOPE", "p |- p")
@@ -173,7 +191,7 @@ class TestHilbert:
     def test_hilbert_check_ok(self, deduction_path):
         code, out, _ = cli("hilbert-check", str(deduction_path))
         assert code == 0
-        assert out.startswith("ok: (p & q) |- p")
+        assert out.startswith("ok: p & q |- p")
 
     def test_hilbert_check_rejects_wrong_claim(self, tmp_path,
                                                deduction_path):
@@ -193,6 +211,18 @@ class TestHilbert:
         assert "sequent proof of (p & q) |- p" in out
         code, _, _ = cli("check-proof", str(out_path))
         assert code == 0
+
+
+    def test_search_failure_on_an_axiom_is_internal(self, deduction_path,
+                                                    monkeypatch):
+        # every axiom instance is provable: a failed search is a fault,
+        # not a negative verdict on the deduction
+        monkeypatch.setattr("proofmill.hilbert.prove",
+                            lambda goal: Exhausted(0))
+        code, out, err = cli("hilbert-to-sequent", str(deduction_path))
+        assert code == 3
+        assert err.startswith("internal error: RuntimeError: no sequent proof")
+        assert out == ""
 
 
 class TestModels:

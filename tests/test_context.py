@@ -3,7 +3,7 @@ preimages."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from proofmill.context import (
     DEFAULT_STRUCTURAL_BOUND,
@@ -11,6 +11,7 @@ from proofmill.context import (
     Leaf,
     MixedSeparatorError,
     Par,
+    Sequent,
     Ser,
     context_complexity,
     context_formulas,
@@ -215,7 +216,8 @@ def test_preimage_overflow_flag():
 
 def test_sequent_keys():
     s = parse_sequent("p, q |- p * q", MILL)
-    assert print_sequent(s) == "p, q |- (p * q)"
+    assert s.key == "p, q |- (p * q)"
+    assert print_sequent(s) == "p, q |- p * q"
     assert total_complexity(s) == 5
     s2 = parse_sequent("|- 1", MILL)
     assert s2.key == "|- 1"
@@ -312,3 +314,14 @@ def test_split_parallel_reassembles_property(t):
 @given(trees())
 def test_context_complexity_matches_formulas(t):
     assert context_complexity(t) == sum(f.size for f in context_formulas(t))
+
+
+_LEAF_FORMULAS = st.sampled_from(
+    ["p", "1", "p -o q", "p @ q", "[]p", "[](p * q)", "(p & q) \\ r", "p * q -o r"]
+).map(lambda t: leaf(parse_formula(t, PCMILL)))
+
+
+@given(trees(_LEAF_FORMULAS), st.sampled_from(["p", "p @ q -o r", "[]p"]))
+def test_printed_sequent_parses_back(t, succ):
+    s = Sequent(t, parse_formula(succ, PCMILL), PCMILL)
+    assert parse_sequent(print_sequent(s), PCMILL) == s

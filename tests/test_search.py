@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from proofmill.calculus import (
     AGENT_RULES,
+    LIMP_L,
     Rule,
+    _Matcher,
     apply_rule,
     check_proof,
     cut_count,
@@ -186,6 +188,41 @@ def test_stats_track_exploration():
     assert st_.explored >= 3
     assert st_.peak_depth >= 1
     assert r.explored == st_.explored
+
+
+# -- one loop over lazy premise streams ----------------------------------------
+
+
+def test_deep_branch_needs_no_python_frame_per_level():
+    # WithR leaves a branch 1,500 goals deep; search keeps it on its own
+    # stack, not on Python's
+    goal = parse_sequent("p |- " + " & ".join(["p"] * 1500), MILL)
+    r = prove(goal)
+    assert isinstance(r, Proved)
+    assert r.peak_depth == 1499
+    assert check_proof(r.proof).ok
+
+
+@pytest.mark.parametrize("op, n", [("&", 300), ("*", 8), ("-o", 10)])
+def test_ax_closes_an_identity_before_any_other_rule(op, n):
+    a = f" {op} ".join(f"p{i}" for i in range(n))
+    r, st_ = prove_with_stats(parse_sequent(f"{a} |- {a}", MILL))
+    assert isinstance(r, Proved) and r.proof.rule == Rule("Ax")
+    assert (st_.explored, st_.memo_hits, st_.peak_depth) == (1, 0, 0)
+
+
+def test_premise_lists_stream_lazily(monkeypatch):
+    # the first LimpL list has an empty argument group: it comes before
+    # any split of the other formulas is listed
+    def no_splits(ctx):
+        raise AssertionError("split listed before the first list was used")
+
+    monkeypatch.setattr("proofmill.calculus.split_parallel", no_splits)
+    side = ", ".join(f"q{i}" for i in range(30))
+    goal = parse_sequent(f"{side}, a -o b |- c", MILL)
+    first = next(_Matcher(goal).run(Rule(LIMP_L)))
+    assert first[0].key == "|- a"
+    assert first[1] == parse_sequent(f"b, {side} |- c", MILL)
 
 
 # -- property: search soundness ----------------------------------------------------

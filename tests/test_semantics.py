@@ -17,7 +17,7 @@ from proofmill.semantics import (
     sequent_valid,
     validate_model,
 )
-from proofmill.syntax import SystemId, parse_formula, parse_system
+from proofmill.syntax import SystemId, limp, parse_formula, parse_system
 
 MILL = parse_system("MILL")
 PCMILL = parse_system("PCMILL")
@@ -524,3 +524,23 @@ def test_countermodel_search_is_deterministic():
     if a is not None:
         assert model_to_json(a.model) == model_to_json(b.model)
         assert a.world == b.world
+
+
+def test_long_chains_evaluate():
+    m = random_model(3, 3, MILL)
+    p = parse_formula("p")
+    # built up one link at a time, every step computes a single formula
+    stepwise, chain = Evaluator(m), p
+    for _ in range(1499):
+        chain = limp(p, chain)
+        stepwise.extension_mask(chain)
+    assert Evaluator(m).extension_mask(chain) == stepwise.extension_mask(chain)
+    assert sequent_valid(m, parse_sequent("|- " + " -o ".join(["p"] * 1500), MILL)) \
+        == (m.unit in extension(m, chain))
+
+
+def test_countermodel_for_a_long_chain():
+    s = parse_sequent("q |- " + " & ".join(["p"] * 1500), MILL)
+    cm = find_countermodel(s, 3, attempts=8)
+    assert cm is not None
+    assert not sequent_valid(cm.model, s)

@@ -62,17 +62,17 @@ def test_precedence_layers():
 
 def test_limp_right_associative():
     f = parse_formula("a -o b -o c")
-    assert print_formula(f) == "(a -o (b -o c))"
+    assert f.key == "(a -o (b -o c))"
 
 
 def test_lres_right_associative():
     f = parse_formula("a \\ b \\ c", SRS)
-    assert print_formula(f) == "(a \\ (b \\ c))"
+    assert f.key == "(a \\ (b \\ c))"
 
 
 def test_rres_left_associative():
     f = parse_formula("a / b / c", SRS)
-    assert print_formula(f) == "((a / b) / c)"
+    assert f.key == "((a / b) / c)"
 
 
 def test_mixed_implications_rejected():
@@ -112,7 +112,7 @@ def test_unit_token():
 
 def test_atom_charset():
     f = parse_formula("Run_2 * s0", MILL)
-    assert print_formula(f) == "(Run_2 * s0)"
+    assert f.key == "(Run_2 * s0)"
 
 
 def test_interning_makes_equal_objects_identical():
@@ -213,7 +213,7 @@ def test_complexity():
 
 def test_subformulas():
     f = parse_formula("(p * q) -o p")
-    names = {print_formula(g) for g in subformulas(f)}
+    names = {g.key for g in subformulas(f)}
     assert names == {"((p * q) -o p)", "(p * q)", "p", "q"}
 
 
@@ -225,7 +225,7 @@ def test_atoms_and_agents():
 
 def test_neg_is_limp_to_bot():
     assert neg(atom("a")) == parse_formula("~a")
-    assert print_formula(neg(atom("a"))) == "(a -o bot)"
+    assert neg(atom("a")).key == "(a -o bot)"
 
 
 # -- round trip ---------------------------------------------------------------
@@ -258,3 +258,46 @@ def _formulas(system: System):
 def test_print_parse_round_trip(system, data):
     f = data.draw(_formulas(system))
     assert parse_formula(print_formula(f), system) is f
+
+
+_ALL_CONNECTIVES = st.recursive(
+    st.one_of(st.builds(atom, _ATOMS), st.just(unit())),
+    lambda kids: st.one_of(
+        *[st.builds(op, kids, kids) for op in (tensor, with_, limp, odot, lres, rres)],
+        st.builds(box, kids),
+        st.builds(lambda b: brings("i", b), kids),
+    ),
+    max_leaves=12,
+)
+
+
+def _paren_pairs(text: str):
+    opened = []
+    for j, ch in enumerate(text):
+        if ch == "(":
+            opened.append(j)
+        elif ch == ")":
+            yield opened.pop(), j
+
+
+@given(_ALL_CONNECTIVES)
+def test_print_is_minimal_and_parses_back(f):
+    text = print_formula(f)
+    assert parse_formula(text) is f
+    # without any one pair of its parentheses the text reads otherwise
+    for i, j in _paren_pairs(text):
+        shorter = text[:i] + text[i + 1 : j] + text[j + 1 :]
+        try:
+            assert parse_formula(shorter) is not f, (text, shorter)
+        except ParseError:
+            pass
+
+
+def test_print_leaves_long_chains_unbracketed():
+    for op in ("-o", "&", "*", "@", "\\", "/"):
+        text = f" {op} ".join(["p"] * 1500)
+        f = parse_formula(text)
+        assert print_formula(f) == text
+    assert print_formula(parse_formula("(a -o b) -o c")) == "(a -o b) -o c"
+    assert print_formula(parse_formula("a / (b / c)")) == "a / (b / c)"
+    assert print_formula(parse_formula("[](a * b) & E[i]([]c -o d)")) == "[](a * b) & E[i]([]c -o d)"
