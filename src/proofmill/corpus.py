@@ -28,27 +28,14 @@ from pathlib import Path
 from .context import Sequent, parse_sequent
 from .search import Proved, SearchResult, prove
 from .syntax import (
-    Atom,
-    Box,
-    Brings,
-    Formula,
-    Limp,
-    Lres,
-    Odot,
-    Rres,
     System,
-    Tensor,
-    With,
-    box,
-    brings,
-    limp,
-    lres,
+    atom,
+    formula_atoms,
     odot,
     parse_formula,
     parse_system,
     print_formula,
-    rres,
-    tensor,
+    substitute,
     with_,
 )
 
@@ -86,33 +73,6 @@ class EntryResult:
 # ---------------------------------------------------------------------------
 # macros
 
-_BINARY = {
-    Tensor: tensor, With: with_, Limp: limp,
-    Odot: odot, Lres: lres, Rres: rres,
-}
-
-
-def _atom_power(f: Formula, k: int) -> Formula:
-    """Replace every atom by its k-fold serial chain."""
-
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            out: Formula = g
-            for _ in range(k - 1):
-                out = odot(out, g)
-            return out
-        make = _BINARY.get(type(g))
-        if make is not None:
-            return make(walk(g.left), walk(g.right))
-        if isinstance(g, Box):
-            return box(walk(g.body))
-        if isinstance(g, Brings):
-            return brings(g.agent, walk(g.body))
-        return g  # unit
-
-    return walk(f)
-
-
 def _matching_paren(text: str, open_idx: int) -> int:
     depth = 0
     for i in range(open_idx, len(text)):
@@ -123,21 +83,6 @@ def _matching_paren(text: str, open_idx: int) -> int:
             if depth == 0:
                 return i
     raise CorpusError(f"unbalanced parentheses after position {open_idx}")
-
-
-def _substitute_agent(f: Formula, var: str, agent: str) -> Formula:
-    def walk(g: Formula) -> Formula:
-        make = _BINARY.get(type(g))
-        if make is not None:
-            return make(walk(g.left), walk(g.right))
-        if isinstance(g, Box):
-            return box(walk(g.body))
-        if isinstance(g, Brings):
-            return brings(agent if g.agent == var else g.agent,
-                          walk(g.body))
-        return g
-
-    return walk(f)
 
 
 def _expand_pow(
@@ -162,9 +107,12 @@ def _expand_pow(
     scope = System(system.ident, system.agents + outer_vars) \
         if outer_vars else system
     base = parse_formula(body, scope)
-    chain = _atom_power(base, 1)
-    for k in range(2, n + 1):
-        chain = with_(chain, _atom_power(base, k))
+    powers = {a: atom(a) for a in formula_atoms(base)}
+    chain = base
+    for _ in range(2, n + 1):
+        # the next power replaces every atom by a one longer @ chain
+        powers = {a: odot(g, atom(a)) for a, g in powers.items()}
+        chain = with_(chain, substitute(base, powers))
     return text[:head.start()] + "(" + print_formula(chain) + ")" \
         + text[close + 1:]
 
@@ -192,7 +140,7 @@ def _expand_bigwith(
     body = text[open_idx + 1:close]
     extended = System(system.ident, system.agents + outer_vars + (var,))
     f = parse_formula(body, extended)
-    parts = [_substitute_agent(f, var, a) for a in system.agents]
+    parts = [substitute(f, {}, {var: a}) for a in system.agents]
     chain = parts[0]
     for p in parts[1:]:
         chain = with_(chain, p)

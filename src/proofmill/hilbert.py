@@ -8,6 +8,13 @@ anti-necessitation rule for ``E[a]``.  Assumptions are concatenated at
 modus ponens and shared verbatim at pairing, so every assumption
 occurrence is consumed exactly once.
 
+Each node kind is defined once, in ``_KINDS``: its premise count, its
+systems, whether it takes an agent, and the function that computes its
+conclusion from its premises.  The factories build with that function
+and :func:`check_deduction` compares every node's claim with it.  Axiom
+schemata are formulas whose atoms ``A``, ``B`` and ``C`` are the
+metavariables and whose ``E[x]`` stands for the instance's agent.
+
 Only MILL and RSBIAT have Hilbert presentations here; the tree systems
 (PCMILL, SRSBIAT) do not.
 
@@ -20,6 +27,7 @@ proof (with cuts; pipe through ``eliminate_cuts`` if unwanted).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .calculus import (
     AX,
@@ -38,22 +46,22 @@ from .context import Sequent, mset, sequent
 from .search import Proved, prove
 from .syntax import (
     BOT,
+    Atom,
     Brings,
     Formula,
     Limp,
     System,
     SystemId,
     SystemMismatchError,
-    Tensor,
-    With,
     box,
     brings,
+    formula_agents,
     limp,
+    operands,
     parse_formula,
     parse_system,
     print_formula,
-    tensor,
-    unit,
+    substitute,
     validate_formula,
     with_,
 )
@@ -66,16 +74,6 @@ BOX_RE_RULE = "BoxReRule"
 BRINGS_RE_RULE = "BringsReRule"
 NOT_NEC_RULE = "NotNecRule"
 
-NODE_KINDS = (
-    ASSUMPTION,
-    AXIOM_LEAF,
-    LIMP_RULE,
-    WITH_RULE,
-    BOX_RE_RULE,
-    BRINGS_RE_RULE,
-    NOT_NEC_RULE,
-)
-
 HILBERT_SYSTEMS = (SystemId.MILL, SystemId.RSBIAT)
 
 
@@ -87,91 +85,55 @@ def _require_hilbert(system: System) -> None:
 # ---------------------------------------------------------------------------
 # axiom schemata
 
-# Templates are nested tuples; strings are metavariables.  All E[_]
-# occurrences within one schema share the single matched agent.
-_ID = ("limp", "A", "A")
-_COMP = ("limp", ("limp", "A", "B"),
-         ("limp", ("limp", "B", "C"), ("limp", "A", "C")))
-_PERM = ("limp", ("limp", "A", ("limp", "B", "C")),
-         ("limp", "B", ("limp", "A", "C")))
-_TENS_I = ("limp", "A", ("limp", "B", ("tensor", "A", "B")))
-_TENS_E = ("limp", ("limp", "A", ("limp", "B", "C")),
-           ("limp", ("tensor", "A", "B"), "C"))
-_UNIT = ("one",)
-_UNIT_ID = ("limp", ("one",), ("limp", "A", "A"))
-_WITH_L = ("limp", ("with", "A", "B"), "A")
-_WITH_R = ("limp", ("with", "A", "B"), "B")
-_PAIRING = ("limp", ("with", ("limp", "A", "B"), ("limp", "A", "C")),
-            ("limp", "A", ("with", "B", "C")))
-_E_SUCCESS = ("limp", ("brings", "A"), "A")
-_E_TENSOR = ("limp", ("tensor", ("brings", "A"), ("brings", "B")),
-             ("brings", ("tensor", "A", "B")))
-_E_WITH = ("limp", ("with", ("brings", "A"), ("brings", "B")),
-           ("brings", ("with", "A", "B")))
+_AGENT = "x"  # the agent of a template's E[x]; one agent per instance
 
 
 @dataclass(frozen=True)
 class AxiomSchema:
     name: str
-    template: tuple
+    template: Formula
     systems: tuple[SystemId, ...]
 
     @property
     def metavariables(self) -> tuple[str, ...]:
-        seen: list[str] = []
-
-        def walk(t):
-            if isinstance(t, str):
-                if t not in seen:
-                    seen.append(t)
-            else:
-                for part in t[1:]:
-                    walk(part)
-
-        walk(self.template)
+        """The template's atoms, in order of first occurrence."""
+        seen: dict[str, None] = {}
+        todo = [self.template]
+        while todo:
+            g = todo.pop()
+            if isinstance(g, Atom):
+                seen.setdefault(g.name)
+            todo += reversed(operands(g))
         return tuple(seen)
 
-    def instantiate(
-        self, subst: dict[str, Formula], agent: str | None = None
-    ) -> Formula:
-        def build(t):
-            if isinstance(t, str):
-                return subst[t]
-            tag = t[0]
-            if tag == "limp":
-                return limp(build(t[1]), build(t[2]))
-            if tag == "tensor":
-                return tensor(build(t[1]), build(t[2]))
-            if tag == "with":
-                return with_(build(t[1]), build(t[2]))
-            if tag == "one":
-                return unit()
-            if tag == "brings":
-                if agent is None:
-                    raise ValueError(f"schema {self.name} needs an agent")
-                return brings(agent, build(t[1]))
-            raise AssertionError(tag)
-
-        return build(self.template)
+    def instantiate(self, subst: dict[str, Formula],
+                    agent: str | None = None) -> Formula:
+        if agent is None and formula_agents(self.template):
+            raise ValueError(f"schema {self.name} needs an agent")
+        atoms = {v: subst[v] for v in self.metavariables}
+        return substitute(self.template, atoms, {_AGENT: agent})
 
 
-_BOTH = (SystemId.MILL, SystemId.RSBIAT)
+_BOTH = HILBERT_SYSTEMS
 _RS_ONLY = (SystemId.RSBIAT,)
 
-AXIOM_SCHEMATA: tuple[AxiomSchema, ...] = (
-    AxiomSchema("identity", _ID, _BOTH),
-    AxiomSchema("composition", _COMP, _BOTH),
-    AxiomSchema("permutation", _PERM, _BOTH),
-    AxiomSchema("tensor-intro", _TENS_I, _BOTH),
-    AxiomSchema("tensor-elim", _TENS_E, _BOTH),
-    AxiomSchema("unit", _UNIT, _BOTH),
-    AxiomSchema("unit-identity", _UNIT_ID, _BOTH),
-    AxiomSchema("with-left", _WITH_L, _BOTH),
-    AxiomSchema("with-right", _WITH_R, _BOTH),
-    AxiomSchema("with-pairing", _PAIRING, _BOTH),
-    AxiomSchema("brings-success", _E_SUCCESS, _RS_ONLY),
-    AxiomSchema("brings-tensor", _E_TENSOR, _RS_ONLY),
-    AxiomSchema("brings-with", _E_WITH, _RS_ONLY),
+AXIOM_SCHEMATA: tuple[AxiomSchema, ...] = tuple(
+    AxiomSchema(name, parse_formula(text), systems)
+    for name, text, systems in (
+        ("identity", "A -o A", _BOTH),
+        ("composition", "(A -o B) -o (B -o C) -o A -o C", _BOTH),
+        ("permutation", "(A -o B -o C) -o B -o A -o C", _BOTH),
+        ("tensor-intro", "A -o B -o A * B", _BOTH),
+        ("tensor-elim", "(A -o B -o C) -o A * B -o C", _BOTH),
+        ("unit", "1", _BOTH),
+        ("unit-identity", "1 -o A -o A", _BOTH),
+        ("with-left", "A & B -o A", _BOTH),
+        ("with-right", "A & B -o B", _BOTH),
+        ("with-pairing", "(A -o B) & (A -o C) -o A -o B & C", _BOTH),
+        ("brings-success", "E[x]A -o A", _RS_ONLY),
+        ("brings-tensor", "E[x]A * E[x]B -o E[x](A * B)", _RS_ONLY),
+        ("brings-with", "E[x]A & E[x]B -o E[x](A & B)", _RS_ONLY),
+    )
 )
 
 _SCHEMA_BY_NAME = {s.name: s for s in AXIOM_SCHEMATA}
@@ -191,50 +153,36 @@ class AxiomMatch:
     agent: str | None = None
 
 
-def _match(t, f: Formula, env: dict) -> bool:
-    if isinstance(t, str):
-        bound = env.get(t)
-        if bound is None:
-            env[t] = f
-            return True
-        return bound is f
-    tag = t[0]
-    if tag == "limp":
-        return (isinstance(f, Limp)
-                and _match(t[1], f.left, env)
-                and _match(t[2], f.right, env))
-    if tag == "tensor":
-        return (isinstance(f, Tensor)
-                and _match(t[1], f.left, env)
-                and _match(t[2], f.right, env))
-    if tag == "with":
-        return (isinstance(f, With)
-                and _match(t[1], f.left, env)
-                and _match(t[2], f.right, env))
-    if tag == "one":
-        return f is unit()
-    if tag == "brings":
-        if not isinstance(f, Brings):
-            return False
-        bound = env.get("#agent")
-        if bound is None:
-            env["#agent"] = f.agent
-        elif bound != f.agent:
-            return False
-        return _match(t[1], f.body, env)
-    raise AssertionError(tag)
+def _match(template: Formula, f: Formula) -> tuple[dict, str | None] | None:
+    """The bindings and agent that make ``template`` into ``f``, or None."""
+    subst: dict[str, Formula] = {}
+    agent = None
+    todo = [(template, f)]
+    while todo:
+        t, g = todo.pop()
+        if isinstance(t, Atom):
+            if subst.setdefault(t.name, g) is not g:
+                return None
+            continue
+        if type(g) is not type(t):
+            return None
+        if isinstance(g, Brings):
+            if agent is None:
+                agent = g.agent
+            elif g.agent != agent:
+                return None
+        todo += zip(operands(t)[::-1], operands(g)[::-1])
+    return subst, agent
 
 
 def match_axiom(f: Formula, system: System) -> AxiomMatch | None:
     """Match ``f`` against the schema table, first hit wins."""
     _require_hilbert(system)
     for sc in AXIOM_SCHEMATA:
-        if system.ident not in sc.systems:
-            continue
-        env: dict = {}
-        if _match(sc.template, f, env):
-            agent = env.pop("#agent", None)
-            return AxiomMatch(sc.name, env, agent)
+        if system.ident in sc.systems:
+            found = _match(sc.template, f)
+            if found is not None:
+                return AxiomMatch(sc.name, *found)
     return None
 
 
@@ -258,102 +206,140 @@ class DeductionTree:
     agent: str | None = None
 
     def __post_init__(self) -> None:
-        if self.rule not in NODE_KINDS:
+        if self.rule not in _KINDS:
             raise ValueError(f"unknown deduction node kind {self.rule!r}")
 
     def statement(self) -> str:
-        left = ", ".join(print_formula(a) for a in self.assumptions)
-        return f"{left} |- {print_formula(self.formula)}"
+        return _statement(self.assumptions, self.formula)
 
     def __str__(self) -> str:
         return self.statement()
 
 
-def assumption(f: Formula) -> DeductionTree:
-    return DeductionTree(ASSUMPTION, (f,), f)
+def _statement(assumptions: tuple[Formula, ...], formula: Formula) -> str:
+    left = ", ".join(print_formula(a) for a in assumptions)
+    return f"{left} |- {print_formula(formula)}"
 
 
-def axiom_leaf(f: Formula, system: System) -> DeductionTree:
-    if match_axiom(f, system) is None:
-        raise ValueError(f"not an axiom instance: {print_formula(f)}")
-    return DeductionTree(AXIOM_LEAF, (), f)
+# Each kind's conclusion ``(assumptions, formula)``, computed from the
+# node's premises, agent, claimed formula (read by the leaves alone) and
+# system; ValueError says why the premises conclude nothing.  The
+# factories below state each rule.
+
+Conclusion = tuple[tuple[Formula, ...], Formula]
 
 
-def modus_ponens(minor: DeductionTree, major: DeductionTree) -> DeductionTree:
-    """From ``Γ |- A`` and ``Γ' |- A -o B`` conclude ``Γ, Γ' |- B``."""
+def _assumed(premises, agent, formula, system) -> Conclusion:
+    return (formula,), formula
+
+
+def _axiom(premises, agent, formula, system) -> Conclusion:
+    if match_axiom(formula, system) is None:
+        raise ValueError(f"not an axiom instance: {print_formula(formula)}")
+    return (), formula
+
+
+def _modus_ponens(premises, agent, formula, system) -> Conclusion:
+    minor, major = premises
     mf = major.formula
     if not isinstance(mf, Limp) or mf.left is not minor.formula:
         raise ValueError(
             f"modus ponens mismatch: {print_formula(minor.formula)} vs "
             f"{print_formula(mf)}"
         )
-    return DeductionTree(
-        LIMP_RULE, minor.assumptions + major.assumptions, mf.right,
-        (minor, major),
-    )
+    return minor.assumptions + major.assumptions, mf.right
+
+
+def _pairing(premises, agent, formula, system) -> Conclusion:
+    left, right = premises
+    if left.assumptions != right.assumptions:
+        raise ValueError("pairing premises must share assumptions verbatim")
+    return left.assumptions, with_(left.formula, right.formula)
+
+
+def _equivalents(premises, agent, formula, system) -> Conclusion:
+    # []A -o []B without an agent, E[a]A -o E[a]B with one
+    fwd, bwd = premises
+    if fwd.assumptions or bwd.assumptions:
+        raise ValueError("equivalence premises must be assumption-free")
+    ff, bf = fwd.formula, bwd.formula
+    if (not isinstance(ff, Limp) or not isinstance(bf, Limp)
+            or ff.left is not bf.right or ff.right is not bf.left):
+        raise ValueError("equivalence premises must be converse implications")
+    if agent is None:
+        return (), limp(box(ff.left), box(ff.right))
+    return (), limp(brings(agent, ff.left), brings(agent, ff.right))
+
+
+def _anti_necessitation(premises, agent, formula, system) -> Conclusion:
+    (premise,) = premises
+    if premise.assumptions:
+        raise ValueError("anti-necessitation premise must be assumption-free")
+    return (), limp(brings(agent, premise.formula), BOT)
+
+
+class _Kind(NamedTuple):
+    arity: int
+    systems: tuple[SystemId, ...]
+    takes_agent: bool
+    conclude: Callable[..., Conclusion]
+
+
+_KINDS: dict[str, _Kind] = {
+    ASSUMPTION: _Kind(0, _BOTH, False, _assumed),
+    AXIOM_LEAF: _Kind(0, _BOTH, False, _axiom),
+    LIMP_RULE: _Kind(2, _BOTH, False, _modus_ponens),
+    WITH_RULE: _Kind(2, _BOTH, False, _pairing),
+    BOX_RE_RULE: _Kind(2, (SystemId.MILL,), False, _equivalents),
+    BRINGS_RE_RULE: _Kind(2, _RS_ONLY, True, _equivalents),
+    NOT_NEC_RULE: _Kind(1, _RS_ONLY, True, _anti_necessitation),
+}
+
+
+def _derive(rule: str, premises: tuple[DeductionTree, ...] = (),
+            agent: str | None = None, formula: Formula | None = None,
+            system: System | None = None) -> DeductionTree:
+    assumptions, formula = _KINDS[rule].conclude(
+        premises, agent, formula, system)
+    return DeductionTree(rule, assumptions, formula, premises, agent)
+
+
+def assumption(f: Formula) -> DeductionTree:
+    return _derive(ASSUMPTION, formula=f)
+
+
+def axiom_leaf(f: Formula, system: System) -> DeductionTree:
+    return _derive(AXIOM_LEAF, formula=f, system=system)
+
+
+def modus_ponens(minor: DeductionTree, major: DeductionTree) -> DeductionTree:
+    """From ``Γ |- A`` and ``Γ' |- A -o B`` conclude ``Γ, Γ' |- B``."""
+    return _derive(LIMP_RULE, (minor, major))
 
 
 def with_rule(left: DeductionTree, right: DeductionTree) -> DeductionTree:
     """From ``Γ |- A`` and ``Γ |- B`` (same Γ, verbatim) conclude ``Γ |- A & B``."""
-    if left.assumptions != right.assumptions:
-        raise ValueError("pairing premises must share assumptions verbatim")
-    return DeductionTree(
-        WITH_RULE, left.assumptions, with_(left.formula, right.formula),
-        (left, right),
-    )
-
-
-def _equiv_premises(fwd: DeductionTree, bwd: DeductionTree, what: str):
-    if fwd.assumptions or bwd.assumptions:
-        raise ValueError(f"{what} premises must be assumption-free")
-    ff, bf = fwd.formula, bwd.formula
-    if (not isinstance(ff, Limp) or not isinstance(bf, Limp)
-            or ff.left is not bf.right or ff.right is not bf.left):
-        raise ValueError(f"{what} premises must be converse implications")
-    return ff.left, ff.right
+    return _derive(WITH_RULE, (left, right))
 
 
 def box_re_rule(fwd: DeductionTree, bwd: DeductionTree) -> DeductionTree:
     """From ``|- A -o B`` and ``|- B -o A`` conclude ``|- []A -o []B``."""
-    a, b = _equiv_premises(fwd, bwd, "box equivalence")
-    return DeductionTree(
-        BOX_RE_RULE, (), limp(box(a), box(b)), (fwd, bwd)
-    )
+    return _derive(BOX_RE_RULE, (fwd, bwd))
 
 
-def brings_re_rule(
-    agent: str, fwd: DeductionTree, bwd: DeductionTree
-) -> DeductionTree:
+def brings_re_rule(agent: str, fwd: DeductionTree,
+                   bwd: DeductionTree) -> DeductionTree:
     """From ``|- A -o B`` and ``|- B -o A`` conclude ``|- E[a]A -o E[a]B``."""
-    a, b = _equiv_premises(fwd, bwd, "brings equivalence")
-    return DeductionTree(
-        BRINGS_RE_RULE, (), limp(brings(agent, a), brings(agent, b)),
-        (fwd, bwd), agent,
-    )
+    return _derive(BRINGS_RE_RULE, (fwd, bwd), agent)
 
 
 def not_nec_rule(agent: str, premise: DeductionTree) -> DeductionTree:
     """From ``|- A`` conclude ``|- E[a]A -o bot``."""
-    if premise.assumptions:
-        raise ValueError("anti-necessitation premise must be assumption-free")
-    return DeductionTree(
-        NOT_NEC_RULE, (), limp(brings(agent, premise.formula), BOT),
-        (premise,), agent,
-    )
+    return _derive(NOT_NEC_RULE, (premise,), agent)
 
 
 # ---------------------------------------------------------------------------
 # checking
-
-_ARITY = {
-    ASSUMPTION: 0,
-    AXIOM_LEAF: 0,
-    LIMP_RULE: 2,
-    WITH_RULE: 2,
-    BOX_RE_RULE: 2,
-    BRINGS_RE_RULE: 2,
-    NOT_NEC_RULE: 1,
-}
 
 Path = tuple[int, ...]
 
@@ -372,104 +358,40 @@ def deduction_nodes(d: DeductionTree) -> list[tuple[Path, DeductionTree]]:
 def check_deduction(d: DeductionTree, system: System) -> CheckReport:
     """Verify every node's claim; reports (path, message) violations."""
     _require_hilbert(system)
-    violations: list[tuple[Path, str]] = []
-
-    def bad(path: Path, msg: str) -> None:
-        violations.append((path, msg))
-
-    for path, node in deduction_nodes(d):
-        try:
-            for f in (node.formula, *node.assumptions):
-                validate_formula(f, system)
-        except SystemMismatchError as e:
-            bad(path, str(e))
-            continue
-        if len(node.premises) != _ARITY[node.rule]:
-            bad(path, f"{node.rule} expects {_ARITY[node.rule]} premises, "
-                f"got {len(node.premises)}")
-            continue
-        needs_agent = node.rule in (BRINGS_RE_RULE, NOT_NEC_RULE)
-        if needs_agent and system.ident is not SystemId.RSBIAT:
-            bad(path, f"{node.rule} not available in {system.ident.value}")
-            continue
-        if node.rule == BOX_RE_RULE and system.ident is not SystemId.MILL:
-            bad(path, f"{node.rule} not available in {system.ident.value}")
-            continue
-        if needs_agent:
-            if node.agent is None:
-                bad(path, f"{node.rule} needs an agent")
-                continue
-            if node.agent not in system.agents:
-                bad(path, f"agent {node.agent!r} not in alphabet "
-                    f"{list(system.agents)}")
-                continue
-        elif node.agent is not None:
-            bad(path, f"{node.rule} takes no agent")
-            continue
-
-        if node.rule == ASSUMPTION:
-            if node.assumptions != (node.formula,):
-                bad(path, "assumption leaf must claim A |- A")
-        elif node.rule == AXIOM_LEAF:
-            if node.assumptions:
-                bad(path, "axiom leaf must be assumption-free")
-            elif match_axiom(node.formula, system) is None:
-                bad(path, f"not an axiom instance: "
-                    f"{print_formula(node.formula)}")
-        elif node.rule == LIMP_RULE:
-            minor, major = node.premises
-            mf = major.formula
-            if not isinstance(mf, Limp):
-                bad(path, "second premise of modus ponens must prove an "
-                    "implication")
-            elif mf.left is not minor.formula:
-                bad(path, f"modus ponens argument mismatch: "
-                    f"{print_formula(minor.formula)} vs {print_formula(mf)}")
-            else:
-                if node.formula is not mf.right:
-                    bad(path, "modus ponens conclusion must be the "
-                        "consequent of the implication")
-                if node.assumptions != minor.assumptions + major.assumptions:
-                    bad(path, "modus ponens must concatenate premise "
-                        "assumptions in order")
-        elif node.rule == WITH_RULE:
-            lp, rp = node.premises
-            if lp.assumptions != rp.assumptions:
-                bad(path, "pairing premises must share assumptions verbatim")
-            if node.formula is not with_(lp.formula, rp.formula):
-                bad(path, "pairing conclusion must be the & of the premises")
-            if node.assumptions != lp.assumptions:
-                bad(path, "pairing must keep the shared assumptions")
-        elif node.rule in (BOX_RE_RULE, BRINGS_RE_RULE):
-            fwd, bwd = node.premises
-            if fwd.assumptions or bwd.assumptions:
-                bad(path, "equivalence premises must be assumption-free")
-                continue
-            ff, bf = fwd.formula, bwd.formula
-            if (not isinstance(ff, Limp) or not isinstance(bf, Limp)
-                    or ff.left is not bf.right or ff.right is not bf.left):
-                bad(path, "equivalence premises must be converse "
-                    "implications")
-                continue
-            if node.rule == BOX_RE_RULE:
-                want = limp(box(ff.left), box(ff.right))
-            else:
-                want = limp(brings(node.agent, ff.left),
-                            brings(node.agent, ff.right))
-            if node.formula is not want or node.assumptions:
-                bad(path, f"conclusion must be |- {print_formula(want)}")
-        elif node.rule == NOT_NEC_RULE:
-            (premise,) = node.premises
-            if premise.assumptions:
-                bad(path, "anti-necessitation premise must be "
-                    "assumption-free")
-                continue
-            want = limp(brings(node.agent, premise.formula), BOT)
-            if node.formula is not want or node.assumptions:
-                bad(path, f"conclusion must be |- {print_formula(want)}")
-
-    violations.sort(key=lambda v: v[0])
+    violations = sorted(
+        (path, msg) for path, node in deduction_nodes(d)
+        if (msg := _violation(node, system)) is not None
+    )
     return CheckReport(not violations, tuple(violations))
+
+
+def _violation(node: DeductionTree, system: System) -> str | None:
+    """Why ``node`` does not follow from its premises' claims, or None."""
+    kind = _KINDS[node.rule]
+    try:
+        for f in (node.formula, *node.assumptions):
+            validate_formula(f, system)
+    except SystemMismatchError as e:
+        return str(e)
+    if len(node.premises) != kind.arity:
+        return (f"{node.rule} expects {kind.arity} premises, "
+                f"got {len(node.premises)}")
+    if system.ident not in kind.systems:
+        return f"{node.rule} not available in {system.ident.value}"
+    if not kind.takes_agent:
+        if node.agent is not None:
+            return f"{node.rule} takes no agent"
+    elif node.agent is None:
+        return f"{node.rule} needs an agent"
+    elif node.agent not in system.agents:
+        return f"agent {node.agent!r} not in alphabet {list(system.agents)}"
+    try:
+        want = kind.conclude(node.premises, node.agent, node.formula, system)
+    except ValueError as e:
+        return str(e)
+    if want != (node.assumptions, node.formula):
+        return f"{node.rule} concludes {_statement(*want)}, not {node.statement()}"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,32 @@ def subformulas(f: Formula) -> set[Formula]:
     return out
 
 
+def substitute(f: Formula, atoms: dict[str, Formula],
+               agents: dict[str, str] | None = None) -> Formula:
+    """``f`` with each atom named in ``atoms`` replaced by its formula and
+    each ``E[a]`` with ``a`` in ``agents`` renamed, rebuilt bottom-up.
+    Replacements are not themselves rewritten."""
+    agents = agents or {}
+    done: dict[Formula, Formula] = {}
+    todo = [f]
+    while todo:
+        g = todo[-1]
+        kids = [k for k in operands(g) if k not in done]
+        if kids:
+            todo += kids
+            continue
+        todo.pop()
+        if isinstance(g, BinOp):
+            done[g] = _binary(type(g), done[g.left], done[g.right])
+        elif isinstance(g, Box):
+            done[g] = box(done[g.body])
+        elif isinstance(g, Brings):
+            done[g] = brings(agents.get(g.agent, g.agent), done[g.body])
+        else:
+            done[g] = atoms.get(g.name, g) if isinstance(g, Atom) else g
+    return done[f]
+
+
 def formula_atoms(f: Formula) -> set[str]:
     return {g.name for g in subformulas(f) if isinstance(g, Atom)}
 

@@ -40,6 +40,7 @@ from proofmill.syntax import (
     atom,
     box,
     brings,
+    formula_agents,
     limp,
     odot,
     parse_system,
@@ -75,7 +76,7 @@ def _random_axiom(rng: random.Random, system: System) -> DeductionTree:
     choices = [s for s in AXIOM_SCHEMATA if system.ident in s.systems]
     sc = rng.choice(choices)
     subst = {v: random_formula(rng, 1) for v in sc.metavariables}
-    agent = rng.choice(system.agents) if "brings" in repr(sc.template) else None
+    agent = rng.choice(system.agents) if formula_agents(sc.template) else None
     return axiom_leaf(sc.instantiate(subst, agent), system)
 
 

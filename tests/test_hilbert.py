@@ -166,7 +166,8 @@ def test_checker_flags_swapped_mp_assumptions():
     )
     report = check_deduction(bad, MILL)
     assert not report.ok
-    assert "concatenate" in report.violations[0][1]
+    assert report.violations[0][1] == \
+        "LimpRule concludes q, p |- p * q, not p, q |- p * q"
 
 
 def test_checker_flags_forged_axiom():
