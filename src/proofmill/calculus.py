@@ -75,6 +75,7 @@ from .kernel import (  # noqa: F401  (re-exported)
     Proof,
     Rule,
     check_proof,
+    fold_tree,
     proof_nodes,
     rule_admissible,
 )
@@ -463,43 +464,36 @@ def apply_rule(goal: Sequent, rule: Rule) -> list[list[Sequent]]:
 
 
 def proof_to_json(p: Proof) -> dict:
-    def node(n: Proof) -> dict:
+    def node(n: Proof, premises: list[dict]) -> dict:
         d: dict = {"sequent": print_sequent(n.conclusion), "rule": n.rule.name}
         if n.rule.agent is not None:
             d["agent"] = n.rule.agent
-        d["premises"] = []
+        d["premises"] = premises
         return d
 
-    root = node(p)
-    todo = [(p, root)]
-    while todo:
-        n, d = todo.pop()
-        for q in n.premises:
-            dq = node(q)
-            d["premises"].append(dq)
-            todo.append((q, dq))
     sys = p.conclusion.system
     return {
         "system": sys.ident.value,
         "agents": list(sys.agents),
-        "proof": root,
+        "proof": fold_tree(p, lambda n: n.premises, node),
     }
 
 
 def proof_from_json(data: dict) -> Proof:
-    system = System(SystemId(data["system"]), tuple(data.get("agents", ())))
-    # post-order over the JSON tree; each node's premises are built first
-    done: list[Proof] = []
-    todo: list[tuple[dict, bool]] = [(data["proof"], False)]
-    while todo:
-        d, ready = todo.pop()
-        prems = d.get("premises", ())
-        if not ready:
-            todo.append((d, True))
-            todo += [(q, False) for q in reversed(prems)]
-            continue
-        subs = tuple(done[len(done) - len(prems):])
-        del done[len(done) - len(prems):]
-        rule = Rule(d["rule"], d.get("agent"))
-        done.append(Proof(parse_sequent(d["sequent"], system), rule, subs))
-    return done[0]
+    """The proof a :func:`proof_to_json` object describes; ValueError
+    when it has any other shape."""
+
+    def node(d: dict, premises: list[Proof]) -> Proof:
+        name, agent = d["rule"], d.get("agent")
+        if not isinstance(name, str) or \
+                not isinstance(agent, (str, type(None))):
+            raise ValueError(f"bad rule {name!r} with agent {agent!r}")
+        return Proof(parse_sequent(d["sequent"], system), Rule(name, agent),
+                     tuple(premises))
+
+    try:
+        system = System(SystemId(data["system"]),
+                        tuple(data.get("agents", ())))
+        return fold_tree(data["proof"], lambda d: d.get("premises", ()), node)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed proof object: {exc}") from None

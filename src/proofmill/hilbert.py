@@ -21,7 +21,9 @@ Only MILL and RSBIAT have Hilbert presentations here; the tree systems
 :func:`deduction_theorem` discharges one assumption occurrence into an
 implication, preserving the order of the remaining assumptions exactly.
 :func:`hilbert_to_sequent` translates a checked tree into a sequent
-proof (with cuts; pipe through ``eliminate_cuts`` if unwanted).
+proof (with cuts; pipe through ``eliminate_cuts`` if unwanted).  Every
+walk over a tree uses an explicit stack, so depth is not limited by
+Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .calculus import (
     Rule,
 )
 from .context import Sequent, mset, sequent
+from .kernel import fold_tree
 from .search import Proved, prove
 from .syntax import (
     BOT,
@@ -415,12 +418,35 @@ def deduction_theorem(
             f"occurrence not found: index {pick} in {d.statement()!r}"
         )
     _require_hilbert(system)
-    return _discharge(d, pick, system)
+    return fold_tree(
+        (d, pick), _occurrence_holders,
+        lambda at, subs: _discharge(at, subs, system),
+    )
 
 
-def _discharge(d: DeductionTree, pick: int, system: System) -> DeductionTree:
+def _occurrence_holders(
+    at: tuple[DeductionTree, int]
+) -> list[tuple[DeductionTree, int]]:
+    """The premises holding the occurrence ``at`` names, with its index
+    in each."""
+    d, pick = at
+    if d.rule == LIMP_RULE:
+        minor, major = d.premises
+        n = len(minor.assumptions)
+        return [(minor, pick)] if pick < n else [(major, pick - n)]
+    if d.rule == WITH_RULE:
+        # same Γ verbatim in both premises, so the index transfers
+        return [(p, pick) for p in d.premises]
+    return []
+
+
+def _discharge(
+    at: tuple[DeductionTree, int], subs: list[DeductionTree], system: System
+) -> DeductionTree:
+    """``d`` with the occurrence at ``pick`` discharged, given the
+    premises in :func:`_occurrence_holders` discharged as ``subs``."""
+    d, pick = at
     a = d.assumptions[pick]
-
     if d.rule == ASSUMPTION:
         # A |- A  becomes  |- A -o A
         return _ax_inst("identity", system, A=a)
@@ -429,9 +455,9 @@ def _discharge(d: DeductionTree, pick: int, system: System) -> DeductionTree:
         minor, major = d.premises
         mf = major.formula  # C -o B
         c, b = mf.left, mf.right
+        (sub,) = subs
         if pick < len(minor.assumptions):
-            # discharge inside  Γ |- C:  get  Γ0 |- A -o C, then compose.
-            sub = _discharge(minor, pick, system)
+            # sub is  Γ0 |- A -o C:  compose it with the major premise.
             # |- (C -o B) -o ((A -o C) -o (A -o B)), a flipped composition
             flip = modus_ponens(
                 _ax_inst("composition", system, A=a, B=c, C=b),
@@ -439,9 +465,8 @@ def _discharge(d: DeductionTree, pick: int, system: System) -> DeductionTree:
                          A=limp(a, c), B=limp(c, b), C=limp(a, b)),
             )
             return modus_ponens(sub, modus_ponens(major, flip))
-        # discharge inside  Γ' |- C -o B:  get  Γ0' |- A -o (C -o B),
-        # swap the arguments, and refeed the minor premise.
-        sub = _discharge(major, pick - len(minor.assumptions), system)
+        # sub is  Γ0' |- A -o (C -o B):  swap the arguments, and refeed
+        # the minor premise.
         swapped = modus_ponens(
             sub, _ax_inst("permutation", system, A=a, B=c, C=b)
         )
@@ -449,10 +474,7 @@ def _discharge(d: DeductionTree, pick: int, system: System) -> DeductionTree:
 
     if d.rule == WITH_RULE:
         lp, rp = d.premises
-        # same Γ verbatim in both premises, so the index transfers
-        ls = _discharge(lp, pick, system)
-        rs = _discharge(rp, pick, system)
-        paired = with_rule(ls, rs)  # Γ0 |- (A -o U) & (A -o V)
+        paired = with_rule(*subs)  # Γ0 |- (A -o U) & (A -o V)
         return modus_ponens(
             paired,
             _ax_inst("with-pairing", system,
@@ -520,11 +542,13 @@ def hilbert_to_sequent(d: DeductionTree, system: System) -> Proof:
         path, msg = report.violations[0]
         raise ValueError(f"deduction does not check at {list(path)}: {msg}")
     memo: dict[Formula, Proof] = {}
-    return _translate(d, system, memo)
+    return fold_tree(d, lambda n: n.premises,
+                 lambda n, subs: _translate(n, subs, system, memo))
 
 
-def _translate(d: DeductionTree, system: System,
+def _translate(d: DeductionTree, subs: list[Proof], system: System,
                memo: dict[Formula, Proof]) -> Proof:
+    """The sequent proof of node ``d``, given those of its premises."""
     if d.rule == ASSUMPTION:
         return Proof(
             sequent(mset(d.assumptions), d.formula, system), Rule(AX)
@@ -533,8 +557,7 @@ def _translate(d: DeductionTree, system: System,
         return _searched(d.formula, system, memo)
     if d.rule == LIMP_RULE:
         minor, major = d.premises
-        mp = _translate(minor, system, memo)
-        jp = _translate(major, system, memo)
+        mp, jp = subs
         a = minor.formula
         b = major.formula.right
         lemma = _mp_lemma(a, b, system)
@@ -549,16 +572,13 @@ def _translate(d: DeductionTree, system: System,
             sequent(mset(d.assumptions), b, system),
         )
     if d.rule == WITH_RULE:
-        lp, rp = d.premises
         return Proof(
             sequent(mset(d.assumptions), d.formula, system),
-            Rule(WITH_R),
-            (_translate(lp, system, memo), _translate(rp, system, memo)),
+            Rule(WITH_R), tuple(subs),
         )
     if d.rule in (BOX_RE_RULE, BRINGS_RE_RULE):
-        fwd, bwd = d.premises
-        fp = _from_implication(_translate(fwd, system, memo), system)
-        bp = _from_implication(_translate(bwd, system, memo), system)
+        fwd, _ = d.premises
+        fp, bp = (_from_implication(p, system) for p in subs)
         a = fwd.formula.left
         if d.rule == BOX_RE_RULE:
             boxed_a, boxed_b = box(a), box(fwd.formula.right)
@@ -576,11 +596,10 @@ def _translate(d: DeductionTree, system: System,
         )
     if d.rule == NOT_NEC_RULE:
         (premise,) = d.premises
-        pp = _translate(premise, system, memo)
         ea = brings(d.agent, premise.formula)
         inner = Proof(
             sequent(mset((ea,)), BOT, system),
-            Rule(NOT_NEC, d.agent), (pp,),
+            Rule(NOT_NEC, d.agent), tuple(subs),
         )
         return Proof(
             sequent(mset(()), d.formula, system), Rule(LIMP_R),
@@ -593,7 +612,7 @@ def _translate(d: DeductionTree, system: System,
 # serialization
 
 
-def _node_to_json(d: DeductionTree) -> dict:
+def _node_to_json(d: DeductionTree, premises: list[dict]) -> dict:
     obj: dict = {
         "rule": d.rule,
         "assumptions": [print_formula(a) for a in d.assumptions],
@@ -601,8 +620,8 @@ def _node_to_json(d: DeductionTree) -> dict:
     }
     if d.agent is not None:
         obj["agent"] = d.agent
-    if d.premises:
-        obj["premises"] = [_node_to_json(p) for p in d.premises]
+    if premises:
+        obj["premises"] = premises
     return obj
 
 
@@ -610,23 +629,33 @@ def deduction_to_json(d: DeductionTree, system: System) -> dict:
     return {
         "system": system.ident.value,
         "agents": list(system.agents),
-        "tree": _node_to_json(d),
+        "tree": fold_tree(d, lambda n: n.premises, _node_to_json),
     }
 
 
-def _node_from_json(obj: dict, system: System) -> DeductionTree:
-    return DeductionTree(
-        obj["rule"],
-        tuple(parse_formula(t, system) for t in obj.get("assumptions", ())),
-        parse_formula(obj["formula"], system),
-        tuple(_node_from_json(p, system) for p in obj.get("premises", ())),
-        obj.get("agent"),
-    )
-
-
 def deduction_from_json(obj: dict) -> tuple[DeductionTree, System]:
-    name = obj["system"]
-    agents = obj.get("agents", ())
-    text = name if not agents else f"{name}:{','.join(agents)}"
-    system = parse_system(text)
-    return _node_from_json(obj["tree"], system), system
+    """The deduction and system a :func:`deduction_to_json` object
+    describes; ValueError when it has any other shape."""
+
+    def node(o: dict, premises: list[DeductionTree]) -> DeductionTree:
+        agent = o.get("agent")
+        if agent is not None and not isinstance(agent, str):
+            raise ValueError(f"agent must be a string, got {agent!r}")
+        return DeductionTree(
+            o["rule"],
+            tuple(parse_formula(t, system) for t in o.get("assumptions", ())),
+            parse_formula(o["formula"], system),
+            tuple(premises),
+            agent,
+        )
+
+    try:
+        name = obj["system"]
+        agents = obj.get("agents", ())
+        text = name if not agents else f"{name}:{','.join(agents)}"
+        system = parse_system(text)
+        _require_hilbert(system)
+        tree = fold_tree(obj["tree"], lambda o: o.get("premises", ()), node)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed deduction object: {exc}") from None
+    return tree, system

@@ -150,8 +150,12 @@ def rule_admissible(rule: Rule, system: System) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Proof:
+    """A proof tree.  Equality compares the trees node by node on an
+    explicit stack, and the hash reads the root's conclusion and rule
+    alone, so neither is limited by the recursion limit."""
+
     conclusion: Sequent
     rule: Rule
     premises: tuple["Proof", ...] = ()
@@ -159,6 +163,23 @@ class Proof:
     @property
     def system(self) -> System:
         return self.conclusion.system
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Proof):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if (a.conclusion != b.conclusion or a.rule != b.rule
+                    or len(a.premises) != len(b.premises)):
+                return False
+            todo += zip(a.premises, b.premises)
+        return True
+
+    def __hash__(self) -> int:
+        return hash((self.conclusion, self.rule))
 
 
 def proof_nodes(p: Proof):
@@ -169,6 +190,26 @@ def proof_nodes(p: Proof):
         yield path, node
         for i in reversed(range(len(node.premises))):
             stack.append((path + (i,), node.premises[i]))
+
+
+def fold_tree(root, children, build):
+    """``build(node, results for its children)`` over the tree under
+    ``root``, children first, on an explicit stack: the tree's depth is
+    not bounded by the recursion limit."""
+    done: list = []
+    todo = [(root, False)]
+    while todo:
+        node, ready = todo.pop()
+        kids = children(node)
+        if not ready:
+            todo.append((node, True))
+            todo += [(k, False) for k in reversed(kids)]
+            continue
+        cut = len(done) - len(kids)
+        built = build(node, done[cut:])
+        del done[cut:]
+        done.append(built)
+    return done[0]
 
 
 class CheckSession:

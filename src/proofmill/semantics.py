@@ -548,26 +548,37 @@ def _parse_op(obj: dict, label: str) -> OpTable:
         a, sep, b = key.partition(",")
         if not sep or not a or not b or "," in b:
             raise ValueError(f"bad {label} key {key!r}, want 'w,v'")
-        out[(a, b)] = val
+        out[(a, b)] = _names(val, 0)
     return out
+
+
+def _names(value, depth: int):
+    """``value`` as world names nested in ``depth`` levels of lists, each
+    list made a tuple; TypeError when it has another shape."""
+    if depth == 0:
+        if not isinstance(value, str):
+            raise TypeError(f"world name {value!r} is not a string")
+        return value
+    if not isinstance(value, list):
+        raise TypeError(f"{value!r} is not a list")
+    return tuple(_names(v, depth - 1) for v in value)
 
 
 def model_from_json(obj: dict) -> Model:
     try:
-        worlds = tuple(obj["worlds"])
-        unit = obj["unit"]
+        worlds = _names(obj["worlds"], 1)
+        unit = _names(obj["unit"], 0)
         op = _parse_op(obj["op"], "op")
         serial = _parse_op(obj["serial_op"], "serial_op") \
             if "serial_op" in obj else None
-        order = tuple((a, b) for a, b in obj.get("order", ()))
-        valuation = {p: tuple(ws)
+        order = tuple((a, b) for a, b in _names(obj.get("order", []), 2))
+        valuation = {p: _names(ws, 1)
                      for p, ws in obj.get("valuation", {}).items()}
         neighbourhoods = {
-            key: {w: tuple(tuple(x) for x in sets)
-                  for w, sets in per_world.items()}
+            key: {w: _names(sets, 2) for w, sets in per_world.items()}
             for key, per_world in obj.get("neighbourhoods", {}).items()
         }
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed model object: {exc}") from None
     return Model(worlds, unit, op, serial, order, valuation, neighbourhoods)
 
@@ -693,6 +704,27 @@ def _random_upset(rng: random.Random, n: int, above, within: int = -1) -> int:
     return _up(above, base)
 
 
+def _set_names(names: tuple[str, ...], mask: int) -> tuple[str, ...]:
+    return tuple(names[i] for i in _bits(mask))
+
+
+def _named_tables(
+    names: tuple[str, ...], valuation: dict[str, tuple[str, ...]],
+    bot_mask: int, nbhd: dict[str, list[set[int]]],
+) -> tuple[dict[str, tuple[str, ...]], NbhdTable]:
+    """``valuation`` with ``bot`` made ``bot_mask`` (when not empty), and
+    the neighbourhood tables, with the world names for the bit masks."""
+    valuation = dict(valuation)
+    if bot_mask:
+        valuation["bot"] = _set_names(names, bot_mask)
+    tables = {
+        key: {names[w]: tuple(_set_names(names, x) for x in sorted(sets))
+              for w, sets in enumerate(table)}
+        for key, table in nbhd.items()
+    }
+    return valuation, tables
+
+
 def random_model(seed: int, size: int, system: System) -> Model:
     """Deterministic-in-seed model that always passes validate_model."""
     if size < 1:
@@ -757,10 +789,6 @@ def random_model(seed: int, size: int, system: System) -> Model:
     )
 
     names = tuple(f"w{i}" for i in range(n))
-
-    def set_names(mask: int) -> tuple[str, ...]:
-        return tuple(names[i] for i in _bits(mask))
-
     op_table: OpTable = {
         (names[i], names[j]): names[op[i][j]]
         for i in range(n) for j in range(n)
@@ -771,15 +799,11 @@ def random_model(seed: int, size: int, system: System) -> Model:
             (names[i], names[j]): names[ser[i][j]]
             for i in range(n) for j in range(n)
         }
-    valuation = {p: set_names(mask) for p, mask in sorted(val_masks.items())}
-    if bot_mask:
-        valuation["bot"] = set_names(bot_mask)
-    nbhd_out: NbhdTable = {}
-    for key, table in nbhd.items():
-        nbhd_out[key] = {
-            names[w]: tuple(set_names(x) for x in sorted(table[w]))
-            for w in range(n)
-        }
+    valuation, nbhd_out = _named_tables(
+        names,
+        {p: _set_names(names, mask) for p, mask in sorted(val_masks.items())},
+        bot_mask, nbhd,
+    )
     return Model(
         worlds=names,
         unit=names[0],
@@ -814,7 +838,7 @@ def _atom_variant(m: Model, atoms: list[str], rng: random.Random) -> Model:
             valuation.pop(p, None)
             continue
         mask = _random_upset(rng, fr.n, fr.above)
-        valuation[p] = tuple(fr.names[i] for i in _bits(mask))
+        valuation[p] = _set_names(fr.names, mask)
     return replace(m, valuation=valuation)
 
 
@@ -854,17 +878,7 @@ def _hint_variant(
     bot_mask = _close_neighbourhoods(
         fr.n, fr.above, fr.op, fr.ser, nbhd, conditions, bot_mask
     )
-    valuation = dict(m.valuation)
-    if bot_mask:
-        valuation["bot"] = tuple(fr.names[i] for i in _bits(bot_mask))
-    nbhd_out: NbhdTable = {}
-    for key, table in nbhd.items():
-        nbhd_out[key] = {
-            fr.names[w]: tuple(
-                tuple(fr.names[i] for i in _bits(x)) for x in sorted(table[w])
-            )
-            for w in range(fr.n)
-        }
+    valuation, nbhd_out = _named_tables(fr.names, m.valuation, bot_mask, nbhd)
     return replace(m, valuation=valuation, neighbourhoods=nbhd_out)
 
 

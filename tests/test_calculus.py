@@ -487,3 +487,29 @@ def test_json_keeps_agent_and_system():
     assert d["agents"] == ["i", "s"]
     assert d["proof"]["agent"] == "i"
     assert proof_from_json(d) == pr
+
+
+def _cut_tower(s: Sequent, top: Proof, height: int) -> Proof:
+    pr = top
+    for _ in range(height):
+        pr = Proof(s, Rule("Cut"), (ax(s), pr))
+    return pr
+
+
+def test_deep_proofs_compare_and_hash():
+    s = parse_sequent("p |- p", MILL)
+    pr = _cut_tower(s, ax(s), 1500)
+    back = proof_from_json(proof_to_json(pr))
+    assert back == pr and hash(back) == hash(pr)
+    # the same height, but one node deep down differs
+    assert _cut_tower(s, ax(parse_sequent("q |- q", MILL)), 1500) != pr
+    assert _cut_tower(s, ax(s), 1499) != pr
+
+
+def test_long_chain_proof_hashes():
+    from proofmill.search import prove
+
+    chain = " & ".join(["p"] * 1500)
+    pr = prove(parse_sequent(f"p |- {chain}", MILL)).proof
+    assert hash(pr) == hash(Proof(pr.conclusion, pr.rule, pr.premises))
+    assert pr == Proof(pr.conclusion, pr.rule, pr.premises)

@@ -1,18 +1,24 @@
 """Exit codes and output of every CLI subcommand, run in-process."""
 
 import contextlib
+import copy
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from proofmill.calculus import proof_to_json
 from proofmill.cli import run
 from proofmill.hilbert import (
     assumption,
     axiom_leaf,
     deduction_to_json,
+    hilbert_to_sequent,
     modus_ponens,
+    not_nec_rule,
 )
 from proofmill.search import Exhausted
 from proofmill.semantics import model_from_json, model_to_json, random_model
@@ -349,3 +355,98 @@ class TestUsage:
     def test_help_exits_zero(self):
         code, _, _ = cli("--help")
         assert code == 0
+
+
+# -- malformed JSON -------------------------------------------------------------
+
+RS = parse_system("RSBIAT:a,b")
+
+
+def _deduction():
+    return modus_ponens(
+        assumption(parse_formula("p & q", MILL)),
+        axiom_leaf(parse_formula("(p & q) -o p", MILL), MILL),
+    )
+
+
+def _valid_documents():
+    """A valid input per subcommand: (command, JSON object, extra args)."""
+    proof = proof_to_json(hilbert_to_sequent(_deduction(), MILL))  # has cuts
+    agent_tree = not_nec_rule("a", axiom_leaf(parse_formula("1", RS), RS))
+    return [
+        ("check-proof", proof, ()),
+        ("cut-eliminate", proof, ()),
+        ("hilbert-check", deduction_to_json(_deduction(), MILL), ()),
+        ("hilbert-check", deduction_to_json(agent_tree, RS), ()),
+        ("hilbert-to-sequent", deduction_to_json(_deduction(), MILL), ()),
+        ("hilbert-to-sequent", deduction_to_json(agent_tree, RS), ()),
+        ("model-check", model_to_json(random_model(7, 3, MILL)), ("MILL",)),
+        ("model-check", model_to_json(random_model(2, 3, RS)), ("RSBIAT",)),
+    ]
+
+
+def _run_on(command, obj, extra=()):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(obj))
+        return cli(command, str(path), *extra)
+
+
+def _replaced(obj, path, value):
+    if not path:
+        return value
+    out = copy.deepcopy(obj)
+    inner = out
+    for step in path[:-1]:
+        inner = inner[step]
+    inner[path[-1]] = value
+    return out
+
+
+def _paths(obj, path=()):
+    yield path
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("command, where, value", [
+        ("check-proof", ("proof", "premises"), 5),
+        ("cut-eliminate", ("proof", "premises"), 5),
+        ("check-proof", ("proof", "rule"), 7),
+        ("check-proof", (), [1]),
+        ("hilbert-check", ("tree", "premises"), 5),
+        ("hilbert-to-sequent", ("tree", "premises"), 5),
+        ("hilbert-check", ("tree", "formula"), 3),
+        ("hilbert-check", ("system",), "PCMILL"),
+        ("hilbert-to-sequent", ("system",), "PCMILL"),
+        ("model-check", ("unit",), []),
+        ("model-check", ("worlds",), [[1]]),
+    ])
+    def test_is_a_usage_error(self, command, where, value):
+        _, obj, extra = next(d for d in _valid_documents() if d[0] == command)
+        code, _, err = _run_on(command, _replaced(obj, where, value), extra)
+        assert code == 2, err
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("doc", range(len(_valid_documents())))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_never_an_internal_error(self, doc, data):
+        command, obj, extra = _valid_documents()[doc]
+        assert _run_on(command, obj, extra)[0] == 0
+        where = data.draw(st.sampled_from(list(_paths(obj))))
+        value = data.draw(_JSON | st.sampled_from(["RSBIAT", "PCMILL", "a"]))
+        code, _, err = _run_on(command, _replaced(obj, where, value), extra)
+        assert code != 3, err

@@ -19,6 +19,7 @@ from proofmill.hilbert import (
     brings_re_rule,
     check_deduction,
     deduction_from_json,
+    deduction_nodes,
     deduction_theorem,
     deduction_to_json,
     hilbert_to_sequent,
@@ -381,3 +382,38 @@ def test_json_round_trip_with_agent():
     assert obj["tree"]["agent"] == "a"
     back, sys = deduction_from_json(obj)
     assert back == d and sys == RS
+
+
+# -- long deductions --------------------------------------------------------------
+
+
+def _chain(n):
+    # p |- p by n modus ponens steps on the identity axiom
+    d = assumption(P)
+    ident = axiom_leaf(f("p -o p"), MILL)
+    for _ in range(n):
+        d = modus_ponens(d, ident)
+    return d
+
+
+def _nodes(d):
+    return [(n.rule, n.assumptions, n.formula, n.agent)
+            for _, n in deduction_nodes(d)]
+
+
+def test_long_chain_round_trips_through_json():
+    d = _chain(1500)
+    back, sys = deduction_from_json(deduction_to_json(d, MILL))
+    assert _nodes(back) == _nodes(d) and sys == MILL
+
+
+def test_long_chain_discharges():
+    out = deduction_theorem(_chain(1500), 0, MILL)
+    assert out.assumptions == () and out.formula is f("p -o p")
+    assert check_deduction(out, MILL).ok
+
+
+def test_long_chain_translates():
+    sp = hilbert_to_sequent(_chain(1500), MILL)
+    assert sp.conclusion == sequent(mset((P,)), P, MILL)
+    assert check_proof(sp).ok
