@@ -123,23 +123,24 @@ def _product(above: list[int], table: list[list[int]], x: int, y: int) -> int:
 class _Frame:
     """Index tables for one model; world sets are int bitmasks."""
 
-    def __init__(self, m: Model):
-        self.names = list(m.worlds)
-        self.idx = {w: i for i, w in enumerate(m.worlds)}
+    def __init__(self, names, e: int, op: list[list[int]],
+                 ser: list[list[int]] | None, above: list[int]):
+        self.names = list(names)
+        self.idx = {w: i for i, w in enumerate(self.names)}
         self.n = len(self.names)
-        self.e = self.idx[m.unit]
-        self.op = self._table(m.op)
-        self.ser = self._table(m.serial_op) if m.serial_op is not None \
-            else None
-        pairs = [(self.idx[a], self.idx[b]) for a, b in m.order]
-        self.above = _closure(self.n, pairs)
+        self.e, self.op, self.ser, self.above = e, op, ser, above
 
-    def _table(self, op: OpTable) -> list[list[int]]:
-        t = [[0] * self.n for _ in range(self.n)]
-        for i, w in enumerate(self.names):
-            for j, v in enumerate(self.names):
-                t[i][j] = self.idx[op[(w, v)]]
-        return t
+    @classmethod
+    def of(cls, m: Model) -> _Frame:
+        idx = {w: i for i, w in enumerate(m.worlds)}
+
+        def table(op: OpTable) -> list[list[int]]:
+            return [[idx[op[(w, v)]] for v in m.worlds] for w in m.worlds]
+
+        ser = table(m.serial_op) if m.serial_op is not None else None
+        pairs = [(idx[a], idx[b]) for a, b in m.order]
+        return cls(m.worlds, idx[m.unit], table(m.op), ser,
+                   _closure(len(m.worlds), pairs))
 
     def set_name(self, mask: int) -> str:
         return "{" + ",".join(self.names[i] for i in _bits(mask)) + "}"
@@ -204,6 +205,47 @@ def _nbhd_masks(frame: _Frame, m: Model) -> dict[str, list[set[int]]]:
     return out
 
 
+def _nbhd_violations(fr: _Frame, nbhd: dict[str, list[set[int]]],
+                     agents, conditions: tuple[str, ...], bot: int):
+    """Yield ``(condition, key, world, mask, home)`` for every failure of
+    heredity in each table, then of each of ``conditions`` in the tables
+    of ``agents``.  ``home`` is the world whose family lacks the set
+    ``mask`` (a hereditary set found at ``world``, an intersection, a
+    product); it is ``None`` when ``mask`` offends where it is, at
+    ``world`` (``NotNec``, ``BringsRefl``)."""
+    n, above = fr.n, fr.above
+    for key, table in nbhd.items():
+        for w in range(n):
+            for x in table[w]:
+                for hi in _bits(above[w]):
+                    if hi != w and x not in table[hi]:
+                        yield "heredity", key, w, x, hi
+    products = [(cond, t) for cond, t in (("BringsTensor", fr.op),
+                                          ("BringsOdot", fr.ser))
+                if cond in conditions and t is not None]
+    for key in agents:
+        table = nbhd[key]
+        for w in range(n):
+            for x in table[w]:
+                if "NotNec" in conditions and x >> fr.e & 1 \
+                        and not bot >> w & 1:
+                    yield "NotNec", key, w, x, None
+                if "BringsRefl" in conditions and not x >> w & 1:
+                    yield "BringsRefl", key, w, x, None
+                if "BringsWith" in conditions:
+                    for y in table[w]:
+                        if x & y not in table[w]:
+                            yield "BringsWith", key, w, x & y, w
+        for cond, t in products:
+            for w1 in range(n):
+                for x in table[w1]:
+                    for w2 in range(n):
+                        for y in table[w2]:
+                            z, home = _product(above, t, x, y), t[w1][w2]
+                            if z not in table[home]:
+                                yield cond, key, w1, z, home
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -213,7 +255,7 @@ class Evaluator:
 
     def __init__(self, model: Model):
         self.model = model
-        self._fr = _Frame(model)
+        self._fr = _Frame.of(model)
         self._val = {
             p: _mask_of(self._fr, ws) for p, ws in model.valuation.items()
         }
@@ -293,24 +335,16 @@ class Evaluator:
             return self._arrow(f, self._serial(f), flip=False)
         if isinstance(f, Rres):
             return self._arrow(f, self._serial(f), flip=True)
-        if isinstance(f, Box):
-            table = self._nbhd.get("box")
+        if isinstance(f, (Box, Brings)):
+            table = self._nbhd.get("box" if isinstance(f, Box) else f.agent)
+            if table is None and isinstance(f, Brings):
+                raise ValueError(f"model has no neighbourhood table "
+                                 f"for agent {f.agent!r}")
             body = memo[f.body]
             out = 0
-            for m in range(fr.n):
-                if table is not None and body in table[m]:
-                    out |= 1 << m
-            return out
-        if isinstance(f, Brings):
-            table = self._nbhd.get(f.agent)
-            if table is None:
-                raise ValueError(
-                    f"model has no neighbourhood table for agent {f.agent!r}"
-                )
-            body = memo[f.body]
-            out = 0
-            for m in range(fr.n):
-                if body in table[m]:
+            # without a box table, []A holds nowhere
+            for m, sets in enumerate(table or ()):
+                if body in sets:
                     out |= 1 << m
             return out
         raise AssertionError(f.key)
@@ -415,13 +449,28 @@ def _structure_failures(m: Model, system: System) -> list[str]:
     return bad
 
 
+# validate_model's message for each failure _nbhd_violations yields
+_COMBINED = ("agent {key!r}: combined neighbourhood {set} missing at {home} "
+             "({closure} closure)")
+_NBHD_FAILURES = {
+    "heredity": "neighbourhood of {key!r} not hereditary: {set} at {world} "
+                "missing at {home}",
+    "NotNec": "agent {key!r} at {world}: neighbourhood {set} contains the "
+              "unit but the world does not satisfy bot",
+    "BringsRefl": "agent {key!r} at {world}: neighbourhood {set} does not "
+                  "contain its world",
+    "BringsWith": "agent {key!r} at {world}: intersection {set} missing",
+    "BringsTensor": _COMBINED, "BringsOdot": _COMBINED,
+}
+
+
 def validate_model(m: Model, system: System) -> ModelReport:
     """Check all laws and the frame conditions selected by the system."""
     bad = _structure_failures(m, system)
     if bad:
         return ModelReport(False, tuple(bad))
 
-    fr = _Frame(m)
+    fr = _Frame.of(m)
     n, e = fr.n, fr.e
     names = fr.names
 
@@ -458,65 +507,13 @@ def validate_model(m: Model, system: System) -> ModelReport:
         if _up(fr.above, mask) != mask:
             bad.append(f"valuation of {p!r} is not upward closed")
 
-    nbhd = _nbhd_masks(fr, m)
-    for key, table in nbhd.items():
-        for w in range(n):
-            for x in table[w]:
-                for above_w in _bits(fr.above[w]):
-                    if above_w != w and x not in table[above_w]:
-                        bad.append(
-                            f"neighbourhood of {key!r} not hereditary: "
-                            f"{fr.set_name(x)} at {names[w]} missing at "
-                            f"{names[above_w]}"
-                        )
-
-    conditions = FRAME_CONDITIONS[system.ident]
-    if conditions:
-        bot = _mask_of(fr, m.valuation.get("bot", ()))
-        for agent in system.agents:
-            table = nbhd.get(agent)
-            if table is None:
-                continue
-            for w in range(n):
-                for x in table[w]:
-                    if "NotNec" in conditions and x >> e & 1 \
-                            and not bot >> w & 1:
-                        bad.append(
-                            f"agent {agent!r} at {names[w]}: neighbourhood "
-                            f"{fr.set_name(x)} contains the unit but the "
-                            f"world does not satisfy bot"
-                        )
-                    if "BringsRefl" in conditions and not x >> w & 1:
-                        bad.append(
-                            f"agent {agent!r} at {names[w]}: neighbourhood "
-                            f"{fr.set_name(x)} does not contain its world"
-                        )
-                    if "BringsWith" in conditions:
-                        for y in table[w]:
-                            if x & y not in table[w]:
-                                bad.append(
-                                    f"agent {agent!r} at {names[w]}: "
-                                    f"intersection {fr.set_name(x & y)} "
-                                    f"missing"
-                                )
-            for name, t in (("BringsTensor", fr.op),
-                            ("BringsOdot", fr.ser)):
-                if name not in conditions:
-                    continue
-                for w1 in range(n):
-                    for x in table[w1]:
-                        for w2 in range(n):
-                            for y in table[w2]:
-                                want = _product(fr.above, t, x, y)
-                                home = t[w1][w2]
-                                if want not in table[home]:
-                                    bad.append(
-                                        f"agent {agent!r}: combined "
-                                        f"neighbourhood "
-                                        f"{fr.set_name(want)} missing at "
-                                        f"{names[home]} "
-                                        f"({name.lower()} closure)"
-                                    )
+    bot = _mask_of(fr, m.valuation.get("bot", ()))
+    for cond, key, w, x, home in _nbhd_violations(
+            fr, _nbhd_masks(fr, m), system.agents,
+            FRAME_CONDITIONS[system.ident], bot):
+        bad.append(_NBHD_FAILURES[cond].format(
+            key=key, world=names[w], set=fr.set_name(x), closure=cond.lower(),
+            home=None if home is None else names[home]))
     return ModelReport(not bad, tuple(bad))
 
 
@@ -648,50 +645,26 @@ def _repair_order(n: int, op, ser, pairs: set[tuple[int, int]]):
 
 
 def _close_neighbourhoods(
-    n: int, above, op, ser, nbhd: dict[str, list[set[int]]],
-    conditions: tuple[str, ...], bot_mask: int,
+    fr: _Frame, nbhd: dict[str, list[set[int]]],
+    conditions: tuple[str, ...], bot: int,
 ) -> int:
-    """Close each agent table under heredity and the selected
-    conditions; returns the (possibly grown) bot mask."""
-    changed = True
-    while changed:
-        changed = False
-        for table in nbhd.values():
-            # heredity: propagate sets upward
-            for w in range(n):
-                for hi in _bits(above[w]):
-                    if hi == w:
-                        continue
-                    missing = table[w] - table[hi]
-                    if missing:
-                        table[hi] |= missing
-                        changed = True
-            if "BringsWith" in conditions:
-                for w in range(n):
-                    inter = {x & y for x in table[w] for y in table[w]}
-                    missing = inter - table[w]
-                    if missing:
-                        table[w] |= missing
-                        changed = True
-            for name, t in (("BringsTensor", op), ("BringsOdot", ser)):
-                if name not in conditions or t is None:
-                    continue
-                for w1 in range(n):
-                    for x in list(table[w1]):
-                        for w2 in range(n):
-                            for y in list(table[w2]):
-                                z = _product(above, t, x, y)
-                                home = t[w1][w2]
-                                if z not in table[home]:
-                                    table[home].add(z)
-                                    changed = True
-    if "NotNec" in conditions:
-        for table in nbhd.values():
-            for w in range(n):
-                for x in table[w]:
-                    if x & 1 and not bot_mask >> w & 1:  # unit is world 0
-                        bot_mask |= above[w]
-    return bot_mask
+    """Repair, one round at a time, what ``_nbhd_violations`` finds in
+    every table until nothing is left: add each missing set, and grow
+    ``bot`` by the worlds above one that ``NotNec`` finds; returns the
+    grown ``bot``.  Every condition is monotone, so this is the least
+    fixpoint whatever the order of repairs.  ``BringsRefl`` is never
+    repaired: every seeded set contains its world, and heredity,
+    intersections and products keep that true."""
+    conditions = tuple(c for c in conditions if c != "BringsRefl")
+    while True:
+        found = list(_nbhd_violations(fr, nbhd, tuple(nbhd), conditions, bot))
+        if not found:
+            return bot
+        for _, key, w, x, home in found:
+            if home is None:
+                bot |= fr.above[w]
+            else:
+                nbhd[key][home].add(x)
 
 
 def _random_upset(rng: random.Random, n: int, above, within: int = -1) -> int:
@@ -784,34 +757,25 @@ def random_model(seed: int, size: int, system: System) -> Model:
                 x = _up(above, (1 << w) | extra)
                 table[w].add(x)
         nbhd[agent] = table
+    names = tuple(f"w{i}" for i in range(n))
     bot_mask = _close_neighbourhoods(
-        n, above, op, ser, nbhd, conditions, bot_mask
+        _Frame(names, 0, op, ser, above), nbhd, conditions, bot_mask
     )
 
-    names = tuple(f"w{i}" for i in range(n))
-    op_table: OpTable = {
-        (names[i], names[j]): names[op[i][j]]
-        for i in range(n) for j in range(n)
-    }
-    ser_table = None
-    if ser is not None:
-        ser_table = {
-            (names[i], names[j]): names[ser[i][j]]
-            for i in range(n) for j in range(n)
-        }
+    def named(t: list[list[int]]) -> OpTable:
+        return {(names[i], names[j]): names[t[i][j]]
+                for i in range(n) for j in range(n)}
+
     valuation, nbhd_out = _named_tables(
         names,
         {p: _set_names(names, mask) for p, mask in sorted(val_masks.items())},
         bot_mask, nbhd,
     )
     return Model(
-        worlds=names,
-        unit=names[0],
-        op=op_table,
-        serial_op=ser_table,
+        worlds=names, unit=names[0], op=named(op),
+        serial_op=None if ser is None else named(ser),
         order=tuple((names[a], names[b]) for a, b in sorted(pairs)),
-        valuation=valuation,
-        neighbourhoods=nbhd_out,
+        valuation=valuation, neighbourhoods=nbhd_out,
     )
 
 
@@ -829,7 +793,7 @@ class Countermodel:
 
 
 def _atom_variant(m: Model, atoms: list[str], rng: random.Random) -> Model:
-    fr = _Frame(m)
+    fr = _Frame.of(m)
     valuation = dict(m.valuation)
     for p in atoms:
         if p == "bot":
@@ -855,8 +819,8 @@ def _hint_variant(
             bodies.append((f.agent, f.body))
     if not bodies:
         return None
-    fr = _Frame(m)
     ev = Evaluator(m)
+    fr = ev._fr
     nbhd = _nbhd_masks(fr, m)
     conditions = FRAME_CONDITIONS[s.system.ident]
     agent_conditions = bool(conditions)
@@ -874,9 +838,8 @@ def _hint_variant(
                 added = True
     if not added:
         return None
-    bot_mask = _mask_of(fr, m.valuation.get("bot", ()))
     bot_mask = _close_neighbourhoods(
-        fr.n, fr.above, fr.op, fr.ser, nbhd, conditions, bot_mask
+        fr, nbhd, conditions, _mask_of(fr, m.valuation.get("bot", ()))
     )
     valuation, nbhd_out = _named_tables(fr.names, m.valuation, bot_mask, nbhd)
     return replace(m, valuation=valuation, neighbourhoods=nbhd_out)
