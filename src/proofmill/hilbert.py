@@ -193,13 +193,16 @@ def match_axiom(f: Formula, system: System) -> AxiomMatch | None:
 # deduction trees
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeductionTree:
     """One node of a Hilbert derivation, claiming ``assumptions |- formula``.
 
     Claims are stored, not trusted: :func:`check_deduction` verifies
     every node against its premises.  Use the factory functions below to
-    build trees whose claims are correct by construction.
+    build trees whose claims are correct by construction.  Equality
+    compares the trees node by node on an explicit stack, and the hash
+    reads the root's own fields alone, so neither is limited by the
+    recursion limit.
     """
 
     rule: str
@@ -211,6 +214,26 @@ class DeductionTree:
     def __post_init__(self) -> None:
         if self.rule not in _KINDS:
             raise ValueError(f"unknown deduction node kind {self.rule!r}")
+
+    def _own(self) -> tuple:
+        return (self.rule, self.assumptions, self.formula, self.agent,
+                len(self.premises))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DeductionTree):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a._own() != b._own():
+                return False
+            todo += zip(a.premises, b.premises)
+        return True
+
+    def __hash__(self) -> int:
+        return hash(self._own())
 
     def statement(self) -> str:
         return _statement(self.assumptions, self.formula)

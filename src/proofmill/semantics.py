@@ -39,7 +39,6 @@ from dataclasses import dataclass, replace
 
 from .context import Sequent, to_formula
 from .syntax import (
-    AGENT_SYSTEMS,
     BOX_SYSTEMS,
     SERIAL_SYSTEMS,
     Atom,
@@ -812,7 +811,9 @@ def _hint_variant(
     """Plant extensions of modal subformula bodies as neighbourhood sets,
     then re-close the frame conditions."""
     bodies: list[tuple[str, Formula]] = []
-    for f in subformulas(to_formula(s.ctx)) | subformulas(s.succ):
+    # in key order, so the rng's draws do not follow the hash seed
+    for f in sorted(subformulas(to_formula(s.ctx)) | subformulas(s.succ),
+                    key=lambda f: f.key):
         if isinstance(f, Box):
             bodies.append(("box", f.body))
         elif isinstance(f, Brings):

@@ -23,7 +23,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 
 class SystemId(Enum):
@@ -33,9 +32,8 @@ class SystemId(Enum):
     SRSBIAT = "SRSBIAT"
 
 
-# Which systems read antecedents as multisets vs ordered trees, and
-# which modality (if any) their language admits.
-MSET_SYSTEMS = (SystemId.MILL, SystemId.RSBIAT)
+# Which systems read antecedents as ordered trees (the others read
+# multisets), and which modality their language admits.
 TREE_SYSTEMS = (SystemId.PCMILL, SystemId.SRSBIAT)
 BOX_SYSTEMS = (SystemId.MILL, SystemId.PCMILL)
 AGENT_SYSTEMS = (SystemId.RSBIAT, SystemId.SRSBIAT)
@@ -70,10 +68,6 @@ class System:
     @property
     def has_box(self) -> bool:
         return self.ident in BOX_SYSTEMS
-
-    @property
-    def has_serial(self) -> bool:
-        return self.ident in SERIAL_SYSTEMS
 
     def __str__(self) -> str:
         if self.agents:
@@ -626,9 +620,3 @@ def parse_formula(text: str, system: System | None = None) -> Formula:
     if system is not None:
         validate_formula(f, system)
     return f
-
-
-def iter_binops(f: Formula) -> Iterator[BinOp]:
-    for g in subformulas(f):
-        if isinstance(g, BinOp):
-            yield g

@@ -1,9 +1,13 @@
-"""Exit codes and output of every CLI subcommand, run in-process."""
+"""Exit codes and output of every CLI subcommand, run in-process (and
+in subprocesses where the hash seed must vary)."""
 
 import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -307,6 +311,25 @@ class TestCountermodel:
         assert code == 0
         code, out, _ = cli("model-eval", str(path), "p @ q |- q @ p")
         assert code == 1
+
+    @pytest.mark.parametrize("system, goal, size", [
+        ("SRSBIAT:a", "E[a](p @ q) |- E[a](q @ p)", "4"),
+        ("MILL", "[]p |- []q", "3"),
+    ])
+    def test_output_does_not_follow_the_hash_seed(self, system, goal, size):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c",
+                 "from proofmill.cli import main; main()",
+                 "countermodel", system, goal, "--seed", "0",
+                 "--max-size", size],
+                env=env, capture_output=True, text=True, check=True)
+            outs.append(done.stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].startswith("countermodel with")
 
     def test_not_found_for_theorem(self):
         code, out, _ = cli("countermodel", "MILL", "p |- p",

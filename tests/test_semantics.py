@@ -231,6 +231,49 @@ def test_brings_with_closure_violation_reported():
     assert any("bot" in f for f in rep.failures)
 
 
+def _sink_op(worlds, unit, sink, **special):
+    """``unit`` neutral, the products in ``special`` (keyed ``"ab"`` for
+    ``a . b``), and every other product ``sink``."""
+    return {
+        (a, b): b if a == unit else a if b == unit
+        else special.get(a + b, sink)
+        for a in worlds for b in worlds
+    }
+
+
+def test_missing_intersection_is_the_only_failure():
+    # at w, {u,w} and {w,z} meet in {w}, which is missing; every product
+    # of non-unit worlds is z, and {z} is at z, so tensor closure holds
+    worlds = ("e", "u", "w", "z")
+    m = Model(
+        worlds=worlds, unit="e", op=_sink_op(worlds, "e", "z"),
+        serial_op=None, order=(), valuation={},
+        neighbourhoods={"a": {"w": (("u", "w"), ("w", "z")),
+                              "z": (("z",),)}},
+    )
+    rep = validate_model(m, parse_system("RSBIAT:a"))
+    # the pairs ({u,w}, {w,z}) and ({w,z}, {u,w}) both report it
+    assert rep.failures == ("agent 'a' at w: intersection {w} missing",) * 2
+
+
+def test_missing_odot_product_is_the_only_failure():
+    # u . u is s in series but t in parallel, and t >= s keeps entropy;
+    # the parallel product {t} of {u} with itself is at t, the serial
+    # one, up-closed to {s,t}, is missing at s
+    worlds = ("e", "u", "s", "t")
+    m = Model(
+        worlds=worlds, unit="e", op=_sink_op(worlds, "e", "t"),
+        serial_op=_sink_op(worlds, "e", "t", uu="s"),
+        order=(("t", "s"),), valuation={},
+        neighbourhoods={"a": {"u": (("u",),), "t": (("t",),)}},
+    )
+    rep = validate_model(m, parse_system("SRSBIAT:a"))
+    assert rep.failures == (
+        "agent 'a': combined neighbourhood {s,t} missing at s "
+        "(bringsodot closure)",
+    )
+
+
 def test_brings_tensor_closure_violation_reported():
     m = Model(
         worlds=("e", "w"), unit="e",
