@@ -45,7 +45,7 @@ from .calculus import (
     Rule,
 )
 from .context import Sequent, mset, sequent
-from .kernel import fold_tree
+from .kernel import fold_tree, same_tree
 from .search import Proved, prove
 from .syntax import (
     BOT,
@@ -216,21 +216,13 @@ class DeductionTree:
             raise ValueError(f"unknown deduction node kind {self.rule!r}")
 
     def _own(self) -> tuple:
-        return (self.rule, self.assumptions, self.formula, self.agent,
-                len(self.premises))
+        """What this node holds beside its premises."""
+        return self.rule, self.assumptions, self.formula, self.agent
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DeductionTree):
             return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            if a._own() != b._own():
-                return False
-            todo += zip(a.premises, b.premises)
-        return True
+        return same_tree(self, other)
 
     def __hash__(self) -> int:
         return hash(self._own())

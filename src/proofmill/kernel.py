@@ -164,22 +164,17 @@ class Proof:
     def system(self) -> System:
         return self.conclusion.system
 
+    def _own(self) -> tuple:
+        """What this node holds beside its premises."""
+        return self.conclusion, self.rule
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Proof):
             return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            if (a.conclusion != b.conclusion or a.rule != b.rule
-                    or len(a.premises) != len(b.premises)):
-                return False
-            todo += zip(a.premises, b.premises)
-        return True
+        return same_tree(self, other)
 
     def __hash__(self) -> int:
-        return hash((self.conclusion, self.rule))
+        return hash(self._own())
 
 
 def proof_nodes(p: Proof):
@@ -190,6 +185,21 @@ def proof_nodes(p: Proof):
         yield path, node
         for i in reversed(range(len(node.premises))):
             stack.append((path + (i,), node.premises[i]))
+
+
+def same_tree(a, b) -> bool:
+    """Whether the trees under ``a`` and ``b`` hold the same ``_own()``
+    at every node, compared on an explicit stack: the trees' depth is
+    not bounded by the recursion limit."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        if x._own() != y._own() or len(x.premises) != len(y.premises):
+            return False
+        todo += zip(x.premises, y.premises)
+    return True
 
 
 def fold_tree(root, children, build):
