@@ -122,7 +122,7 @@ def _product(above: list[int], table: list[list[int]], x: int, y: int) -> int:
 class _Frame:
     """Index tables for one model; world sets are int bitmasks."""
 
-    def __init__(self, names, e: int, op: list[list[int]],
+    def __init__(self, names: tuple[str, ...], e: int, op: list[list[int]],
                  ser: list[list[int]] | None, above: list[int]):
         self.names = list(names)
         self.idx = {w: i for i, w in enumerate(self.names)}
