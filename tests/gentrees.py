@@ -143,7 +143,7 @@ def _must_prove(goal):
 def mill_cut_proofs(oracle, rng, count):
     """Cut compositions of oracle-derivable parts, one to three cuts each."""
     known = sorted(
-        oracle.known,
+        ((tuple(context_formulas(ctx)), succ) for ctx, succ in oracle.known),
         key=lambda s: (s[1].key, tuple(f.key for f in s[0])),
     )
     by_succ = {}

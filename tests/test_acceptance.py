@@ -3,9 +3,10 @@
 Each test exercises one guarantee across module boundaries: the bundled
 corpus proves and refutes as labelled, axiom instances derive, cut
 elimination terminates and preserves conclusions on composed proofs,
-random models satisfy every proved sequent, search agrees with
-independent oracles over small exhaustive universes, the Hilbert
-bridge round-trips, and search depth stays within its advertised bound.
+random models satisfy every proved sequent, search agrees with one
+independent forward-closure oracle (``oracle.Closure``) on every goal
+of small exhaustive universes in all four systems, the Hilbert bridge
+round-trips, and search depth stays within its advertised bound.
 
 These are deliberately heavyweight.  Fine-grained behaviour lives in
 the per-module suites; a failure here means a shipped promise broke.
@@ -22,7 +23,6 @@ import pytest
 from proofmill.calculus import check_proof, cut_count
 from proofmill.context import (
     context_formulas,
-    mset,
     parse_sequent,
     sequent,
     total_complexity,
@@ -66,8 +66,7 @@ from proofmill.syntax import (
 )
 
 from gentrees import mill_cut_proofs, random_deduction, tree_cut_proofs
-from oracle import MillOracle, formula_layers
-from tree_oracle import PcmillOracle
+from oracle import Closure, formula_layers
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -85,7 +84,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def oracle():
-    return MillOracle(bound=8)
+    return Closure(MILL, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +274,7 @@ def _probe_language(system):
     binaries = (tensor, with_, limp)
     if serial:
         binaries += (odot, lres, rres)
-    return formula_layers(7, atoms=("p", "q"), unary=unary,
+    return formula_layers(7, atoms=("p", "q"), unaries=(unary,),
                           binaries=binaries)
 
 
@@ -327,37 +326,64 @@ def test_random_models_satisfy_proved_sequents_and_frame_properties(corpus):
 
 
 # ---------------------------------------------------------------------------
-# search agrees with the independent oracle on every small goal
+# search agrees with the independent oracle on every goal of small
+# universes: at most two antecedent formulas in the large MILL universe
+# and in those with one binary connective, every antecedent elsewhere
+
+
+def _mismatches(universe: Closure, max_leaves: int | None = None):
+    """Goals on which ``prove`` and the closure disagree (at most 20),
+    and the number of goals."""
+    mismatches = []
+    goals = 0
+    for ctx, succ in universe.goals(max_leaves):
+        goals += 1
+        outcome = prove(sequent(ctx, succ, universe.system))
+        if isinstance(outcome, Proved) != universe.provable(ctx, succ):
+            mismatches.append((ctx.key, succ.key, type(outcome).__name__))
+            if len(mismatches) >= 20:
+                break
+    return mismatches, goals
 
 
 def test_search_matches_oracle_on_exhaustive_small_universe(oracle):
-    mismatches = []
-    goals = 0
-    for ants, succ in oracle.goals(max_antecedent=2):
-        goals += 1
-        outcome = prove(sequent(mset(ants), succ, MILL))
-        if isinstance(outcome, Proved) != oracle.provable(ants, succ):
-            mismatches.append((tuple(f.key for f in ants), succ.key,
-                               type(outcome).__name__))
-            if len(mismatches) >= 20:
-                break
-    assert not mismatches, mismatches[:20]
+    mismatches, goals = _mismatches(oracle, max_leaves=2)
+    assert not mismatches, mismatches
     assert goals == 427119
 
 
 def test_tree_search_matches_oracle_on_exhaustive_small_universe():
-    oracle = PcmillOracle(bound=6)
-    mismatches = []
-    goals = 0
-    for ctx, succ in oracle.goals():
-        goals += 1
-        outcome = prove(sequent(ctx, succ, PCMILL))
-        if isinstance(outcome, Proved) != oracle.provable(ctx, succ):
-            mismatches.append((ctx.key, succ.key, type(outcome).__name__))
-            if len(mismatches) >= 20:
-                break
-    assert not mismatches, mismatches[:20]
+    universe = Closure(PCMILL, 6, binaries=(tensor, odot, limp, lres, rres),
+                       modal=False)
+    mismatches, goals = _mismatches(universe)
+    assert not mismatches, mismatches
     assert goals == 54609
+
+
+# (system, bound, atoms, binaries, max_leaves, goals).  The first three
+# catch BringsRefl, BringsRe and NotNec; the others each need one of
+# BringsTensor, BringsWith and BringsOdot, which first matter at total
+# complexity 8, 9 and 8.
+AGENT_UNIVERSES = [
+    ("RSBIAT:a", 6, ("p", "q", "bot"), (tensor, with_, limp), None, 37984),
+    ("SRSBIAT:a", 5, ("p", "q", "bot"),
+     (tensor, with_, odot, limp, lres, rres), None, 31696),
+    ("RSBIAT:a,b", 6, ("p", "bot"), (tensor, with_, limp), None, 29235),
+    ("RSBIAT:a", 8, ("p", "q"), (tensor,), 2, 42765),
+    ("RSBIAT:a", 9, ("p",), (with_,), 2, 28730),
+    ("SRSBIAT:a", 8, ("p",), (odot,), 2, 14080),
+]
+
+
+@pytest.mark.parametrize(
+    "name, bound, atoms, binaries, max_leaves, count", AGENT_UNIVERSES,
+    ids=[f"{u[0]}-{u[1]}-{''.join(u[2])}" for u in AGENT_UNIVERSES])
+def test_agent_search_matches_oracle_on_exhaustive_small_universe(
+        name, bound, atoms, binaries, max_leaves, count):
+    universe = Closure(parse_system(name), bound, atoms, binaries)
+    mismatches, goals = _mismatches(universe, max_leaves)
+    assert not mismatches, mismatches
+    assert goals == count
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import time
 
 import pytest
 from gentrees import mill_cut_proofs, random_deduction, tree_cut_proofs
-from oracle import MillOracle
+from oracle import Closure
 
 from proofmill.calculus import (
     Proof,
@@ -625,7 +625,7 @@ def test_eliminate_matches_reference_on_hilbert_translations():
 def test_eliminate_matches_reference_on_composed_proofs():
     rng = random.Random(20260815)
     proofs = (
-        mill_cut_proofs(MillOracle(bound=8), rng, 120)
+        mill_cut_proofs(Closure(MILL, 8), rng, 120)
         + tree_cut_proofs(rng, PCMILL, 40)
         + tree_cut_proofs(rng, SRS_AB, 40)
     )
