@@ -119,10 +119,6 @@ def cutrank(p: Proof) -> int:
 # Backward rule application
 
 
-def _seq(ctx: Context, succ: Formula, system: System) -> Sequent:
-    return Sequent(ctx, succ, system)
-
-
 def _arg_groups(ctx: Context, path: Path, res: Formula, before: bool):
     """The maximal argument groups of a residual left rule whose
     principal leaf sits at ``path`` in ``ctx``, as triples
@@ -248,7 +244,7 @@ class _Matcher:
         for f, path in self.leaves:
             repl = pick(f)
             if repl is not None:
-                yield [_seq(fill(self.ctx, path, repl), self.succ, self.system)]
+                yield [Sequent(fill(self.ctx, path, repl), self.succ, self.system)]
 
     def _tensor_l(self, rule: Rule) -> Iterator[list[Sequent]]:
         return self._left_unary(
@@ -278,7 +274,7 @@ class _Matcher:
 
     def _pair(self, left_succ: Formula, right_succ: Formula) -> list[Sequent]:
         sys = self.system
-        return [_seq(self.ctx, left_succ, sys), _seq(self.ctx, right_succ, sys)]
+        return [Sequent(self.ctx, left_succ, sys), Sequent(self.ctx, right_succ, sys)]
 
     def _with_r(self, rule: Rule) -> Iterator[list[Sequent]]:
         if isinstance(self.succ, With):
@@ -287,24 +283,24 @@ class _Matcher:
     def _limp_r(self, rule: Rule) -> Iterator[list[Sequent]]:
         if isinstance(self.succ, Limp):
             prem = par([self.ctx, leaf(self.succ.left)])
-            yield [_seq(prem, self.succ.right, self.system)]
+            yield [Sequent(prem, self.succ.right, self.system)]
 
     def _lres_r(self, rule: Rule) -> Iterator[list[Sequent]]:
         if isinstance(self.succ, Lres):
             prem = ser([leaf(self.succ.left), self.ctx])  # type: ignore[list-item]
-            yield [_seq(prem, self.succ.right, self.system)]
+            yield [Sequent(prem, self.succ.right, self.system)]
 
     def _rres_r(self, rule: Rule) -> Iterator[list[Sequent]]:
         if isinstance(self.succ, Rres):
             prem = ser([self.ctx, leaf(self.succ.right)])  # type: ignore[list-item]
-            yield [_seq(prem, self.succ.left, self.system)]
+            yield [Sequent(prem, self.succ.left, self.system)]
 
     def _split_pair(self, left_succ: Formula, right_succ: Formula,
                     serial: bool) -> Iterator[list[Sequent]]:
         sys = self.system
         pairs = split_serial(self.ctx) if serial else split_parallel(self.ctx)
         for lctx, rctx in pairs:
-            yield [_seq(lctx, left_succ, sys), _seq(rctx, right_succ, sys)]
+            yield [Sequent(lctx, left_succ, sys), Sequent(rctx, right_succ, sys)]
 
     def _tensor_r(self, rule: Rule) -> Iterator[list[Sequent]]:
         if isinstance(self.succ, Tensor):
@@ -324,7 +320,7 @@ class _Matcher:
             if not isinstance(f, Limp):
                 continue
             # the implication alone, with an empty argument group
-            yield [_seq(EMPTY, f.left, sys), _seq(fill(ctx, path, leaf(f.right)), succ, sys)]
+            yield [Sequent(EMPTY, f.left, sys), Sequent(fill(ctx, path, leaf(f.right)), succ, sys)]
             if len(path) == 0:
                 continue
             parent = ctx
@@ -336,7 +332,8 @@ class _Matcher:
             others = parent.children[:i] + parent.children[i + 1 :]
             for gamma, keep in split_parallel(par(others))[1:]:
                 new_parent = par([keep, leaf(f.right)])
-                yield [_seq(gamma, f.left, sys), _seq(fill(ctx, path[:-1], new_parent), succ, sys)]
+                yield [Sequent(gamma, f.left, sys),
+                       Sequent(fill(ctx, path[:-1], new_parent), succ, sys)]
 
     def _res_l(self, rule: Rule, left_residual: bool) -> Iterator[list[Sequent]]:
         sys = self.system
@@ -346,7 +343,7 @@ class _Matcher:
                 continue
             arg, res = (f.left, f.right) if left_residual else (f.right, f.left)
             for gamma, rest, _ in _arg_groups(self.ctx, path, res, left_residual):
-                yield [_seq(gamma, arg, sys), _seq(rest, self.succ, sys)]
+                yield [Sequent(gamma, arg, sys), Sequent(rest, self.succ, sys)]
 
     def _lres_l(self, rule: Rule) -> Iterator[list[Sequent]]:
         return self._res_l(rule, left_residual=True)
@@ -359,7 +356,7 @@ class _Matcher:
     def _converse(self, a: Formula, b: Formula) -> list[Sequent]:
         """BoxRe and BringsRe: A ⊢ B and B ⊢ A."""
         sys = self.system
-        return [_seq(leaf(a), b, sys), _seq(leaf(b), a, sys)]
+        return [Sequent(leaf(a), b, sys), Sequent(leaf(b), a, sys)]
 
     def _box_re(self, rule: Rule) -> Iterator[list[Sequent]]:
         body = singleton_body(self.ctx)
@@ -379,7 +376,7 @@ class _Matcher:
     def _not_nec(self, rule: Rule) -> Iterator[list[Sequent]]:
         body = singleton_body(self.ctx)
         if self.succ == BOT and isinstance(body, Brings) and body.agent == rule.agent:
-            yield [_seq(EMPTY, body.body, self.system)]
+            yield [Sequent(EMPTY, body.body, self.system)]
 
     def _brings_body(self, rule: Rule, shape) -> Formula | None:
         succ = self.succ
@@ -407,7 +404,7 @@ class _Matcher:
 
     def _ent(self, rule: Rule) -> Iterator[list[Sequent]]:
         for ctx in structural_preimages(self.ctx)[0][1:]:
-            yield [_seq(ctx, self.succ, self.system)]
+            yield [Sequent(ctx, self.succ, self.system)]
 
     def _cut(self, rule: Rule) -> Iterator[list[Sequent]]:
         # not enumerable backward (any cut formula); search never uses it

@@ -62,12 +62,6 @@ class UsageError(Exception):
     pass
 
 
-def _system_name(system: System) -> str:
-    if system.agents:
-        return f"{system.ident.value}:{','.join(system.agents)}"
-    return system.ident.value
-
-
 def _infer_agents(text: str) -> list[str]:
     seen: list[str] = []
     for name in _AGENT_TOKEN.findall(text):
@@ -76,11 +70,11 @@ def _infer_agents(text: str) -> list[str]:
     return seen
 
 
-def _system_for(name: str, sequent_text: str) -> System:
-    if ":" not in name and name.strip().upper() in ("RSBIAT", "SRSBIAT"):
-        agents = _infer_agents(sequent_text)
-        if agents:
-            name = f"{name}:{','.join(agents)}"
+def _system_named(name: str, agents: list[str]) -> System:
+    """The system ``name`` names; a bare RSBIAT or SRSBIAT takes
+    ``agents``, when there are any."""
+    if agents and ":" not in name and name.strip().upper() in ("RSBIAT", "SRSBIAT"):
+        name = f"{name}:{','.join(agents)}"
     try:
         return parse_system(name)
     except ValueError as exc:
@@ -102,6 +96,13 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _load_proof(path: str):
+    try:
+        return proof_from_json(_load_json(path))
+    except (ValueError, KeyError) as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _load_model(path: str) -> Model:
@@ -137,7 +138,7 @@ def _emit_proof(path: str | None, proof) -> None:
 
 
 def _cmd_prove(args) -> int:
-    system = _system_for(args.system, args.sequent)
+    system = _system_named(args.system, _infer_agents(args.sequent))
     seq = _parse(args.sequent, system)
     result = prove(seq)
     print(verdict_word(result))
@@ -155,13 +156,10 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_check_proof(args) -> int:
-    try:
-        p = proof_from_json(_load_json(args.path))
-    except (ValueError, KeyError) as exc:
-        raise UsageError(f"{args.path}: {exc}") from None
+    p = _load_proof(args.path)
     report = check_proof(p)
     if report.ok:
-        print(f"ok: {p.conclusion.key}  [{_system_name(p.conclusion.system)},"
+        print(f"ok: {p.conclusion.key}  [{p.conclusion.system},"
               f" {proof_size(p)} nodes, {cut_count(p)} cuts]")
         return EXIT_OK
     for path, msg in report.violations:
@@ -170,10 +168,7 @@ def _cmd_check_proof(args) -> int:
 
 
 def _cmd_cut_eliminate(args) -> int:
-    try:
-        p = proof_from_json(_load_json(args.path))
-    except (ValueError, KeyError) as exc:
-        raise UsageError(f"{args.path}: {exc}") from None
+    p = _load_proof(args.path)
     try:
         cut_free, trace = eliminate_cuts(p)
     except (ValueError, CutEliminationError) as exc:
@@ -201,7 +196,7 @@ def _cmd_hilbert_check(args) -> int:
     tree, system = _load_deduction(args.path)
     report = check_deduction(tree, system)
     if report.ok:
-        print(f"ok: {tree.statement()}  [{_system_name(system)}]")
+        print(f"ok: {tree.statement()}  [{system}]")
         return EXIT_OK
     for path, msg in report.violations:
         print(f"at node {list(path)}: {msg}")
@@ -223,18 +218,10 @@ def _cmd_hilbert_to_sequent(args) -> int:
 
 def _cmd_model_check(args) -> int:
     m = _load_model(args.model)
-    name = args.system
-    if ":" not in name and name.strip().upper() in ("RSBIAT", "SRSBIAT"):
-        agents = [k for k in m.neighbourhoods if k != "box"]
-        if agents:
-            name = f"{name}:{','.join(agents)}"
-    try:
-        system = parse_system(name)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    system = _system_named(args.system, [k for k in m.neighbourhoods if k != "box"])
     report = validate_model(m, system)
     if report.ok:
-        print(f"valid {_system_name(system)} model "
+        print(f"valid {system} model "
               f"({len(m.worlds)} worlds)")
         return EXIT_OK
     for msg in report.failures:
@@ -247,16 +234,16 @@ def _cmd_model_eval(args) -> int:
     system = _model_system(m, args.sequent)
     seq = _parse(args.sequent, system)
     if sequent_valid(m, seq):
-        print(f"valid in the model  [{_system_name(system)}]")
+        print(f"valid in the model  [{system}]")
         return EXIT_OK
     world = Evaluator(m).falsifying_world(seq)
     print(f"invalid: falsified at world {world!r}  "
-          f"[{_system_name(system)}]")
+          f"[{system}]")
     return EXIT_FAIL
 
 
 def _cmd_countermodel(args) -> int:
-    system = _system_for(args.system, args.sequent)
+    system = _system_named(args.system, _infer_agents(args.sequent))
     seq = _parse(args.sequent, system)
     cm = find_countermodel(seq, max_size=args.max_size, seed=args.seed)
     if cm is None:

@@ -45,7 +45,7 @@ from .calculus import (
     Rule,
 )
 from .context import Sequent, mset, sequent
-from .kernel import fold_tree, same_tree
+from .kernel import fold_tree, proof_nodes, same_tree
 from .search import Proved, prove
 from .syntax import (
     BOT,
@@ -359,25 +359,12 @@ def not_nec_rule(agent: str, premise: DeductionTree) -> DeductionTree:
 # ---------------------------------------------------------------------------
 # checking
 
-Path = tuple[int, ...]
-
-
-def deduction_nodes(d: DeductionTree) -> list[tuple[Path, DeductionTree]]:
-    out: list[tuple[Path, DeductionTree]] = []
-    stack: list[tuple[Path, DeductionTree]] = [((), d)]
-    while stack:
-        path, node = stack.pop()
-        out.append((path, node))
-        for i in range(len(node.premises) - 1, -1, -1):
-            stack.append((path + (i,), node.premises[i]))
-    return out
-
 
 def check_deduction(d: DeductionTree, system: System) -> CheckReport:
     """Verify every node's claim; reports (path, message) violations."""
     _require_hilbert(system)
     violations = sorted(
-        (path, msg) for path, node in deduction_nodes(d)
+        (path, msg) for path, node in proof_nodes(d)
         if (msg := _violation(node, system)) is not None
     )
     return CheckReport(not violations, tuple(violations))

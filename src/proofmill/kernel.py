@@ -178,7 +178,7 @@ class Proof:
 
 
 def proof_nodes(p: Proof):
-    """Preorder (path, node) traversal."""
+    """Preorder (path, node) traversal of any tree with ``premises``."""
     stack: list[tuple[tuple[int, ...], Proof]] = [((), p)]
     while stack:
         path, node = stack.pop()

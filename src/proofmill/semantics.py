@@ -425,7 +425,8 @@ def _structure_failures(m: Model, system: System) -> list[str]:
                 bad.append(f"valuation of {p!r} names unknown world {w!r}")
     box_ok = system.ident in BOX_SYSTEMS
     for key, per_world in m.neighbourhoods.items():
-        if key == "box":
+        # a key naming an agent is that agent's table, even ``box``
+        if key == "box" and key not in system.agents:
             if not box_ok:
                 bad.append(f"box neighbourhood not meaningful in "
                            f"{system.ident.value}")

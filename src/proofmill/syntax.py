@@ -353,11 +353,23 @@ def connective_error(g: Formula, system: System) -> str | None:
 
 
 def validate_formula(f: Formula, system: System) -> None:
-    for g in subformulas(f):
+    """Raise at the first subformula, in left-to-right preorder, whose
+    main connective lies outside ``system``'s language."""
+    seen: set[Formula] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
         if isinstance(g, (Box, Brings, Odot, Lres, Rres)):
             err = connective_error(g, system)
             if err is not None:
                 raise SystemMismatchError(err)
+        if isinstance(g, BinOp):
+            stack += (g.right, g.left)
+        elif isinstance(g, (Box, Brings)):
+            stack.append(g.body)
 
 
 # binding strength of each main connective; atoms and 1 bind tightest

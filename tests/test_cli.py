@@ -124,6 +124,22 @@ class TestProve:
         assert code == 2
         assert "agents" in err
 
+    def test_language_error_does_not_follow_the_hash_seed(self):
+        # two connectives outside MILL: the outermost one is reported,
+        # whatever order a set of the subformulas iterates in
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        errs = []
+        for hash_seed in ("1", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", "from proofmill.cli import main; main()",
+                 "prove", "MILL", "(p @ q) * r \\ s |- p"],
+                env=env, capture_output=True, text=True)
+            assert done.returncode == 2
+            errs.append(done.stderr)
+        assert errs[0] == errs[1]
+        assert errs[0] == "error: \\ not available in MILL: (((p @ q) * r) \\ s)\n"
+
 
 class TestProofFiles:
     @pytest.fixture()

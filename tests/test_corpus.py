@@ -3,7 +3,9 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from proofmill.context import parse_sequent
 from proofmill.corpus import (
     CorpusError,
     EXPECTED_VERDICTS,
@@ -293,3 +295,27 @@ class TestRunner:
         assert len(results) == 13
         assert all(r.passed for r in results)
         assert all(r.verdict == "Proved" for r in results)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: strings of the grammar's tokens raise nothing but ValueError
+
+_TOKENS = (
+    "p", "1", "bot", "(", ")", "[", "]", "()", "E[a]", "[]",
+    "*", "&", "-o", "@", "\\", "/", "~", ",", ";", "|-",
+    "pow<=(", "bigwith[x](",
+)
+_SYSTEMS = tuple(parse_system(n) for n in ("MILL", "PCMILL", "RSBIAT:a", "SRSBIAT:a"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=30), st.sampled_from(("", " ")))
+def test_token_strings_raise_only_value_errors(tokens, sep):
+    text = sep.join(tokens)
+    for system in _SYSTEMS:
+        for parse in (lambda: parse_sequent(text, system),
+                      lambda: parse_corpus_line(f"f | {system} | {text} | provable | s")):
+            try:
+                parse()
+            except ValueError:
+                pass

@@ -385,6 +385,29 @@ def test_brings_clause_and_missing_agent_table():
         extension(m, parse_formula("E[b]p", two))
 
 
+@pytest.mark.parametrize("name", ["RSBIAT:box", "SRSBIAT:box", "RSBIAT:a,box"])
+def test_agent_named_box_has_its_own_table(name):
+    system = parse_system(name)
+    for seed in range(20):
+        m = random_model(seed, 2, system)
+        rep = validate_model(m, system)
+        assert rep.ok, rep.failures[:4]
+    # the table keyed box is the agent's, in the agent systems
+    m = Model(
+        worlds=("e", "w"), unit="e",
+        op={("e", "e"): "e", ("e", "w"): "w",
+            ("w", "e"): "w", ("w", "w"): "w"},
+        serial_op=None if name.startswith("RSBIAT") else
+        {("e", "e"): "e", ("e", "w"): "w", ("w", "e"): "w", ("w", "w"): "w"},
+        order=(),
+        valuation={"p": ("w",)},
+        neighbourhoods={a: {"w": (("w",),)} for a in system.agents},
+    )
+    assert validate_model(m, system).ok
+    assert extension(m, parse_formula("E[box]p", system)) == {"w"}
+    assert extension(m, parse_formula("E[box]1", system)) == set()
+
+
 def test_sequent_validity_at_unit():
     m = one_world()
     assert sequent_valid(m, parse_sequent("p |- p", MILL))
