@@ -221,8 +221,7 @@ def _cmd_model_check(args) -> int:
     system = _system_named(args.system, [k for k in m.neighbourhoods if k != "box"])
     report = validate_model(m, system)
     if report.ok:
-        print(f"valid {system} model "
-              f"({len(m.worlds)} worlds)")
+        print(f"valid {system} model ({len(m.worlds)} worlds)")
         return EXIT_OK
     for msg in report.failures:
         print(msg)

@@ -64,16 +64,16 @@ class Closure:
             partial(brings, a) for a in self.agents)
         self.layers = formula_layers(bound, atoms, self.unaries, binaries)
         self.has = frozenset(binaries)
-        self.weights: dict[Context, int] = {EMPTY: 0}
+        self._weights: dict[Context, int] = {EMPTY: 0}
         self.known: set[Seq] = set()
         self._build()
 
     def weight(self, c: Context) -> int:
         """The sizes of the antecedent's formulas, summed."""
-        w = self.weights.get(c)
+        w = self._weights.get(c)
         if w is None:
             w = c.formula.size if isinstance(c, Leaf) else sum(map(self.weight, c.children))
-            self.weights[c] = w
+            self._weights[c] = w
         return w
 
     def provable(self, ctx: Context, succ: Formula) -> bool:
