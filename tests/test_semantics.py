@@ -393,13 +393,10 @@ def test_agent_named_box_has_its_own_table(name):
         rep = validate_model(m, system)
         assert rep.ok, rep.failures[:4]
     # the table keyed box is the agent's, in the agent systems
+    op = {("e", "e"): "e", ("e", "w"): "w", ("w", "e"): "w", ("w", "w"): "w"}
     m = Model(
-        worlds=("e", "w"), unit="e",
-        op={("e", "e"): "e", ("e", "w"): "w",
-            ("w", "e"): "w", ("w", "w"): "w"},
-        serial_op=None if name.startswith("RSBIAT") else
-        {("e", "e"): "e", ("e", "w"): "w", ("w", "e"): "w", ("w", "w"): "w"},
-        order=(),
+        worlds=("e", "w"), unit="e", op=op,
+        serial_op=op if system.is_tree else None, order=(),
         valuation={"p": ("w",)},
         neighbourhoods={a: {"w": (("w",),)} for a in system.agents},
     )
