@@ -38,7 +38,7 @@ from .hilbert import (
     deduction_from_json,
     hilbert_to_sequent,
 )
-from .search import Proved, prove
+from .search import Proved, prove_with_stats
 from .semantics import (
     Evaluator,
     Model,
@@ -113,7 +113,8 @@ def _load_model(path: str) -> Model:
 
 
 def _model_system(m: Model, sequent_text: str) -> System:
-    agents = [k for k in m.neighbourhoods if k != "box"]
+    # a lone ``box`` key is the box table; beside an agent's, an agent
+    agents = [] if list(m.neighbourhoods) == ["box"] else list(m.neighbourhoods)
     for name in _infer_agents(sequent_text):
         if name not in agents:
             agents.append(name)
@@ -140,9 +141,9 @@ def _emit_proof(path: str | None, proof) -> None:
 def _cmd_prove(args) -> int:
     system = _system_named(args.system, _infer_agents(args.sequent))
     seq = _parse(args.sequent, system)
-    result = prove(seq)
+    result, stats = prove_with_stats(seq)
     print(verdict_word(result))
-    print(f"explored {result.explored} sequents, "
+    print(f"explored {result.explored} sequents, pruned {stats.pruned}, "
           f"peak depth {result.peak_depth}")
     if isinstance(result, Proved):
         _emit_proof(args.emit_proof, result.proof)
@@ -218,7 +219,7 @@ def _cmd_hilbert_to_sequent(args) -> int:
 
 def _cmd_model_check(args) -> int:
     m = _load_model(args.model)
-    system = _system_named(args.system, [k for k in m.neighbourhoods if k != "box"])
+    system = _system_named(args.system, list(m.neighbourhoods))
     report = validate_model(m, system)
     if report.ok:
         print(f"valid {system} model ({len(m.worlds)} worlds)")

@@ -48,11 +48,15 @@ from .syntax import (
 Path = tuple[int, ...]
 
 
+_UNSET = object()
+
+
 class Context:
-    __slots__ = ("key", "_formulas")
+    __slots__ = ("key", "_formulas", "_charge")
     key: str
     # the leaf formulas, left to right; computed once by context_formulas
     _formulas: tuple[Formula, ...] | None
+    # the leaves' charges summed; computed once by context_charge
 
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, Context) and self.key == other.key)
@@ -71,6 +75,7 @@ class Leaf(Context):
         self.formula = formula
         self.key = formula.key
         self._formulas = (formula,)
+        self._charge = formula.charge
 
 
 class EmptyCtx(Context):
@@ -79,6 +84,7 @@ class EmptyCtx(Context):
     def __init__(self) -> None:
         self.key = "()"
         self._formulas = ()
+        self._charge = 0
 
 
 EMPTY = EmptyCtx()
@@ -91,6 +97,7 @@ class Par(Context):
         self.children = children
         self.key = key
         self._formulas = None
+        self._charge = _UNSET
 
 
 class Ser(Context):
@@ -100,6 +107,7 @@ class Ser(Context):
         self.children = children
         self.key = key
         self._formulas = None
+        self._charge = _UNSET
 
 
 _TREE_INTERN: dict[str, Context] = {"()": EMPTY}
@@ -197,6 +205,15 @@ def context_formulas(c: Context) -> list[Formula]:
             out += ch._formulas if ch._formulas is not None else context_formulas(ch)
         got = c._formulas = tuple(out)
     return list(got)
+
+
+def context_charge(c: Context) -> int | None:
+    """The charges of the leaf formulas summed, None when one has none."""
+    got = c._charge
+    if got is _UNSET:
+        kids = [context_charge(ch) for ch in c.children]  # type: ignore[attr-defined]
+        got = c._charge = None if None in kids else sum(kids)  # type: ignore[arg-type]
+    return got  # type: ignore[return-value]
 
 
 def context_complexity(c: Context) -> int:

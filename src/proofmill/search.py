@@ -12,12 +12,21 @@ rule is tried at that goal.  The remaining rules backtrack over every
 premise list, which each rule streams, building none past the first
 that proves.
 
+A formula of atoms, ``1``, ``*``, ``@``, ``-o``, ``\\`` and ``/`` has a
+signed atom charge (``Formula.charge``).  Every rule a sequent of such
+formulas can use keeps antecedent and succedent charge equal, so by the
+subformula property a provable one balances (van Benthem's count
+invariant), and the root and each premise that ``balanced`` rejects is
+refuted unexpanded.  ``&``, ``[]`` and ``E[a]`` have no charge
+(``p & q |- p`` and ``E[a]1 |- bot`` are provable).
+
 Every searched rule strictly decreases the premise total complexity,
 so the stack of open goals that the search loop keeps is never deeper
 than the goal's total complexity, and search terminates without a
 budget.  A goal's result depends only on the goal, so every success
 and every failure is memoized.  Search decides in every system:
-``Exhausted`` means the goal is not provable.
+``Exhausted`` means the goal has no cut-free proof, which in RSBIAT and
+SRSBIAT does not rule out one with cut (``docs/cut_elimination.md``).
 """
 from __future__ import annotations
 
@@ -56,7 +65,7 @@ from .calculus import (
     _Matcher,
     proof_nodes,
 )
-from .context import Sequent, context_formulas
+from .context import Sequent, context_charge, context_formulas
 from .syntax import Formula, System, subformulas
 
 INVERTIBLE_RULES: tuple[str, ...] = (
@@ -111,6 +120,8 @@ class SearchStats:
     explored: int = 0
     peak_depth: int = 0
     memo_hits: int = 0
+    # premises and roots refuted by charge, never searched
+    pruned: int = 0
     # always False: nothing cuts search short (bench/tracer.py reads it)
     truncated: bool = False
 
@@ -169,6 +180,9 @@ class _Engine:
             for premises in matcher.run(rule):
                 subs: list[Proof] = []
                 for premise in premises:
+                    if not balanced(premise):
+                        self.stats.pruned += 1
+                        break
                     sub = success.get(premise)
                     if sub is None:
                         if premise in failed:
@@ -185,10 +199,19 @@ class _Engine:
         return None
 
 
+def balanced(seq: Sequent) -> bool:
+    """False only when both sides of ``seq`` have charges and they differ."""
+    succ = seq.succ.charge
+    return succ is None or context_charge(seq.ctx) in (None, succ)
+
+
 def prove_with_stats(goal: Sequent) -> tuple[SearchResult, SearchStats]:
     engine = _Engine(goal.system)
-    proof = engine.search(goal)
     st = engine.stats
+    if not balanced(goal):
+        st.explored = st.pruned = 1
+        return Exhausted(1), st
+    proof = engine.search(goal)
     if proof is not None:
         return Proved(proof, st.explored, st.peak_depth), st
     return Exhausted(st.explored, st.peak_depth), st

@@ -514,7 +514,7 @@ def validate_model(m: Model, system: System) -> ModelReport:
         bad.append(_NBHD_FAILURES[cond].format(
             key=key, world=names[w], set=fr.set_name(x), closure=cond.lower(),
             home=None if home is None else names[home]))
-    return ModelReport(not bad, tuple(bad))
+    return ModelReport(not bad, tuple(dict.fromkeys(bad)))
 
 
 # ---------------------------------------------------------------------------

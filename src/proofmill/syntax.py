@@ -97,12 +97,14 @@ class Formula:
     """Base class.  ``key`` is the fully parenthesized printed form and
     doubles as the identity used for equality, hashing and ordering;
     ``size`` is the complexity measure (connective/atom count); ``text``
-    is the ``print_formula`` form, kept once printed."""
+    is the ``print_formula`` form, kept once printed; ``charge`` sums the
+    atoms' weights, signed by polarity, and is None past ``&``, ``[]``, ``E[a]``."""
 
-    __slots__ = ("key", "size", "text")
+    __slots__ = ("key", "size", "text", "charge")
     key: str
     size: int
     text: str | None
+    charge: int | None
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -123,6 +125,11 @@ class Atom(Formula):
         self.name = name
         self.key = self.text = key
         self.size = 1
+        # the weight: a 64-bit FNV-1a of the name, whatever the hash seed
+        h = 0xCBF29CE484222325
+        for b in name.encode():
+            h = (h ^ b) * 0x100000001B3 & 0xFFFFFFFFFFFFFFFF
+        self.charge = h
 
 
 class Unit(Formula):
@@ -131,11 +138,14 @@ class Unit(Formula):
     def __init__(self) -> None:
         self.key = self.text = "1"
         self.size = 1
+        self.charge = 0
 
 
 class BinOp(Formula):
     __slots__ = ("left", "right")
     op: str = ""
+    # the signs of the operands' charges, None for a connective without one
+    signs: tuple[int, int] | None = (1, 1)
 
     def __init__(self, left: Formula, right: Formula, key: str):
         self.left = left
@@ -143,6 +153,8 @@ class BinOp(Formula):
         self.key = key
         self.size = 1 + left.size + right.size
         self.text = None
+        s, l, r = self.signs, left.charge, right.charge
+        self.charge = None if s is None or l is None or r is None else s[0] * l + s[1] * r
 
 
 class Tensor(BinOp):
@@ -153,11 +165,13 @@ class Tensor(BinOp):
 class With(BinOp):
     __slots__ = ()
     op = "&"
+    signs = None
 
 
 class Limp(BinOp):
     __slots__ = ()
     op = "-o"
+    signs = (-1, 1)
 
 
 class Odot(BinOp):
@@ -170,6 +184,7 @@ class Lres(BinOp):
 
     __slots__ = ()
     op = "\\"
+    signs = (-1, 1)
 
 
 class Rres(BinOp):
@@ -177,6 +192,7 @@ class Rres(BinOp):
 
     __slots__ = ()
     op = "/"
+    signs = (1, -1)
 
 
 class Box(Formula):
@@ -187,6 +203,7 @@ class Box(Formula):
         self.key = key
         self.size = 1 + body.size
         self.text = None
+        self.charge = None
 
 
 class Brings(Formula):
@@ -198,6 +215,7 @@ class Brings(Formula):
         self.key = key
         self.size = 1 + body.size
         self.text = None
+        self.charge = None
 
 
 _INTERN: dict[str, Formula] = {}

@@ -52,6 +52,14 @@ class TestProve:
         assert code == 0
         assert out.splitlines()[0] == "Proved"
 
+    def test_prints_premises_pruned_by_charge(self):
+        # q never occurs on the left, so the root is refuted unexpanded
+        code, out, _ = cli("prove", "MILL", "p |- p * q")
+        assert code == 1
+        assert out.splitlines()[1] == "explored 1 sequents, pruned 1, peak depth 0"
+        code, out, _ = cli("prove", "MILL", "p, q |- q * p")
+        assert code == 0 and ", pruned 2, " in out.splitlines()[1]
+
     def test_unprovable_exits_one_with_hint(self):
         code, out, _ = cli("prove", "MILL", "p |- q")
         assert code == 1
@@ -105,7 +113,7 @@ class TestProve:
         def broken(goal):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr("proofmill.cli.prove", broken)
+        monkeypatch.setattr("proofmill.cli.prove_with_stats", broken)
         code, out, err = cli("prove", "MILL", "p |- p")
         assert code == 3
         assert out == ""
@@ -283,6 +291,18 @@ class TestModels:
         code, out, _ = cli("model-check", str(path), "PCMILL")
         assert code == 1
         assert "serial" in out.lower()
+
+    def test_bare_agent_system_reads_box_as_an_agent(self, tmp_path):
+        m = random_model(seed=0, size=2, system=parse_system("RSBIAT:box"))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(model_to_json(m)))
+        code, out, err = cli("model-check", str(path), "RSBIAT")
+        assert (code, err) == (0, "")
+        assert out.startswith("valid RSBIAT:box model")
+        m = random_model(seed=0, size=2, system=parse_system("RSBIAT:a,box"))
+        path.write_text(json.dumps(model_to_json(m)))
+        code, out, _ = cli("model-eval", str(path), "p |- p")
+        assert code == 0 and "[RSBIAT:a,box]" in out
 
     def test_model_check_malformed_model(self, tmp_path):
         path = tmp_path / "m.json"

@@ -1,7 +1,11 @@
 """Backward proof search."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,9 +19,11 @@ from proofmill.calculus import (
     apply_rule,
     check_proof,
     cut_count,
+    proof_nodes,
     rule_admissible,
 )
 from proofmill.context import (
+    context_formulas,
     leaf,
     mset,
     parse_sequent,
@@ -30,11 +36,19 @@ from proofmill.search import (
     INVERTIBLE_RULES,
     Exhausted,
     Proved,
+    balanced,
     prove,
     prove_with_stats,
     subformula_audit,
 )
 from proofmill.syntax import (
+    Atom,
+    Limp,
+    Lres,
+    Odot,
+    Rres,
+    Tensor,
+    Unit,
     atom,
     box,
     limp,
@@ -49,6 +63,7 @@ from proofmill.syntax import (
 )
 
 from gentrees import trees
+from oracle import Closure
 
 MILL = parse_system("MILL")
 PCMILL = parse_system("PCMILL")
@@ -313,3 +328,125 @@ _TREE_CONTEXTS = st.one_of(
 @given(_TREE_CONTEXTS, _TREE_FORMULAS)
 def test_premises_shrink_on_pcmill_goals(ctx, succ):
     _assert_premises_shrink(sequent(ctx, succ, PCMILL))
+
+
+# -- the count invariant -------------------------------------------------------
+# In a provable sequent built from atoms, 1, *, @ and the implications,
+# every atom occurs as often positively as negatively; search refutes
+# any root or premise that breaks this before expanding it.
+
+
+def _signed_atoms(seq):
+    """Each atom's occurrences in ``seq``, positive ones counted +1 and
+    negative ones -1; None when a formula has &, [] or E[a]."""
+    counts: Counter = Counter()
+    todo = [(f, -1) for f in context_formulas(seq.ctx)] + [(seq.succ, 1)]
+    while todo:
+        f, sign = todo.pop()
+        if isinstance(f, Atom):
+            counts[f.name] += sign
+        elif isinstance(f, (Tensor, Odot)):
+            todo += [(f.left, sign), (f.right, sign)]
+        elif isinstance(f, (Limp, Lres)):
+            todo += [(f.left, -sign), (f.right, sign)]
+        elif isinstance(f, Rres):
+            todo += [(f.left, sign), (f.right, -sign)]
+        elif not isinstance(f, Unit):
+            return None
+    return counts
+
+
+def _assert_counts_balance(seq):
+    counts = _signed_atoms(seq)
+    assert counts is None or not any(counts.values()), seq.key
+
+
+def _assert_proof_balances(goal):
+    """Every node of the goal's proof, if it has one, balances, and
+    ``balanced`` agrees with the atom counts on the goal."""
+    counts = _signed_atoms(goal)
+    assert balanced(goal) == (counts is None or not any(counts.values())), goal.key
+    r = prove(goal)
+    if isinstance(r, Proved):
+        for _, node in proof_nodes(r.proof):
+            _assert_counts_balance(node.conclusion)
+
+
+def test_corpus_proofs_balance_at_every_node():
+    for entry in load_corpus_dir(CORPUS_DIR):
+        _assert_proof_balances(entry.sequent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_FORMULAS, max_size=3), _FORMULAS)
+def test_mill_proofs_balance_at_every_node(antecedent, succ):
+    _assert_proof_balances(sequent(mset(antecedent), succ, MILL))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TREE_CONTEXTS, _TREE_FORMULAS)
+def test_pcmill_proofs_balance_at_every_node(ctx, succ):
+    _assert_proof_balances(sequent(ctx, succ, PCMILL))
+
+
+@pytest.mark.parametrize("system, bound, binaries, modal", [
+    (MILL, 8, (tensor, with_, limp), True),
+    (PCMILL, 6, (tensor, odot, limp, lres, rres), False),
+], ids=["MILL", "PCMILL"])
+def test_every_derivable_sequent_of_the_oracle_universes_balances(
+        system, bound, binaries, modal):
+    # the closure holds every node of every proof of a universe goal
+    universe = Closure(system, bound, binaries=binaries, modal=modal)
+    charged = 0
+    for ctx, succ in universe.known:
+        seq = sequent(ctx, succ, system)
+        _assert_counts_balance(seq)
+        assert balanced(seq)
+        charged += _signed_atoms(seq) is not None
+    assert charged > 100
+
+
+_P10 = [f"p{i}" for i in range(10)]
+# (goal, verdict, explored, pruned): the reversed tensor chain, its twin
+# with an atom the antecedent lacks, and the ten-link -o chain
+_LADDERS = [
+    (", ".join(_P10) + " |- " + " * ".join(reversed(_P10)), "Proved", 19, 2026),
+    (", ".join(_P10) + " |- " + " * ".join(reversed(_P10)) + " * q", "Exhausted", 1, 1),
+    (", ".join(f"p{i} -o p{i + 1}" for i in range(10)) + ", p0 |- p10", "Proved", 21, 1023),
+]
+
+
+def _ladder_counts():
+    out = []
+    for text, *_ in _LADDERS:
+        r, st_ = prove_with_stats(parse_sequent(text, MILL))
+        out.append((type(r).__name__, st_.explored, st_.pruned))
+    return out
+
+
+def test_ladders_are_pruned():
+    assert _ladder_counts() == [tuple(row[1:]) for row in _LADDERS]
+
+
+def test_ladder_counts_do_not_follow_the_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    here = str(Path(__file__).resolve().parent)
+    want = repr([tuple(row[1:]) for row in _LADDERS])
+    for hash_seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([src, here]))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "from test_search import _ladder_counts; print(_ladder_counts())"],
+            env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == want
+
+
+@pytest.mark.parametrize("system, text, verdict", [
+    (MILL, "p & q |- p", Proved),
+    (MILL, "[]p |- q", Exhausted),
+    (parse_system("RSBIAT:a"), "E[a]1 |- bot", Proved),
+])
+def test_a_root_without_a_charge_is_not_refuted_by_it(system, text, verdict):
+    r, st_ = prove_with_stats(parse_sequent(text, system))
+    assert isinstance(r, verdict) and st_.pruned == 0

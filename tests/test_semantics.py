@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -252,8 +253,26 @@ def test_missing_intersection_is_the_only_failure():
                               "z": (("z",),)}},
     )
     rep = validate_model(m, parse_system("RSBIAT:a"))
-    # the pairs ({u,w}, {w,z}) and ({w,z}, {u,w}) both report it
-    assert rep.failures == ("agent 'a' at w: intersection {w} missing",) * 2
+    # the pairs ({u,w}, {w,z}) and ({w,z}, {u,w}) both show it, once
+    assert rep.failures == ("agent 'a' at w: intersection {w} missing",)
+
+
+@pytest.mark.parametrize("system", ["RSBIAT:a", "SRSBIAT:a"])
+def test_a_damaged_model_prints_each_failure_once(system):
+    # a missing product is shown by every pair of sets and worlds whose
+    # product it is
+    s, repeated = parse_system(system), 0
+    for seed in range(20):
+        m = random_model(seed, 4, s)
+        table = dict(m.neighbourhoods["a"])
+        w = next((w for w in m.worlds if table.get(w)), None)
+        if w is None:
+            continue
+        table[w] = table[w][1:]
+        failures = validate_model(replace(m, neighbourhoods={"a": table}), s).failures
+        assert len(set(failures)) == len(failures), failures
+        repeated += any("combined" in f for f in failures)
+    assert repeated
 
 
 def test_missing_odot_product_is_the_only_failure():
