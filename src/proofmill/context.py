@@ -54,9 +54,9 @@ _UNSET = object()
 class Context:
     __slots__ = ("key", "_formulas", "_charge")
     key: str
-    # the leaf formulas, left to right; computed once by context_formulas
+    # the leaf formulas, left to right, and (``_charge``) their charges
+    # summed; computed once by context_formulas and context_charge
     _formulas: tuple[Formula, ...] | None
-    # the leaves' charges summed; computed once by context_charge
 
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, Context) and self.key == other.key)
