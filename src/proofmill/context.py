@@ -46,8 +46,6 @@ from .syntax import (
 )
 
 Path = tuple[int, ...]
-
-
 _UNSET = object()
 
 

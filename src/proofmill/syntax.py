@@ -125,11 +125,14 @@ class Atom(Formula):
         self.name = name
         self.key = self.text = key
         self.size = 1
-        # the weight: a 64-bit FNV-1a of the name, whatever the hash seed
+        # the weight, whatever the hash seed: FNV-1a of the name, then the
+        # splitmix64 finalizer, so names a byte apart get unrelated weights
         h = 0xCBF29CE484222325
         for b in name.encode():
             h = (h ^ b) * 0x100000001B3 & 0xFFFFFFFFFFFFFFFF
-        self.charge = h
+        for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            h = (h ^ h >> shift) * mult & 0xFFFFFFFFFFFFFFFF
+        self.charge = h ^ h >> 31
 
 
 class Unit(Formula):
