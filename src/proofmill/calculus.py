@@ -9,8 +9,9 @@ gives ``Γ , Δ``) moves above every rule except those that build ``;``:
 (``split_serial``), ``LresL`` and ``RresL`` the maximal argument groups
 around the principal leaf (``_arg_groups``).  What a rule gives at any
 structural preimage of the goal is thereby dominated by what it gives
-at the goal, and no preimage closure is computed; only ``Ent`` itself
-lists the preimages (``structural_preimages``).
+at the goal, so no preimage closure is computed and entropy needs no
+rule of its own.  ``Cut`` is not listed: its premises are not read off
+the goal.
 
 Proofs are checked elsewhere: ``check_proof`` is the independent kernel
 in ``kernel.py``, which reads each inference forward and never calls
@@ -40,7 +41,6 @@ from .context import (
     singleton_body,
     split_parallel,
     split_serial,
-    structural_preimages,
 )
 from .kernel import (  # noqa: F401  (re-exported)
     AGENT_RULES,
@@ -52,7 +52,6 @@ from .kernel import (  # noqa: F401  (re-exported)
     BRINGS_TENSOR,
     BRINGS_WITH,
     CUT,
-    ENT,
     LIMP_L,
     LIMP_R,
     LRES_L,
@@ -190,7 +189,7 @@ class _Matcher:
     """Premise enumeration for one goal, one generator per rule.  Every
     rule reads the goal's own antecedent: entropy is absorbed into the
     shapes that the rules building ``;`` list (``split_serial`` and
-    ``_arg_groups``); only ``Ent`` lists structural preimages."""
+    ``_arg_groups``)."""
 
     def __init__(self, goal: Sequent):
         self.ctx = goal.ctx
@@ -402,14 +401,6 @@ class _Matcher:
             a = rule.agent
             yield self._pair(brings(a, body.left), brings(a, body.right))
 
-    def _ent(self, rule: Rule) -> Iterator[list[Sequent]]:
-        for ctx in structural_preimages(self.ctx)[0][1:]:
-            yield [Sequent(ctx, self.succ, self.system)]
-
-    def _cut(self, rule: Rule) -> Iterator[list[Sequent]]:
-        # not enumerable backward (any cut formula); search never uses it
-        return iter(())
-
 
 _DISPATCH = {
     AX: _Matcher._ax,
@@ -435,8 +426,6 @@ _DISPATCH = {
     BRINGS_ODOT: _Matcher._brings_odot,
     BRINGS_WITH: _Matcher._brings_with,
     NOT_NEC: _Matcher._not_nec,
-    ENT: _Matcher._ent,
-    CUT: _Matcher._cut,
 }
 
 
@@ -448,11 +437,13 @@ def apply_rule(goal: Sequent, rule: Rule) -> list[list[Sequent]]:
     any premise list that ``rule`` gives at a structural preimage of the
     goal has each premise below (by entropy) the matching premise of a
     listed one, so a provable list there makes a listed one provable.
-    ``Ent`` lists the goal's proper preimages, up to
-    ``DEFAULT_STRUCTURAL_BOUND`` contexts.
+    ``Cut``, whose premises are not read off the goal, raises
+    ``ValueError`` as an inadmissible rule does.
     """
     if not rule_admissible(rule, goal.system):
         raise ValueError(f"rule {rule} not admissible in {goal.system}")
+    if rule.name not in _DISPATCH:
+        raise ValueError(f"rule {rule} is not applied backward")
     return list(_Matcher(goal).run(rule))
 
 

@@ -88,27 +88,17 @@ def _parse(text: str, system: System):
         raise UsageError(str(exc)) from None
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, reader):
+    """``reader`` applied to the JSON in ``path``; a file that cannot be
+    read, or does not describe what ``reader`` builds, is a usage error."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return reader(json.load(fh))
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from None
-
-
-def _load_proof(path: str):
-    try:
-        return proof_from_json(_load_json(path))
     except (ValueError, KeyError) as exc:
-        raise UsageError(f"{path}: {exc}") from None
-
-
-def _load_model(path: str) -> Model:
-    try:
-        return model_from_json(_load_json(path))
-    except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
 
 
@@ -142,7 +132,7 @@ def _cmd_prove(args) -> int:
     system = _system_named(args.system, _infer_agents(args.sequent))
     seq = _parse(args.sequent, system)
     result, stats = prove_with_stats(seq)
-    print(verdict_word(result))
+    print(verdict_word(result, system))
     print(f"explored {result.explored} sequents, pruned {stats.pruned}, "
           f"peak depth {result.peak_depth}")
     if isinstance(result, Proved):
@@ -157,7 +147,7 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_check_proof(args) -> int:
-    p = _load_proof(args.path)
+    p = _load(args.path, proof_from_json)
     report = check_proof(p)
     if report.ok:
         print(f"ok: {p.conclusion.key}  [{p.conclusion.system},"
@@ -169,7 +159,7 @@ def _cmd_check_proof(args) -> int:
 
 
 def _cmd_cut_eliminate(args) -> int:
-    p = _load_proof(args.path)
+    p = _load(args.path, proof_from_json)
     try:
         cut_free, trace = eliminate_cuts(p)
     except (ValueError, CutEliminationError) as exc:
@@ -186,15 +176,8 @@ def _cmd_cut_eliminate(args) -> int:
     return EXIT_OK
 
 
-def _load_deduction(path: str):
-    try:
-        return deduction_from_json(_load_json(path))
-    except (ValueError, KeyError) as exc:
-        raise UsageError(f"{path}: {exc}") from None
-
-
 def _cmd_hilbert_check(args) -> int:
-    tree, system = _load_deduction(args.path)
+    tree, system = _load(args.path, deduction_from_json)
     report = check_deduction(tree, system)
     if report.ok:
         print(f"ok: {tree.statement()}  [{system}]")
@@ -205,7 +188,7 @@ def _cmd_hilbert_check(args) -> int:
 
 
 def _cmd_hilbert_to_sequent(args) -> int:
-    tree, system = _load_deduction(args.path)
+    tree, system = _load(args.path, deduction_from_json)
     try:
         p = hilbert_to_sequent(tree, system)
     except ValueError as exc:
@@ -218,7 +201,7 @@ def _cmd_hilbert_to_sequent(args) -> int:
 
 
 def _cmd_model_check(args) -> int:
-    m = _load_model(args.model)
+    m = _load(args.model, model_from_json)
     system = _system_named(args.system, list(m.neighbourhoods))
     report = validate_model(m, system)
     if report.ok:
@@ -230,7 +213,7 @@ def _cmd_model_check(args) -> int:
 
 
 def _cmd_model_eval(args) -> int:
-    m = _load_model(args.model)
+    m = _load(args.model, model_from_json)
     system = _model_system(m, args.sequent)
     seq = _parse(args.sequent, system)
     if sequent_valid(m, seq):

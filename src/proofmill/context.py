@@ -16,13 +16,14 @@ smart constructors ``par`` and ``ser`` establish the normal form, so
 every Context in the system is normalized by construction.
 
 Entropy (``Γ ; Δ`` gives ``Γ , Δ``) is the only structural rule that
-the normal form does not absorb.  Search never closes an antecedent
-under it: ``split_serial`` lists the maximal serial cuts that entropy
-makes available, and the residual rules in ``calculus`` do the same
-for their argument groups.  ``structural_preimages`` enumerates the
-contexts reachable backward through entropy, for the explicit ``Ent``
-rule and as a reference; ``entropy_le`` tests membership in that
-closure without building it.
+the normal form does not absorb, and no proof states it as a step.
+Search never closes an antecedent under it: ``split_serial`` lists the
+maximal serial cuts that entropy makes available, and the residual
+rules in ``calculus`` do the same for their argument groups.  The
+kernel lets every rule conclude any antecedent that ``entropy_le``
+reaches; that test decides membership in the backward entropy closure
+without building it.  ``structural_preimages`` builds the closure, as
+the reference that the tests compare ``entropy_le`` with.
 """
 from __future__ import annotations
 

@@ -250,8 +250,12 @@ def load_corpus_dir(path: str | Path) -> list[CorpusEntry]:
 # running
 
 
-def verdict_word(outcome: SearchResult) -> str:
-    return "Proved" if isinstance(outcome, Proved) else "Exhausted (unprovable)"
+def verdict_word(outcome: SearchResult, system: System) -> str:
+    """``Exhausted`` rules out a cut-free proof, which in the agent
+    systems does not rule out one with cut (docs/cut_elimination.md)."""
+    if isinstance(outcome, Proved):
+        return "Proved"
+    return "Exhausted (no cut-free proof)" if system.agents else "Exhausted (unprovable)"
 
 
 def outcome_matches(outcome: SearchResult, entry: CorpusEntry) -> bool:
@@ -263,7 +267,7 @@ def run_entry(entry: CorpusEntry) -> EntryResult:
     return EntryResult(
         entry=entry,
         outcome=outcome,
-        verdict=verdict_word(outcome),
+        verdict=verdict_word(outcome, entry.sequent.system),
         passed=outcome_matches(outcome, entry),
     )
 

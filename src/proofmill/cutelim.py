@@ -43,7 +43,6 @@ from .calculus import (
     BRINGS_TENSOR,
     BRINGS_WITH,
     CUT,
-    ENT,
     LIMP_L,
     LIMP_R,
     LRES_L,
@@ -198,16 +197,13 @@ def _then(cuts: Iterable[tuple[bool, Proof]], build) -> Iterator[tuple[bool, Pro
 
 
 def _close_ctx(cand: Proof, want: Sequent) -> Proof | None:
-    """Adapt a candidate to the wanted conclusion, inserting an entropy
-    step when only the antecedent grouping differs."""
+    """The candidate concluding the wanted sequent.  In a tree system a
+    candidate with the same succedent is re-rooted at it: its last rule
+    may reach the wanted antecedent by entropy, and the kernel decides."""
     if cand.conclusion == want:
         return cand
-    if (
-        cand.conclusion.succ == want.succ
-        and want.system.is_tree
-        and cand.conclusion.ctx != want.ctx
-    ):
-        return Proof(want, Rule(ENT), (cand,))
+    if cand.conclusion.succ == want.succ and want.system.is_tree:
+        return Proof(want, cand.rule, cand.premises)
     return None
 
 
@@ -297,7 +293,7 @@ def _principal_candidates(node: Proof) -> Iterator[tuple[bool, Proof]]:
 def _permute_into_producer(node: Proof) -> Iterator[tuple[bool, Proof]]:
     consumer, producer = node.premises
     rule = producer.rule
-    if rule.name in (TENSOR_L, ODOT_L, ONE_L, WITH_L1, WITH_L2, BRINGS_REFL, ENT):
+    if rule.name in (TENSOR_L, ODOT_L, ONE_L, WITH_L1, WITH_L2, BRINGS_REFL):
         for late, inner in _cuts(consumer, producer.premises[0]):
             yield late, Proof(node.conclusion, rule, (inner,))
     elif rule.name in (LIMP_L, LRES_L, RRES_L):
@@ -409,7 +405,7 @@ def reduce_once(
     elif producer.rule.name == AX:
         sources = [("principal", [(False, consumer)])]
     elif producer.rule.name not in _RIGHT_INTRO:
-        # a left rule or entropy on the producer side; lift the cut past
+        # a left rule on the producer side; lift the cut past
         # it, falling back to the consumer side (needed when the producer
         # ends in NotNec, whose premise loses the cut formula)
         sources = [

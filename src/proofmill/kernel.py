@@ -6,10 +6,13 @@ rule concludes, one X per choice of principal occurrence (the principal
 formula of a left rule is taken from the conclusion's leaves), and
 accepts the node when X is the conclusion's antecedent or, in the tree
 systems, when the conclusion follows from X by entropy
-(``entropy_le``).  Ax, OneR, BoxRe, BringsRe and NotNec read the
-conclusion as it stands in every system.  The kernel imports only
-``syntax`` and ``context``: it shares nothing with the premise
-enumerator that proof search uses.
+(``entropy_le``).  Cut works the same way: X is the first premise's
+antecedent with the second premise's put in place of one occurrence of
+the cut formula.  Entropy is thus a structural rule that every rule
+absorbs, and there is no entropy step.  Ax, OneR, BoxRe, BringsRe and
+NotNec read the conclusion as it stands in every system.  The kernel
+imports only ``syntax`` and ``context``: it shares nothing with the
+premise enumerator that proof search uses.
 
 A ``CheckSession`` lets a run of checks over proofs that share subtrees
 (cut elimination splices each checked candidate into the proof and
@@ -19,7 +22,7 @@ the same session skips any subtree so recorded.
 
 Premise order follows the rule schemas:
 
-    Cut          Γ, A ⊢ C   and   Γ′ ⊢ A      then  Γ, Γ′ ⊢ C
+    Cut          Δ(A) ⊢ C   and   Γ ⊢ A       then  Δ(Γ) ⊢ C
     TensorR      Γ ⊢ A      and   Γ′ ⊢ B      then  Γ, Γ′ ⊢ A ⊗ B
     LimpL        Γ ⊢ A      and   Δ, B ⊢ C    then  Δ, Γ, A -o B ⊢ C
     LresL        Γ ⊢ A      and   Δ(B) ⊢ C    then  Δ(Γ; A \\ B) ⊢ C
@@ -90,7 +93,6 @@ LRES_L = "LresL"
 LRES_R = "LresR"
 RRES_L = "RresL"
 RRES_R = "RresR"
-ENT = "Ent"
 BRINGS_RE = "BringsRe"
 BRINGS_REFL = "BringsRefl"
 BRINGS_TENSOR = "BringsTensor"
@@ -115,7 +117,7 @@ _CORE = (
     ONE_L,
     ONE_R,
 )
-_SERIAL = (ODOT_L, ODOT_R, LRES_L, LRES_R, RRES_L, RRES_R, ENT)
+_SERIAL = (ODOT_L, ODOT_R, LRES_L, LRES_R, RRES_L, RRES_R)
 _BRINGS = (BRINGS_RE, BRINGS_REFL, BRINGS_TENSOR, BRINGS_WITH, NOT_NEC)
 
 SYSTEM_RULES: dict[SystemId, tuple[str, ...]] = {
@@ -518,24 +520,10 @@ def _check_cut(node: Proof) -> str | None:
     concl = node.conclusion
     if consumer.succ != concl.succ:
         return "Cut conclusion succedent differs from first premise"
-    for path, n in positions(consumer.ctx):
-        if isinstance(n, Leaf) and n.formula == a:
-            if fill(consumer.ctx, path, producer.ctx) == concl.ctx:
-                return None
+    for path in _leaf_paths(consumer.ctx, a):
+        if _fits(fill(consumer.ctx, path, producer.ctx), concl):
+            return None
     return "no cut-formula occurrence reproduces the conclusion antecedent"
-
-
-def _check_ent(node: Proof) -> str | None:
-    if len(node.premises) != 1:
-        return "Ent needs one premise"
-    prem = node.premises[0].conclusion
-    if prem.succ != node.conclusion.succ:
-        return "Ent must preserve the succedent"
-    if prem.ctx == node.conclusion.ctx:
-        return "Ent must change the antecedent grouping"
-    if entropy_le(prem.ctx, node.conclusion.ctx):
-        return None
-    return "premise is not an entropy preimage of the conclusion"
 
 
 def check_proof(p: Proof, session: CheckSession | None = None) -> CheckReport:
@@ -612,8 +600,6 @@ def check_proof(p: Proof, session: CheckSession | None = None) -> CheckReport:
             continue  # reported at the premise itself
         if rule.name == CUT:
             err = _check_cut(node)
-        elif rule.name == ENT:
-            err = _check_ent(node)
         elif _CHECKS[rule.name](node.conclusion, prems, rule.agent):
             continue
         elif rule.name == BOX_RE and len(prems) == 1:

@@ -1,10 +1,11 @@
 """Backward proof search.
 
-The engine works goal-down over the cut-free rules.  Entropy is never
-emitted as an explicit proof step: in the tree systems every rule lists
-its premises at the goal so that they dominate what it lists at any
-structural preimage (see ``apply_rule``), so a proof found here
-mentions only logical rules and axioms.
+The engine works goal-down over the cut-free rules.  Entropy is not a
+proof step: in the tree systems every rule lists its premises at the
+goal so that they dominate what it lists at any structural preimage
+(see ``apply_rule``), and the kernel lets each rule reach its
+conclusion by entropy, so a proof found here mentions only logical
+rules and axioms.
 
 ``Ax``, then the invertible rules, are tried first and committed to:
 when one matches, only its first premise list is explored and no other

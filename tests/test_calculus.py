@@ -22,8 +22,10 @@ from proofmill.calculus import (
     proof_size,
     proof_to_json,
     rule_admissible,
+    _DISPATCH,
 )
 from proofmill.context import Sequent, parse_sequent, total_complexity
+from proofmill.search import DEFAULT_RULE_ORDER
 from proofmill.syntax import parse_formula, parse_system
 
 from closure import closure_premises, dominated, normal_trees
@@ -168,21 +170,21 @@ def test_brings_odot_serial_split():
     assert ["E[i](p) |- E[i](p)", "E[i](q) |- E[i](q)"] in got
 
 
-def test_ent_lists_proper_preimages():
-    g = parse_sequent("p, q |- p @ q", PCMILL)
-    got = keys(apply_rule(g, Rule("Ent")))
-    assert got == [["p ; q |- (p @ q)"], ["q ; p |- (p @ q)"]]
-
-
 def test_rule_availability():
     with pytest.raises(ValueError):
-        apply_rule(parse_sequent("p |- p", MILL), Rule("Ent"))
+        apply_rule(parse_sequent("p |- p", MILL), Rule("OdotR"))
     with pytest.raises(ValueError):
         apply_rule(parse_sequent("p |- p", MILL), Rule("BringsRefl", "i"))
     assert not rule_admissible(Rule("BoxRe"), RS)
     assert not rule_admissible(Rule("BringsOdot", "i"), RS)
     assert rule_admissible(Rule("BringsOdot", "i"), SRS)
     assert not rule_admissible(Rule("BringsRe", "z"), RS)
+    # Cut is checked but never listed: the matcher holds exactly the
+    # rules that search tries
+    with pytest.raises(ValueError, match="not applied backward"):
+        apply_rule(parse_sequent("p |- p", MILL), Rule("Cut"))
+    every = set().union(*SYSTEM_RULES.values())
+    assert set(_DISPATCH) == set(DEFAULT_RULE_ORDER) == every - {"Cut"}
 
 
 def test_rule_agent_pairing_enforced():
@@ -202,7 +204,7 @@ def test_premise_totals_strictly_decrease():
     for text, system in goals:
         g = parse_sequent(text, system)
         for name in SYSTEM_RULES[system.ident]:
-            if name in ("Cut", "Ent"):
+            if name == "Cut":
                 continue
             rules = (
                 [Rule(name, a) for a in system.agents]
@@ -238,7 +240,7 @@ def test_maximal_premise_lists_dominate_the_closure(system_text, alphabet, succs
     rules = [
         Rule(name, agent)
         for name in SYSTEM_RULES[system.ident]
-        if name not in ("Cut", "Ent")
+        if name != "Cut"
         for agent in (system.agents if name in AGENT_RULES else (None,))
     ]
     formulas = [parse_formula(a, system) for a in alphabet]
@@ -321,17 +323,14 @@ def test_check_locates_violation_path():
 
 
 def test_check_explicit_ent_node():
+    # entropy is no proof step: an Ent node is not admissible, and the
+    # node above it, re-rooted at the Ent node's conclusion, checks
     g = parse_sequent("p, q |- p @ q", PCMILL)
     h = parse_sequent("p ; q |- p @ q", PCMILL)
-    inner = Proof(
-        h,
-        Rule("OdotR"),
-        (ax(parse_sequent("p |- p", PCMILL)), ax(parse_sequent("q |- q", PCMILL))),
-    )
-    assert check_proof(Proof(g, Rule("Ent"), (inner,))).ok
-    # entropy must not invent formulas
-    bad = Proof(g, Rule("Ent"), (ax(parse_sequent("p @ q |- p @ q", PCMILL)),))
-    assert not check_proof(bad).ok
+    prems = (ax(parse_sequent("p |- p", PCMILL)), ax(parse_sequent("q |- q", PCMILL)))
+    rep = check_proof(Proof(g, Rule("Ent"), (Proof(h, Rule("OdotR"), prems),)))
+    assert rep.violations == (((), "Ent not admissible in PCMILL"),)
+    assert check_proof(Proof(g, Rule("OdotR"), prems)).ok
 
 
 def test_check_cut_multiset():
@@ -364,16 +363,23 @@ def test_check_cut_multiset():
 
 
 def test_check_cut_tree():
-    sys = SRS
-    gc = parse_sequent("p ; q |- p @ q", sys)
-    producer = Proof(
-        gc,
-        Rule("OdotR"),
-        (ax(parse_sequent("p |- p", sys)), ax(parse_sequent("q |- q", sys))),
-    )
-    consumer = ax(parse_sequent("p @ q |- p @ q", sys))
-    cut = Proof(gc, Rule("Cut"), (consumer, producer))
-    assert check_proof(cut).ok
+    # the filled antecedent p ; q concludes itself and, by entropy as
+    # under any other rule, p, q; it never gives q ; p
+    for sys in (PCMILL, SRS):
+        producer = Proof(
+            parse_sequent("p ; q |- p @ q", sys),
+            Rule("OdotR"),
+            (ax(parse_sequent("p |- p", sys)), ax(parse_sequent("q |- q", sys))),
+        )
+        consumer = ax(parse_sequent("p @ q |- p @ q", sys))
+
+        def cut(text):
+            return Proof(parse_sequent(text, sys), Rule("Cut"), (consumer, producer))
+
+        assert check_proof(cut("p ; q |- p @ q")).ok
+        assert check_proof(cut("p, q |- p @ q")).ok
+        assert check_proof(cut("q ; p |- p @ q")).violations == (
+            ((), "no cut-formula occurrence reproduces the conclusion antecedent"),)
 
 
 def test_check_rejects_mixed_systems():

@@ -71,6 +71,13 @@ class TestProve:
         assert code == 1
         assert out.splitlines()[0] == "Exhausted (unprovable)"
 
+    def test_agent_verdict_word(self):
+        # provable with one cut (tests/test_cutelim.py), not without
+        code, out, _ = cli(
+            "prove", "RSBIAT", "E[a]p, E[a]q |- E[a](1 * (p * q))")
+        assert code == 1
+        assert out.splitlines()[0] == "Exhausted (no cut-free proof)"
+
     def test_emit_proof_round_trips(self, tmp_path):
         path = tmp_path / "p.json"
         code, out, _ = cli("prove", "MILL", "p * q |- q * p",

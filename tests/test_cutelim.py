@@ -13,7 +13,6 @@ from proofmill.calculus import (
     Rule,
     check_proof,
     cut_count,
-    proof_nodes,
 )
 from proofmill.context import mset, parse_sequent, sequent
 from proofmill.cutelim import (
@@ -243,8 +242,9 @@ def test_tree_principal_uses_entropy_when_needed():
         parse_sequent("p, q |- p @ q", SRS), Rule("Cut"), (consumer, producer)
     )
     final, _ = assert_eliminated(cut)
-    names = [n.rule.name for _, n in proof_nodes(final)]
-    assert names[0] == "Ent"  # grouping recovered by an explicit entropy step
+    # OdotR concludes p ; q and reaches p, q by entropy: no Ent step
+    assert final.rule.name == "OdotR"
+    assert final.conclusion == parse_sequent("p, q |- p @ q", SRS)
 
 
 def test_refl_against_brings_re():
