@@ -147,10 +147,10 @@ def _arg_groups(ctx: Context, path: Path, res: Formula, before: bool):
 
     kids = list(ctx.children)  # type: ignore[union-attr]
     i = path[0]
-    out: dict[tuple[str, str, bool], tuple[Context, Context, bool]] = {}
+    out: dict[tuple[Context, Context, bool], None] = {}
 
     def push(gamma: Context, rest: Context, exposed: bool) -> None:
-        out.setdefault((gamma.key, rest.key, exposed), (gamma, rest, exposed))
+        out[gamma, rest, exposed] = None
 
     for gamma, rest, exposed in _arg_groups(kids[i], path[1:], res, before):
         if isinstance(ctx, Ser):
@@ -182,7 +182,7 @@ def _arg_groups(ctx: Context, path: Path, res: Formula, before: bool):
                     for group, left in split_parallel(par(others[:k] + others[k + 1 :])):
                         push(seq([near, group, gamma]),
                              par([left, seq([far, rest])]), False)
-    return list(out.values())
+    return list(out)
 
 
 class _Matcher:

@@ -116,11 +116,15 @@ def _model_system(m: Model, sequent_text: str) -> System:
 
 
 def _emit_proof(path: str | None, proof) -> None:
-    """Write ``proof`` as JSON to ``path``, when the caller gave one."""
+    """Write ``proof`` as JSON to ``path``, when the caller gave one; a
+    path that cannot be written is a usage error."""
     if path:
-        with open(path, "w") as fh:
-            json.dump(proof_to_json(proof), fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(path, "w") as fh:
+                json.dump(proof_to_json(proof), fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc}") from None
         print(f"proof written to {path}")
 
 
@@ -228,7 +232,10 @@ def _cmd_model_eval(args) -> int:
 def _cmd_countermodel(args) -> int:
     system = _system_named(args.system, _infer_agents(args.sequent))
     seq = _parse(args.sequent, system)
-    cm = find_countermodel(seq, max_size=args.max_size, seed=args.seed)
+    try:
+        cm = find_countermodel(seq, max_size=args.max_size, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if cm is None:
         print(f"no countermodel found (worlds <= {args.max_size}, "
               f"seed {args.seed}); this is not a provability claim")

@@ -13,7 +13,10 @@ Trees are kept in a normal form: nested compositions of the same kind
 are flattened, empty contexts are dropped, and the children of a
 parallel node are sorted by printed form (``,`` is commutative).  The
 smart constructors ``par`` and ``ser`` establish the normal form, so
-every Context in the system is normalized by construction.
+every Context in the system is normalized by construction.  Like
+formulas (see ``syntax``), contexts are hash-consed: ``leaf``, ``par``
+and ``ser`` return the one object that ``_TREE_INTERN`` holds for its
+printed form, so ``==`` and ``hash`` are object identity.
 
 Entropy (``Γ ; Δ`` gives ``Γ , Δ``) is the only structural rule that
 the normal form does not absorb, and no proof states it as a step.
@@ -56,12 +59,6 @@ class Context:
     # the leaf formulas, left to right, and (``_charge``) their charges
     # summed; computed once by context_formulas and context_charge
     _formulas: tuple[Formula, ...] | None
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (isinstance(other, Context) and self.key == other.key)
-
-    def __hash__(self) -> int:
-        return hash(self.key)
 
     def __repr__(self) -> str:
         return self.key
@@ -266,18 +263,13 @@ def split_parallel(c: Context) -> list[tuple[Context, Context]]:
     trivial splits against the empty context."""
     if not isinstance(c, Par):
         return [(EMPTY, c)] if c is EMPTY else [(EMPTY, c), (c, EMPTY)]
-    out: list[tuple[Context, Context]] = []
-    seen: set[tuple[str, str]] = set()
     kids = c.children
     n = len(kids)
-    for mask in range(1 << n):
-        sel = _sorted_par([kids[i] for i in range(n) if mask >> i & 1])
-        rest = _sorted_par([kids[i] for i in range(n) if not mask >> i & 1])
-        k = (sel.key, rest.key)
-        if k not in seen:
-            seen.add(k)
-            out.append((sel, rest))
-    return out
+    return list(dict.fromkeys(
+        (_sorted_par([kids[i] for i in range(n) if mask >> i & 1]),
+         _sorted_par([kids[i] for i in range(n) if not mask >> i & 1]))
+        for mask in range(1 << n)
+    ))
 
 
 def split_serial(c: Context) -> list[tuple[Context, Context]]:
@@ -291,37 +283,25 @@ def split_serial(c: Context) -> list[tuple[Context, Context]]:
     cuts one serial child into (l, r) and orders the other children in
     two groups around it: ``(S1 ; l, r ; S2)``.
     """
-    out: list[tuple[Context, Context]] = []
-    seen: set[tuple[str, str]] = set()
-
-    def push(a: Context, b: Context) -> None:
-        k = (a.key, b.key)
-        if k not in seen:
-            seen.add(k)
-            out.append((a, b))
-
+    if not isinstance(c, (Par, Ser)):
+        return [(EMPTY, c)] if c is EMPTY else [(EMPTY, c), (c, EMPTY)]
+    kids = c.children
     if isinstance(c, Ser):
-        kids = c.children
-        for i, kid in enumerate(kids):
-            for l, r in split_serial(kid):
-                push(ser(kids[:i] + (l,)), ser((r,) + kids[i + 1 :]))  # type: ignore[operator]
-    elif isinstance(c, Par):
-        kids = c.children
-        for first, second in split_parallel(c):
-            push(first, second)
-        for i, kid in enumerate(kids):
-            if not isinstance(kid, Ser):
+        return list(dict.fromkeys(
+            (ser(kids[:i] + (l,)), ser((r,) + kids[i + 1 :]))  # type: ignore[operator]
+            for i, kid in enumerate(kids) for l, r in split_serial(kid)
+        ))
+    out = dict.fromkeys(split_parallel(c))
+    for i, kid in enumerate(kids):
+        if not isinstance(kid, Ser):
+            continue
+        others = par(kids[:i] + kids[i + 1 :])
+        for l, r in split_serial(kid):
+            if isinstance(l, EmptyCtx) or isinstance(r, EmptyCtx):
                 continue
-            others = par(kids[:i] + kids[i + 1 :])
-            for l, r in split_serial(kid):
-                if isinstance(l, EmptyCtx) or isinstance(r, EmptyCtx):
-                    continue
-                for s1, s2 in split_parallel(others):
-                    push(ser([s1, l]), ser([r, s2]))  # type: ignore[list-item]
-    else:
-        push(EMPTY, c)
-        push(c, EMPTY)
-    return out
+            for s1, s2 in split_parallel(others):
+                out[ser([s1, l]), ser([r, s2])] = None  # type: ignore[list-item]
+    return list(out)
 
 
 DEFAULT_STRUCTURAL_BOUND = 4096

@@ -14,11 +14,14 @@ NotNec read the conclusion as it stands in every system.  The kernel
 imports only ``syntax`` and ``context``: it shares nothing with the
 premise enumerator that proof search uses.
 
-A ``CheckSession`` lets a run of checks over proofs that share subtrees
-(cut elimination splices each checked candidate into the proof and
-reuses its cut-free parts in the next one) check each node once: a
-check that passes records every node it visited, and a later check in
-the same session skips any subtree so recorded.
+``check_proof`` checks each distinct node object once per call, so a
+proof whose subtrees are shared (search reuses the proof of a sequent
+it met before) costs its distinct nodes, not its tree size.  A
+``CheckSession`` carries that across calls over proofs that share
+subtrees (cut elimination splices each checked candidate into the
+proof and reuses its cut-free parts in the next one): a check that
+passes records every node it visited, and a later check in the same
+session skips any subtree so recorded.
 
 Premise order follows the rule schemas:
 
@@ -240,7 +243,7 @@ class CheckSession:
     def __init__(self) -> None:
         self._system: System | None = None
         self._accepted: dict[int, Proof] = {}
-        self._formulas: set[str] = set()
+        self._formulas: set[Formula] = set()
         self._sequents: set[str] = set()
 
 
@@ -259,11 +262,7 @@ class CheckReport:
 
 def _principals(c: Sequent, kind) -> list[Formula]:
     """Distinct leaves of the conclusion with main connective ``kind``."""
-    found: dict[str, Formula] = {}
-    for f in context_formulas(c.ctx):
-        if isinstance(f, kind):
-            found.setdefault(f.key, f)
-    return list(found.values())
+    return list(dict.fromkeys(f for f in context_formulas(c.ctx) if isinstance(f, kind)))
 
 
 def _leaf_paths(ctx: Context, f: Formula) -> list[tuple[int, ...]]:
@@ -277,7 +276,11 @@ def _fits(x: Context, c: Sequent) -> bool:
 
 def _unfill(y: Context, parts: tuple[Formula, ...], serial: bool, f: Formula):
     """Every antecedent with an occurrence of ``f`` at which putting the
-    parallel (or serial) composition of ``parts`` gives ``y``."""
+    parallel (or serial) composition of ``parts`` gives ``y``; with no
+    parts, the composition is ``()`` and ``f`` is deleted."""
+    if not parts:
+        yield from _with_leaf(y, leaf(f))
+        return
     if len(parts) == 1:
         for pt in _leaf_paths(y, parts[0]):
             yield fill(y, pt, leaf(f))
@@ -336,45 +339,37 @@ def _with_leaf(y: Context, u: Leaf):
     ``u`` may sit beside any node, inside any serial node, or beside a
     proper run (serial) or group (parallel) of a node's children.
     ``u`` beside the whole of ``y`` comes first: in a multiset it is
-    the only place."""
-    yield par([y, u])
-    for pt, n in positions(y):
-        yield fill(y, pt, par([n, u]))
-        yield fill(y, pt, ser([u, n]))
-        yield fill(y, pt, ser([n, u]))
-        if isinstance(n, Ser):
-            kids = n.children
-            for i in range(1, len(kids)):
-                yield fill(y, pt, ser(kids[:i] + (u,) + kids[i:]))
-            for i in range(len(kids)):
-                for j in range(i + 2, len(kids) + 1):
-                    if j - i < len(kids):
-                        run = par([ser(kids[i:j]), u])
-                        yield fill(y, pt, ser(kids[:i] + (run,) + kids[j:]))
-        elif isinstance(n, Par):
-            kids = n.children
-            for k in range(2, len(kids)):
-                for group in combinations(range(len(kids)), k):
-                    rest = [ch for i, ch in enumerate(kids) if i not in group]
-                    g = par([kids[i] for i in group])
-                    yield fill(y, pt, par(rest + [ser([u, g])]))
-                    yield fill(y, pt, par(rest + [ser([g, u])]))
+    the only place.  Each tree is listed once."""
 
+    def places():
+        yield par([y, u])
+        for pt, n in positions(y):
+            yield fill(y, pt, par([n, u]))
+            yield fill(y, pt, ser([u, n]))
+            yield fill(y, pt, ser([n, u]))
+            if isinstance(n, Ser):
+                kids = n.children
+                for i in range(1, len(kids)):
+                    yield fill(y, pt, ser(kids[:i] + (u,) + kids[i:]))
+                for i in range(len(kids)):
+                    for j in range(i + 2, len(kids) + 1):
+                        if j - i < len(kids):
+                            run = par([ser(kids[i:j]), u])
+                            yield fill(y, pt, ser(kids[:i] + (run,) + kids[j:]))
+            elif isinstance(n, Par):
+                kids = n.children
+                for k in range(2, len(kids)):
+                    for group in combinations(range(len(kids)), k):
+                        rest = [ch for i, ch in enumerate(kids) if i not in group]
+                        g = par([kids[i] for i in group])
+                        yield fill(y, pt, par(rest + [ser([u, g])]))
+                        yield fill(y, pt, par(rest + [ser([g, u])]))
 
-def _one_l(c: Sequent, ps: list[Sequent], agent) -> bool:
-    if len(ps) != 1 or ps[0].succ != c.succ:
-        return False
-    y = ps[0].ctx
-    unit = next((f for f in context_formulas(c.ctx) if isinstance(f, Unit)), None)
-    if unit is None:
-        return False
     seen: set[Context] = set()
-    for x in _with_leaf(y, leaf(unit)):
+    for x in places():
         if x not in seen:
             seen.add(x)
-            if _fits(x, c):
-                return True
-    return False
+            yield x
 
 
 def _pair_right(kind, serial: bool, shared: bool, agentive: bool = False):
@@ -484,7 +479,7 @@ _CHECKS = {
     ONE_R: _one_r,
     TENSOR_L: _left_unary(Tensor, lambda f: (f.left, f.right)),
     ODOT_L: _left_unary(Odot, lambda f: (f.left, f.right), serial=True),
-    ONE_L: _one_l,
+    ONE_L: _left_unary(Unit, lambda f: ()),
     WITH_L1: _left_unary(With, lambda f: (f.left,)),
     WITH_L2: _left_unary(With, lambda f: (f.right,)),
     BRINGS_REFL: _left_unary(Brings, lambda f: (f.body,), agentive=True),
@@ -527,35 +522,36 @@ def _check_cut(node: Proof) -> str | None:
 
 
 def check_proof(p: Proof, session: CheckSession | None = None) -> CheckReport:
-    """Check every node of ``p``.  With a ``session``, skip each subtree
-    that a passing check in the session visited; the report is the one
-    a check without the session gives."""
+    """Check each distinct node of ``p`` once.  A node object reached
+    again on another path (search and cut elimination share subtrees)
+    is skipped with its subtree, so a shared bad node is reported once,
+    at its first path in preorder.  With a ``session``, also skip each
+    subtree that a passing check in the session visited; the report is
+    the one a check without the session gives, which is a check with a
+    fresh session."""
+    if session is None:
+        session = CheckSession()
     violations: list[tuple[tuple[int, ...], str]] = []
     system = p.conclusion.system
-    # keys of the formulas and sequents found well formed, in this call
-    # or in the session; nodes visited, when there is a session
-    accepted: dict[int, Proof] | None = None
-    visited: list[Proof] = []
-    if session is None:
-        ok_formulas: set[str] = set()
-        ok_sequents: set[str] = set()
-    else:
-        if session._system is None:
-            session._system = system
-        elif session._system != system:
-            raise ValueError(f"session checks {session._system} proofs, not {system}")
-        ok_formulas, ok_sequents = session._formulas, session._sequents
-        accepted = session._accepted
+    if session._system is None:
+        session._system = system
+    elif session._system != system:
+        raise ValueError(f"session checks {session._system} proofs, not {system}")
+    # formulas and sequent keys found well formed, in this call or in
+    # the session; nodes visited in this call, by id
+    ok_formulas, ok_sequents = session._formulas, session._sequents
+    accepted = session._accepted
+    visited: dict[int, Proof] = {}
 
     def well_formed(f: Formula) -> bool:
-        todo, seen = [f], []
+        todo, seen = [f], set()
         while todo:
             g = todo.pop()
-            if g.key in ok_formulas:
+            if g in ok_formulas or g in seen:
                 continue
             if connective_error(g, system) is not None:
                 return False
-            seen.append(g.key)
+            seen.add(g)
             if isinstance(g, BinOp):
                 todo += (g.left, g.right)
             elif isinstance(g, (Box, Brings)):
@@ -567,7 +563,7 @@ def check_proof(p: Proof, session: CheckSession | None = None) -> CheckReport:
         if s.key in ok_sequents:
             return None
         for f in context_formulas(s.ctx) + [s.succ]:
-            if f.key not in ok_formulas and not well_formed(f):
+            if f not in ok_formulas and not well_formed(f):
                 try:
                     validate_formula(f, system)
                 except ValueError as exc:
@@ -578,10 +574,9 @@ def check_proof(p: Proof, session: CheckSession | None = None) -> CheckReport:
     stack: list[tuple[tuple[int, ...], Proof]] = [((), p)]
     while stack:
         path, node = stack.pop()
-        if accepted is not None:
-            if id(node) in accepted:
-                continue
-            visited.append(node)
+        if id(node) in accepted or id(node) in visited:
+            continue
+        visited[id(node)] = node
         for i in reversed(range(len(node.premises))):
             stack.append((path + (i,), node.premises[i]))
         if node.conclusion.system is not system and node.conclusion.system != system:
@@ -608,7 +603,6 @@ def check_proof(p: Proof, session: CheckSession | None = None) -> CheckReport:
             err = f"premises do not instantiate {rule}"
         if err:
             violations.append((path, err))
-    if accepted is not None and not violations:
-        for node in visited:
-            accepted[id(node)] = node
+    if not violations:
+        accepted.update(visited)
     return CheckReport(not violations, tuple(violations))

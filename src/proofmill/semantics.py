@@ -851,7 +851,10 @@ def find_countermodel(
     s: Sequent, max_size: int, seed: int = 0, attempts: int = 25
 ) -> Countermodel | None:
     """Search seeded random models (plus sequent-guided variants) for one
-    falsifying the sequent.  ``None`` is not a provability claim."""
+    falsifying the sequent.  ``None`` is not a provability claim.
+    ``max_size`` below 1 searches nothing and raises ValueError."""
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
     atoms = sorted(
         {f.name for g in (to_formula(s.ctx), s.succ)
          for f in subformulas(g) if isinstance(f, Atom)}

@@ -15,8 +15,13 @@ unit and ``bot`` is an ordinary atom that the ``~`` sugar targets:
 parentheses that parse back, so ``parse_formula(print_formula(f)) is f``
 always holds; ``Formula.key`` is the fully parenthesized form.
 
-Formulas are interned: constructing the same shape twice returns the
-same object, and equality/hashing go through the cached printed form.
+Formulas are hash-consed: every builder (``atom``, ``tensor``, ...)
+returns the one object that ``_INTERN`` holds for its printed form, so
+two formulas of the same shape are the same object, and ``==`` and
+``hash`` are object identity.  That rests on one rule: a live formula is
+always the interned one.  Nothing may build a ``Formula`` past the
+builders, and a bound on ``_INTERN`` may drop entries through weak
+references but may never clear the table while its formulas live.
 """
 from __future__ import annotations
 
@@ -94,10 +99,10 @@ def parse_system(text: str) -> System:
 
 
 class Formula:
-    """Base class.  ``key`` is the fully parenthesized printed form and
-    doubles as the identity used for equality, hashing and ordering;
-    ``size`` is the complexity measure (connective/atom count); ``text``
-    is the ``print_formula`` form, kept once printed; ``charge`` sums the
+    """Base class.  ``key`` is the fully parenthesized printed form, the
+    intern table's key and the sort order of parallel contexts; ``size``
+    is the complexity measure (connective/atom count); ``text`` is the
+    ``print_formula`` form, kept once printed; ``charge`` sums the
     atoms' weights, signed by polarity, and is None past ``&``, ``[]``, ``E[a]``."""
 
     __slots__ = ("key", "size", "text", "charge")
@@ -105,14 +110,6 @@ class Formula:
     size: int
     text: str | None
     charge: int | None
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Formula) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
 
     def __repr__(self) -> str:
         return self.key

@@ -87,6 +87,13 @@ class TestProve:
         data = json.loads(path.read_text())
         assert data["system"] == "MILL"
 
+    def test_unwritable_emit_path_is_usage_error(self, tmp_path):
+        path = tmp_path / "missing" / "p.json"
+        code, out, err = cli("prove", "MILL", "p |- p", "--emit-proof", str(path))
+        assert code == 2
+        assert f"cannot write {path}" in err
+        assert "written" not in out
+
     def test_emitted_long_chain_proof_checks(self, tmp_path):
         # the fully parenthesized chain would nest past the parser's bound
         path = tmp_path / "p.json"
@@ -197,6 +204,12 @@ class TestProofFiles:
         assert code == 0
         assert "in 0 steps" in out
 
+    def test_cut_eliminate_unwritable_emit_path(self, proof_path, tmp_path):
+        path = tmp_path / "missing" / "p.json"
+        code, _, err = cli("cut-eliminate", str(proof_path), "--emit-proof", str(path))
+        assert code == 2
+        assert f"cannot write {path}" in err
+
     def test_cut_eliminate_with_trace_and_emit(self, tmp_path):
         tree = modus_ponens(
             assumption(parse_formula("p", MILL)),
@@ -253,6 +266,13 @@ class TestHilbert:
         code, _, _ = cli("check-proof", str(out_path))
         assert code == 0
 
+
+    def test_hilbert_to_sequent_unwritable_emit_path(self, deduction_path, tmp_path):
+        path = tmp_path / "missing" / "seq.json"
+        code, _, err = cli("hilbert-to-sequent", str(deduction_path),
+                           "--emit-proof", str(path))
+        assert code == 2
+        assert f"cannot write {path}" in err
 
     def test_search_failure_on_an_axiom_is_internal(self, deduction_path,
                                                     monkeypatch):
@@ -373,6 +393,12 @@ class TestCountermodel:
             outs.append(done.stdout)
         assert outs[0] == outs[1]
         assert outs[0].startswith("countermodel with")
+
+    def test_max_size_below_one_is_usage_error(self):
+        code, out, err = cli("countermodel", "MILL", "p |- q", "--max-size", "0")
+        assert code == 2
+        assert "max_size must be at least 1" in err
+        assert "no countermodel found" not in out
 
     def test_not_found_for_theorem(self):
         code, out, _ = cli("countermodel", "MILL", "p |- p",

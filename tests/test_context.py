@@ -325,3 +325,49 @@ _LEAF_FORMULAS = st.sampled_from(
 def test_printed_sequent_parses_back(t, succ):
     s = Sequent(t, parse_formula(succ, PCMILL), PCMILL)
     assert parse_sequent(print_sequent(s), PCMILL) == s
+
+
+# -- hash-consing ------------------------------------------------------------------
+
+
+def test_every_way_in_yields_the_interned_objects():
+    # == and hash are object identity, which is structural equality only
+    # while each live formula and context is the one its intern table holds
+    from pathlib import Path
+
+    from proofmill import context, syntax
+    from proofmill.calculus import proof_from_json, proof_to_json, proof_nodes
+    from proofmill.corpus import load_corpus_dir
+    from proofmill.hilbert import (
+        assumption, axiom_leaf, deduction_from_json, deduction_to_json, modus_ponens,
+    )
+    from proofmill.search import prove
+    from proofmill.syntax import substitute, subformulas
+
+    def formula_ok(f):
+        for g in subformulas(f):
+            assert syntax._INTERN[g.key] is g, g.key
+
+    def sequent_ok(s):
+        for _, n in positions(s.ctx):
+            assert context._TREE_INTERN[n.key] is n, n.key
+        for f in context_formulas(s.ctx) + [s.succ]:
+            formula_ok(f)
+
+    formula_ok(parse_formula("E[a](p @ q) -o (([]r & 1 \\ s) / ~t)"))
+    sequent_ok(parse_sequent("p ; [q, [r ; ()]] |- p @ q", PCMILL))
+    formula_ok(substitute(parse_formula("E[a](p * q) -o p"),
+                          {"p": parse_formula("q & r")}, {"a": "b"}))
+    corpus = load_corpus_dir(Path(__file__).resolve().parent.parent / "corpus")
+    for entry in corpus:
+        sequent_ok(entry.sequent)
+    provable = [e.sequent for e in corpus if e.expected == "provable"]
+    for goal in [parse_sequent("p, q |- p @ q", PCMILL)] + provable[:3]:
+        read = proof_from_json(proof_to_json(prove(goal).proof))
+        for _, node in proof_nodes(read):
+            sequent_ok(node.conclusion)
+    tree = modus_ponens(assumption(q), axiom_leaf(parse_formula("q -o (p -o q * p)"), MILL))
+    read, _ = deduction_from_json(deduction_to_json(tree, MILL))
+    for _, node in proof_nodes(read):
+        for f in node.assumptions + (node.formula,):
+            formula_ok(f)

@@ -40,7 +40,7 @@ from proofmill.context import (
 )
 from proofmill.corpus import load_corpus_dir
 from proofmill.search import Proved, prove
-from proofmill.syntax import atom, parse_formula, parse_system
+from proofmill.syntax import atom, parse_formula, parse_system, with_
 
 from closure import below, closure_premises, leaf_bag, normal_trees
 from gentrees import trees
@@ -330,7 +330,8 @@ def test_session_reports_match_sessionless_reports(corpus_proofs):
 def test_session_skips_only_what_it_accepted(corpus_proofs, monkeypatch):
     import proofmill.kernel as kernel
 
-    # rule_admissible runs once for each node of a well-formed proof
+    # rule_admissible runs once for each distinct node of a well-formed
+    # proof: search shares the proofs of sequents it met twice
     judged = []
     admissible = kernel.rule_admissible
 
@@ -339,7 +340,7 @@ def test_session_skips_only_what_it_accepted(corpus_proofs, monkeypatch):
         return admissible(rule, system)
 
     monkeypatch.setattr(kernel, "rule_admissible", counting)
-    sized = [(len(list(proof_nodes(pr))), pr) for _, pr in corpus_proofs]
+    sized = [(len({id(n) for _, n in proof_nodes(pr)}), pr) for _, pr in corpus_proofs]
     size, proof = max(sized, key=lambda t: t[0])
     session = CheckSession()
     assert check_proof(proof, session).ok and len(judged) == size
@@ -354,6 +355,40 @@ def test_session_skips_only_what_it_accepted(corpus_proofs, monkeypatch):
         (Proof(Sequent(leaf(succ), succ, proof.system), Rule(AX)), proof),
     )
     assert check_proof(wrapped, session).ok and len(judged) == 2 * size + 2
+
+
+def test_shared_nodes_are_checked_once(monkeypatch):
+    import proofmill.kernel as kernel
+
+    # |- X16, X0 = p -o p and X(k+1) = X(k) & X(k): search proves each
+    # |- Xk once and shares it, so 196,607 tree nodes are 18 objects
+    x = parse_formula("p -o p")
+    for _ in range(16):
+        x = with_(x, x)
+    result = prove(Sequent(EMPTY, x, MILL))
+    assert isinstance(result, Proved)
+    assert sum(1 for _ in proof_nodes(result.proof)) == 196_607
+    calls = []
+
+    def counted(check):
+        def run(*args):
+            calls.append(args[0])
+            return check(*args)
+        return run
+
+    monkeypatch.setattr(kernel, "_CHECKS", {name: counted(check) for name, check
+                                            in kernel._CHECKS.items()})
+    assert check_proof(result.proof).ok
+    assert 0 < len(calls) <= 18
+
+
+def test_shared_bad_node_is_reported_once():
+    bad = _node("p |- q", AX)
+    shared = _node("p |- q & q", "WithR", bad, bad)
+    assert [path for path, _ in check_proof(shared).violations] == [(0,)]
+    # equal but distinct nodes are each reported
+    twins = _node("p |- q & q", "WithR", bad, _node("p |- q", AX))
+    assert [path for path, _ in check_proof(twins).violations] == [(0,), (1,)]
 
 
 def test_session_serves_one_system():

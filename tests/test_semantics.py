@@ -567,6 +567,13 @@ def test_no_countermodel_for_identity():
         parse_sequent("p & q |- p", MILL), 3, seed=1) is None
 
 
+def test_countermodel_search_rejects_empty_range():
+    # no size to search is not a "none found"
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            find_countermodel(parse_sequent("p |- q", MILL), size)
+
+
 def test_countermodel_for_serial_commutation():
     s = parse_sequent("p @ q |- q @ p", SRS)
     cm = find_countermodel(s, 4, seed=0)
