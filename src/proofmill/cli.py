@@ -45,7 +45,6 @@ from .semantics import (
     find_countermodel,
     model_from_json,
     model_to_json,
-    sequent_valid,
     validate_model,
 )
 from .syntax import System, parse_system
@@ -220,10 +219,16 @@ def _cmd_model_eval(args) -> int:
     m = _load(args.model, model_from_json)
     system = _model_system(m, args.sequent)
     seq = _parse(args.sequent, system)
-    if sequent_valid(m, seq):
+    # a malformed model, or a modality it has no table for
+    try:
+        ev = Evaluator(m)
+        valid = ev.sequent_valid(seq)
+        world = None if valid else ev.falsifying_world(seq)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if valid:
         print(f"valid in the model  [{system}]")
         return EXIT_OK
-    world = Evaluator(m).falsifying_world(seq)
     print(f"invalid: falsified at world {world!r}  "
           f"[{system}]")
     return EXIT_FAIL

@@ -108,19 +108,16 @@ def _up(above: list[int], mask: int) -> int:
     return out
 
 
-def _product(above: list[int], table: list[list[int]], x: int, y: int) -> int:
-    """The up-closed pointwise product of world sets ``x`` and ``y``
-    under the operation ``table``."""
-    prods = 0
-    for i in _bits(x):
-        row = table[i]
-        for j in _bits(y):
-            prods |= 1 << row[j]
-    return _up(above, prods)
-
-
 class _Frame:
-    """Index tables for one model; world sets are int bitmasks."""
+    """The world-set kernel of one model's monoid and order; world sets
+    are int bitmasks.  :meth:`clause` memoises the extension of each
+    binary connective by ``(connective, left mask, right mask)`` for the
+    frame's life, so a product or residual is computed once per operand
+    pair, whoever asks: an :class:`Evaluator` on the frame, or a frame
+    condition in ``_nbhd_violations``.  Residuals share that memo;
+    upward closure is not memoised but read off ``above``, the per-world
+    masks of the order.  A frame holds no valuation or neighbourhoods,
+    so models that differ only there share one."""
 
     def __init__(self, names: tuple[str, ...], e: int, op: list[list[int]],
                  ser: list[list[int]] | None, above: list[int]):
@@ -128,6 +125,7 @@ class _Frame:
         self.idx = {w: i for i, w in enumerate(self.names)}
         self.n = len(self.names)
         self.e, self.op, self.ser, self.above = e, op, ser, above
+        self._clauses: dict[tuple[type, int, int], int] = {}
 
     @classmethod
     def of(cls, m: Model) -> _Frame:
@@ -143,6 +141,36 @@ class _Frame:
 
     def set_name(self, mask: int) -> str:
         return "{" + ",".join(self.names[i] for i in _bits(mask)) + "}"
+
+    def clause(self, kind: type, x: int, y: int) -> int:
+        """The extension of ``kind`` (``Tensor``, ``Limp``, or, with a
+        serial table, ``Odot``, ``Lres``, ``Rres``) applied to operands
+        whose extensions are ``x`` (left) and ``y`` (right)."""
+        key = (kind, x, y)
+        got = self._clauses.get(key)
+        if got is None:
+            t = self.op if kind is Tensor or kind is Limp else self.ser
+            if kind is Tensor or kind is Odot:
+                prods = 0
+                for i in _bits(x):
+                    row = t[i]
+                    for j in _bits(y):
+                        prods |= 1 << row[j]
+                got = _up(self.above, prods)
+            elif kind is Rres:
+                # B / A: the left operand is the result, the right the
+                # argument, which acts from the right
+                got = self._arrow(y, x, lambda m, i: t[m][i])
+            else:
+                got = self._arrow(x, y, lambda m, i: t[i][m])
+            self._clauses[key] = got
+        return got
+
+    def _arrow(self, arg: int, res: int, at) -> int:
+        """The worlds ``m`` with ``at(m, i)`` in ``res`` for every ``i``
+        in ``arg``."""
+        return sum(1 << m for m in range(self.n)
+                   if all(res >> at(m, i) & 1 for i in _bits(arg)))
 
 
 def _closure(n: int, pairs: list[tuple[int, int]]) -> list[int]:
@@ -219,9 +247,9 @@ def _nbhd_violations(fr: _Frame, nbhd: dict[str, list[set[int]]],
                 for hi in _bits(above[w]):
                     if hi != w and x not in table[hi]:
                         yield "heredity", key, w, x, hi
-    products = [(cond, t) for cond, t in (("BringsTensor", fr.op),
-                                          ("BringsOdot", fr.ser))
-                if cond in conditions and t is not None]
+    products = [(cond, kind, t) for cond, kind, t in (
+        ("BringsTensor", Tensor, fr.op), ("BringsOdot", Odot, fr.ser))
+        if cond in conditions and t is not None]
     for key in agents:
         table = nbhd[key]
         for w in range(n):
@@ -235,12 +263,12 @@ def _nbhd_violations(fr: _Frame, nbhd: dict[str, list[set[int]]],
                     for y in table[w]:
                         if x & y not in table[w]:
                             yield "BringsWith", key, w, x & y, w
-        for cond, t in products:
+        for cond, kind, t in products:
             for w1 in range(n):
                 for x in table[w1]:
                     for w2 in range(n):
                         for y in table[w2]:
-                            z, home = _product(above, t, x, y), t[w1][w2]
+                            z, home = fr.clause(kind, x, y), t[w1][w2]
                             if z not in table[home]:
                                 yield cond, key, w1, z, home
 
@@ -250,15 +278,34 @@ def _nbhd_violations(fr: _Frame, nbhd: dict[str, list[set[int]]],
 
 
 class Evaluator:
-    """Reusable evaluator; caches extensions per formula."""
+    """Reusable evaluator; caches extensions per formula.  Building one
+    raises ValueError, worded as by ``validate_model``, on a model whose
+    tables name worlds it lacks or miss a pair of worlds."""
 
     def __init__(self, model: Model):
-        self.model = model
-        self._fr = _Frame.of(model)
-        self._val = {
-            p: _mask_of(self._fr, ws) for p, ws in model.valuation.items()
-        }
-        self._nbhd = _nbhd_masks(self._fr, model)
+        bad = _structure_failures(model)
+        if bad:
+            raise ValueError("; ".join(bad))
+        self._bind(model, _Frame.of(model))
+
+    @classmethod
+    def _over(cls, fr: _Frame, model: Model) -> Evaluator:
+        """An evaluator of ``model`` on ``fr``, a frame built for a model
+        that differs from it at most in valuation and neighbourhoods."""
+        ev = cls.__new__(cls)
+        ev._bind(model, fr)
+        return ev
+
+    def _bind(self, model: Model, fr: _Frame) -> None:
+        self.model, self._fr = model, fr
+        self._val = {p: _mask_of(fr, ws) for p, ws in model.valuation.items()}
+        # per table, each member set -> the worlds whose family holds it
+        self._holders: dict[str, dict[int, int]] = {}
+        for key, table in _nbhd_masks(fr, model).items():
+            holders = self._holders[key] = {}
+            for w, sets in enumerate(table):
+                for x in sets:
+                    holders[x] = holders.get(x, 0) | 1 << w
         self._memo: dict[Formula, int] = {}
 
     # -- public surface
@@ -315,61 +362,31 @@ class Evaluator:
 
     def _compute(self, f: Formula) -> int:
         """The extension of ``f``; raises ``KeyError`` while an operand
-        has none in the memo."""
+        has none in the memo.  Binary connectives and modalities are
+        looked up by their operands' masks: in the frame's clause memo,
+        and in the neighbourhood table's holders."""
         fr = self._fr
         memo = self._memo
-        if isinstance(f, Atom):
+        kind = type(f)
+        if kind is Atom:
             return self._val.get(f.name, 0)
-        if isinstance(f, Unit):
+        if kind is Unit:
             return fr.above[fr.e]
-        if isinstance(f, With):
-            return memo[f.left] & memo[f.right]
-        if isinstance(f, Tensor):
-            return _product(fr.above, fr.op, memo[f.left], memo[f.right])
-        if isinstance(f, Odot):
-            return _product(fr.above, self._serial(f), memo[f.left], memo[f.right])
-        if isinstance(f, Limp):
-            return self._arrow(f, fr.op, flip=False)
-        if isinstance(f, Lres):
-            return self._arrow(f, self._serial(f), flip=False)
-        if isinstance(f, Rres):
-            return self._arrow(f, self._serial(f), flip=True)
-        if isinstance(f, (Box, Brings)):
-            table = self._nbhd.get("box" if isinstance(f, Box) else f.agent)
-            if table is None and isinstance(f, Brings):
+        if kind is Box or kind is Brings:
+            holders = self._holders.get("box" if kind is Box else f.agent)
+            if holders is None and kind is Brings:
                 raise ValueError(f"model has no neighbourhood table "
                                  f"for agent {f.agent!r}")
             body = memo[f.body]
-            out = 0
             # without a box table, []A holds nowhere
-            for m, sets in enumerate(table or ()):
-                if body in sets:
-                    out |= 1 << m
-            return out
-        raise AssertionError(f.key)
-
-    def _serial(self, f: Formula) -> list[list[int]]:
-        if self._fr.ser is None:
+            return holders.get(body, 0) if holders else 0
+        if kind is With:
+            return memo[f.left] & memo[f.right]
+        if fr.ser is None and kind is not Tensor and kind is not Limp:
             raise ValueError(
                 f"model has no serial operation, needed for {f.key}"
             )
-        return self._fr.ser
-
-    def _arrow(self, f, table: list[list[int]], flip: bool) -> int:
-        # flip=False: require n . m in ||right|| for all n in ||left||
-        # flip=True (B / A): require m . n in ||right||; f.right holds the
-        # argument side for / per the parser convention
-        arg, res = self._memo[f.left], self._memo[f.right]
-        if flip:
-            arg, res = res, arg
-        out = 0
-        for m in range(self._fr.n):
-            if all(
-                res >> (table[m][i] if flip else table[i][m]) & 1
-                for i in _bits(arg)
-            ):
-                out |= 1 << m
-        return out
+        return fr.clause(kind, memo[f.left], memo[f.right])
 
 
 def eval_formula(m: Model, world: str, f: Formula) -> bool:
@@ -388,7 +405,9 @@ def sequent_valid(m: Model, s: Sequent) -> bool:
 # validation
 
 
-def _structure_failures(m: Model, system: System) -> list[str]:
+def _structure_failures(m: Model, system: System | None = None) -> list[str]:
+    """What makes ``m`` no model at all; without ``system``, only what
+    holds whatever the system (names, tables, valuation)."""
     bad: list[str] = []
     if not m.worlds:
         return ["no worlds"]
@@ -414,7 +433,7 @@ def _structure_failures(m: Model, system: System) -> list[str]:
     check_table(m.op, "op")
     if m.serial_op is not None:
         check_table(m.serial_op, "serial_op")
-    elif system.ident in SERIAL_SYSTEMS:
+    elif system is not None and system.ident in SERIAL_SYSTEMS:
         bad.append(f"serial_op required for {system.ident.value}")
     for a, b in m.order:
         if a not in seen or b not in seen:
@@ -423,16 +442,16 @@ def _structure_failures(m: Model, system: System) -> list[str]:
         for w in ws:
             if w not in seen:
                 bad.append(f"valuation of {p!r} names unknown world {w!r}")
-    box_ok = system.ident in BOX_SYSTEMS
+    agents = system.agents if system is not None else ()
     for key, per_world in m.neighbourhoods.items():
         # a key naming an agent is that agent's table, even ``box``
-        if key == "box" and key not in system.agents:
-            if not box_ok:
+        if system is not None and key not in agents:
+            if key != "box":
+                bad.append(f"neighbourhood key {key!r} is not an agent of "
+                           f"{system}")
+            elif system.ident not in BOX_SYSTEMS:
                 bad.append(f"box neighbourhood not meaningful in "
                            f"{system.ident.value}")
-        elif key not in system.agents:
-            bad.append(f"neighbourhood key {key!r} is not an agent of "
-                       f"{system}")
         for w, sets in per_world.items():
             if w not in seen:
                 bad.append(f"neighbourhood of {key!r} names unknown world "
@@ -443,7 +462,7 @@ def _structure_failures(m: Model, system: System) -> list[str]:
                     if v not in seen:
                         bad.append(f"neighbourhood set of {key!r} at {w} "
                                    f"names unknown world {v!r}")
-    for agent in system.agents:
+    for agent in agents:
         if agent not in m.neighbourhoods:
             bad.append(f"missing neighbourhood table for agent {agent!r}")
     return bad
@@ -792,8 +811,8 @@ class Countermodel:
     world: str
 
 
-def _atom_variant(m: Model, atoms: list[str], rng: random.Random) -> Model:
-    fr = _Frame.of(m)
+def _atom_variant(m: Model, fr: _Frame, atoms: list[str],
+                  rng: random.Random) -> Model:
     valuation = dict(m.valuation)
     for p in atoms:
         if p == "bot":
@@ -807,10 +826,10 @@ def _atom_variant(m: Model, atoms: list[str], rng: random.Random) -> Model:
 
 
 def _hint_variant(
-    m: Model, s: Sequent, rng: random.Random
+    m: Model, fr: _Frame, s: Sequent, rng: random.Random
 ) -> Model | None:
     """Plant extensions of modal subformula bodies as neighbourhood sets,
-    then re-close the frame conditions."""
+    then re-close the frame conditions; ``fr`` is ``m``'s frame."""
     bodies: list[tuple[str, Formula]] = []
     # in key order, so the rng's draws do not follow the hash seed
     for f in sorted(subformulas(to_formula(s.ctx)) | subformulas(s.succ),
@@ -821,8 +840,7 @@ def _hint_variant(
             bodies.append((f.agent, f.body))
     if not bodies:
         return None
-    ev = Evaluator(m)
-    fr = ev._fr
+    ev = Evaluator._over(fr, m)
     nbhd = _nbhd_masks(fr, m)
     conditions = FRAME_CONDITIONS[s.system.ident]
     agent_conditions = bool(conditions)
@@ -863,16 +881,19 @@ def find_countermodel(
     for size in range(1, max_size + 1):
         for t in range(attempts):
             base = random_model(rng.randrange(1 << 30), size, s.system)
+            # the variants differ from base only in valuation and
+            # neighbourhoods, so they share its frame
+            fr = _Frame.of(base)
             variants = [base]
-            variants.append(_atom_variant(base, atoms, rng))
-            hinted = _hint_variant(variants[-1], s, rng)
+            variants.append(_atom_variant(base, fr, atoms, rng))
+            hinted = _hint_variant(variants[-1], fr, s, rng)
             if hinted is not None:
                 variants.append(hinted)
-            hinted = _hint_variant(base, s, rng)
+            hinted = _hint_variant(base, fr, s, rng)
             if hinted is not None:
                 variants.append(hinted)
             for cand in variants:
-                ev = Evaluator(cand)
+                ev = Evaluator._over(fr, cand)
                 if not ev.sequent_valid(s):
                     witness = ev.falsifying_world(s)
                     if witness is None:

@@ -337,6 +337,29 @@ class TestModels:
         code, _, err = cli("model-check", str(path), "MILL")
         assert code == 2
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda d: d["valuation"].update(p=["w9"]),
+         "valuation of 'p' names unknown world 'w9'"),
+        (lambda d: d["op"].pop("w1,w1"), "op missing entry w1,w1"),
+        (lambda d: d["neighbourhoods"]["box"].update(w0=[["w7"]]),
+         "neighbourhood set of 'box' at w0 names unknown world 'w7'"),
+    ], ids=["valuation", "op", "neighbourhood"])
+    def test_model_eval_malformed_model_is_usage_error(
+            self, model_path, tmp_path, damage, message):
+        data = json.loads(model_path.read_text())
+        damage(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = cli("model-eval", str(path), "p |- p")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_model_eval_agent_without_table_is_usage_error(self, model_path):
+        # the model has a box table only, so agent a has none
+        code, out, err = cli("model-eval", str(model_path), "E[a]p |- p")
+        assert (code, out) == (2, "")
+        assert err == ("error: model has no neighbourhood table for "
+                       "agent 'a'\n")
+
     def test_model_eval_valid_and_invalid(self, model_path):
         code, out, _ = cli("model-eval", str(model_path), "p |- p")
         assert code == 0

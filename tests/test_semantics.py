@@ -2,6 +2,7 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proofmill.context import parse_sequent
 from proofmill.semantics import (
@@ -18,7 +19,32 @@ from proofmill.semantics import (
     sequent_valid,
     validate_model,
 )
-from proofmill.syntax import SystemId, limp, parse_formula, parse_system
+from proofmill.syntax import (
+    Atom,
+    Box,
+    Brings,
+    Limp,
+    Lres,
+    Odot,
+    Rres,
+    SystemId,
+    Tensor,
+    Unit,
+    With,
+    atom,
+    box,
+    brings,
+    limp,
+    lres,
+    odot,
+    parse_formula,
+    parse_system,
+    rres,
+    subformulas,
+    tensor,
+    unit,
+    with_,
+)
 
 MILL = parse_system("MILL")
 PCMILL = parse_system("PCMILL")
@@ -179,6 +205,17 @@ def test_structure_failures_reported():
     assert "not an agent" in text
     assert "box neighbourhood not meaningful" in text
     assert "missing neighbourhood table for agent 'a'" in text
+
+
+def test_evaluator_rejects_a_malformed_model():
+    # in the words of validate_model, without the system's own checks
+    m = replace(one_world(), valuation={"p": ("ghost",)},
+                neighbourhoods={"c": {"e": (("e", "x"),)}})
+    with pytest.raises(ValueError) as err:
+        Evaluator(m)
+    assert str(err.value) == ("valuation of 'p' names unknown world "
+                              "'ghost'; neighbourhood set of 'c' at e "
+                              "names unknown world 'x'")
 
 
 def test_neighbourhood_heredity_violation_reported():
@@ -442,6 +479,105 @@ def test_evaluator_upward_and_memo():
     assert ev.upward(["w1"]) == {"w1", "w2"}
     f = parse_formula("p * q", MILL)
     assert ev.extension(f) == ev.extension(f)  # memoized path
+
+
+def reference_extension(m: Model):
+    """``||f||`` by the truth clauses, pointwise over world names and the
+    model's own dict tables: no frame, no masks."""
+    geq = {(w, w) for w in m.worlds} | set(m.order)
+    while True:
+        more = {(a, c) for a, b in geq for b2, c in geq if b == b2} - geq
+        if not more:
+            break
+        geq |= more
+
+    def up(ws):
+        return frozenset(v for v in m.worlds for w in ws if (v, w) in geq)
+
+    def ext(f):
+        if isinstance(f, Atom):
+            return frozenset(m.valuation.get(f.name, ()))
+        if isinstance(f, Unit):
+            return up({m.unit})
+        if isinstance(f, (Box, Brings)):
+            body = ext(f.body)
+            family = m.neighbourhoods.get(
+                "box" if isinstance(f, Box) else f.agent, {})
+            return frozenset(w for w in m.worlds
+                             if any(set(x) == body for x in family.get(w, ())))
+        a, b = ext(f.left), ext(f.right)
+        if isinstance(f, With):
+            return a & b
+        op = m.op if isinstance(f, (Tensor, Limp)) else m.serial_op
+        if isinstance(f, (Tensor, Odot)):
+            return up({op[(x, y)] for x in a for y in b})
+        if isinstance(f, Rres):
+            # B / A: w serial_op n in ||B|| for every n in ||A||
+            return frozenset(w for w in m.worlds
+                             if all(op[(w, n)] in a for n in b))
+        return frozenset(w for w in m.worlds
+                         if all(op[(n, w)] in b for n in a))
+
+    return ext
+
+
+def _formulas(system):
+    binaries = [tensor, with_, limp]
+    if system.is_tree:
+        binaries += [odot, lres, rres]
+    unaries = [box] if system.has_box else \
+        [lambda b, a=a: brings(a, b) for a in system.agents]
+    return st.recursive(
+        st.sampled_from([atom(p) for p in ("p", "q", "r", "s", "bot")]
+                        + [unit()]),
+        lambda kids: st.one_of(
+            *[st.builds(op, kids, kids) for op in binaries],
+            *[st.builds(u, kids) for u in unaries],
+        ),
+        max_leaves=10,
+    )
+
+
+@pytest.mark.parametrize("system", [MILL, PCMILL, RS,
+                                    parse_system("SRSBIAT:a")], ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_extensions_agree_with_a_pointwise_reference(system, data):
+    m = random_model(data.draw(st.integers(0, 1 << 20), label="seed"),
+                     data.draw(st.integers(1, 5), label="size"), system)
+    # one evaluator for all formulas, so clauses share their memos
+    ev, ref = Evaluator(m), reference_extension(m)
+    formulas = data.draw(st.lists(_formulas(system), min_size=1, max_size=6))
+    for f in formulas:
+        ev.extension_mask(f)
+    for f in formulas:
+        for g in subformulas(f):
+            assert ev.extension(g) == ref(g), g.key
+
+
+def test_connectives_on_equal_operand_masks_keep_their_own_clauses():
+    # p holds everywhere but at e, q at b and above: a . b = ab is in q
+    # while b . a = ba is not, and every parallel product is c
+    d = replace(diamond(), valuation={"p": ("a", "b", "ab", "ba", "c"),
+                                      "q": ("b", "ab", "c")})
+    ev, ref = Evaluator(d), reference_extension(d)
+    expected = {
+        "p * q": {"c"}, "p @ q": {"ab", "c"},
+        "p -o q": {"a", "b", "ab", "ba", "c"},
+        "p \\ q": {"b", "ab", "ba", "c"}, "q / p": {"a", "ab", "ba", "c"},
+    }
+    for text, ext in expected.items():
+        f = parse_formula(text, SRS)
+        assert ev.extension(f) == ref(f) == ext, text
+    # two agents' tables with the same body set
+    op = {("e", "e"): "e", ("e", "w"): "w", ("w", "e"): "w", ("w", "w"): "w"}
+    m = Model(worlds=("e", "w"), unit="e", op=op, serial_op=None, order=(),
+              valuation={"p": ("w",)},
+              neighbourhoods={"a": {"w": (("w",),)}, "b": {}})
+    assert validate_model(m, RS).ok
+    ev = Evaluator(m)
+    assert ev.extension(parse_formula("E[a]p", RS)) == {"w"}
+    assert ev.extension(parse_formula("E[b]p", RS)) == set()
 
 
 # ---------------------------------------------------------------------------
