@@ -156,6 +156,84 @@ def test_nesting_is_bounded():
     assert ei.value.pos == MAX_NESTING
 
 
+_ATOM_EXPECTED = "expected an atom or '1' or '(' or a prefix operator, found"
+_TOO_DEEP = f"nesting deeper than {MAX_NESTING} levels"
+_N = MAX_NESTING + 1
+
+# (parser, system, text, outcome): a printed key, or (error class name,
+# position, message); SystemMismatchError carries no position
+_MALFORMED = [
+    ("seq", "MILL", "p $ q |- p", ("LexError", 2, "unexpected character '$'")),
+    # a stray character wins over an earlier syntax error
+    ("seq", "MILL", "p * * q |- r -", ("LexError", 13, "unexpected character '-'")),
+    ("seq", "MILL", "p | q |- p", ("LexError", 2, "unexpected character '|'")),
+    ("seq", "MILL", "", ("UnexpectedTokenError", 0, f"{_ATOM_EXPECTED} end of input")),
+    ("formula", "MILL", "", ("UnexpectedTokenError", 0, f"{_ATOM_EXPECTED} end of input")),
+    ("formula", "MILL", "a * * b", ("UnexpectedTokenError", 4, f"{_ATOM_EXPECTED} '*'")),
+    ("formula", "MILL", "(a * b", ("UnexpectedTokenError", 6, "expected ')', found end of input")),
+    ("formula", "MILL", "a * b)", ("UnexpectedTokenError", 5, "expected end of input, found ')'")),
+    ("seq", "MILL", "(p |- p", ("UnexpectedTokenError", 3, "expected ')', found '|-'")),
+    ("seq", "MILL", "p) |- p", ("UnexpectedTokenError", 1, "expected '|-' or ',', found ')'")),
+    ("seq", "MILL", "p q |- p", ("UnexpectedTokenError", 2, "expected '|-' or ',', found 'q'")),
+    ("seq", "RSBIAT:a", "E[a] |- p", ("UnexpectedTokenError", 5, f"{_ATOM_EXPECTED} '|-'")),
+    ("seq", "RSBIAT:a", "E[] p |- p", ("UnexpectedTokenError", 2, "expected 'NAME', found ']'")),
+    ("seq", "RSBIAT:a", "E[a p |- p", ("UnexpectedTokenError", 4, "expected ']', found 'p'")),
+    ("seq", "MILL", "[p |- p", ("UnexpectedTokenError", 1, "expected ']', found 'p'")),
+    ("seq", "MILL", "p |- p q", ("UnexpectedTokenError", 7, "expected end of input, found 'q'")),
+    ("formula", "PCMILL", "a -o b \\ c",
+     ("MixedImplicationError", 7, "cannot mix '-o' and '\\\\' without parentheses")),
+    ("formula", "PCMILL", "a / b -o c",
+     ("MixedImplicationError", 6, "cannot mix '/' and '-o' without parentheses")),
+    ("seq", "PCMILL", "p, q ; r |- p",
+     ("MixedSeparatorError", 5, "cannot mix ',' and ';' at one level, bracket the groups")),
+    ("seq", "MILL", "p ; q |- p", ("UnexpectedTokenError", 2, "expected ',', found ';'")),
+    # one level too deep, for each opener: the error names that opener
+    ("formula", "MILL", "(" * _N + "p" + ")" * _N, ("NestingTooDeepError", 100, _TOO_DEEP)),
+    ("formula", "MILL", "[]" * _N + "p", ("NestingTooDeepError", 200, _TOO_DEEP)),
+    ("formula", "RSBIAT:a", "E[a]" * _N + "p", ("NestingTooDeepError", 400, _TOO_DEEP)),
+    ("formula", "MILL", "~" * _N + "p", ("NestingTooDeepError", 100, _TOO_DEEP)),
+    ("seq", "PCMILL", "[" * _N + "p" + "]" * _N + " |- p", ("NestingTooDeepError", 100, _TOO_DEEP)),
+    ("seq", "PCMILL", "[" * 50 + "(" * 51 + "p" + ")" * 51 + "]" * 50 + " |- p",
+     ("NestingTooDeepError", 100, _TOO_DEEP)),
+    # the first connective outside the system in preorder, not in the
+    # order the parser builds them
+    ("seq", "MILL", "(p @ q) * r \\ s |- p",
+     ("SystemMismatchError", None, "\\ not available in MILL: (((p @ q) * r) \\ s)")),
+    # an item's mismatch wins over a syntax error in a later item, but
+    # not over one in the same item or formula
+    ("seq", "MILL", "p @ q, r * |- p",
+     ("SystemMismatchError", None, "@ not available in MILL: (p @ q)")),
+    ("seq", "MILL", "p @ q * |- p", ("UnexpectedTokenError", 8, f"{_ATOM_EXPECTED} '|-'")),
+    ("formula", "RSBIAT:a", "E[b]p q", ("UnexpectedTokenError", 6, "expected end of input, found 'q'")),
+    ("seq", "RSBIAT:a", "E[b]p |- p",
+     ("SystemMismatchError", None, "agent 'b' not in alphabet ['a']: E[b](p)")),
+    # a trailing separator
+    ("seq", "MILL", "p, |- q", "p |- q"),
+    ("seq", "PCMILL", "p ; |- q", "p |- q"),
+    ("seq", "PCMILL", "[p,] |- q", "p |- q"),
+]
+
+
+@pytest.mark.parametrize("kind, system, text, outcome", _MALFORMED,
+                         ids=[f"{r[1]}:{r[2][:24]}" for r in _MALFORMED])
+def test_malformed_input(kind, system, text, outcome):
+    from proofmill.context import parse_sequent
+
+    parse = parse_sequent if kind == "seq" else parse_formula
+    if isinstance(outcome, str):
+        assert parse(text, parse_system(system)).key == outcome
+        return
+    name, pos, message = outcome
+    with pytest.raises(ValueError) as ei:
+        parse(text, parse_system(system))
+    err = ei.value
+    assert type(err).__name__ == name
+    if isinstance(err, ParseError):
+        assert (err.pos, err.bare_message) == (pos, message)
+    else:
+        assert (pos, str(err)) == (None, message)
+
+
 # -- systems ------------------------------------------------------------------
 
 
