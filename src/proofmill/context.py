@@ -551,21 +551,23 @@ class MixedSeparatorError(ParseError):
 
 
 def _parse_group(p: _Parser, system: System, closer: str) -> Context:
-    items: list[Context] = []
+    if p.at(closer):
+        return EMPTY
+    items = [_parse_item(p, system)]
     sep: str | None = None
-    while not p.at(closer):
+    while p.peek()[0] in (",", ";"):
+        t = p.next()
+        if t[0] == ";" and not system.is_tree:
+            raise UnexpectedTokenError(p.text, t[2], _show(t), ("','",))
+        if sep is None:
+            sep = t[0]
+        elif sep != t[0]:
+            raise MixedSeparatorError(p.text, t[2])
+        # an item follows every separator
         items.append(_parse_item(p, system))
-        t = p.peek()
-        if t[0] in (",", ";"):
-            if t[0] == ";" and not system.is_tree:
-                raise UnexpectedTokenError(p.text, t[2], _show(t), ("','",))
-            if sep is None:
-                sep = t[0]
-            elif sep != t[0]:
-                raise MixedSeparatorError(p.text, t[2])
-            p.next()
-        elif t[0] != closer:
-            raise UnexpectedTokenError(p.text, t[2], _show(t), (f"{closer!r}", "','"))
+    t = p.peek()
+    if t[0] != closer:
+        raise UnexpectedTokenError(p.text, t[2], _show(t), (f"{closer!r}", "','"))
     return ser(items) if sep == ";" else par(items)
 
 

@@ -207,10 +207,10 @@ _MALFORMED = [
     ("formula", "RSBIAT:a", "E[b]p q", ("UnexpectedTokenError", 6, "expected end of input, found 'q'")),
     ("seq", "RSBIAT:a", "E[b]p |- p",
      ("SystemMismatchError", None, "agent 'b' not in alphabet ['a']: E[b](p)")),
-    # a trailing separator
-    ("seq", "MILL", "p, |- q", "p |- q"),
-    ("seq", "PCMILL", "p ; |- q", "p |- q"),
-    ("seq", "PCMILL", "[p,] |- q", "p |- q"),
+    # a separator needs an item after it
+    ("seq", "MILL", "p, |- q", ("UnexpectedTokenError", 3, f"{_ATOM_EXPECTED} '|-'")),
+    ("seq", "PCMILL", "p ; |- q", ("UnexpectedTokenError", 4, f"{_ATOM_EXPECTED} '|-'")),
+    ("seq", "PCMILL", "[p,] |- q", ("UnexpectedTokenError", 3, f"{_ATOM_EXPECTED} ']'")),
 ]
 
 
