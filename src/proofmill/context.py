@@ -39,9 +39,7 @@ from .syntax import (
     Formula,
     ParseError,
     System,
-    UnexpectedTokenError,
     _Parser,
-    _show,
     print_formula,
     validate_formula,
     tensor,
@@ -551,52 +549,56 @@ class MixedSeparatorError(ParseError):
 
 
 def _parse_group(p: _Parser, system: System, closer: str) -> Context:
-    if p.at(closer):
+    toks = p.toks
+    if toks[p.i] == closer:
         return EMPTY
     items = [_parse_item(p, system)]
     sep: str | None = None
-    while p.peek()[0] in (",", ";"):
-        t = p.next()
-        if t[0] == ";" and not system.is_tree:
-            raise UnexpectedTokenError(p.text, t[2], _show(t), ("','",))
+    while toks[p.i] in (",", ";"):
+        t = toks[p.i]
+        if t == ";" and not system.is_tree:
+            p.fail(p.i, "','")
         if sep is None:
-            sep = t[0]
-        elif sep != t[0]:
-            raise MixedSeparatorError(p.text, t[2])
+            sep = t
+        elif sep != t:
+            raise MixedSeparatorError(p.text, p.pos(p.i))
+        p.i += 1
         # an item follows every separator
         items.append(_parse_item(p, system))
-    t = p.peek()
-    if t[0] != closer:
-        raise UnexpectedTokenError(p.text, t[2], _show(t), (f"{closer!r}", "','"))
+    if toks[p.i] != closer:
+        p.fail(p.i, f"{closer!r}", "','")
     return ser(items) if sep == ";" else par(items)
 
 
 def _parse_item(p: _Parser, system: System) -> Context:
-    t = p.peek()
+    toks = p.toks
+    k = p.i
     if system.is_tree:
-        if t[0] == "(" and p.peek(1)[0] == ")":
-            p.next()
-            p.next()
+        if toks[k] == "(" and toks[k + 1] == ")":
+            p.i += 2
             return EMPTY
         # "[" starts a grouped subcontext unless it is the box prefix "[]"
-        if t[0] == "[" and p.peek(1)[0] != "]":
-            p.next()
-            sub = p.nested(t[2], lambda: _parse_group(p, system, "]"))
-            p.expect("]")
+        if toks[k] == "[" and toks[k + 1] != "]":
+            p.deeper(k)
+            p.i += 1
+            sub = _parse_group(p, system, "]")
+            p.i += 1
+            p.depth -= 1
             return sub
     f = p.formula()
-    validate_formula(f, system)
+    # the item's own syntax errors come first, then its connectives
+    if p.bad:
+        validate_formula(f, system)
     return leaf(f)
 
 
 def parse_sequent(text: str, system: System) -> Sequent:
-    p = _Parser(text)
+    p = _Parser(text, system)
     ctx = _parse_group(p, system, "|-")
-    p.expect("|-")
+    p.i += 1
     succ = p.formula()
-    t = p.peek()
-    if t[0] != "EOF":
-        raise UnexpectedTokenError(text, t[2], _show(t), ("end of input",))
-    validate_formula(succ, system)
+    p.end()
+    if p.bad:
+        validate_formula(succ, system)
     # the parser builds normal forms and reads ';' only in tree systems
     return Sequent(ctx, succ, system)

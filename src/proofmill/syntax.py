@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NoReturn
 
 
 class SystemId(Enum):
@@ -241,7 +242,10 @@ def unit() -> Formula:
 
 def _binary(cls, left: Formula, right: Formula) -> Formula:
     key = f"({left.key} {cls.op} {right.key})"
-    return _interned(key, lambda: cls(left, right, key))
+    f = _INTERN.get(key)
+    if f is None:
+        f = _INTERN[key] = cls(left, right, key)
+    return f
 
 
 def tensor(l: Formula, r: Formula) -> Formula:
@@ -477,176 +481,167 @@ class MixedImplicationError(ParseError):
         )
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<name>[A-Za-z0-9_]+)
-  | (?P<turnstile>\|-)
-  | (?P<limp>-o)
-  | (?P<sym>[()\[\]*&@~\\/,;])
-    """,
-    re.VERBOSE,
-)
-
-#: token kinds: NAME, plus literal text for every symbol token
-Token = tuple[str, str, int]  # (kind, text, position)
+_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|\|-|-o|[()\[\]*&@~\\/,;]")
+# a character that starts no token: whitespace separates tokens, and a
+# '|' or '-' is stray unless it starts '|-' or '-o'
+_STRAY_RE = re.compile(r"[^\sA-Za-z0-9_()\[\]*&@~\\/,;|-]|\|(?!-)|(?<!\|)-(?!o)")
+# every token but a name; "" is the end-of-input sentinel
+_SYMBOLS = frozenset(["|-", "-o", "(", ")", "[", "]", "*", "&", "@", "~", "\\", "/", ",", ";", ""])
 
 
-def tokenize(text: str) -> list[Token]:
-    out: list[Token] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise LexError(f"unexpected character {text[pos]!r}", text, pos)
-        if m.lastgroup != "ws":
-            kind = "NAME" if m.lastgroup == "name" else m.group()
-            out.append((kind, m.group(), pos))
-        pos = m.end()
-    out.append(("EOF", "", n))
-    return out
+def mentioned_agents(text: str) -> list[str]:
+    """The agents that ``E[a]`` prefixes in ``text`` name, in order of
+    first mention, read from the parser's own tokens."""
+    toks = _TOKEN_RE.findall(text)
+    return list(dict.fromkeys(
+        toks[k + 2] for k in range(len(toks) - 2)
+        if toks[k] == "E" and toks[k + 1] == "[" and toks[k + 2] not in _SYMBOLS
+    ))
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
-_IMP_OPS = ("-o", "\\", "/")
+# binding strength of each connective: the implications loosest, the
+# prefixes tightest; -o and \ associate right, the others left
+_BINDS = {"-o": 0, "\\": 0, "/": 0, "&": 1, "*": 2, "@": 3}
+_PREFIX = 4
+_RIGHT = ("-o", "\\")
+_CONNECTIVE = {"&": With, "*": Tensor, "@": Odot, "-o": Limp, "\\": Lres, "/": Rres}
+# the connectives outside each system's language, agents aside
+_BANNED = {
+    ident: frozenset(([] if ident in BOX_SYSTEMS else ["[]"])
+                     + ([] if ident in SERIAL_SYSTEMS else ["@", "\\", "/"]))
+    for ident in SystemId
+}
 
 
 class _Parser:
-    """Recursive-descent parser over the token list, shared by the
-    formula and sequent grammars (the latter lives in context.py)."""
+    """One pass over the tokens of ``text``, shared by the formula and
+    sequent grammars (the latter lives in context.py).  It builds each
+    formula bottom-up and sets ``bad`` when it builds a connective that
+    ``system`` lacks; the caller then runs ``validate_formula`` to name
+    the first such connective in preorder.  A token's position is worked
+    out only for an error."""
 
-    def __init__(self, text: str):
+    __slots__ = ("text", "toks", "i", "depth", "banned", "agents", "bad")
+
+    def __init__(self, text: str, system: System | None):
+        stray = _STRAY_RE.search(text)
+        if stray is not None:
+            raise LexError(f"unexpected character {stray.group()!r}", text, stray.start())
         self.text = text
-        self.toks = tokenize(text)
-        self.i = 0
-        self.depth = 0
+        # every token as a plain string, then the end-of-input sentinel
+        self.toks = _TOKEN_RE.findall(text) + [""]
+        self.i = self.depth = 0
+        self.bad = False
+        self.banned = frozenset() if system is None else _BANNED[system.ident]
+        self.agents = None if system is None else system.agents
 
-    def peek(self, ahead: int = 0) -> Token:
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
+    def pos(self, k: int) -> int:
+        """Where token ``k`` starts in the text."""
+        for j, m in enumerate(_TOKEN_RE.finditer(self.text)):
+            if j == k:
+                return m.start()
+        return len(self.text)
 
-    def next(self) -> Token:
-        t = self.toks[self.i]
-        if t[0] != "EOF":
-            self.i += 1
-        return t
+    def fail(self, k: int, *expected: str) -> NoReturn:
+        t = self.toks[k]
+        found = "end of input" if t == "" else repr(t)
+        raise UnexpectedTokenError(self.text, self.pos(k), found, expected)
 
-    def expect(self, kind: str) -> Token:
-        t = self.peek()
-        if t[0] != kind:
-            raise UnexpectedTokenError(self.text, t[2], _show(t), (repr(kind),))
-        return self.next()
+    def end(self) -> None:
+        if self.toks[self.i] != "":
+            self.fail(self.i, "end of input")
 
-    def at(self, kind: str) -> bool:
-        return self.peek()[0] == kind
-
-    def nested(self, pos: int, parse):
-        """Run ``parse`` one nesting level deeper, for the opener at
-        ``pos``.  Parentheses, prefix operators and bracketed groups
-        nest; past ``MAX_NESTING`` levels the input is refused, before
-        the recursion can run out."""
+    def deeper(self, k: int) -> None:
+        """Enter one more nesting level, for the opener at token ``k``.
+        Parentheses, prefix operators and bracketed groups nest; past
+        ``MAX_NESTING`` levels the input is refused, before the
+        recursion can run out."""
         if self.depth >= MAX_NESTING:
-            raise NestingTooDeepError(self.text, pos)
+            raise NestingTooDeepError(self.text, self.pos(k))
         self.depth += 1
-        try:
-            return parse()
-        finally:
-            self.depth -= 1
 
     def formula(self) -> Formula:
-        first = self.additive()
-        if self.peek()[0] not in _IMP_OPS:
-            return first
-        items = [first]
-        ops: list[tuple[str, int]] = []
-        while self.peek()[0] in _IMP_OPS:
-            op, _, pos = self.next()
-            if ops and op != ops[0][0]:
-                raise MixedImplicationError(self.text, pos, ops[0][0], op)
-            ops.append((op, pos))
-            items.append(self.additive())
-        op = ops[0][0]
-        if op == "-o":
-            acc = items[-1]
-            for f in reversed(items[:-1]):
-                acc = limp(f, acc)
-            return acc
-        if op == "\\":
-            acc = items[-1]
-            for f in reversed(items[:-1]):
-                acc = lres(f, acc)
-            return acc
-        acc = items[0]
-        for f in items[1:]:
-            acc = rres(acc, f)
-        return acc
-
-    def additive(self) -> Formula:
-        f = self.tensor()
-        while self.at("&"):
-            self.next()
-            f = with_(f, self.tensor())
-        return f
-
-    def tensor(self) -> Formula:
-        f = self.serial()
-        while self.at("*"):
-            self.next()
-            f = tensor(f, self.serial())
-        return f
-
-    def serial(self) -> Formula:
-        f = self.unary()
-        while self.at("@"):
-            self.next()
-            f = odot(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        t = self.peek()
-        if t[0] == "[":
-            self.next()
-            self.expect("]")
-            return box(self.nested(t[2], self.unary))
-        if t[0] == "NAME" and t[1] == "E" and self.peek(1)[0] == "[":
-            self.next()
-            self.next()
-            agent = self.expect("NAME")[1]
-            self.expect("]")
-            return brings(agent, self.nested(t[2], self.unary))
-        if t[0] == "~":
-            self.next()
-            return neg(self.nested(t[2], self.unary))
-        return self.primary()
-
-    def primary(self) -> Formula:
-        t = self.peek()
-        if t[0] == "NAME":
-            self.next()
-            return unit() if t[1] == "1" else atom(t[1])
-        if t[0] == "(":
-            self.next()
-            f = self.nested(t[2], self.formula)
-            self.expect(")")
-            return f
-        raise UnexpectedTokenError(
-            self.text, t[2], _show(t), ("an atom", "'1'", "'('", "a prefix operator")
-        )
-
-
-def _show(t: Token) -> str:
-    return "end of input" if t[0] == "EOF" else repr(t[1])
+        """The formula from token ``i`` on.  Precedence climbing over
+        ``_BINDS``, with the pending operators and their left operands
+        on a stack, so chains of any length stay iterative; only a
+        bracketed formula recurses."""
+        toks, i = self.toks, self.i
+        imp = None  # the one implication this formula may chain
+        pending: list[tuple[str, int, Formula | None]] = []
+        while True:
+            # an operand: prefixes, then an atom, 1 or a bracketed formula
+            k = i
+            t = toks[i]
+            if t not in _SYMBOLS and (t != "E" or toks[i + 1] != "["):
+                f = _INTERN.get(t) or (unit() if t == "1" else atom(t))
+                i += 1
+            elif t == "(":
+                self.deeper(k)
+                self.i = i + 1
+                f = self.formula()
+                i = self.i
+                if toks[i] != ")":
+                    self.fail(i, "')'")
+                i += 1
+                self.depth -= 1
+            else:
+                if t == "~":
+                    i += 1
+                elif t == "[":
+                    if toks[i + 1] != "]":
+                        self.fail(i + 1, "']'")
+                    i += 2
+                    t = "[]"
+                    if t in self.banned:
+                        self.bad = True
+                elif t == "E":
+                    t = toks[i + 2]
+                    if t in _SYMBOLS:
+                        self.fail(i + 2, "'NAME'")
+                    if toks[i + 3] != "]":
+                        self.fail(i + 3, "']'")
+                    i += 4
+                    if self.agents is not None and t not in self.agents:
+                        self.bad = True
+                else:
+                    self.fail(i, "an atom", "'1'", "'('", "a prefix operator")
+                self.deeper(k)
+                pending.append((t, _PREFIX, None))
+                continue
+            # an operator, or the end of this formula
+            t = toks[i]
+            level = _BINDS.get(t, -1)
+            if level == 0:
+                if imp is None:
+                    imp = t
+                elif t != imp:
+                    raise MixedImplicationError(self.text, self.pos(i), imp, t)
+            while pending:
+                op, lv, left = pending[-1]
+                if lv < level or lv == level and t in _RIGHT:
+                    break
+                pending.pop()
+                if lv == _PREFIX:
+                    f = neg(f) if op == "~" else box(f) if op == "[]" else brings(op, f)
+                    self.depth -= 1
+                else:
+                    f = _binary(_CONNECTIVE[op], left, f)
+            if level < 0:
+                self.i = i
+                return f
+            if t in self.banned:
+                self.bad = True
+            pending.append((t, level, f))
+            i += 1
 
 
 def parse_formula(text: str, system: System | None = None) -> Formula:
-    p = _Parser(text)
+    p = _Parser(text, system)
     f = p.formula()
-    t = p.peek()
-    if t[0] != "EOF":
-        raise UnexpectedTokenError(text, t[2], _show(t), ("end of input",))
-    if system is not None:
-        validate_formula(f, system)
+    p.end()
+    if p.bad:
+        validate_formula(f, system)  # type: ignore[arg-type]
     return f
