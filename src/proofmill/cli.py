@@ -10,17 +10,16 @@ as one line on stderr).
 
 Agent-indexed systems may be named bare (``RSBIAT``, ``SRSBIAT``) on
 subcommands that also take a sequent; the agent alphabet is then read
-off the ``E[...]`` operators in the sequent text, in order of first
-occurrence.  ``model-eval`` infers the whole system from the model: a
-serial operation selects the tree-context family, agent neighbourhood
-tables select the agent-indexed family.
+off the ``E[...]`` operators among the parser's tokens of the sequent,
+in order of first occurrence.  ``model-eval`` infers the whole system
+from the model: a serial operation selects the tree-context family,
+agent neighbourhood tables select the agent-indexed family.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from .calculus import (
@@ -47,26 +46,16 @@ from .semantics import (
     model_to_json,
     validate_model,
 )
-from .syntax import System, parse_system
+from .syntax import System, mentioned_agents, parse_system
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-_AGENT_TOKEN = re.compile(r"E\[([A-Za-z0-9_]+)\]")
-
 
 class UsageError(Exception):
     pass
-
-
-def _infer_agents(text: str) -> list[str]:
-    seen: list[str] = []
-    for name in _AGENT_TOKEN.findall(text):
-        if name not in seen:
-            seen.append(name)
-    return seen
 
 
 def _system_named(name: str, agents: list[str]) -> System:
@@ -104,7 +93,7 @@ def _load(path: str, reader):
 def _model_system(m: Model, sequent_text: str) -> System:
     # a lone ``box`` key is the box table; beside an agent's, an agent
     agents = [] if list(m.neighbourhoods) == ["box"] else list(m.neighbourhoods)
-    for name in _infer_agents(sequent_text):
+    for name in mentioned_agents(sequent_text):
         if name not in agents:
             agents.append(name)
     serial = m.serial_op is not None
@@ -132,7 +121,7 @@ def _emit_proof(path: str | None, proof) -> None:
 
 
 def _cmd_prove(args) -> int:
-    system = _system_named(args.system, _infer_agents(args.sequent))
+    system = _system_named(args.system, mentioned_agents(args.sequent))
     seq = _parse(args.sequent, system)
     result, stats = prove_with_stats(seq)
     print(verdict_word(result, system))
@@ -235,7 +224,7 @@ def _cmd_model_eval(args) -> int:
 
 
 def _cmd_countermodel(args) -> int:
-    system = _system_named(args.system, _infer_agents(args.sequent))
+    system = _system_named(args.system, mentioned_agents(args.sequent))
     seq = _parse(args.sequent, system)
     try:
         cm = find_countermodel(seq, max_size=args.max_size, seed=args.seed)

@@ -52,6 +52,13 @@ class TestProve:
         assert code == 0
         assert out.splitlines()[0] == "Proved"
 
+    @pytest.mark.parametrize("sequent", ["E [b] q |- E [b] q", "E[ b ]q |- E[b]q"])
+    def test_agents_inferred_through_whitespace(self, sequent):
+        # the lexer allows whitespace inside E[...], so inference does too
+        code, out, _ = cli("prove", "RSBIAT", sequent)
+        assert code == 0
+        assert out.splitlines()[0] == "Proved"
+
     def test_prints_premises_pruned_by_charge(self):
         # q never occurs on the left, so the root is refuted unexpanded
         code, out, _ = cli("prove", "MILL", "p |- p * q")
