@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from proofmill.syntax import (
     BOT,
@@ -232,6 +232,56 @@ def test_malformed_input(kind, system, text, outcome):
         assert (err.pos, err.bare_message) == (pos, message)
     else:
         assert (pos, str(err)) == (None, message)
+
+
+_SOUP_TOKENS = st.sampled_from([
+    "p", "q", "i", "s", "E", "bot", "x1", "1", "(", ")", "[", "]", "[]", "E[i]", "E[s]",
+    "*", "&", "@", "~", "\\", "/", ",", ";", "-o", "|-", "()", "$", "-", "|",
+])
+# runs of one opener around MAX_NESTING, so the depth bound is reached
+_SOUP_RUNS = st.builds(lambda t, n: t * n, st.sampled_from(["(", "[", "~", "[]", "E[i]"]),
+                       st.integers(MAX_NESTING - 5, MAX_NESTING + 5))
+# operands under a prefix or in brackets (now and then unbalanced),
+# joined by connectives or separators: texts that parse far more often
+# than a free mix of tokens
+_SOUP_OPERAND = st.builds(
+    lambda wrap, name: wrap[0] + name + wrap[1],
+    st.sampled_from([("", "")] * 4 + [("(", ")"), ("[", "]"), ("~", ""), ("[]", ""),
+                     ("E[i]", ""), ("E[s]", ""), ("E[t]", ""), ("(", ""), ("", ")")]),
+    st.sampled_from(["p", "q", "bot", "x1", "1", "E", "()"]),
+)
+
+
+def _soup_side(joiners):
+    return st.builds(
+        lambda first, rest: first + "".join(f" {op} {x}" for op, x in rest),
+        _SOUP_OPERAND, st.lists(st.tuples(st.sampled_from(joiners), _SOUP_OPERAND), max_size=4))
+
+
+_SOUP = st.one_of(
+    st.lists(st.tuples(st.one_of(_SOUP_TOKENS, _SOUP_RUNS), st.sampled_from(["", " "])),
+             max_size=30).map(lambda parts: "".join(t + sp for t, sp in parts)),
+    st.builds("{} |- {}".format,
+              st.one_of(st.just(""), _soup_side(["*", "&", "@", "-o", ",", ";", ","])),
+              _soup_side(["*", "&", "@", "-o", "\\", "/"])),
+)
+
+
+@pytest.mark.parametrize("system", [MILL, PCMILL, RS, SRS], ids=str)
+@settings(max_examples=300, deadline=None)
+@given(text=_SOUP)
+def test_token_soup_parses_back_or_fails_cleanly(system, text):
+    from proofmill.context import parse_sequent, print_sequent
+
+    try:
+        s = parse_sequent(text, system)
+    except ParseError as err:
+        assert 0 <= err.pos <= len(text)
+        return
+    except SystemMismatchError:
+        return
+    again = parse_sequent(print_sequent(s), system)
+    assert again.ctx is s.ctx and again.succ is s.succ
 
 
 # -- systems ------------------------------------------------------------------
