@@ -582,7 +582,7 @@ def _parse_item(p: _Parser, system: System) -> Context:
             p.deeper(k)
             p.i += 1
             sub = _parse_group(p, system, "]")
-            p.i += 1
+            p.i += 1  # the group stops only at its ']'
             p.depth -= 1
             return sub
     f = p.formula()
@@ -595,7 +595,7 @@ def _parse_item(p: _Parser, system: System) -> Context:
 def parse_sequent(text: str, system: System) -> Sequent:
     p = _Parser(text, system)
     ctx = _parse_group(p, system, "|-")
-    p.i += 1
+    p.i += 1  # the group stops only at '|-'
     succ = p.formula()
     p.end()
     if p.bad:
