@@ -21,7 +21,6 @@ follows the rule schemas listed in ``kernel.py``.
 """
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterator
 
 from .context import (
@@ -191,16 +190,20 @@ class _Matcher:
     shapes that the rules building ``;`` list (``split_serial`` and
     ``_arg_groups``)."""
 
+    __slots__ = ("ctx", "system", "succ", "_leaves")
+
     def __init__(self, goal: Sequent):
         self.ctx = goal.ctx
         self.system = goal.system
         self.succ = goal.succ
+        self._leaves: list[tuple[Formula, Path]] | None = None
 
-    @cached_property
     def leaves(self) -> list[tuple[Formula, Path]]:
-        """The principal candidates: each leaf as (formula, path), in
-        preorder.  A child equal to its left sibling under a parallel
-        node is skipped, as it gives the same premises."""
+        """The principal candidates, found once: each leaf as (formula,
+        path), in preorder.  A child equal to its left sibling under a
+        parallel node is skipped, as it gives the same premises."""
+        if self._leaves is not None:
+            return self._leaves
         out: list[tuple[Formula, Path]] = []
 
         def walk(n: Context, path: Path) -> None:
@@ -214,12 +217,13 @@ class _Matcher:
                     prev = ch
 
         walk(self.ctx, ())
+        self._leaves = out
         return out
 
     def run(self, rule: Rule) -> Iterator[list[Sequent]]:
         """The premise lists of ``rule``, as they are found, each once."""
         seen: set[tuple[str, ...]] = set()
-        for premises in _DISPATCH[rule.name](self, rule):
+        for premises in _DISPATCH[rule.name][0](self, rule):
             key = tuple([s.key for s in premises])
             if key not in seen:
                 seen.add(key)
@@ -240,7 +244,7 @@ class _Matcher:
     def _left_unary(self, pick) -> Iterator[list[Sequent]]:
         """Apply a left rule replacing one principal occurrence; ``pick``
         maps a formula to the replacement subcontext (or None)."""
-        for f, path in self.leaves:
+        for f, path in self.leaves():
             repl = pick(f)
             if repl is not None:
                 yield [Sequent(fill(self.ctx, path, repl), self.succ, self.system)]
@@ -315,7 +319,7 @@ class _Matcher:
         sys = self.system
         succ = self.succ
         ctx = self.ctx
-        for f, path in self.leaves:
+        for f, path in self.leaves():
             if not isinstance(f, Limp):
                 continue
             # the implication alone, with an empty argument group
@@ -337,7 +341,7 @@ class _Matcher:
     def _res_l(self, rule: Rule, left_residual: bool) -> Iterator[list[Sequent]]:
         sys = self.system
         want = Lres if left_residual else Rres
-        for f, path in self.leaves:
+        for f, path in self.leaves():
             if not isinstance(f, want):
                 continue
             arg, res = (f.left, f.right) if left_residual else (f.right, f.left)
@@ -402,30 +406,35 @@ class _Matcher:
             yield self._pair(brings(a, body.left), brings(a, body.right))
 
 
+# Each rule's enumerator and principal connective: the formula class
+# that a leaf (LEAF) or the succedent (SUCC) must have for the rule to
+# list anything (Ax has none).  Search skips the rules a goal lacks.
+LEAF, SUCC = "leaf", "succ"
+
 _DISPATCH = {
-    AX: _Matcher._ax,
-    ONE_R: _Matcher._one_r,
-    TENSOR_L: _Matcher._tensor_l,
-    ODOT_L: _Matcher._odot_l,
-    ONE_L: _Matcher._one_l,
-    WITH_L1: lambda m, r: _Matcher._with_l(m, r, True),
-    WITH_L2: lambda m, r: _Matcher._with_l(m, r, False),
-    WITH_R: _Matcher._with_r,
-    LIMP_R: _Matcher._limp_r,
-    LRES_R: _Matcher._lres_r,
-    RRES_R: _Matcher._rres_r,
-    TENSOR_R: _Matcher._tensor_r,
-    ODOT_R: _Matcher._odot_r,
-    LIMP_L: _Matcher._limp_l,
-    LRES_L: _Matcher._lres_l,
-    RRES_L: _Matcher._rres_l,
-    BOX_RE: _Matcher._box_re,
-    BRINGS_RE: _Matcher._brings_re,
-    BRINGS_REFL: _Matcher._brings_refl,
-    BRINGS_TENSOR: _Matcher._brings_tensor,
-    BRINGS_ODOT: _Matcher._brings_odot,
-    BRINGS_WITH: _Matcher._brings_with,
-    NOT_NEC: _Matcher._not_nec,
+    AX: (_Matcher._ax, None, None),
+    ONE_R: (_Matcher._one_r, SUCC, Unit),
+    TENSOR_L: (_Matcher._tensor_l, LEAF, Tensor),
+    ODOT_L: (_Matcher._odot_l, LEAF, Odot),
+    ONE_L: (_Matcher._one_l, LEAF, Unit),
+    WITH_L1: (lambda m, r: _Matcher._with_l(m, r, True), LEAF, With),
+    WITH_L2: (lambda m, r: _Matcher._with_l(m, r, False), LEAF, With),
+    WITH_R: (_Matcher._with_r, SUCC, With),
+    LIMP_R: (_Matcher._limp_r, SUCC, Limp),
+    LRES_R: (_Matcher._lres_r, SUCC, Lres),
+    RRES_R: (_Matcher._rres_r, SUCC, Rres),
+    TENSOR_R: (_Matcher._tensor_r, SUCC, Tensor),
+    ODOT_R: (_Matcher._odot_r, SUCC, Odot),
+    LIMP_L: (_Matcher._limp_l, LEAF, Limp),
+    LRES_L: (_Matcher._lres_l, LEAF, Lres),
+    RRES_L: (_Matcher._rres_l, LEAF, Rres),
+    BOX_RE: (_Matcher._box_re, SUCC, Box),
+    BRINGS_RE: (_Matcher._brings_re, SUCC, Brings),
+    BRINGS_REFL: (_Matcher._brings_refl, LEAF, Brings),
+    BRINGS_TENSOR: (_Matcher._brings_tensor, SUCC, Brings),
+    BRINGS_ODOT: (_Matcher._brings_odot, SUCC, Brings),
+    BRINGS_WITH: (_Matcher._brings_with, SUCC, Brings),
+    NOT_NEC: (_Matcher._not_nec, LEAF, Brings),
 }
 
 

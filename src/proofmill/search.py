@@ -11,7 +11,10 @@ rules and axioms.
 when one matches, only its first premise list is explored and no other
 rule is tried at that goal.  The remaining rules backtrack over every
 premise list, which each rule streams, building none past the first
-that proves.
+that proves.  Only the rules whose principal connective
+(``_DISPATCH``) the goal holds are tried, looked up per system by the
+succedent's class and the OR of the leaves' ``Formula.bit``: a skipped
+rule would list nothing, so no proof and no count changes.
 
 A formula of atoms, ``1``, ``*``, ``@``, ``-o``, ``\\`` and ``/`` has a
 signed atom charge (``Formula.charge``).  Every rule a sequent of such
@@ -31,7 +34,6 @@ SRSBIAT does not rule out one with cut (``docs/cut_elimination.md``).
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Generator
 
@@ -61,10 +63,11 @@ from .calculus import (
     WITH_R,
     AGENT_RULES,
     SYSTEM_RULES,
+    LEAF,
     Proof,
     Rule,
+    _DISPATCH,
     _Matcher,
-    proof_nodes,
 )
 from .context import Sequent, context_charge, context_formulas
 from .syntax import Formula, System, subformulas
@@ -127,22 +130,29 @@ class SearchStats:
     truncated: bool = False
 
 
-@functools.cache
-def _rule_table(system: System) -> tuple[Rule, ...]:
+def _rules_holding(system: System, succ_type: type, mask: int) -> tuple[Rule, ...]:
     """The rules of ``system`` in ``DEFAULT_RULE_ORDER``, agent rules
-    instantiated per agent."""
+    instantiated per agent, whose principal connective (``_DISPATCH``) a
+    goal holds, given its succedent's class and the OR of its leaves'
+    ``Formula.bit``: a rule left out would list nothing there."""
     avail = SYSTEM_RULES[system.ident]
     table: list[Rule] = []
     for name in DEFAULT_RULE_ORDER:
-        if name in avail:
+        _, side, cls = _DISPATCH[name]
+        if name in avail and (side is None or (
+                mask & cls.bit if side == LEAF else succ_type is cls)):
             agents = system.agents if name in AGENT_RULES else (None,)
             table.extend(Rule(name, a) for a in agents)
     return tuple(table)
 
 
+# per system, the rules to try by (succedent class, leaf bitmask)
+_TABLES: dict[System, dict[tuple[type, int], tuple[Rule, ...]]] = {}
+
+
 class _Engine:
     def __init__(self, system: System):
-        self.rules = _rule_table(system)
+        self.table = _TABLES.setdefault(system, {})
         self.success: dict[Sequent, Proof] = {}
         self.failed: set[Sequent] = set()
         self.stats = SearchStats()
@@ -172,12 +182,24 @@ class _Engine:
             answer = None
         return answer
 
+    def rules_for(self, goal: Sequent) -> tuple[Rule, ...]:
+        """The rules to try at ``goal``, in order."""
+        mask = 0
+        for f in context_formulas(goal.ctx):
+            mask |= f.bit
+        key = (type(goal.succ), mask)
+        rules = self.table.get(key)
+        if rules is None:
+            rules = self.table[key] = _rules_holding(goal.system, *key)
+        return rules
+
     def _expand(self, goal: Sequent) -> Generator[Sequent, Proof | None, Proof | None]:
         """Yield each premise the memo does not decide, taking back its
         proof or None; return the goal's proof or None."""
+        rules = self.rules_for(goal)
         matcher = _Matcher(goal)
         success, failed = self.success, self.failed
-        for rule in self.rules:
+        for rule in rules:
             for premises in matcher.run(rule):
                 subs: list[Proof] = []
                 for premise in premises:
@@ -228,13 +250,22 @@ def prove(goal: Sequent) -> SearchResult:
 def subformula_audit(p: Proof) -> tuple[bool, list[tuple[tuple[int, ...], Formula]]]:
     """Check that every formula in the proof is a subformula of the end
     sequent.  Cut-free proofs produced by the search pass this; proofs
-    with cuts may not."""
+    with cuts may not.  Each distinct node object is visited once, so an
+    offender in a shared subtree is reported once, at its first path in
+    preorder."""
     universe: set[Formula] = set()
     root = p.conclusion
     for f in context_formulas(root.ctx) + [root.succ]:
         universe |= subformulas(f)
     offenders: list[tuple[tuple[int, ...], Formula]] = []
-    for path, node in proof_nodes(p):
+    visited: set[int] = set()
+    stack: list[tuple[tuple[int, ...], Proof]] = [((), p)]
+    while stack:
+        path, node = stack.pop()
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack += [(path + (i,), q) for i, q in enumerate(node.premises)][::-1]
         seen: set[Formula] = set()
         for f in context_formulas(node.conclusion.ctx) + [node.conclusion.succ]:
             if f not in universe and f not in seen:

@@ -104,13 +104,15 @@ class Formula:
     intern table's key and the sort order of parallel contexts; ``size``
     is the complexity measure (connective/atom count); ``text`` is the
     ``print_formula`` form, kept once printed; ``charge`` sums the
-    atoms' weights, signed by polarity, and is None past ``&``, ``[]``, ``E[a]``."""
+    atoms' weights, signed by polarity, and is None past ``&``, ``[]``, ``E[a]``.
+    ``bit``, one per class, marks the main connective in a bitmask."""
 
     __slots__ = ("key", "size", "text", "charge")
     key: str
     size: int
     text: str | None
     charge: int | None
+    bit: int
 
     def __repr__(self) -> str:
         return self.key
@@ -118,6 +120,7 @@ class Formula:
 
 class Atom(Formula):
     __slots__ = ("name",)
+    bit = 1 << 0
 
     def __init__(self, name: str, key: str):
         self.name = name
@@ -135,6 +138,7 @@ class Atom(Formula):
 
 class Unit(Formula):
     __slots__ = ()
+    bit = 1 << 1
 
     def __init__(self) -> None:
         self.key = self.text = "1"
@@ -160,23 +164,27 @@ class BinOp(Formula):
 
 class Tensor(BinOp):
     __slots__ = ()
+    bit = 1 << 2
     op = "*"
 
 
 class With(BinOp):
     __slots__ = ()
+    bit = 1 << 3
     op = "&"
     signs = None
 
 
 class Limp(BinOp):
     __slots__ = ()
+    bit = 1 << 4
     op = "-o"
     signs = (-1, 1)
 
 
 class Odot(BinOp):
     __slots__ = ()
+    bit = 1 << 5
     op = "@"
 
 
@@ -184,6 +192,7 @@ class Lres(BinOp):
     """Left residual ``A \\ B``: consume an A on the left to yield B."""
 
     __slots__ = ()
+    bit = 1 << 6
     op = "\\"
     signs = (-1, 1)
 
@@ -192,12 +201,14 @@ class Rres(BinOp):
     """Right residual ``B / A``: yields B when an A follows on the right."""
 
     __slots__ = ()
+    bit = 1 << 7
     op = "/"
     signs = (1, -1)
 
 
 class Box(Formula):
     __slots__ = ("body",)
+    bit = 1 << 8
 
     def __init__(self, body: Formula, key: str):
         self.body = body
@@ -209,6 +220,7 @@ class Box(Formula):
 
 class Brings(Formula):
     __slots__ = ("agent", "body")
+    bit = 1 << 9
 
     def __init__(self, agent: str, body: Formula, key: str):
         self.agent = agent

@@ -22,11 +22,13 @@ from proofmill.calculus import (
     proof_size,
     proof_to_json,
     rule_admissible,
+    LEAF,
+    SUCC,
     _DISPATCH,
 )
 from proofmill.context import Sequent, parse_sequent, total_complexity
 from proofmill.search import DEFAULT_RULE_ORDER
-from proofmill.syntax import parse_formula, parse_system
+from proofmill.syntax import Formula, parse_formula, parse_system
 
 from closure import closure_premises, dominated, normal_trees
 
@@ -185,6 +187,12 @@ def test_rule_availability():
         apply_rule(parse_sequent("p |- p", MILL), Rule("Cut"))
     every = set().union(*SYSTEM_RULES.values())
     assert set(_DISPATCH) == set(DEFAULT_RULE_ORDER) == every - {"Cut"}
+    # every rule but Ax names its principal connective, on a leaf or on
+    # the succedent
+    principal = {name: entry[1:] for name, entry in _DISPATCH.items()}
+    assert principal.pop("Ax") == (None, None)
+    for name, (side, cls) in principal.items():
+        assert side in (LEAF, SUCC) and issubclass(cls, Formula), name
 
 
 def test_rule_agent_pairing_enforced():

@@ -1,7 +1,9 @@
 """Backward proof search."""
 from __future__ import annotations
 
+import functools
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,18 +13,22 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import proofmill.search as search_module
 from proofmill.calculus import (
     AGENT_RULES,
     LIMP_L,
+    Proof,
     Rule,
     _Matcher,
     apply_rule,
     check_proof,
     cut_count,
     proof_nodes,
+    proof_size,
     rule_admissible,
 )
 from proofmill.context import (
+    EMPTY,
     context_formulas,
     leaf,
     mset,
@@ -36,12 +42,14 @@ from proofmill.search import (
     INVERTIBLE_RULES,
     Exhausted,
     Proved,
+    _Engine,
     balanced,
     prove,
     prove_with_stats,
     subformula_audit,
 )
 from proofmill.syntax import (
+    BOT,
     Atom,
     Limp,
     Lres,
@@ -51,6 +59,7 @@ from proofmill.syntax import (
     Unit,
     atom,
     box,
+    brings,
     limp,
     lres,
     odot,
@@ -64,6 +73,7 @@ from proofmill.syntax import (
 
 from gentrees import trees
 from oracle import Closure
+from test_acceptance import AGENT_UNIVERSES
 
 MILL = parse_system("MILL")
 PCMILL = parse_system("PCMILL")
@@ -450,3 +460,133 @@ def test_ladder_counts_do_not_follow_the_hash_seed():
 def test_a_root_without_a_charge_is_not_refuted_by_it(system, text, verdict):
     r, st_ = prove_with_stats(parse_sequent(text, system))
     assert isinstance(r, verdict) and st_.pruned == 0
+
+
+# -- the principal filter ------------------------------------------------------
+# Search tries at a goal only the rules whose principal connective the
+# goal holds (``_Engine.rules_for``).  A dropped rule must list nothing
+# there, and keeping every rule must change nothing search reports.
+
+# (system, bound, atoms, binaries, modal, max_leaves): the eight oracle
+# universes of test_acceptance
+_UNIVERSES = [
+    (MILL, 8, ("p", "q"), (tensor, with_, limp), True, 2),
+    (PCMILL, 6, ("p", "q"), (tensor, odot, limp, lres, rres), False, None),
+] + [(parse_system(name), bound, atoms, binaries, True, max_leaves)
+     for name, bound, atoms, binaries, max_leaves, _ in AGENT_UNIVERSES]
+
+
+@functools.cache
+def _universe(i):
+    system, bound, atoms, binaries, modal, max_leaves = _UNIVERSES[i]
+    closure = Closure(system, bound, atoms, binaries, modal)
+    return [sequent(ctx, succ, system) for ctx, succ in closure.goals(max_leaves)]
+
+
+def _every_rule(system):
+    """The rules of ``system`` in search order, agent rules per agent."""
+    return tuple(Rule(name, a) for name in DEFAULT_RULE_ORDER
+                 for a in (system.agents if name in AGENT_RULES else (None,))
+                 if rule_admissible(Rule(name, a), system))
+
+
+def _assert_dropped_rules_list_nothing(goals):
+    engines, dropped = {}, {}
+    for goal in goals:
+        engine = engines.get(goal.system)
+        if engine is None:
+            engine = engines[goal.system] = _Engine(goal.system)
+        kept = engine.rules_for(goal)
+        if id(kept) not in dropped:
+            dropped[id(kept)] = [r for r in _every_rule(goal.system) if r not in kept]
+        for rule in dropped[id(kept)]:
+            assert apply_rule(goal, rule) == [], (goal.key, str(rule))
+
+
+def test_dropped_rules_list_nothing_on_corpus_goals():
+    _assert_dropped_rules_list_nothing(
+        e.sequent for e in load_corpus_dir(CORPUS_DIR))
+
+
+@pytest.mark.parametrize("i", range(len(_UNIVERSES)),
+                         ids=[f"{u[0]}-{u[1]}-{''.join(u[2])}" for u in _UNIVERSES])
+def test_dropped_rules_list_nothing_on_oracle_goals(i):
+    _assert_dropped_rules_list_nothing(_universe(i))
+
+
+def _every_formula(system):
+    unaries = ([box] if system.has_box else []) + [
+        functools.partial(brings, a) for a in system.agents]
+    binaries = [tensor, with_, limp] + (
+        [odot, lres, rres] if system.is_tree else [])
+    return st.recursive(
+        st.sampled_from([atom("p"), atom("q"), BOT, unit()]),
+        lambda kids: st.one_of(
+            *(st.builds(op, kids) for op in unaries),
+            *(st.builds(op, kids, kids) for op in binaries)),
+        max_leaves=4)
+
+
+@pytest.mark.parametrize("system", [PCMILL, SRS], ids=str)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_dropped_rules_list_nothing_on_drawn_trees(system, data):
+    formulas = _every_formula(system)
+    ctx = data.draw(st.one_of(st.just(EMPTY), trees(formulas.map(leaf))))
+    _assert_dropped_rules_list_nothing([sequent(ctx, data.draw(formulas), system)])
+
+
+def _search_reports(goals):
+    out = []
+    for goal in goals:
+        r, st_ = prove_with_stats(goal)
+        proof = r.proof if isinstance(r, Proved) else None
+        out.append((type(r), proof, st_.explored, st_.pruned,
+                    st_.memo_hits, st_.peak_depth))
+    return out
+
+
+def test_keeping_every_rule_changes_nothing(monkeypatch):
+    rng = random.Random(17)
+    goals = [e.sequent for e in load_corpus_dir(CORPUS_DIR)]
+    # the MILL, PCMILL, RSBIAT:a and SRSBIAT:a universes
+    for i in range(4):
+        goals += rng.sample(_universe(i), 1500)
+    filtered = _search_reports(goals)
+    # no rule names a principal connective, so every rule is kept
+    monkeypatch.setattr(search_module, "_TABLES", {})
+    monkeypatch.setattr(search_module, "_DISPATCH", dict.fromkeys(
+        search_module._DISPATCH, (None, None, None)))
+    assert _Engine(RS).rules_for(parse_sequent("p |- p", RS)) == _every_rule(RS)
+    everything = _search_reports(goals)
+    for goal, a, b in zip(goals, filtered, everything):
+        assert a == b, goal.key
+
+
+# -- the subformula audit ------------------------------------------------------
+
+
+def test_subformula_audit_visits_a_shared_node_once(monkeypatch):
+    # X0 = p -o p, X(k+1) = X(k) & X(k): the proof of |- X16 is a tree
+    # of 196,607 nodes over 18 distinct node objects
+    x = limp(atom("p"), atom("p"))
+    for _ in range(16):
+        x = with_(x, x)
+    r = prove(sequent(EMPTY, x, MILL))
+    assert isinstance(r, Proved) and proof_size(r.proof) == 196_607
+    visits = []
+
+    def counted(ctx):
+        visits.append(ctx)
+        return context_formulas(ctx)
+
+    monkeypatch.setattr(search_module, "context_formulas", counted)
+    assert subformula_audit(r.proof) == (True, [])
+    # the end sequent's antecedent, then one node each
+    assert len(visits) == 1 + 18
+
+
+def test_subformula_audit_reports_a_shared_offender_once():
+    bad = Proof(parse_sequent("q |- q", MILL), Rule("Ax"))
+    root = Proof(parse_sequent("p |- p", MILL), Rule("Cut"), (bad, bad))
+    assert subformula_audit(root) == (False, [((0,), atom("q"))])
