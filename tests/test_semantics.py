@@ -1,10 +1,13 @@
+import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from proofmill.context import parse_sequent
+from proofmill.corpus import load_corpus_dir
 from proofmill.semantics import (
     FRAME_CONDITIONS,
     Countermodel,
@@ -51,6 +54,7 @@ PCMILL = parse_system("PCMILL")
 RS = parse_system("RSBIAT:a,b")
 SRS = parse_system("SRSBIAT:a,b")
 ALL = (MILL, PCMILL, RS, SRS)
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def one_world():
@@ -769,3 +773,55 @@ def test_countermodel_for_a_long_chain():
     cm = find_countermodel(s, 3, attempts=8)
     assert cm is not None
     assert not sequent_valid(cm.model, s)
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: the generator and the search, byte for byte
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
+
+
+GOLDEN_MODELS = {
+    "MILL": "c483f4978b52b7ac", "PCMILL": "5874ed90838fc9c0",
+    "RSBIAT:a": "4101374fda936ae3", "SRSBIAT:a": "9f4fe5b1c6bf69a6",
+    "RSBIAT:a,b": "9ee52f69231fa54d", "SRSBIAT:a,b": "d43c8ef1cf029d30",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+def test_random_models_match_their_golden_digest(name):
+    # the JSON keeps every table's insertion order, so the digest pins it
+    system = parse_system(name)
+    drawn = [model_to_json(random_model(seed, size, system))
+             for size in range(1, 6) for seed in range(20)]
+    assert _digest(drawn) == GOLDEN_MODELS[name]
+
+
+# (system, sequent, max_size, attempts): the separating non-theorems and
+# the CLI's hint search on the wrong orderings, as the models benchmark
+# runs them, and two modal goals
+GOLDEN_SEARCHES = [
+    ("MILL", "p |- p * p", 4, 25),
+    ("MILL", "p * q |- p", 4, 25),
+    ("PCMILL", "p @ q |- q @ p", 4, 25),
+    ("PCMILL", "p @ q |- p * q", 4, 25),
+    *[(None, f"wrong-order-{i}", 3, 8) for i in (1, 2, 3)],
+    ("MILL", "[]p |- []q", 4, 25),
+    ("SRSBIAT:a", "E[a](p @ q) |- E[a](q @ p)", 4, 25),
+]
+GOLDEN_COUNTERMODELS = "b97f43d06b0793a9"
+
+
+def test_countermodel_search_matches_its_golden_digest():
+    by_id = {e.entry_id: e for e in load_corpus_dir(CORPUS_DIR)}
+    found = []
+    for system, text, max_size, attempts in GOLDEN_SEARCHES:
+        s = by_id[text].sequent if system is None \
+            else parse_sequent(text, parse_system(system))
+        for seed in range(4):
+            cm = find_countermodel(s, max_size, seed=seed, attempts=attempts)
+            found.append(None if cm is None
+                         else [model_to_json(cm.model), cm.world])
+    assert _digest(found) == GOLDEN_COUNTERMODELS
