@@ -94,12 +94,32 @@ from .syntax import (
     brings,
 )
 
+def _tally(p: Proof) -> tuple[int, int, int]:
+    """The node count, cut count and largest cut formula size of ``p``
+    read as a tree, in time linear in its distinct nodes: each node's
+    tally is kept by id, which stays unique while ``p`` holds them."""
+    memo: dict[int, tuple[int, int, int]] = {}
+    todo = [p]
+    while todo:
+        node = todo[-1]
+        kids = [k for k in node.premises if id(k) not in memo]
+        if kids:
+            todo += kids
+            continue
+        todo.pop()
+        cut = node.rule.name == CUT
+        sizes, cuts, ranks = zip((1, cut, cut_formula(node).size if cut else 0),
+                                 *(memo[id(k)] for k in node.premises))
+        memo[id(node)] = sum(sizes), sum(cuts), max(ranks)
+    return memo[id(p)]
+
+
 def proof_size(p: Proof) -> int:
-    return sum(1 for _ in proof_nodes(p))
+    return _tally(p)[0]
 
 
 def cut_count(p: Proof) -> int:
-    return sum(1 for _, n in proof_nodes(p) if n.rule.name == CUT)
+    return _tally(p)[1]
 
 
 def cut_formula(node: Proof) -> Formula:
@@ -109,8 +129,7 @@ def cut_formula(node: Proof) -> Formula:
 
 
 def cutrank(p: Proof) -> int:
-    ranks = [cut_formula(n).size for _, n in proof_nodes(p) if n.rule.name == CUT]
-    return max(ranks, default=0)
+    return _tally(p)[2]
 
 
 # ---------------------------------------------------------------------------

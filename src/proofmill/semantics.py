@@ -55,7 +55,6 @@ from .syntax import (
     Unit,
     With,
     limp,
-    operands,
     subformulas,
 )
 
@@ -116,15 +115,17 @@ class _Frame:
     pair, whoever asks: an :class:`Evaluator` on the frame, or a frame
     condition in ``_nbhd_violations``.  Residuals share that memo;
     upward closure is not memoised but read off ``above``, the per-world
-    masks of the order.  A frame holds no valuation or neighbourhoods,
-    so models that differ only there share one."""
+    masks of the order generated by ``pairs``.  A frame holds no
+    valuation or neighbourhoods, so models that differ only there share
+    one."""
 
     def __init__(self, names: tuple[str, ...], e: int, op: list[list[int]],
-                 ser: list[list[int]] | None, above: list[int]):
+                 ser: list[list[int]] | None, pairs: list[tuple[int, int]]):
         self.names = list(names)
         self.idx = {w: i for i, w in enumerate(self.names)}
         self.n = len(self.names)
-        self.e, self.op, self.ser, self.above = e, op, ser, above
+        self.e, self.op, self.ser, self.pairs = e, op, ser, pairs
+        self.above = _closure(self.n, pairs)
         self._clauses: dict[tuple[type, int, int], int] = {}
 
     @classmethod
@@ -136,8 +137,7 @@ class _Frame:
 
         ser = table(m.serial_op) if m.serial_op is not None else None
         pairs = [(idx[a], idx[b]) for a, b in m.order]
-        return cls(m.worlds, idx[m.unit], table(m.op), ser,
-                   _closure(len(m.worlds), pairs))
+        return cls(m.worlds, idx[m.unit], table(m.op), ser, pairs)
 
     def set_name(self, mask: int) -> str:
         return "{" + ",".join(self.names[i] for i in _bits(mask)) + "}"
@@ -223,13 +223,9 @@ def _mask_of(frame: _Frame, worlds) -> int:
 
 
 def _nbhd_masks(frame: _Frame, m: Model) -> dict[str, list[set[int]]]:
-    out: dict[str, list[set[int]]] = {}
-    for key, per_world in m.neighbourhoods.items():
-        table: list[set[int]] = [set() for _ in range(frame.n)]
-        for w, sets in per_world.items():
-            table[frame.idx[w]] = {_mask_of(frame, s) for s in sets}
-        out[key] = table
-    return out
+    return {key: [{_mask_of(frame, s) for s in per_world.get(w, ())}
+                  for w in frame.names]
+            for key, per_world in m.neighbourhoods.items()}
 
 
 def _nbhd_violations(fr: _Frame, nbhd: dict[str, list[set[int]]],
@@ -286,22 +282,25 @@ class Evaluator:
         bad = _structure_failures(model)
         if bad:
             raise ValueError("; ".join(bad))
-        self._bind(model, _Frame.of(model))
+        fr = _Frame.of(model)
+        self._bind(fr, {p: _mask_of(fr, ws)
+                        for p, ws in model.valuation.items()},
+                   _nbhd_masks(fr, model))
 
     @classmethod
-    def _over(cls, fr: _Frame, model: Model) -> Evaluator:
-        """An evaluator of ``model`` on ``fr``, a frame built for a model
-        that differs from it at most in valuation and neighbourhoods."""
+    def _on(cls, fr: _Frame, val: dict[str, int],
+            nbhd: dict[str, list[set[int]]]) -> Evaluator:
+        """An evaluator on ``fr`` of valuation and neighbourhood masks."""
         ev = cls.__new__(cls)
-        ev._bind(model, fr)
+        ev._bind(fr, val, nbhd)
         return ev
 
-    def _bind(self, model: Model, fr: _Frame) -> None:
-        self.model, self._fr = model, fr
-        self._val = {p: _mask_of(fr, ws) for p, ws in model.valuation.items()}
+    def _bind(self, fr: _Frame, val: dict[str, int],
+              nbhd: dict[str, list[set[int]]]) -> None:
+        self._fr, self._val = fr, val
         # per table, each member set -> the worlds whose family holds it
         self._holders: dict[str, dict[int, int]] = {}
-        for key, table in _nbhd_masks(fr, model).items():
+        for key, table in nbhd.items():
             holders = self._holders[key] = {}
             for w, sets in enumerate(table):
                 for x in sets:
@@ -323,7 +322,7 @@ class Evaluator:
 
     def sequent_valid(self, s: Sequent) -> bool:
         goal = limp(to_formula(s.ctx), s.succ)
-        return self.eval(self.model.unit, goal)
+        return bool(self.extension_mask(goal) >> self._fr.e & 1)
 
     def extension_upward_closed(self, f: Formula) -> bool:
         mask = self.extension_mask(f)
@@ -340,53 +339,53 @@ class Evaluator:
     # -- clauses
 
     def extension_mask(self, f: Formula) -> int:
+        """The extension of ``f``.  Binary connectives and modalities are
+        looked up by their operands' masks: in the frame's clause memo,
+        and in the neighbourhood table's holders."""
         memo = self._memo
         got = memo.get(f)
         if got is not None:
             return got
+        fr = self._fr
+        clauses = fr._clauses
         # post-order without recursion: a formula whose operands lack an
-        # extension puts them on the stack above itself
+        # extension goes back on the stack beneath them
         todo = [f]
         while todo:
-            g = todo[-1]
-            try:
-                got = memo[g] = self._compute(g)
-            except KeyError:
-                kids = [k for k in operands(g) if k not in memo]
-                if not kids:
-                    raise
-                todo += kids
-                continue
-            todo.pop()
-        return got
-
-    def _compute(self, f: Formula) -> int:
-        """The extension of ``f``; raises ``KeyError`` while an operand
-        has none in the memo.  Binary connectives and modalities are
-        looked up by their operands' masks: in the frame's clause memo,
-        and in the neighbourhood table's holders."""
-        fr = self._fr
-        memo = self._memo
-        kind = type(f)
-        if kind is Atom:
-            return self._val.get(f.name, 0)
-        if kind is Unit:
-            return fr.above[fr.e]
-        if kind is Box or kind is Brings:
-            holders = self._holders.get("box" if kind is Box else f.agent)
-            if holders is None and kind is Brings:
-                raise ValueError(f"model has no neighbourhood table "
-                                 f"for agent {f.agent!r}")
-            body = memo[f.body]
-            # without a box table, []A holds nowhere
-            return holders.get(body, 0) if holders else 0
-        if kind is With:
-            return memo[f.left] & memo[f.right]
-        if fr.ser is None and kind is not Tensor and kind is not Limp:
-            raise ValueError(
-                f"model has no serial operation, needed for {f.key}"
-            )
-        return fr.clause(kind, memo[f.left], memo[f.right])
+            g = todo.pop()
+            kind = type(g)
+            if kind is Atom:
+                memo[g] = self._val.get(g.name, 0)
+            elif kind is Unit:
+                memo[g] = fr.above[fr.e]
+            elif kind is Box or kind is Brings:
+                body = memo.get(g.body)
+                if body is None:
+                    todo += (g, g.body)
+                    continue
+                holders = self._holders.get("box" if kind is Box else g.agent)
+                if holders is None and kind is Brings:
+                    raise ValueError(f"model has no neighbourhood table "
+                                     f"for agent {g.agent!r}")
+                # without a box table, []A holds nowhere
+                memo[g] = holders.get(body, 0) if holders else 0
+            else:
+                x, y = memo.get(g.left), memo.get(g.right)
+                if x is None or y is None:
+                    todo += (g, g.left, g.right)
+                    continue
+                if kind is With:
+                    memo[g] = x & y
+                    continue
+                got = clauses.get((kind, x, y))
+                if got is None:
+                    if fr.ser is None and kind is not Tensor \
+                            and kind is not Limp:
+                        raise ValueError(f"model has no serial operation, "
+                                         f"needed for {g.key}")
+                    got = fr.clause(kind, x, y)
+                memo[g] = got
+        return memo[f]
 
 
 def eval_formula(m: Model, world: str, f: Formula) -> bool:
@@ -650,9 +649,8 @@ def _family_tables(family: str, n: int):
     return op, None, pairs
 
 
-def _repair_order(n: int, op, ser, pairs: set[tuple[int, int]]):
-    """Grow the order until bifunctoriality and entropy hold; returns
-    the closure masks."""
+def _repair_order(n: int, op, ser, pairs: set[tuple[int, int]]) -> None:
+    """Grow the order's pairs until bifunctoriality and entropy hold."""
     while True:
         above = _closure(n, list(pairs))
         added = False
@@ -660,25 +658,28 @@ def _repair_order(n: int, op, ser, pairs: set[tuple[int, int]]):
             pairs.add((greater, lesser))
             added = True
         if not added:
-            return above
+            return
 
 
 def _close_neighbourhoods(
     fr: _Frame, nbhd: dict[str, list[set[int]]],
-    conditions: tuple[str, ...], bot: int,
-) -> int:
+    conditions: tuple[str, ...], val: dict[str, int],
+) -> None:
     """Repair, one round at a time, what ``_nbhd_violations`` finds in
     every table until nothing is left: add each missing set, and grow
-    ``bot`` by the worlds above one that ``NotNec`` finds; returns the
-    grown ``bot``.  Every condition is monotone, so this is the least
-    fixpoint whatever the order of repairs.  ``BringsRefl`` is never
-    repaired: every seeded set contains its world, and heredity,
-    intersections and products keep that true."""
+    ``val["bot"]`` by the worlds above one that ``NotNec`` finds.  Every
+    condition is monotone, so this is the least fixpoint whatever the
+    order of repairs.  ``BringsRefl`` is never repaired: every seeded set
+    contains its world, and heredity, intersections and products keep
+    that true."""
     conditions = tuple(c for c in conditions if c != "BringsRefl")
+    bot = val.get("bot", 0)
     while True:
         found = list(_nbhd_violations(fr, nbhd, tuple(nbhd), conditions, bot))
         if not found:
-            return bot
+            if bot:
+                val["bot"] = bot
+            return
         for _, key, w, x, home in found:
             if home is None:
                 bot |= fr.above[w]
@@ -700,32 +701,50 @@ def _set_names(names: tuple[str, ...], mask: int) -> tuple[str, ...]:
     return tuple(names[i] for i in _bits(mask))
 
 
-def _named_tables(
-    names: tuple[str, ...], valuation: dict[str, tuple[str, ...]],
-    bot_mask: int, nbhd: dict[str, list[set[int]]],
-) -> tuple[dict[str, tuple[str, ...]], NbhdTable]:
-    """``valuation`` with ``bot`` made ``bot_mask`` (when not empty), and
-    the neighbourhood tables, with the world names for the bit masks."""
-    valuation = dict(valuation)
-    if bot_mask:
-        valuation["bot"] = _set_names(names, bot_mask)
-    tables = {
-        key: {names[w]: tuple(_set_names(names, x) for x in sorted(sets))
-              for w, sets in enumerate(table)}
-        for key, table in nbhd.items()
-    }
-    return valuation, tables
+@dataclass(frozen=True)
+class _Draw:
+    """A generated model before its worlds are named: a frame, valuation
+    masks and neighbourhood mask tables, the dicts in the insertion order
+    of the named model's."""
+
+    fr: _Frame
+    val: dict[str, int]
+    nbhd: dict[str, list[set[int]]]
+
+    def named(self) -> Model:
+        fr = self.fr
+        names = tuple(fr.names)
+
+        def table(t: list[list[int]]) -> OpTable:
+            return {(names[i], names[j]): names[t[i][j]]
+                    for i in range(fr.n) for j in range(fr.n)}
+
+        return Model(
+            worlds=names, unit=names[fr.e], op=table(fr.op),
+            serial_op=None if fr.ser is None else table(fr.ser),
+            order=tuple((names[a], names[b]) for a, b in fr.pairs),
+            valuation={p: _set_names(names, mask)
+                       for p, mask in self.val.items()},
+            neighbourhoods={
+                key: {names[w]: tuple(_set_names(names, x)
+                                      for x in sorted(sets))
+                      for w, sets in enumerate(table)}
+                for key, table in self.nbhd.items()},
+        )
 
 
-def random_model(seed: int, size: int, system: System) -> Model:
-    """Deterministic-in-seed model that always passes validate_model."""
-    if size < 1:
-        raise ValueError("size must be at least 1")
+_FAMILIES = ("addcap", "maxchain", "collapse", "cyclic")
+
+
+def _draw(seed: int, size: int, system: System, frames: dict) -> _Draw:
+    """The model ``random_model`` names.  ``frames`` maps ``(family, world
+    count, extra order pair)`` to a frame for ``system``; draws that share
+    it share frames, and so their clause memos."""
     tag = system.ident.value + ":" + ",".join(system.agents)
     rng = random.Random(f"{seed}|{size}|{tag}")
 
     serial = system.ident in SERIAL_SYSTEMS
-    families = ["addcap", "maxchain", "collapse", "cyclic"]
+    families = list(_FAMILIES)
     if serial and size >= 3:
         families += ["leftproj", "leftproj"]
     if serial and size >= 6:
@@ -733,30 +752,32 @@ def random_model(seed: int, size: int, system: System) -> Model:
     family = rng.choice(families)
 
     n = 6 if family == "diamond" else size
-    op, ser, base_pairs = _family_tables(family, n)
-    if ser is None and serial:
-        ser = [row[:] for row in op]
-
-    pairs = set(base_pairs)
-    if family in ("addcap", "maxchain", "collapse", "cyclic") \
-            and n > 1 and rng.random() < 0.25:
-        pairs.add((rng.randrange(n), rng.randrange(n)))
-    above = _repair_order(n, op, ser, pairs)
+    extra = None
+    if family in _FAMILIES and n > 1 and rng.random() < 0.25:
+        extra = (rng.randrange(n), rng.randrange(n))
+    fr = frames.get((family, n, extra))
+    if fr is None:
+        op, ser, pairs = _family_tables(family, n)
+        if ser is None and serial:
+            ser = [row[:] for row in op]
+        pairs = set(pairs) | ({extra} if extra else set())
+        _repair_order(n, op, ser, pairs)
+        fr = frames[family, n, extra] = _Frame(
+            tuple(f"w{i}" for i in range(n)), 0, op, ser, sorted(pairs))
+    above = fr.above
 
     # valuation: random upward closed sets; diamond biases the two
     # generator worlds so serial order becomes observable
-    val_masks: dict[str, int] = {}
+    val: dict[str, int] = {}
     for k, p in enumerate(_FAMILY_ATOMS):
         if rng.random() < 0.8:
             if family in ("diamond", "leftproj") and rng.random() < 0.7:
-                val_masks[p] = _up(above, 1 << (1 + k % 2))
+                val[p] = _up(above, 1 << (1 + k % 2))
             else:
-                val_masks[p] = _random_upset(rng, n, above)
-    bot_mask = 0
+                val[p] = _random_upset(rng, n, above)
     if rng.random() < 0.15:
-        bot_mask = _random_upset(rng, n, above)
+        val["bot"] = _random_upset(rng, n, above)
 
-    conditions = FRAME_CONDITIONS[system.ident]
     nbhd: dict[str, list[set[int]]] = {}
     if system.ident in BOX_SYSTEMS:
         table: list[set[int]] = [set() for _ in range(n)]
@@ -772,30 +793,19 @@ def random_model(seed: int, size: int, system: System) -> Model:
         table = [set() for _ in range(n)]
         for w in range(n):
             if rng.random() < 0.45:
-                extra = 1 << rng.randrange(n) if rng.random() < 0.5 else 0
-                x = _up(above, (1 << w) | extra)
-                table[w].add(x)
+                extra_world = 1 << rng.randrange(n) \
+                    if rng.random() < 0.5 else 0
+                table[w].add(_up(above, (1 << w) | extra_world))
         nbhd[agent] = table
-    names = tuple(f"w{i}" for i in range(n))
-    bot_mask = _close_neighbourhoods(
-        _Frame(names, 0, op, ser, above), nbhd, conditions, bot_mask
-    )
+    _close_neighbourhoods(fr, nbhd, FRAME_CONDITIONS[system.ident], val)
+    return _Draw(fr, val, nbhd)
 
-    def named(t: list[list[int]]) -> OpTable:
-        return {(names[i], names[j]): names[t[i][j]]
-                for i in range(n) for j in range(n)}
 
-    valuation, nbhd_out = _named_tables(
-        names,
-        {p: _set_names(names, mask) for p, mask in sorted(val_masks.items())},
-        bot_mask, nbhd,
-    )
-    return Model(
-        worlds=names, unit=names[0], op=named(op),
-        serial_op=None if ser is None else named(ser),
-        order=tuple((names[a], names[b]) for a, b in sorted(pairs)),
-        valuation=valuation, neighbourhoods=nbhd_out,
-    )
+def random_model(seed: int, size: int, system: System) -> Model:
+    """Deterministic-in-seed model that always passes validate_model."""
+    if size < 1:
+        raise ValueError("size must be at least 1")
+    return _draw(seed, size, system, {}).named()
 
 
 # ---------------------------------------------------------------------------
@@ -811,38 +821,26 @@ class Countermodel:
     world: str
 
 
-def _atom_variant(m: Model, fr: _Frame, atoms: list[str],
-                  rng: random.Random) -> Model:
-    valuation = dict(m.valuation)
+def _atom_variant(d: _Draw, atoms: list[str], rng: random.Random) -> _Draw:
+    val = dict(d.val)
     for p in atoms:
-        if p == "bot":
-            continue
         if rng.random() < 0.3:
-            valuation.pop(p, None)
-            continue
-        mask = _random_upset(rng, fr.n, fr.above)
-        valuation[p] = _set_names(fr.names, mask)
-    return replace(m, valuation=valuation)
+            val.pop(p, None)
+        else:
+            val[p] = _random_upset(rng, d.fr.n, d.fr.above)
+    return replace(d, val=val)
 
 
-def _hint_variant(
-    m: Model, fr: _Frame, s: Sequent, rng: random.Random
-) -> Model | None:
+def _hint_variant(d: _Draw, ev: Evaluator, bodies: list[tuple[str, Formula]],
+                  conditions: tuple[str, ...],
+                  rng: random.Random) -> _Draw | None:
     """Plant extensions of modal subformula bodies as neighbourhood sets,
-    then re-close the frame conditions; ``fr`` is ``m``'s frame."""
-    bodies: list[tuple[str, Formula]] = []
-    # in key order, so the rng's draws do not follow the hash seed
-    for f in sorted(subformulas(to_formula(s.ctx)) | subformulas(s.succ),
-                    key=lambda f: f.key):
-        if isinstance(f, Box):
-            bodies.append(("box", f.body))
-        elif isinstance(f, Brings):
-            bodies.append((f.agent, f.body))
+    then re-close the frame conditions; ``ev`` evaluates ``d``."""
     if not bodies:
         return None
-    ev = Evaluator._over(fr, m)
-    nbhd = _nbhd_masks(fr, m)
-    conditions = FRAME_CONDITIONS[s.system.ident]
+    fr = d.fr
+    nbhd = {key: [set(sets) for sets in table]
+            for key, table in d.nbhd.items()}
     agent_conditions = bool(conditions)
     added = False
     for key, body in bodies:
@@ -858,11 +856,26 @@ def _hint_variant(
                 added = True
     if not added:
         return None
-    bot_mask = _close_neighbourhoods(
-        fr, nbhd, conditions, _mask_of(fr, m.valuation.get("bot", ()))
-    )
-    valuation, nbhd_out = _named_tables(fr.names, m.valuation, bot_mask, nbhd)
-    return replace(m, valuation=valuation, neighbourhoods=nbhd_out)
+    val = dict(d.val)
+    _close_neighbourhoods(fr, nbhd, conditions, val)
+    return replace(d, val=val, nbhd=nbhd)
+
+
+def _candidates(base: _Draw, atoms: list[str],
+                bodies: list[tuple[str, Formula]],
+                conditions: tuple[str, ...], rng: random.Random):
+    """``base``, its atom variant, then the hint variants of that and of
+    ``base``, each with its evaluator.  A variant is drawn from ``rng``
+    only once the ones before it are no countermodel."""
+    ev = Evaluator._on(base.fr, base.val, base.nbhd)
+    yield base, ev
+    varied = _atom_variant(base, atoms, rng)
+    ev_varied = Evaluator._on(varied.fr, varied.val, varied.nbhd)
+    yield varied, ev_varied
+    for d, ev_d in ((varied, ev_varied), (base, ev)):
+        hinted = _hint_variant(d, ev_d, bodies, conditions, rng)
+        if hinted is not None:
+            yield hinted, Evaluator._on(hinted.fr, hinted.val, hinted.nbhd)
 
 
 def find_countermodel(
@@ -870,33 +883,31 @@ def find_countermodel(
 ) -> Countermodel | None:
     """Search seeded random models (plus sequent-guided variants) for one
     falsifying the sequent.  ``None`` is not a provability claim.
-    ``max_size`` below 1 searches nothing and raises ValueError."""
+    ``max_size`` or ``attempts`` below 1 searches nothing and raises
+    ValueError."""
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
-    atoms = sorted(
-        {f.name for g in (to_formula(s.ctx), s.succ)
-         for f in subformulas(g) if isinstance(f, Atom)}
-    )
+    if attempts < 1:
+        raise ValueError("attempts must be at least 1")
+    ante, succ = to_formula(s.ctx), s.succ
+    subs = subformulas(ante) | subformulas(succ)
+    atoms = sorted({f.name for f in subs
+                    if type(f) is Atom and f.name != "bot"})
+    # in key order, so the rng's draws do not follow the hash seed
+    bodies = [("box" if type(f) is Box else f.agent, f.body)
+              for f in sorted(subs, key=lambda f: f.key)
+              if type(f) is Box or type(f) is Brings]
+    conditions = FRAME_CONDITIONS[s.system.ident]
     rng = random.Random(f"countermodel|{seed}|{s.key}")
+    frames: dict = {}
     for size in range(1, max_size + 1):
-        for t in range(attempts):
-            base = random_model(rng.randrange(1 << 30), size, s.system)
-            # the variants differ from base only in valuation and
-            # neighbourhoods, so they share its frame
-            fr = _Frame.of(base)
-            variants = [base]
-            variants.append(_atom_variant(base, fr, atoms, rng))
-            hinted = _hint_variant(variants[-1], fr, s, rng)
-            if hinted is not None:
-                variants.append(hinted)
-            hinted = _hint_variant(base, fr, s, rng)
-            if hinted is not None:
-                variants.append(hinted)
-            for cand in variants:
-                ev = Evaluator._over(fr, cand)
-                if not ev.sequent_valid(s):
-                    witness = ev.falsifying_world(s)
-                    if witness is None:
-                        continue
-                    return Countermodel(cand, witness)
+        for _ in range(attempts):
+            base = _draw(rng.randrange(1 << 30), size, s.system, frames)
+            for d, ev in _candidates(base, atoms, bodies, conditions, rng):
+                # the unit is neutral, so the sequent fails at the unit
+                # exactly when some world holds ante but not succ
+                bad = ev.extension_mask(ante) & ~ev.extension_mask(succ)
+                if bad:
+                    return Countermodel(
+                        d.named(), d.fr.names[(bad & -bad).bit_length() - 1])
     return None

@@ -13,8 +13,12 @@ from proofmill.calculus import (
     Rule,
     check_proof,
     cut_count,
+    cut_formula,
+    cutrank,
+    proof_nodes,
+    proof_size,
 )
-from proofmill.context import mset, parse_sequent, sequent
+from proofmill.context import EMPTY, mset, parse_sequent, sequent
 from proofmill.cutelim import (
     DEFECTIVE_PAIRS,
     CutEliminationError,
@@ -31,7 +35,7 @@ from proofmill.hilbert import (
     schema,
 )
 from proofmill.search import Exhausted, Proved, prove
-from proofmill.syntax import parse_formula, parse_system
+from proofmill.syntax import atom, limp, parse_formula, parse_system, with_
 
 MILL = parse_system("MILL")
 PCMILL = parse_system("PCMILL")
@@ -632,6 +636,51 @@ def test_eliminate_matches_reference_on_composed_proofs():
     assert sum(cut_count(p) >= 2 for p in proofs) >= 50
     for p in proofs:
         assert_matches_reference(p)
+
+
+# -- counts on shared proofs ------------------------------------------------------
+
+
+def tree_counts(p):
+    """Node count, cut count and cut rank by a walk of the whole tree."""
+    nodes = [n for _, n in proof_nodes(p)]
+    ranks = [cut_formula(n).size for n in nodes if n.rule.name == "Cut"]
+    return len(nodes), len(ranks), max(ranks, default=0)
+
+
+def test_counts_of_a_shared_proof_match_the_tree():
+    # X0 = p -o p, X(k+1) = X(k) & X(k): the proof of |- X16 is a tree
+    # of 196,607 nodes over 18 distinct node objects
+    x = limp(atom("p"), atom("p"))
+    for _ in range(16):
+        x = with_(x, x)
+    p = prove(sequent(EMPTY, x, MILL)).proof
+    assert (proof_size(p), cut_count(p), cutrank(p)) \
+        == tree_counts(p) == (196_607, 0, 0)
+
+
+def test_counts_visit_each_shared_node_once():
+    # 61 distinct nodes read as a tree of 2**61 - 1: no walk of the tree
+    # could count them
+    node = ax("p |- p", MILL)
+    for _ in range(60):
+        node = Proof(node.conclusion, Rule("Cut"), (node, node))
+    assert proof_size(node) == 2 ** 61 - 1
+    assert cut_count(node) == 2 ** 60 - 1
+    assert cutrank(node) == 1
+
+
+def test_proof_counts_match_a_tree_walk_on_composed_proofs():
+    rng = random.Random(20260815)
+    proofs = (
+        mill_cut_proofs(Closure(MILL, 8), rng, 120)
+        + tree_cut_proofs(rng, PCMILL, 40)
+        + tree_cut_proofs(rng, SRS_AB, 40)
+    )
+    # a cut of a proof against itself shares both premises
+    proofs += [Proof(p.conclusion, Rule("Cut"), (p, p)) for p in proofs]
+    for p in proofs:
+        assert (proof_size(p), cut_count(p), cutrank(p)) == tree_counts(p)
 
 
 # -- deep proofs ------------------------------------------------------------------

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from proofmill.context import parse_sequent
 from proofmill.corpus import load_corpus_dir
+from oracle import formula_layers
+
 from proofmill.semantics import (
     FRAME_CONDITIONS,
     Countermodel,
@@ -21,6 +23,7 @@ from proofmill.semantics import (
     random_model,
     sequent_valid,
     validate_model,
+    _draw,
 )
 from proofmill.syntax import (
     Atom,
@@ -714,6 +717,14 @@ def test_countermodel_search_rejects_empty_range():
             find_countermodel(parse_sequent("p |- q", MILL), size)
 
 
+def test_countermodel_search_rejects_no_attempts():
+    # no attempt made is not a "none found" either
+    for attempts in (0, -1):
+        with pytest.raises(ValueError, match="attempts must be at least 1"):
+            find_countermodel(parse_sequent("p |- q", MILL), 3,
+                              attempts=attempts)
+
+
 def test_countermodel_for_serial_commutation():
     s = parse_sequent("p @ q |- q @ p", SRS)
     cm = find_countermodel(s, 4, seed=0)
@@ -825,3 +836,25 @@ def test_countermodel_search_matches_its_golden_digest():
             found.append(None if cm is None
                          else [model_to_json(cm.model), cm.world])
     assert _digest(found) == GOLDEN_COUNTERMODELS
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+def test_mask_evaluator_agrees_with_the_named_model(name):
+    # every formula over p and q up to complexity 4, on the draws behind
+    # the golden models: evaluated on the draw's masks and on its named
+    # model, each with its own frame
+    system = parse_system(name)
+    unaries = [box] if system.has_box else \
+        [lambda b, a=a: brings(a, b) for a in system.agents]
+    binaries = [tensor, with_, limp] + ([odot, lres, rres]
+                                        if system.is_tree else [])
+    formulas = [f for layer in formula_layers(4, ("p", "q"), unaries,
+                                               binaries) for f in layer]
+    for size in range(1, 6):
+        for seed in range(0, 20, 5):
+            draw = _draw(seed, size, system, {})
+            masks = Evaluator._on(draw.fr, draw.val, draw.nbhd)
+            named = Evaluator(draw.named())
+            for f in formulas:
+                assert masks.extension_mask(f) == named.extension_mask(f), \
+                    (seed, size, f.key)
