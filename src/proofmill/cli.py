@@ -6,7 +6,9 @@ library functions any program would, format the result.  Exit status is
 verdict is negative (not proved, proof fails checking, model invalid,
 corpus mismatch, no countermodel found), 2 on usage or input parse
 errors, and 3 on an internal error (an unexpected exception, reported
-as one line on stderr).
+as one line on stderr).  ``main`` restores the default ``SIGPIPE``
+action, so a closed stdout ends the process silently by that signal,
+as it ends other Unix filters; ``run`` installs no handler.
 
 Agent-indexed systems may be named bare (``RSBIAT``, ``SRSBIAT``) on
 subcommands that also take a sequent; the agent alphabet is then read
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from .calculus import (
@@ -350,6 +353,8 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -16,13 +16,13 @@ that proves.  Only the rules whose principal connective
 succedent's class and the OR of the leaves' ``Formula.bit``: a skipped
 rule would list nothing, so no proof and no count changes.
 
-A formula of atoms, ``1``, ``*``, ``@``, ``-o``, ``\\`` and ``/`` has a
-signed atom charge (``Formula.charge``).  Every rule a sequent of such
-formulas can use keeps antecedent and succedent charge equal, so by the
-subformula property a provable one balances (van Benthem's count
-invariant), and the root and each premise that ``balanced`` rejects is
-refuted unexpanded.  ``&``, ``[]`` and ``E[a]`` have no charge
-(``p & q |- p`` and ``E[a]1 |- bot`` are provable).
+A formula has a signed atom charge (``Formula.charge``) unless it holds
+an ``&`` whose conjuncts' charges differ; ``[]`` and ``E[a]`` pass it
+through and ``bot`` weighs 0.  Every rule keeps antecedent and succedent
+charge equal where both have one, so by the subformula property a
+provable sequent balances (van Benthem's count invariant), and the root
+and each premise that ``balanced`` rejects is refuted unexpanded
+(``p & q |- p`` has no root charge; ``NotNec`` needs ``bot`` at 0).
 
 Every searched rule strictly decreases the premise total complexity,
 so the stack of open goals that the search loop keeps is never deeper

@@ -104,8 +104,9 @@ class Formula:
     intern table's key and the sort order of parallel contexts; ``size``
     is the complexity measure (connective/atom count); ``text`` is the
     ``print_formula`` form, kept once printed; ``charge`` sums the
-    atoms' weights, signed by polarity, and is None past ``&``, ``[]``, ``E[a]``.
-    ``bit``, one per class, marks the main connective in a bitmask."""
+    atoms' weights (``bot`` weighs 0), signed by polarity: ``[]A`` and
+    ``E[a]A`` carry ``A``'s, and ``A & B`` its conjuncts' when they are
+    equal, else None.  ``bit``, one per class, marks the main connective."""
 
     __slots__ = ("key", "size", "text", "charge")
     key: str
@@ -133,7 +134,8 @@ class Atom(Formula):
             h = (h ^ b) * 0x100000001B3 & 0xFFFFFFFFFFFFFFFF
         for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
             h = (h ^ h >> shift) * mult & 0xFFFFFFFFFFFFFFFF
-        self.charge = h ^ h >> 31
+        # bot weighs 0, so that NotNec (|- A over E[a]A |- bot) balances
+        self.charge = 0 if name == "bot" else h ^ h >> 31
 
 
 class Unit(Formula):
@@ -149,7 +151,7 @@ class Unit(Formula):
 class BinOp(Formula):
     __slots__ = ("left", "right")
     op: str = ""
-    # the signs of the operands' charges, None for a connective without one
+    # the signs of the operands' charges, None for & (equal ones shared)
     signs: tuple[int, int] | None = (1, 1)
 
     def __init__(self, left: Formula, right: Formula, key: str):
@@ -159,7 +161,10 @@ class BinOp(Formula):
         self.size = 1 + left.size + right.size
         self.text = None
         s, l, r = self.signs, left.charge, right.charge
-        self.charge = None if s is None or l is None or r is None else s[0] * l + s[1] * r
+        if s is None:
+            self.charge = l if l == r else None
+        else:
+            self.charge = None if l is None or r is None else s[0] * l + s[1] * r
 
 
 class Tensor(BinOp):
@@ -215,7 +220,7 @@ class Box(Formula):
         self.key = key
         self.size = 1 + body.size
         self.text = None
-        self.charge = None
+        self.charge = body.charge
 
 
 class Brings(Formula):
@@ -228,7 +233,7 @@ class Brings(Formula):
         self.key = key
         self.size = 1 + body.size
         self.text = None
-        self.charge = None
+        self.charge = body.charge
 
 
 _INTERN: dict[str, Formula] = {}

@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -140,6 +141,22 @@ class TestProve:
         assert out == ""
         assert err.startswith("internal error: RecursionError: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+    def test_a_closed_stdout_ends_the_process_by_sigpipe(self):
+        # like other Unix filters, not with an internal error
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "proofmill.cli", "prove", "MILL", "p |- p"],
+                env=dict(os.environ, PYTHONPATH=src), stdout=write_end,
+                stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert done.stderr == ""
+        assert done.returncode == -signal.SIGPIPE
 
     def test_deep_nesting_is_a_parse_error(self):
         deep = "(" * 300 + "p" + ")" * 300

@@ -51,12 +51,15 @@ from proofmill.search import (
 from proofmill.syntax import (
     BOT,
     Atom,
+    Box,
+    Brings,
     Limp,
     Lres,
     Odot,
     Rres,
     Tensor,
     Unit,
+    With,
     atom,
     box,
     brings,
@@ -83,6 +86,28 @@ SRS = parse_system("SRSBIAT:i,s")
 
 def run(text, system):
     return prove(parse_sequent(text, system))
+
+
+# (system, bound, atoms, binaries, modal, max_leaves): the eight oracle
+# universes of test_acceptance
+_UNIVERSES = [
+    (MILL, 8, ("p", "q"), (tensor, with_, limp), True, 2),
+    (PCMILL, 6, ("p", "q"), (tensor, odot, limp, lres, rres), False, None),
+] + [(parse_system(name), bound, atoms, binaries, True, max_leaves)
+     for name, bound, atoms, binaries, max_leaves, _ in AGENT_UNIVERSES]
+_UNIVERSE_IDS = [f"{u[0]}-{u[1]}-{''.join(u[2])}" for u in _UNIVERSES]
+
+
+@functools.cache
+def _closure(i):
+    system, bound, atoms, binaries, modal, _ = _UNIVERSES[i]
+    return Closure(system, bound, atoms, binaries, modal)
+
+
+@functools.cache
+def _universe(i):
+    system, max_leaves = _UNIVERSES[i][0], _UNIVERSES[i][5]
+    return [sequent(ctx, succ, system) for ctx, succ in _closure(i).goals(max_leaves)]
 
 
 # -- pinned verdicts ------------------------------------------------------------
@@ -341,29 +366,51 @@ def test_premises_shrink_on_pcmill_goals(ctx, succ):
 
 
 # -- the count invariant -------------------------------------------------------
-# In a provable sequent built from atoms, 1, *, @ and the implications,
-# every atom occurs as often positively as negatively; search refutes
-# any root or premise that breaks this before expanding it.
+# In a provable sequent every atom but bot occurs as often positively as
+# negatively, reading []A and E[a]A as A and A & B as either conjunct
+# when their counts agree; search refutes any root or premise that
+# breaks this before expanding it.
+
+
+# the signs each binary connective but & gives its operands' counts
+_SIGNS = {Tensor: (1, 1), Odot: (1, 1), Limp: (-1, 1), Lres: (-1, 1), Rres: (1, -1)}
+
+
+def _counts(f):
+    """Each atom's occurrences in ``f``, positive ones counted +1 and
+    negative ones -1, with ``bot`` counted 0: ``[]`` and ``E[a]`` pass
+    their body's counts through, and ``&`` keeps its conjuncts' counts
+    when they are equal.  None when they are not."""
+    if isinstance(f, Atom):
+        return Counter() if f is BOT else Counter([f.name])
+    if isinstance(f, Unit):
+        return Counter()
+    if isinstance(f, (Box, Brings)):
+        return _counts(f.body)
+    left, right = _counts(f.left), _counts(f.right)
+    if isinstance(f, With):
+        return left if left == right else None
+    if left is None or right is None:
+        return None
+    return _signed_sum(zip((left, right), _SIGNS[type(f)]))
+
+
+def _signed_sum(parts):
+    out: Counter = Counter()
+    for counts, sign in parts:
+        for name, n in counts.items():
+            out[name] += sign * n
+    return out
 
 
 def _signed_atoms(seq):
-    """Each atom's occurrences in ``seq``, positive ones counted +1 and
-    negative ones -1; None when a formula has &, [] or E[a]."""
-    counts: Counter = Counter()
-    todo = [(f, -1) for f in context_formulas(seq.ctx)] + [(seq.succ, 1)]
-    while todo:
-        f, sign = todo.pop()
-        if isinstance(f, Atom):
-            counts[f.name] += sign
-        elif isinstance(f, (Tensor, Odot)):
-            todo += [(f.left, sign), (f.right, sign)]
-        elif isinstance(f, (Limp, Lres)):
-            todo += [(f.left, -sign), (f.right, sign)]
-        elif isinstance(f, Rres):
-            todo += [(f.left, sign), (f.right, -sign)]
-        elif not isinstance(f, Unit):
-            return None
-    return counts
+    """The atom counts of ``seq``'s succedent less its antecedent's;
+    None when a formula has none."""
+    parts = [(f, -1) for f in context_formulas(seq.ctx)] + [(seq.succ, 1)]
+    counts = [(_counts(f), sign) for f, sign in parts]
+    if any(c is None for c, _ in counts):
+        return None
+    return _signed_sum(counts)
 
 
 def _assert_counts_balance(seq):
@@ -399,16 +446,13 @@ def test_pcmill_proofs_balance_at_every_node(ctx, succ):
     _assert_proof_balances(sequent(ctx, succ, PCMILL))
 
 
-@pytest.mark.parametrize("system, bound, binaries, modal", [
-    (MILL, 8, (tensor, with_, limp), True),
-    (PCMILL, 6, (tensor, odot, limp, lres, rres), False),
-], ids=["MILL", "PCMILL"])
-def test_every_derivable_sequent_of_the_oracle_universes_balances(
-        system, bound, binaries, modal):
+@pytest.mark.parametrize("i", range(len(_UNIVERSES)),
+                         ids=["MILL", "PCMILL"] + _UNIVERSE_IDS[2:])
+def test_every_derivable_sequent_of_the_oracle_universes_balances(i):
     # the closure holds every node of every proof of a universe goal
-    universe = Closure(system, bound, binaries=binaries, modal=modal)
+    system = _UNIVERSES[i][0]
     charged = 0
-    for ctx, succ in universe.known:
+    for ctx, succ in _closure(i).known:
         seq = sequent(ctx, succ, system)
         _assert_counts_balance(seq)
         assert balanced(seq)
@@ -417,31 +461,39 @@ def test_every_derivable_sequent_of_the_oracle_universes_balances(
 
 
 _P10 = [f"p{i}" for i in range(10)]
-# (goal, verdict, explored, pruned): the reversed tensor chain, its twin
-# with an atom the antecedent lacks, and the ten-link -o chain
+_BRINGS_CHAIN = ", ".join(f"E[a]p{i}" for i in range(6)) + " |- E[a](" + " * ".join(
+    f"p{i}" for i in reversed(range(6)))
+# (system, goal, verdict, explored, pruned): the reversed tensor chain,
+# its twin with an atom the antecedent lacks, the ten-link -o chain, the
+# chain of eight & pairs, and the E[a] chain of six atoms and its twin
 _LADDERS = [
-    (", ".join(_P10) + " |- " + " * ".join(reversed(_P10)), "Proved", 19, 2026),
-    (", ".join(_P10) + " |- " + " * ".join(reversed(_P10)) + " * q", "Exhausted", 1, 1),
-    (", ".join(f"p{i} -o p{i + 1}" for i in range(10)) + ", p0 |- p10", "Proved", 21, 1023),
+    (MILL, ", ".join(_P10) + " |- " + " * ".join(reversed(_P10)), "Proved", 19, 2026),
+    (MILL, ", ".join(_P10) + " |- " + " * ".join(reversed(_P10)) + " * q", "Exhausted", 1, 1),
+    (MILL, ", ".join(f"p{i} -o p{i + 1}" for i in range(10)) + ", p0 |- p10",
+     "Proved", 21, 1023),
+    (MILL, ", ".join(_P10[:8]) + " |- " + " * ".join(f"({p} & {p})" for p in reversed(_P10[:8])),
+     "Proved", 23, 494),
+    (parse_system("RSBIAT:a"), _BRINGS_CHAIN + ")", "Proved", 136, 5327),
+    (parse_system("RSBIAT:a"), _BRINGS_CHAIN + " * q)", "Exhausted", 1, 1),
 ]
 
 
 def _ladder_counts():
     out = []
-    for text, *_ in _LADDERS:
-        r, st_ = prove_with_stats(parse_sequent(text, MILL))
+    for system, text, *_ in _LADDERS:
+        r, st_ = prove_with_stats(parse_sequent(text, system))
         out.append((type(r).__name__, st_.explored, st_.pruned))
     return out
 
 
 def test_ladders_are_pruned():
-    assert _ladder_counts() == [tuple(row[1:]) for row in _LADDERS]
+    assert _ladder_counts() == [tuple(row[2:]) for row in _LADDERS]
 
 
 def test_ladder_counts_do_not_follow_the_hash_seed():
     src = str(Path(__file__).resolve().parent.parent / "src")
     here = str(Path(__file__).resolve().parent)
-    want = repr([tuple(row[1:]) for row in _LADDERS])
+    want = repr([tuple(row[2:]) for row in _LADDERS])
     for hash_seed in ("1", "3"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                    PYTHONPATH=os.pathsep.join([src, here]))
@@ -454,7 +506,7 @@ def test_ladder_counts_do_not_follow_the_hash_seed():
 
 @pytest.mark.parametrize("system, text, verdict", [
     (MILL, "p & q |- p", Proved),
-    (MILL, "[]p |- q", Exhausted),
+    (MILL, "[](p & q) |- r", Exhausted),
     (parse_system("RSBIAT:a"), "E[a]1 |- bot", Proved),
 ])
 def test_a_root_without_a_charge_is_not_refuted_by_it(system, text, verdict):
@@ -466,22 +518,6 @@ def test_a_root_without_a_charge_is_not_refuted_by_it(system, text, verdict):
 # Search tries at a goal only the rules whose principal connective the
 # goal holds (``_Engine.rules_for``).  A dropped rule must list nothing
 # there, and keeping every rule must change nothing search reports.
-
-# (system, bound, atoms, binaries, modal, max_leaves): the eight oracle
-# universes of test_acceptance
-_UNIVERSES = [
-    (MILL, 8, ("p", "q"), (tensor, with_, limp), True, 2),
-    (PCMILL, 6, ("p", "q"), (tensor, odot, limp, lres, rres), False, None),
-] + [(parse_system(name), bound, atoms, binaries, True, max_leaves)
-     for name, bound, atoms, binaries, max_leaves, _ in AGENT_UNIVERSES]
-
-
-@functools.cache
-def _universe(i):
-    system, bound, atoms, binaries, modal, max_leaves = _UNIVERSES[i]
-    closure = Closure(system, bound, atoms, binaries, modal)
-    return [sequent(ctx, succ, system) for ctx, succ in closure.goals(max_leaves)]
-
 
 def _every_rule(system):
     """The rules of ``system`` in search order, agent rules per agent."""
@@ -508,8 +544,7 @@ def test_dropped_rules_list_nothing_on_corpus_goals():
         e.sequent for e in load_corpus_dir(CORPUS_DIR))
 
 
-@pytest.mark.parametrize("i", range(len(_UNIVERSES)),
-                         ids=[f"{u[0]}-{u[1]}-{''.join(u[2])}" for u in _UNIVERSES])
+@pytest.mark.parametrize("i", range(len(_UNIVERSES)), ids=_UNIVERSE_IDS)
 def test_dropped_rules_list_nothing_on_oracle_goals(i):
     _assert_dropped_rules_list_nothing(_universe(i))
 
@@ -560,6 +595,20 @@ def test_keeping_every_rule_changes_nothing(monkeypatch):
     assert _Engine(RS).rules_for(parse_sequent("p |- p", RS)) == _every_rule(RS)
     everything = _search_reports(goals)
     for goal, a, b in zip(goals, filtered, everything):
+        assert a == b, goal.key
+
+
+def test_refuting_by_charge_changes_no_proof(monkeypatch):
+    rng = random.Random(19)
+    goals = [e.sequent for e in load_corpus_dir(CORPUS_DIR)]
+    # the MILL, RSBIAT:a and SRSBIAT:a universes
+    for i in (0, 2, 3):
+        goals += rng.sample(_universe(i), 1500)
+    # the verdict and proof tree; explored and pruned may differ
+    pruned = [r[:2] for r in _search_reports(goals)]
+    monkeypatch.setattr(search_module, "balanced", lambda seq: True)
+    unpruned = [r[:2] for r in _search_reports(goals)]
+    for goal, a, b in zip(goals, pruned, unpruned):
         assert a == b, goal.key
 
 
