@@ -207,14 +207,17 @@ class _Matcher:
     """Premise enumeration for one goal, one generator per rule.  Every
     rule reads the goal's own antecedent: entropy is absorbed into the
     shapes that the rules building ``;`` list (``split_serial`` and
-    ``_arg_groups``)."""
+    ``_arg_groups``).  With ``refute``, the rules that split the goal
+    (``TensorR``, ``LimpL``, ``OdotR`` and their ``E[a]`` forms) list a
+    premise list whose first premise cannot balance as None, unbuilt."""
 
-    __slots__ = ("ctx", "system", "succ", "_leaves")
+    __slots__ = ("ctx", "system", "succ", "refute", "_leaves")
 
-    def __init__(self, goal: Sequent):
+    def __init__(self, goal: Sequent, refute: bool = False):
         self.ctx = goal.ctx
         self.system = goal.system
         self.succ = goal.succ
+        self.refute = refute
         self._leaves: list[tuple[Formula, Path]] | None = None
 
     def leaves(self) -> list[tuple[Formula, Path]]:
@@ -239,10 +242,14 @@ class _Matcher:
         self._leaves = out
         return out
 
-    def run(self, rule: Rule) -> Iterator[list[Sequent]]:
-        """The premise lists of ``rule``, as they are found, each once."""
+    def run(self, rule: Rule) -> Iterator[list[Sequent] | None]:
+        """The premise lists of ``rule``, as they are found, each once;
+        None for each one refuted by charge."""
         seen: set[tuple[str, ...]] = set()
         for premises in _DISPATCH[rule.name][0](self, rule):
+            if premises is None:
+                yield None
+                continue
             key = tuple([s.key for s in premises])
             if key not in seen:
                 seen.add(key)
@@ -318,11 +325,12 @@ class _Matcher:
             yield [Sequent(prem, self.succ.left, self.system)]
 
     def _split_pair(self, left_succ: Formula, right_succ: Formula,
-                    serial: bool) -> Iterator[list[Sequent]]:
+                    serial: bool) -> Iterator[list[Sequent] | None]:
         sys = self.system
-        pairs = split_serial(self.ctx) if serial else split_parallel(self.ctx)
-        for lctx, rctx in pairs:
-            yield [Sequent(lctx, left_succ, sys), Sequent(rctx, right_succ, sys)]
+        split = split_serial if serial else split_parallel
+        for pair in split(self.ctx, left_succ.charge if self.refute else None):
+            yield None if pair is None else [
+                Sequent(pair[0], left_succ, sys), Sequent(pair[1], right_succ, sys)]
 
     def _tensor_r(self, rule: Rule) -> Iterator[list[Sequent]]:
         if isinstance(self.succ, Tensor):
@@ -341,8 +349,10 @@ class _Matcher:
         for f, path in self.leaves():
             if not isinstance(f, Limp):
                 continue
+            want = f.left.charge if self.refute else None
             # the implication alone, with an empty argument group
-            yield [Sequent(EMPTY, f.left, sys), Sequent(fill(ctx, path, leaf(f.right)), succ, sys)]
+            yield None if want not in (None, 0) else [
+                Sequent(EMPTY, f.left, sys), Sequent(fill(ctx, path, leaf(f.right)), succ, sys)]
             if len(path) == 0:
                 continue
             parent = ctx
@@ -352,10 +362,9 @@ class _Matcher:
                 continue
             i = path[-1]
             others = parent.children[:i] + parent.children[i + 1 :]
-            for gamma, keep in split_parallel(par(others))[1:]:
-                new_parent = par([keep, leaf(f.right)])
-                yield [Sequent(gamma, f.left, sys),
-                       Sequent(fill(ctx, path[:-1], new_parent), succ, sys)]
+            for pair in split_parallel(par(others), want)[1:]:
+                yield None if pair is None else [Sequent(pair[0], f.left, sys), Sequent(
+                    fill(ctx, path[:-1], par([pair[1], leaf(f.right)])), succ, sys)]
 
     def _res_l(self, rule: Rule, left_residual: bool) -> Iterator[list[Sequent]]:
         sys = self.system
@@ -458,7 +467,9 @@ _DISPATCH = {
 
 
 def apply_rule(goal: Sequent, rule: Rule) -> list[list[Sequent]]:
-    """The premise lists from which ``rule`` concludes ``goal``.
+    """The premise lists from which ``rule`` concludes ``goal``: the
+    reference, listing every split, those that search refutes by charge
+    unbuilt included.
 
     In the multiset systems these are all of them.  In the tree systems
     they are the maximal ones, beside a few that a listed one dominates:

@@ -254,23 +254,39 @@ def fill(c: Context, path: Path, replacement: Context) -> Context:
     return par(kids) if isinstance(c, Par) else ser(kids)
 
 
-def split_parallel(c: Context) -> list[tuple[Context, Context]]:
+def _refuting(pairs: list, want: int | None) -> list:
+    """``pairs``, with None for each whose left part has a charge but not ``want``."""
+    return pairs if want is None else [
+        p if context_charge(p[0]) in (None, want) else None for p in pairs]
+
+
+def split_parallel(c: Context, want: int | None = None) -> list[tuple[Context, Context] | None]:
     """Every two-part split of the top-level parallel structure, as
     ordered pairs.  A Par root splits by any subset of its children
     (a multiset by any sub-multiset); other roots admit only the
-    trivial splits against the empty context."""
+    trivial splits against the empty context.
+
+    Bit ``i`` of a split's mask puts child ``i`` on the left.  Equal
+    children of a Par are one object and adjacent, so a mask taking a
+    later copy without the earlier one is skipped: each split is listed
+    once, at its least mask.  A split whose left part's charge, summed
+    from the children's before anything is built, is known and not the
+    ``want``ed one is listed as None."""
     if not isinstance(c, Par):
-        return [(EMPTY, c)] if c is EMPTY else [(EMPTY, c), (c, EMPTY)]
-    kids = c.children
-    n = len(kids)
-    return list(dict.fromkeys(
-        (_sorted_par([kids[i] for i in range(n) if mask >> i & 1]),
-         _sorted_par([kids[i] for i in range(n) if not mask >> i & 1]))
-        for mask in range(1 << n)
-    ))
+        return _refuting([(EMPTY, c)] if c is EMPTY else [(EMPTY, c), (c, EMPTY)], want)
+    kids, n = c.children, len(c.children)
+    dup = sum(1 << i for i in range(1, n) if kids[i] is kids[i - 1])
+    sums, untold = [0], 0  # untold: the children with no charge
+    for i, charge in enumerate(map(context_charge, kids) if want is not None else ()):
+        untold |= (charge is None) << i
+        sums += [s + (charge or 0) for s in sums]
+    return [None if want is not None and not mask & untold and sums[mask] != want else
+            (_sorted_par([kids[i] for i in range(n) if mask >> i & 1]),
+             _sorted_par([kids[i] for i in range(n) if not mask >> i & 1]))
+            for mask in range(1 << n) if not mask & dup & ~(mask << 1)]
 
 
-def split_serial(c: Context) -> list[tuple[Context, Context]]:
+def split_serial(c: Context, want: int | None = None) -> list[tuple[Context, Context] | None]:
     """The maximal serial cuts of ``c``: every pair (L, R) such that
     ``L ; R`` lies below ``c`` by entropy is below one listed pair,
     componentwise, and every listed ``L ; R`` lies below ``c``.
@@ -279,16 +295,20 @@ def split_serial(c: Context) -> list[tuple[Context, Context]]:
     inside one child, by that child's own cuts.  A parallel node puts
     each child wholly on one side (entropy orders the two sides), or
     cuts one serial child into (l, r) and orders the other children in
-    two groups around it: ``(S1 ; l, r ; S2)``.
+    two groups around it: ``(S1 ; l, r ; S2)``.  Given ``want``, cuts
+    are refuted as ``split_parallel`` refutes splits, unbuilt where it
+    cuts (a parallel node with no serial child), elsewhere once built.
     """
     if not isinstance(c, (Par, Ser)):
-        return [(EMPTY, c)] if c is EMPTY else [(EMPTY, c), (c, EMPTY)]
+        return _refuting([(EMPTY, c)] if c is EMPTY else [(EMPTY, c), (c, EMPTY)], want)
     kids = c.children
+    if isinstance(c, Par) and not any(isinstance(k, Ser) for k in kids):
+        return split_parallel(c, want)
     if isinstance(c, Ser):
-        return list(dict.fromkeys(
+        return _refuting(list(dict.fromkeys(
             (ser(kids[:i] + (l,)), ser((r,) + kids[i + 1 :]))  # type: ignore[operator]
             for i, kid in enumerate(kids) for l, r in split_serial(kid)
-        ))
+        )), want)
     out = dict.fromkeys(split_parallel(c))
     for i, kid in enumerate(kids):
         if not isinstance(kid, Ser):
@@ -299,7 +319,7 @@ def split_serial(c: Context) -> list[tuple[Context, Context]]:
                 continue
             for s1, s2 in split_parallel(others):
                 out[ser([s1, l]), ser([r, s2])] = None  # type: ignore[list-item]
-    return list(out)
+    return _refuting(list(out), want)
 
 
 DEFAULT_STRUCTURAL_BOUND = 4096

@@ -23,6 +23,9 @@ charge equal where both have one, so by the subformula property a
 provable sequent balances (van Benthem's count invariant), and the root
 and each premise that ``balanced`` rejects is refuted unexpanded
 (``p & q |- p`` has no root charge; ``NotNec`` needs ``bot`` at 0).
+A split whose first premise cannot balance is refuted before it is
+built (``_Matcher`` lists it as None) and counts in ``pruned`` as the
+built premise would have, so every count is as if it were built.
 
 Every searched rule strictly decreases the premise total complexity,
 so the stack of open goals that the search loop keeps is never deeper
@@ -124,7 +127,8 @@ class SearchStats:
     explored: int = 0
     peak_depth: int = 0
     memo_hits: int = 0
-    # premises and roots refuted by charge, never searched
+    # premises and roots refuted by charge, never searched; a premise
+    # list whose split the charge refutes counts once, unbuilt
     pruned: int = 0
     # always False: nothing cuts search short (bench/tracer.py reads it)
     truncated: bool = False
@@ -197,10 +201,14 @@ class _Engine:
         """Yield each premise the memo does not decide, taking back its
         proof or None; return the goal's proof or None."""
         rules = self.rules_for(goal)
-        matcher = _Matcher(goal)
+        matcher = _Matcher(goal, refute=True)
         success, failed = self.success, self.failed
         for rule in rules:
             for premises in matcher.run(rule):
+                if premises is None:
+                    # its first premise is unbalanced: refuted unbuilt
+                    self.stats.pruned += 1
+                    continue
                 subs: list[Proof] = []
                 for premise in premises:
                     if not balanced(premise):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from proofmill import context
 from proofmill.context import (
     DEFAULT_STRUCTURAL_BOUND,
     EMPTY,
@@ -13,6 +14,7 @@ from proofmill.context import (
     Par,
     Sequent,
     Ser,
+    context_charge,
     context_complexity,
     context_formulas,
     fill,
@@ -309,6 +311,54 @@ def test_preimages_preserve_leaves_property(t):
 def test_split_parallel_reassembles_property(t):
     for a, b in split_parallel(t):
         assert par([a, b]) == t or (a is EMPTY and b == t) or (b is EMPTY and a == t)
+
+
+def _every_mask_split(t):
+    """Each split of ``t`` by every mask over its children, the first
+    of equal pairs kept: what ``split_parallel`` lists."""
+    if not isinstance(t, Par):
+        return split_parallel(t)
+    kids, n = t.children, len(t.children)
+    return list(dict.fromkeys(
+        (par([kids[i] for i in range(n) if m >> i & 1]),
+         par([kids[i] for i in range(n) if not m >> i & 1]))
+        for m in range(1 << n)))
+
+
+# some leaves repeat and one has no charge (its conjuncts' differ)
+_CHARGED_TREES = trees(st.sampled_from(
+    [atom("p"), atom("q"), parse_formula("p -o q"), parse_formula("p & q")]).map(leaf),
+    max_leaves=7)
+
+
+@given(_CHARGED_TREES, st.data())
+def test_splits_are_listed_once_and_refuted_by_charge(t, data):
+    every = _every_mask_split(t)
+    assert split_parallel(t) == every
+    # a wanted charge, often one that some left part has
+    left = data.draw(st.sampled_from([a for a, _ in every]))
+    want = data.draw(st.sampled_from([context_charge(left) or 0, 0, atom("q").charge]))
+    for split, pairs in ((split_parallel, every), (split_serial, split_serial(t))):
+        assert split(t, want) == [
+            pair if context_charge(pair[0]) in (None, want) else None for pair in pairs]
+
+
+def test_split_parallel_refutes_unbuilt():
+    t = parse_sequent("p, p, q, r & s |- p", MILL).ctx
+    got = split_parallel(t, atom("p").charge)
+    # one split per canonical mask: 3 counts of p, 2 of q, 2 of r & s;
+    # a left part holding r & s has no charge, so it is built
+    assert len(got) == 12
+    assert [(a.key, b.key) for a, b in filter(None, got)] == [
+        ("(r & s)", "p, p, q"), ("p", "(r & s), p, q"), ("(r & s), p", "p, q"),
+        ("(r & s), p, p", "q"), ("(r & s), q", "p, p"), ("(r & s), p, q", "p"),
+        ("(r & s), p, p, q", "()")]
+    # of the eight splits of fresh atoms, only u0 | u1, u2 balances u0:
+    # its right part is the one context built
+    t = parse_sequent("u0, u1, u2 |- u0", MILL).ctx
+    before = len(context._TREE_INTERN)
+    assert split_parallel(t, atom("u0").charge).count(None) == 7
+    assert len(context._TREE_INTERN) == before + 1
 
 
 @given(trees())

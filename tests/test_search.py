@@ -14,9 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import proofmill.search as search_module
+from proofmill import context
 from proofmill.calculus import (
     AGENT_RULES,
+    BRINGS_ODOT,
+    BRINGS_TENSOR,
     LIMP_L,
+    ODOT_R,
+    TENSOR_R,
     Proof,
     Rule,
     _Matcher,
@@ -461,11 +466,20 @@ def test_every_derivable_sequent_of_the_oracle_universes_balances(i):
 
 
 _P10 = [f"p{i}" for i in range(10)]
+
+
+def _identity_ladder(n):
+    """``p0 -o p0, ..., p(n-1) -o p(n-1), q |- q``: each LimpL premise
+    ``Γ1 ⊢ p_i`` is refuted by charge, on every split of the others."""
+    return ", ".join(f"p{i} -o p{i}" for i in range(n)) + ", q |- q"
+
+
 _BRINGS_CHAIN = ", ".join(f"E[a]p{i}" for i in range(6)) + " |- E[a](" + " * ".join(
     f"p{i}" for i in reversed(range(6)))
 # (system, goal, verdict, explored, pruned): the reversed tensor chain,
 # its twin with an atom the antecedent lacks, the ten-link -o chain, the
-# chain of eight & pairs, and the E[a] chain of six atoms and its twin
+# chain of eight & pairs, the E[a] chain of six atoms and its twin, and
+# the -o identity ladder at n=12
 _LADDERS = [
     (MILL, ", ".join(_P10) + " |- " + " * ".join(reversed(_P10)), "Proved", 19, 2026),
     (MILL, ", ".join(_P10) + " |- " + " * ".join(reversed(_P10)) + " * q", "Exhausted", 1, 1),
@@ -475,6 +489,7 @@ _LADDERS = [
      "Proved", 23, 494),
     (parse_system("RSBIAT:a"), _BRINGS_CHAIN + ")", "Proved", 136, 5327),
     (parse_system("RSBIAT:a"), _BRINGS_CHAIN + " * q)", "Exhausted", 1, 1),
+    (MILL, _identity_ladder(12), "Exhausted", 1, 49_152),
 ]
 
 
@@ -488,6 +503,16 @@ def _ladder_counts():
 
 def test_ladders_are_pruned():
     assert _ladder_counts() == [tuple(row[2:]) for row in _LADDERS]
+
+
+def test_refuted_splits_are_never_built():
+    # at n=14 LimpL refutes 229,376 splits; building each before
+    # refuting it interned 262,126 contexts
+    goal = parse_sequent(_identity_ladder(14), MILL)
+    before = len(context._TREE_INTERN)
+    r, st_ = prove_with_stats(goal)
+    assert (type(r), st_.explored, st_.pruned) == (Exhausted, 1, 229_376)
+    assert len(context._TREE_INTERN) - before < 100
 
 
 def test_ladder_counts_do_not_follow_the_hash_seed():
@@ -607,9 +632,49 @@ def test_refuting_by_charge_changes_no_proof(monkeypatch):
     # the verdict and proof tree; explored and pruned may differ
     pruned = [r[:2] for r in _search_reports(goals)]
     monkeypatch.setattr(search_module, "balanced", lambda seq: True)
+    # and list every split, as apply_rule does: none is refuted unbuilt
+    monkeypatch.setattr(search_module, "_Matcher", lambda goal, refute: _Matcher(goal))
     unpruned = [r[:2] for r in _search_reports(goals)]
     for goal, a, b in zip(goals, pruned, unpruned):
         assert a == b, goal.key
+
+
+# -- refuted splits ------------------------------------------------------------
+# Search's matcher lists a premise list whose first premise cannot
+# balance as None, unbuilt.  Elsewhere it must list what apply_rule
+# lists, the full reference, in the same order.
+
+_SPLIT_RULES = (TENSOR_R, BRINGS_TENSOR, LIMP_L, ODOT_R, BRINGS_ODOT)
+
+
+def _assert_refuted_lists_are_the_unbalanced(goals):
+    for goal in goals:
+        for rule in _every_rule(goal.system):
+            if rule.name not in _SPLIT_RULES:
+                continue
+            every = apply_rule(goal, rule)
+            listed = list(_Matcher(goal, refute=True).run(rule))
+            assert listed == [p if balanced(p[0]) else None for p in every], \
+                (goal.key, str(rule))
+
+
+def test_refuted_lists_are_the_unbalanced_on_corpus_goals():
+    _assert_refuted_lists_are_the_unbalanced(
+        e.sequent for e in load_corpus_dir(CORPUS_DIR))
+
+
+@pytest.mark.parametrize("i", range(len(_UNIVERSES)), ids=_UNIVERSE_IDS)
+def test_refuted_lists_are_the_unbalanced_on_oracle_goals(i):
+    _assert_refuted_lists_are_the_unbalanced(random.Random(i).sample(_universe(i), 400))
+
+
+@pytest.mark.parametrize("system", [PCMILL, SRS], ids=str)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_refuted_lists_are_the_unbalanced_on_drawn_trees(system, data):
+    formulas = _every_formula(system)
+    ctx = data.draw(trees(formulas.map(leaf), max_leaves=6))
+    _assert_refuted_lists_are_the_unbalanced([sequent(ctx, data.draw(formulas), system)])
 
 
 # -- the subformula audit ------------------------------------------------------
