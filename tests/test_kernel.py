@@ -40,7 +40,15 @@ from proofmill.context import (
 )
 from proofmill.corpus import load_corpus_dir
 from proofmill.search import Proved, prove
-from proofmill.syntax import atom, parse_formula, parse_system, with_
+from proofmill.syntax import (
+    atom,
+    brings,
+    odot,
+    parse_formula,
+    parse_system,
+    tensor,
+    with_,
+)
 
 from closure import below, closure_premises, leaf_bag, normal_trees
 from gentrees import trees
@@ -396,6 +404,27 @@ def test_session_serves_one_system():
     assert check_proof(_node("p |- p", AX), session).ok
     with pytest.raises(ValueError, match="session"):
         check_proof(Proof(parse_sequent("p |- p", PCMILL), Rule(AX)), session)
+
+
+def test_ill_formed_sequents_are_reported_at_each_node():
+    # built with Sequent directly, so no parser keeps them out
+    pq = odot(p, q)
+    bad = Proof(Sequent(leaf(pq), pq, MILL), Rule(AX))
+    message = "ill-formed sequent: @ not available in MILL: (p @ q)"
+    assert check_proof(bad).violations == (((), message),)
+    rs = parse_system("RSBIAT:a")
+    bq = brings("b", p)
+    foreign = Proof(Sequent(leaf(bq), bq, rs), Rule(AX))
+    assert check_proof(foreign).violations == (
+        ((), "ill-formed sequent: agent 'b' not in alphabet ['a']: E[b](p)"),
+    )
+    pair = Proof(Sequent(par([leaf(pq), leaf(q)]), tensor(pq, q), MILL),
+                 Rule("TensorR"), (bad, Proof(Sequent(leaf(q), q, MILL), Rule(AX))))
+    session = CheckSession()
+    first = check_proof(pair, session)
+    assert first.violations == (((), message), ((0,), message))
+    # a check that fails records nothing: the same check reports both again
+    assert check_proof(pair, session) == first
 
 
 # -- import boundary -------------------------------------------------------------
