@@ -229,6 +229,25 @@ def test_agent_rules_only_in_rsbiat():
     assert not report.ok and "alphabet" in report.violations[0][1]
 
 
+def test_checker_names_each_node_kind_fault():
+    # a deduction read from JSON may hold any node: build them directly
+    ra = parse_system("RSBIAT:a")
+    ident = axiom_leaf(f("p -o p", ra), ra)
+    cases = [
+        (DeductionTree("BoxReRule", (), P, (ident, ident)),
+         "BoxReRule not available in RSBIAT"),
+        (DeductionTree("LimpRule", (), P, (ident, ident), "a"),
+         "LimpRule takes no agent"),
+        (DeductionTree("BringsReRule", (), P, (ident, ident)),
+         "BringsReRule needs an agent"),
+        (DeductionTree("NotNecRule", (), P, (ident,), "z"),
+         "agent 'z' not in alphabet ['a']"),
+    ]
+    for node, message in cases:
+        report = check_deduction(node, ra)
+        assert report.violations == (((), message),)
+
+
 def test_no_hilbert_system_for_tree_calculi():
     with pytest.raises(ValueError):
         check_deduction(assumption(P), PC)
