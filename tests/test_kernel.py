@@ -97,6 +97,14 @@ def test_entropy_le_basics():
     c = par([ser([leaf(p), leaf(q)]), leaf(r)])
     assert entropy_le(ser([leaf(r), leaf(p), leaf(q)]), c)
     assert not entropy_le(ser([leaf(p), leaf(r), leaf(q)]), c)
+    # same leaves, and the one precedence of c (a before b) holds in x,
+    # yet x is not below c: entropy keeps each parallel child of c (here
+    # a ; b) a block of x, and in x q precedes b but not a
+    a, b = atom("a"), atom("b")
+    c = par([ser([leaf(a), leaf(b)]), leaf(q)])
+    x = ser([par([leaf(a), leaf(q)]), leaf(b)])
+    assert not entropy_le(x, c)
+    assert x not in structural_preimages(c, 10**6)[0]
 
 
 # -- a reference checker built on the search's premise enumerator ---------------
