@@ -223,6 +223,19 @@ class TestProofFiles:
         assert code == 2
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize("system,agents,sequent,message", [
+        ("RSBIAT", ["a"], "E[b]p |- E[b]p", "agent 'b' not in alphabet ['a']: E[b](p)"),
+        ("MILL", [], "p @ q |- p @ q", "@ not available in MILL: (p @ q)"),
+    ])
+    def test_check_proof_outside_the_language_is_usage_error(
+            self, tmp_path, system, agents, sequent, message):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"system": system, "agents": agents, "proof": {
+            "sequent": sequent, "rule": "Ax"}}))
+        code, out, err = cli("check-proof", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: {message}\n"
+
     def test_cut_eliminate_already_cut_free(self, proof_path):
         code, out, _ = cli("cut-eliminate", str(proof_path))
         assert code == 0
