@@ -607,18 +607,16 @@ def _parse_item(p: _Parser, system: System) -> Context:
             return sub
     f = p.formula()
     # the item's own syntax errors come first, then its connectives
-    if p.bad:
-        validate_formula(f, system)
+    validate_formula(f, system)
     return leaf(f)
 
 
 def parse_sequent(text: str, system: System) -> Sequent:
-    p = _Parser(text, system)
+    p = _Parser(text)
     ctx = _parse_group(p, system, "|-")
     p.i += 1  # the group stops only at '|-'
     succ = p.formula()
     p.end()
-    if p.bad:
-        validate_formula(succ, system)
+    validate_formula(succ, system)
     # the parser builds normal forms and reads ';' only in tree systems
     return Sequent(ctx, succ, system)

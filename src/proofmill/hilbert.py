@@ -55,17 +55,16 @@ from .syntax import (
     Limp,
     System,
     SystemId,
-    SystemMismatchError,
     box,
     brings,
     formula_agents,
+    language_error,
     limp,
     operands,
     parse_formula,
     parse_system,
     print_formula,
     substitute,
-    validate_formula,
     with_,
 )
 
@@ -373,11 +372,9 @@ def check_deduction(d: DeductionTree, system: System) -> CheckReport:
 def _violation(node: DeductionTree, system: System) -> str | None:
     """Why ``node`` does not follow from its premises' claims, or None."""
     kind = _KINDS[node.rule]
-    try:
-        for f in (node.formula, *node.assumptions):
-            validate_formula(f, system)
-    except SystemMismatchError as e:
-        return str(e)
+    err = language_error((node.formula, *node.assumptions), system)
+    if err is not None:
+        return err
     if len(node.premises) != kind.arity:
         return (f"{node.rule} expects {kind.arity} premises, "
                 f"got {len(node.premises)}")

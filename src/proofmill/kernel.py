@@ -57,7 +57,6 @@ from .context import (
 )
 from .syntax import (
     BOT,
-    BinOp,
     Box,
     Brings,
     Formula,
@@ -71,8 +70,7 @@ from .syntax import (
     Unit,
     With,
     brings,
-    connective_error,
-    validate_formula,
+    language_error,
 )
 
 # ---------------------------------------------------------------------------
@@ -228,8 +226,8 @@ def fold_tree(root, children, build):
 
 
 class CheckSession:
-    """Nodes accepted by earlier ``check_proof`` calls, and the formulas
-    and sequents found well formed, for proofs of one system.
+    """Nodes accepted by earlier ``check_proof`` calls, for proofs of one
+    system.
 
     Only ``check_proof`` fills a session, and only from a check that
     passes: a check with violations records no node.  Nodes are held by
@@ -238,13 +236,11 @@ class CheckSession:
     and the system alone, so a recorded subtree needs no second look.
     """
 
-    __slots__ = ("_system", "_accepted", "_formulas", "_sequents")
+    __slots__ = ("_system", "_accepted")
 
     def __init__(self) -> None:
         self._system: System | None = None
         self._accepted: dict[int, Proof] = {}
-        self._formulas: set[Formula] = set()
-        self._sequents: set[str] = set()
 
 
 @dataclass(frozen=True)
@@ -537,39 +533,8 @@ def check_proof(p: Proof, session: CheckSession | None = None) -> CheckReport:
         session._system = system
     elif session._system != system:
         raise ValueError(f"session checks {session._system} proofs, not {system}")
-    # formulas and sequent keys found well formed, in this call or in
-    # the session; nodes visited in this call, by id
-    ok_formulas, ok_sequents = session._formulas, session._sequents
     accepted = session._accepted
-    visited: dict[int, Proof] = {}
-
-    def well_formed(f: Formula) -> bool:
-        todo, seen = [f], set()
-        while todo:
-            g = todo.pop()
-            if g in ok_formulas or g in seen:
-                continue
-            if connective_error(g, system) is not None:
-                return False
-            seen.add(g)
-            if isinstance(g, BinOp):
-                todo += (g.left, g.right)
-            elif isinstance(g, (Box, Brings)):
-                todo.append(g.body)
-        ok_formulas.update(seen)
-        return True
-
-    def ill_formed(s: Sequent) -> str | None:
-        if s.key in ok_sequents:
-            return None
-        for f in context_formulas(s.ctx) + [s.succ]:
-            if f not in ok_formulas and not well_formed(f):
-                try:
-                    validate_formula(f, system)
-                except ValueError as exc:
-                    return str(exc)
-        ok_sequents.add(s.key)
-        return None
+    visited: dict[int, Proof] = {}  # nodes visited in this call, by id
 
     stack: list[tuple[tuple[int, ...], Proof]] = [((), p)]
     while stack:
@@ -579,10 +544,11 @@ def check_proof(p: Proof, session: CheckSession | None = None) -> CheckReport:
         visited[id(node)] = node
         for i in reversed(range(len(node.premises))):
             stack.append((path + (i,), node.premises[i]))
-        if node.conclusion.system is not system and node.conclusion.system != system:
+        c = node.conclusion
+        if c.system is not system and c.system != system:
             violations.append((path, "mixed systems in one proof"))
             continue
-        err = ill_formed(node.conclusion)
+        err = language_error((*context_formulas(c.ctx), c.succ), system)
         if err is not None:
             violations.append((path, f"ill-formed sequent: {err}"))
             continue

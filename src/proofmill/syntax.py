@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import NoReturn
+from typing import Iterable, NoReturn
 
 
 class SystemId(Enum):
@@ -46,6 +46,7 @@ AGENT_SYSTEMS = (SystemId.RSBIAT, SystemId.SRSBIAT)
 SERIAL_SYSTEMS = TREE_SYSTEMS
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+")
+_NO_AGENTS: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -106,13 +107,18 @@ class Formula:
     ``print_formula`` form, kept once printed; ``charge`` sums the
     atoms' weights (``bot`` weighs 0), signed by polarity: ``[]A`` and
     ``E[a]A`` carry ``A``'s, and ``A & B`` its conjuncts' when they are
-    equal, else None.  ``bit``, one per class, marks the main connective."""
+    equal, else None.  ``bit``, one per class, marks the main connective;
+    ``uses`` is the OR of ``bit`` over the subformulas and ``agents`` the
+    set of agents that their ``E[a]`` name, so whether a formula lies in
+    a system's language is read off these two fields."""
 
-    __slots__ = ("key", "size", "text", "charge")
+    __slots__ = ("key", "size", "text", "charge", "uses", "agents")
     key: str
     size: int
     text: str | None
     charge: int | None
+    uses: int
+    agents: frozenset[str]
     bit: int
 
     def __repr__(self) -> str:
@@ -127,6 +133,7 @@ class Atom(Formula):
         self.name = name
         self.key = self.text = key
         self.size = 1
+        self.uses, self.agents = self.bit, _NO_AGENTS
         # the weight, whatever the hash seed: FNV-1a of the name, then the
         # splitmix64 finalizer, so names a byte apart get unrelated weights
         h = 0xCBF29CE484222325
@@ -145,6 +152,7 @@ class Unit(Formula):
     def __init__(self) -> None:
         self.key = self.text = "1"
         self.size = 1
+        self.uses, self.agents = self.bit, _NO_AGENTS
         self.charge = 0
 
 
@@ -160,6 +168,9 @@ class BinOp(Formula):
         self.key = key
         self.size = 1 + left.size + right.size
         self.text = None
+        self.uses = self.bit | left.uses | right.uses
+        a, b = left.agents, right.agents
+        self.agents = a if b <= a else b if a <= b else a | b
         s, l, r = self.signs, left.charge, right.charge
         if s is None:
             self.charge = l if l == r else None
@@ -220,6 +231,7 @@ class Box(Formula):
         self.key = key
         self.size = 1 + body.size
         self.text = None
+        self.uses, self.agents = self.bit | body.uses, body.agents
         self.charge = body.charge
 
 
@@ -233,6 +245,8 @@ class Brings(Formula):
         self.key = key
         self.size = 1 + body.size
         self.text = None
+        self.uses = self.bit | body.uses
+        self.agents = body.agents | {agent}
         self.charge = body.charge
 
 
@@ -376,6 +390,16 @@ class SystemMismatchError(ValueError):
     """A formula uses a connective outside the given system's language."""
 
 
+# the connectives outside each system's language, by ``bit``; agents
+# outside the alphabet are checked apart
+_OUTSIDE = {
+    ident: (0 if ident in BOX_SYSTEMS else Box.bit)
+    | (0 if ident in AGENT_SYSTEMS else Brings.bit)
+    | (0 if ident in SERIAL_SYSTEMS else Odot.bit | Lres.bit | Rres.bit)
+    for ident in SystemId
+}
+
+
 def connective_error(g: Formula, system: System) -> str | None:
     """Why the main connective of ``g`` lies outside ``system``'s
     language, or None when it does not."""
@@ -391,24 +415,30 @@ def connective_error(g: Formula, system: System) -> str | None:
     return None
 
 
+def language_error(formulas: Iterable[Formula], system: System) -> str | None:
+    """The ``connective_error`` of the first subformula, in left-to-right
+    preorder through ``formulas`` in turn, whose main connective lies
+    outside ``system``'s language, or None when there is none.  Whether
+    a formula holds such a subformula is read off its ``uses`` and
+    ``agents``, so the search follows one path down from the first
+    formula that holds one: formulas that fit cost one test each."""
+    outside, agents = _OUTSIDE[system.ident], system.agents
+    todo = formulas
+    while True:
+        todo = [g for g in todo
+                if g.uses & outside or g.agents and not g.agents.issubset(agents)]
+        if not todo:
+            return None
+        err = connective_error(todo[0], system)
+        if err is not None:
+            return err
+        todo = operands(todo[0])
+
+
 def validate_formula(f: Formula, system: System) -> None:
-    """Raise at the first subformula, in left-to-right preorder, whose
-    main connective lies outside ``system``'s language."""
-    seen: set[Formula] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in seen:
-            continue
-        seen.add(g)
-        if isinstance(g, (Box, Brings, Odot, Lres, Rres)):
-            err = connective_error(g, system)
-            if err is not None:
-                raise SystemMismatchError(err)
-        if isinstance(g, BinOp):
-            stack += (g.right, g.left)
-        elif isinstance(g, (Box, Brings)):
-            stack.append(g.body)
+    """Raise the ``language_error`` of ``f``, if it has one."""
+    if f.uses & _OUTSIDE[system.ident] or f.agents and not f.agents.issubset(system.agents):
+        raise SystemMismatchError(language_error((f,), system))
 
 
 # binding strength of each main connective; atoms and 1 bind tightest
@@ -525,25 +555,19 @@ _BINDS = {"-o": 0, "\\": 0, "/": 0, "&": 1, "*": 2, "@": 3}
 _PREFIX = 4
 _RIGHT = ("-o", "\\")
 _CONNECTIVE = {"&": With, "*": Tensor, "@": Odot, "-o": Limp, "\\": Lres, "/": Rres}
-# the connectives outside each system's language, agents aside
-_BANNED = {
-    ident: frozenset(([] if ident in BOX_SYSTEMS else ["[]"])
-                     + ([] if ident in SERIAL_SYSTEMS else ["@", "\\", "/"]))
-    for ident in SystemId
-}
 
 
 class _Parser:
     """One pass over the tokens of ``text``, shared by the formula and
     sequent grammars (the latter lives in context.py).  It builds each
-    formula bottom-up and sets ``bad`` when it builds a connective that
-    ``system`` lacks; the caller then runs ``validate_formula`` to name
-    the first such connective in preorder.  A token's position is worked
-    out only for an error."""
+    formula bottom-up over the whole language; whether a formula lies in
+    a system's language is the caller's question, answered by
+    ``validate_formula`` once the formula is built.  A token's position
+    is worked out only for an error."""
 
-    __slots__ = ("text", "toks", "i", "depth", "banned", "agents", "bad")
+    __slots__ = ("text", "toks", "i", "depth")
 
-    def __init__(self, text: str, system: System | None):
+    def __init__(self, text: str):
         stray = _STRAY_RE.search(text)
         if stray is not None:
             raise LexError(f"unexpected character {stray.group()!r}", text, stray.start())
@@ -551,9 +575,6 @@ class _Parser:
         # every token as a plain string, then the end-of-input sentinel
         self.toks = _TOKEN_RE.findall(text) + [""]
         self.i = self.depth = 0
-        self.bad = False
-        self.banned = frozenset() if system is None else _BANNED[system.ident]
-        self.agents = None if system is None else system.agents
 
     def pos(self, k: int) -> int:
         """Where token ``k`` starts in the text."""
@@ -612,8 +633,6 @@ class _Parser:
                         self.fail(i + 1, "']'")
                     i += 2
                     t = "[]"
-                    if t in self.banned:
-                        self.bad = True
                 elif t == "E":
                     t = toks[i + 2]
                     if t in _SYMBOLS:
@@ -621,8 +640,6 @@ class _Parser:
                     if toks[i + 3] != "]":
                         self.fail(i + 3, "']'")
                     i += 4
-                    if self.agents is not None and t not in self.agents:
-                        self.bad = True
                 else:
                     self.fail(i, "an atom", "'1'", "'('", "a prefix operator")
                 self.deeper(k)
@@ -649,16 +666,14 @@ class _Parser:
             if level < 0:
                 self.i = i
                 return f
-            if t in self.banned:
-                self.bad = True
             pending.append((t, level, f))
             i += 1
 
 
 def parse_formula(text: str, system: System | None = None) -> Formula:
-    p = _Parser(text, system)
+    p = _Parser(text)
     f = p.formula()
     p.end()
-    if p.bad:
-        validate_formula(f, system)  # type: ignore[arg-type]
+    if system is not None:
+        validate_formula(f, system)
     return f

@@ -27,12 +27,14 @@ from proofmill.syntax import (
     box,
     brings,
     complexity,
+    connective_error,
     formula_agents,
     formula_atoms,
     limp,
     lres,
     neg,
     odot,
+    operands,
     parse_formula,
     parse_system,
     print_formula,
@@ -326,6 +328,45 @@ def test_validate_serial_connectives():
 def test_parse_formula_with_system_validates():
     with pytest.raises(SystemMismatchError):
         parse_formula("p @ q", MILL)
+
+
+_WHOLE_LANGUAGE = st.recursive(
+    st.sampled_from([atom("p"), atom("q"), BOT, unit()]),
+    lambda kids: st.one_of(
+        *[st.builds(op, kids, kids) for op in (tensor, with_, limp, odot, lres, rres)],
+        st.builds(box, kids),
+        st.builds(brings, st.sampled_from(["a", "b"]), kids),
+    ),
+    max_leaves=12,
+)
+
+
+def _preorder(f):
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack += reversed(operands(g))
+
+
+@settings(max_examples=300)
+@given(_WHOLE_LANGUAGE)
+def test_language_membership_is_read_off_uses_and_agents(f):
+    subs = subformulas(f)
+    uses = 0
+    for g in subs:
+        uses |= g.bit
+    assert f.uses == uses
+    assert f.agents == {g.agent for g in subs if isinstance(g, Brings)}
+    for system in (MILL, PCMILL, parse_system("RSBIAT:a"), parse_system("SRSBIAT:a,b")):
+        # the first connective outside the language, in preorder
+        errors = [err for g in _preorder(f) if (err := connective_error(g, system))]
+        if errors:
+            with pytest.raises(SystemMismatchError) as exc:
+                validate_formula(f, system)
+            assert str(exc.value) == errors[0]
+        else:
+            validate_formula(f, system)
 
 
 # -- structure ----------------------------------------------------------------
