@@ -1,16 +1,20 @@
 """Stepwise cut elimination with reduction traces.
 
-``eliminate_cuts`` repeatedly rewrites a topmost cut (one whose
-premises are already cut-free, first in preorder) until no cut
-remains.  Each rewrite either reduces a principal pair, replacing the
-cut by cuts on strictly smaller formulas, or permutes the cut upward
-past a rule that does not touch the cut formula.  Candidate subtrees
-are built semantically and verified with the proof checker before
-being spliced in, so context bookkeeping mistakes cannot slip through.
-One ``CheckSession`` serves the whole elimination, so each candidate
-check covers only the nodes that no earlier check in it accepted, and
-the search for the next cut resumes where the last rewrite was spliced
-in rather than starting again from the root.
+``eliminate_cuts`` is one postorder fold over the distinct nodes of a
+proof: a node's premises reach normal form first, and a cut over
+normal premises goes to ``reduce_once(cut, session=None)``, which
+rewrites the cut at the root of its argument; the reduct is then
+folded in turn.  Each rewrite either reduces a principal pair,
+replacing the cut by cuts on strictly smaller formulas, or permutes
+the cut upward past a rule that does not touch the cut formula.
+Candidate subtrees are built semantically and verified with the proof
+checker before one is taken, so context bookkeeping mistakes cannot
+slip through.  Normal forms are memoised by node identity, and cuts by
+their normal premises and conclusion, so a shared subproof is reduced
+once, its normal form stays shared, and the trace lists its reduction
+once, at the first path where the fold reaches it.  One
+``CheckSession`` serves the whole elimination, so each candidate check
+covers only the nodes that no earlier check in it accepted.
 
 The agent systems admit five principal pairs with no reduction: a
 ``NotNec`` or ``BringsRe`` step consuming a formula that the producer
@@ -147,23 +151,6 @@ class ReductionTrace:
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def _spine(p: Proof, path: tuple[int, ...]) -> list[Proof]:
-    """The nodes from ``p`` down to the one at ``path``, both included."""
-    nodes = [p]
-    for i in path:
-        nodes.append(nodes[-1].premises[i])
-    return nodes
-
-
-def _splice(p: Proof, path: tuple[int, ...], new: Proof) -> Proof:
-    """``p`` with ``new`` in place of the node at ``path``."""
-    for node, i in zip(reversed(_spine(p, path[:-1])), reversed(path)):
-        prems = list(node.premises)
-        prems[i] = new
-        new = Proof(node.conclusion, node.rule, tuple(prems))
-    return new
 
 
 def _cut(consumer: Proof, producer: Proof, ctx: Context) -> Proof:
@@ -338,66 +325,21 @@ def _early_first(sources) -> Iterator[tuple[str, Proof]]:
 # the reduction driver
 
 
-def _topmost_cut(p: Proof, at: tuple[int, ...] = ()) -> tuple[int, ...] | None:
-    """The path of the first cut in postorder, below ``at`` when ``p`` is
-    the node at ``at``.  Its premises are cut-free, and since cuts with
-    cut-free premises never nest, it is also the first such cut in
-    preorder."""
-    stack: list[tuple[tuple[int, ...], Proof, bool]] = [(at, p, False)]
-    while stack:
-        path, node, done = stack.pop()
-        if done:
-            if node.rule.name == CUT:
-                return path
-            continue
-        stack.append((path, node, True))
-        for i in reversed(range(len(node.premises))):
-            stack.append((path + (i,), node.premises[i], False))
-    return None
-
-
-def _next_cut(p: Proof, path: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The first cut in postorder of ``p``, just rewritten at ``path``
-    where the first cut was.  What precedes ``path`` in postorder was
-    cut-free and is unchanged, so the search starts in the new subtree
-    at ``path``, then takes each ancestor's later premises and the
-    ancestor itself, going up."""
-    spine = _spine(p, path)
-    found = _topmost_cut(spine[-1], path)
-    for k in range(len(path) - 1, -1, -1):
-        if found is not None:
-            return found
-        parent = spine[k]
-        for i in range(path[k] + 1, len(parent.premises)):
-            found = _topmost_cut(parent.premises[i], path[:k] + (i,))
-            if found is not None:
-                return found
-        if parent.rule.name == CUT:
-            return path[:k]
-    return found
-
-
 def reduce_once(
-    p: Proof,
-    path: tuple[int, ...] | None = None,
-    session: CheckSession | None = None,
+    cut: Proof, session: CheckSession | None = None
 ) -> tuple[Proof, ReductionStep]:
-    """Rewrite one topmost cut (or the cut at ``path``) and return the
-    new proof together with the step taken.
+    """Rewrite the cut at the root of ``cut``, whose premises are
+    cut-free, and return its reduct together with the step taken (at
+    path ``()``).
 
     ``eliminate_cuts`` passes its ``session``: candidates are checked in
-    it, and the cut at ``path`` is taken to be topmost, as its next-cut
-    search makes it, without counting the cuts above it."""
-    if path is None:
-        path = _topmost_cut(p)
-        if path is None:
-            raise ValueError("proof is cut-free")
-    node = _spine(p, path)[-1]
-    if node.rule.name != CUT:
-        raise ValueError(f"no cut at {path}")
-    if session is None and cut_count(node) != 1:
-        raise ValueError(f"cut at {path} has cuts above it")
-    consumer, producer = node.premises
+    it, and the premises are taken to be cut-free, as its fold makes
+    them, without counting their cuts."""
+    if cut.rule.name != CUT:
+        raise ValueError("no cut at the root")
+    if session is None and cut_count(cut) != 1:
+        raise ValueError("the cut has cuts above it")
+    consumer, producer = cut.premises
     a = producer.conclusion.succ
 
     if consumer.rule.name == AX:
@@ -409,41 +351,40 @@ def reduce_once(
         # it, falling back to the consumer side (needed when the producer
         # ends in NotNec, whose premise loses the cut formula)
         sources = [
-            ("permutation", _permute_into_producer(node)),
-            ("permutation", _permute_into_consumer(node)),
+            ("permutation", _permute_into_producer(cut)),
+            ("permutation", _permute_into_consumer(cut)),
         ]
     else:
         pair = (consumer.rule.name, producer.rule.name)
         if pair in DEFECTIVE_PAIRS:
             raise CutEliminationError(
-                "irreducible principal pair",
-                pair=pair,
-                formula=a,
-                path=path,
+                "irreducible principal pair", pair=pair, formula=a, path=()
             )
         sources = [
-            ("principal", _principal_candidates(node)),
-            ("permutation", _permute_into_consumer(node)),
+            ("principal", _principal_candidates(cut)),
+            ("permutation", _permute_into_consumer(cut)),
         ]
 
     # every occurrence of the cut formula is tried, but the candidates
     # at the first one (the first four, into the consumer) come first
     for kind, cand in _early_first(sources):
-        closed = _close_ctx(cand, node.conclusion)
+        closed = _close_ctx(cand, cut.conclusion)
         if closed is None:
             continue
         if check_proof(closed, session).ok:
-            return _splice(p, path, closed), ReductionStep(kind, a, path)
+            return closed, ReductionStep(kind, a, ())
     raise CutEliminationError(
         "no verified reduction applies",
         pair=(consumer.rule.name, producer.rule.name),
         formula=a,
-        path=path,
+        path=(),
     )
 
 
 def eliminate_cuts(p: Proof) -> tuple[Proof, ReductionTrace]:
-    """Drive ``reduce_once`` to a cut-free proof of the same sequent.
+    """A cut-free proof of the same sequent and its trace, by the fold
+    described in the module docstring.  A node is rebuilt only when the
+    normal form of a premise is another object.
 
     One check session lives for the call: the input is checked in it,
     and so is every candidate, so a node is checked at most once."""
@@ -452,14 +393,56 @@ def eliminate_cuts(p: Proof) -> tuple[Proof, ReductionTrace]:
     if not report.ok:
         raise ValueError(f"input proof does not check: {report.violations[:3]}")
     steps: list[ReductionStep] = []
-    current = p
-    path = _topmost_cut(current)
-    while path is not None:
-        if len(steps) >= STEP_CAP:
-            raise CutEliminationError(
-                f"no normal form within {STEP_CAP} steps", path=path
-            )
-        current, step = reduce_once(current, path, session)
-        steps.append(step)
-        path = _next_cut(current, path)
-    return current, ReductionTrace(tuple(steps), current)
+    # id(node) -> its normal form, and (id(consumer), id(producer),
+    # conclusion) of a cut over normal premises -> the cut's reduct.
+    # Every node keyed by id stays alive while they do: an input node
+    # is held by ``p``, a node of a reduct by ``reducts``, and a normal
+    # form by ``normal``, so no id is reused
+    normal: dict[int, Proof] = {}
+    reducts: dict[tuple[int, int, Sequent], Proof] = {}
+    todo: list[tuple[Proof, tuple[int, ...], bool]] = [(p, (), False)]
+    while todo:
+        node, path, ready = todo.pop()
+        prems = node.premises
+        if not ready:
+            if id(node) in normal:
+                continue
+            if not prems:
+                normal[id(node)] = node
+                continue
+            todo.append((node, path, True))
+            for i in range(len(prems) - 1, -1, -1):
+                todo.append((prems[i], path + (i,), False))
+            continue
+        out = node
+        for q in prems:
+            if normal[id(q)] is not q:
+                new = tuple([normal[id(q)] for q in prems])
+                out = Proof(node.conclusion, node.rule, new)
+                break
+        if node.rule.name == CUT:
+            consumer, producer = out.premises
+            key = (id(consumer), id(producer), node.conclusion)
+            reduct = reducts.get(key)
+            if reduct is None:
+                if len(steps) >= STEP_CAP:
+                    raise CutEliminationError(
+                        f"no normal form within {STEP_CAP} steps", path=path
+                    )
+                try:
+                    reduct, step = reduce_once(out, session)
+                except CutEliminationError as exc:
+                    exc.path = path
+                    raise
+                steps.append(ReductionStep(step.kind, step.formula, path))
+                reducts[key] = reduct
+                # the cut again, once its reduct is folded
+                todo.append((node, path, True))
+                todo.append((reduct, path, False))
+                continue
+            out = normal[id(reduct)]
+        elif out is not node:
+            normal[id(out)] = out
+        normal[id(node)] = out
+    final = normal[id(p)]
+    return final, ReductionTrace(tuple(steps), final)

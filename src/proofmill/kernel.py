@@ -18,8 +18,8 @@ premise enumerator that proof search uses.
 proof whose subtrees are shared (search reuses the proof of a sequent
 it met before) costs its distinct nodes, not its tree size.  A
 ``CheckSession`` carries that across calls over proofs that share
-subtrees (cut elimination splices each checked candidate into the
-proof and reuses its cut-free parts in the next one): a check that
+subtrees (cut elimination builds each candidate from checked parts of
+the proof and reuses them in the next one): a check that
 passes records every node it visited, and a later check in the same
 session skips any subtree so recorded.
 

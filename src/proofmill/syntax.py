@@ -441,17 +441,24 @@ def validate_formula(f: Formula, system: System) -> None:
         raise SystemMismatchError(language_error((f,), system))
 
 
-# binding strength of each main connective; atoms and 1 bind tightest
-_LEVEL: dict[type, int] = {
-    Limp: 0, Lres: 0, Rres: 0, With: 1, Tensor: 2, Odot: 3, Box: 4, Brings: 4,
-}
+# binding strength of each connective: the implications loosest, the
+# prefixes tightest; -o and \ associate right, the others left
+_BINDS = {"-o": 0, "\\": 0, "/": 0, "&": 1, "*": 2, "@": 3}
+_PREFIX = 4
+_RIGHT = ("-o", "\\")
+_CONNECTIVE = {"&": With, "*": Tensor, "@": Odot, "-o": Limp, "\\": Lres, "/": Rres}
+# the same strength by formula class, for the printer; atoms and 1 bind
+# tighter than any connective
+_LEVEL: dict[type, int] = {cls: _BINDS[op] for op, cls in _CONNECTIVE.items()}
+_LEVEL[Box] = _LEVEL[Brings] = _PREFIX
+_ATOMIC = _PREFIX + 1
 
 
 def _operand(g: BinOp, side: Formula, nests: bool) -> str:
     """The text of ``side`` as an operand of ``g``: bracketed unless it
     binds tighter, or is of ``g``'s own kind on the side where ``g``
     nests without brackets."""
-    inner, outer = _LEVEL.get(type(side), 5), _LEVEL[type(g)]
+    inner, outer = _LEVEL.get(type(side), _ATOMIC), _LEVEL[type(g)]
     if inner > outer or inner == outer and nests and type(side) is type(g):
         return side.text  # type: ignore[return-value]
     return f"({side.text})"
@@ -471,11 +478,11 @@ def print_formula(f: Formula) -> str:
         if g.text is not None:
             continue
         if isinstance(g, BinOp):
-            # -o and \ nest to the right, the others to the left
-            right = isinstance(g, (Limp, Lres))
+            right = g.op in _RIGHT
             g.text = f"{_operand(g, g.left, not right)} {g.op} {_operand(g, g.right, right)}"
         else:
-            body = g.body.text if _LEVEL.get(type(g.body), 5) >= 4 else f"({g.body.text})"
+            tight = _LEVEL.get(type(g.body), _ATOMIC) >= _PREFIX
+            body = g.body.text if tight else f"({g.body.text})"
             g.text = ("[]" if isinstance(g, Box) else f"E[{g.agent}]") + body
     return f.text  # type: ignore[return-value]
 
@@ -548,13 +555,6 @@ def mentioned_agents(text: str) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # Parser
-
-# binding strength of each connective: the implications loosest, the
-# prefixes tightest; -o and \ associate right, the others left
-_BINDS = {"-o": 0, "\\": 0, "/": 0, "&": 1, "*": 2, "@": 3}
-_PREFIX = 4
-_RIGHT = ("-o", "\\")
-_CONNECTIVE = {"&": With, "*": Tensor, "@": Odot, "-o": Limp, "\\": Lres, "/": Rres}
 
 
 class _Parser:

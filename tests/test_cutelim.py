@@ -18,7 +18,7 @@ from proofmill.calculus import (
     proof_nodes,
     proof_size,
 )
-from proofmill.context import EMPTY, mset, parse_sequent, sequent
+from proofmill.context import EMPTY, leaf, mset, parse_sequent, sequent
 from proofmill.cutelim import (
     DEFECTIVE_PAIRS,
     CutEliminationError,
@@ -35,7 +35,7 @@ from proofmill.hilbert import (
     schema,
 )
 from proofmill.search import Exhausted, Proved, prove
-from proofmill.syntax import atom, limp, parse_formula, parse_system, with_
+from proofmill.syntax import atom, limp, parse_formula, parse_system, unit, with_
 
 MILL = parse_system("MILL")
 PCMILL = parse_system("PCMILL")
@@ -54,24 +54,66 @@ def proved(text, sys):
     return r.proof
 
 
+def topmost_cut(p):
+    """The path of the first cut in postorder: its premises are cut-free."""
+    stack = [((), p, False)]
+    while stack:
+        path, node, done = stack.pop()
+        if done:
+            if node.rule.name == "Cut":
+                return path
+            continue
+        stack.append((path, node, True))
+        for i in reversed(range(len(node.premises))):
+            stack.append((path + (i,), node.premises[i], False))
+    return None
+
+
+def splice(p, path, new):
+    """``p`` with ``new`` in place of the node at ``path``."""
+    spine = [p]
+    for i in path[:-1]:
+        spine.append(spine[-1].premises[i])
+    for node, i in zip(reversed(spine), reversed(path)):
+        prems = list(node.premises)
+        prems[i] = new
+        new = Proof(node.conclusion, node.rule, tuple(prems))
+    return new
+
+
 def reference_eliminate(p):
-    """The reference for ``eliminate_cuts``: sessionless ``reduce_once`` from the root,
-    which finds the topmost cut by a full scan and recounts the cuts
-    above it, until no cut remains."""
-    steps, current = [], p
-    while cut_count(current):
-        current, step = reduce_once(current)
-        steps.append(step)
-    return current, tuple(steps)
+    """The reference for ``eliminate_cuts``: sessionless ``reduce_once``
+    on the topmost cut, found by a full scan of the tree and spliced in
+    by path, until no cut remains.  Returns the normal form, the steps
+    and the cuts reduced."""
+    steps, cuts, current = [], [], p
+    while (path := topmost_cut(current)) is not None:
+        cut = current
+        for i in path:
+            cut = cut.premises[i]
+        try:
+            reduct, step = reduce_once(cut)
+        except CutEliminationError as exc:
+            exc.path = path
+            raise
+        steps.append(ReductionStep(step.kind, step.formula, path))
+        cuts.append(cut)
+        current = splice(current, path, reduct)
+    return current, tuple(steps), cuts
 
 
 def assert_matches_reference(p):
-    """``eliminate_cuts`` takes the reference loop's steps (kind, cut
-    formula, path) and reaches an equal proof."""
+    """``eliminate_cuts`` reaches the reference loop's normal form.  Its
+    steps (kind, cut formula, path) are the reference's in order, less
+    reductions that repeat an equal cut (those its memo shares), and
+    all of them when no cut repeats."""
     final, trace = eliminate_cuts(p)
-    ref_final, ref_steps = reference_eliminate(p)
-    assert trace.steps == ref_steps
+    ref_final, ref_steps, ref_cuts = reference_eliminate(p)
     assert final == ref_final
+    ref = iter(ref_steps)
+    assert all(step in ref for step in trace.steps)
+    if len(set(ref_cuts)) == len(ref_cuts):
+        assert trace.steps == ref_steps
     return final, trace
 
 
@@ -413,9 +455,8 @@ def test_stacked_cuts_reduce_topmost_first():
     assert check_proof(cut).ok
     assert cut_count(cut) == 2
     # first reduction must target the inner (topmost) cut
-    _, step = reduce_once(cut)
-    assert step.path == (1,)
-    assert_eliminated(cut)
+    _, trace = assert_eliminated(cut)
+    assert trace.steps[0].path == (1,)
 
 
 # -- every occurrence of the cut formula is tried --------------------------------
@@ -576,8 +617,8 @@ def test_reduce_once_needs_a_cut():
 
 def test_reduce_once_rejects_a_cut_with_a_cut_above_it():
     cut = _stacked_cut()
-    with pytest.raises(ValueError, match=r"cut at \(\) has cuts above it"):
-        reduce_once(cut, ())
+    with pytest.raises(ValueError, match="has cuts above it"):
+        reduce_once(cut)
 
 
 def test_cut_free_input_round_trips():
@@ -681,6 +722,62 @@ def test_proof_counts_match_a_tree_walk_on_composed_proofs():
     proofs += [Proof(p.conclusion, Rule("Cut"), (p, p)) for p in proofs]
     for p in proofs:
         assert (proof_size(p), cut_count(p), cutrank(p)) == tree_counts(p)
+
+
+# -- shared proofs stay shared -------------------------------------------------------
+
+
+def distinct_nodes(p):
+    """The number of distinct node objects in ``p``."""
+    seen, todo = {}, [p]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            todo += node.premises
+    return len(seen)
+
+
+def _ladder(k):
+    """X0 = p -o p, X(k+1) = Xk & Xk, and Yk the same over 1 -o (p -o p):
+    search's proof of |- Xk cut into its proof of Xk |- Yk."""
+    x = limp(atom("p"), atom("p"))
+    y = limp(unit(), x)
+    for _ in range(k):
+        x, y = with_(x, x), with_(y, y)
+    producer = prove(sequent(EMPTY, x, MILL)).proof
+    consumer = prove(sequent(leaf(x), y, MILL)).proof
+    return Proof(sequent(EMPTY, y, MILL), Rule("Cut"), (consumer, producer))
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_ladder_matches_reference(k):
+    assert_eliminated(_ladder(k))
+
+
+@pytest.mark.parametrize("k", [10, 16])
+def test_ladder_reduces_each_distinct_cut_once(k):
+    # the reference unshares: 17,407 steps at k = 10
+    cut = _ladder(k)
+    final, trace = eliminate_cuts(cut)
+    assert len(trace) == 2 * k + 6
+    assert distinct_nodes(final) == k + 4
+    assert proof_size(final) == 5 * 2 ** k - 1
+    assert cut_count(final) == 0 and check_proof(final).ok
+    assert final.conclusion == cut.conclusion
+
+
+def test_a_shared_cut_is_reduced_once():
+    # two OneL parents share one subproof that holds an Ax/Ax cut
+    ax_p = ax("p |- p", MILL)
+    cut = Proof(ax_p.conclusion, Rule("Cut"), (ax_p, ax_p))
+    above = parse_sequent("p, 1 |- p", MILL)
+    parents = (Proof(above, Rule("OneL"), (cut,)), Proof(above, Rule("OneL"), (cut,)))
+    root = Proof(parse_sequent("p, 1 |- p & p", MILL), Rule("WithR"), parents)
+    final, trace = assert_eliminated(root)
+    assert trace.steps == (ReductionStep("principal", atom("p"), (0, 0)),)
+    assert len(reference_eliminate(root)[1]) == 2
+    assert final.premises[0].premises[0] is final.premises[1].premises[0]
 
 
 # -- deep proofs ------------------------------------------------------------------
