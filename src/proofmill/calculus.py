@@ -92,6 +92,7 @@ from .syntax import (
     Unit,
     With,
     brings,
+    charges_meet,
 )
 
 def _tally(p: Proof) -> tuple[int, int, int]:
@@ -209,7 +210,8 @@ class _Matcher:
     shapes that the rules building ``;`` list (``split_serial`` and
     ``_arg_groups``).  With ``refute``, the rules that split the goal
     (``TensorR``, ``LimpL``, ``OdotR`` and their ``E[a]`` forms) list a
-    premise list whose first premise cannot balance as None, unbuilt."""
+    premise list whose first premise cannot balance as None, unbuilt
+    where ``split_parallel`` sums its left part's charge unbuilt."""
 
     __slots__ = ("ctx", "system", "succ", "refute", "_leaves")
 
@@ -244,16 +246,12 @@ class _Matcher:
 
     def run(self, rule: Rule) -> Iterator[list[Sequent] | None]:
         """The premise lists of ``rule``, as they are found, each once;
-        None for each one refuted by charge."""
-        seen: set[tuple[str, ...]] = set()
-        for premises in _DISPATCH[rule.name][0](self, rule):
-            if premises is None:
-                yield None
-                continue
-            key = tuple([s.key for s in premises])
-            if key not in seen:
-                seen.add(key)
-                yield premises
+        None for each one refuted by charge.  Only ``OneL``, which can
+        empty two serial positions into one tree, and the residual left
+        rules, whose argument groups can coincide, find a list twice, so
+        only theirs pass the duplicate filter."""
+        lists = _DISPATCH[rule.name][0](self, rule)
+        return _once(lists) if rule.name in _REPEATING else lists
 
     # -- leaves ------------------------------------------------------------
 
@@ -351,7 +349,7 @@ class _Matcher:
                 continue
             want = f.left.charge if self.refute else None
             # the implication alone, with an empty argument group
-            yield None if want not in (None, 0) else [
+            yield None if not charges_meet(want, 0) else [
                 Sequent(EMPTY, f.left, sys), Sequent(fill(ctx, path, leaf(f.right)), succ, sys)]
             if len(path) == 0:
                 continue
@@ -464,6 +462,20 @@ _DISPATCH = {
     BRINGS_WITH: (_Matcher._brings_with, SUCC, Brings),
     NOT_NEC: (_Matcher._not_nec, LEAF, Brings),
 }
+
+
+# the rules whose enumerators can list one premise list twice
+_REPEATING = (ONE_L, LRES_L, RRES_L)
+
+
+def _once(lists: Iterator[list[Sequent]]) -> Iterator[list[Sequent]]:
+    """``lists`` without repeats, in order."""
+    seen: set[tuple[str, ...]] = set()
+    for premises in lists:
+        key = tuple([s.key for s in premises])
+        if key not in seen:
+            seen.add(key)
+            yield premises
 
 
 def apply_rule(goal: Sequent, rule: Rule) -> list[list[Sequent]]:

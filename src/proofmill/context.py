@@ -36,10 +36,13 @@ from operator import attrgetter
 from typing import Iterable
 
 from .syntax import (
+    Charge,
     Formula,
     ParseError,
     System,
     _Parser,
+    charges_meet,
+    combine_charges,
     print_formula,
     validate_formula,
     tensor,
@@ -201,12 +204,19 @@ def context_formulas(c: Context) -> list[Formula]:
     return list(got)
 
 
-def context_charge(c: Context) -> int | None:
-    """The charges of the leaf formulas summed, None when one has none."""
+def context_charge(c: Context) -> Charge:
+    """The charges of the leaf formulas summed, elementwise where one is
+    a value set; None when one has none or the sum passes the cap."""
     got = c._charge
     if got is _UNSET:
         kids = [context_charge(ch) for ch in c.children]  # type: ignore[attr-defined]
-        got = c._charge = None if None in kids else sum(kids)  # type: ignore[arg-type]
+        try:
+            got = sum(kids)  # type: ignore[arg-type]
+        except TypeError:  # a kid with no charge or a value set
+            got = kids[0]
+            for kid in kids[1:]:
+                got = combine_charges(got, kid, (1, 1))
+        c._charge = got
     return got  # type: ignore[return-value]
 
 
@@ -254,13 +264,15 @@ def fill(c: Context, path: Path, replacement: Context) -> Context:
     return par(kids) if isinstance(c, Par) else ser(kids)
 
 
-def _refuting(pairs: list, want: int | None) -> list:
-    """``pairs``, with None for each whose left part has a charge but not ``want``."""
+def _refuting(pairs: list, want: Charge) -> list:
+    """``pairs``, with None for each whose left part's charge cannot
+    meet ``want``; a None in ``pairs`` stays."""
     return pairs if want is None else [
-        p if context_charge(p[0]) in (None, want) else None for p in pairs]
+        p if p is not None and charges_meet(context_charge(p[0]), want) else None
+        for p in pairs]
 
 
-def split_parallel(c: Context, want: int | None = None) -> list[tuple[Context, Context] | None]:
+def split_parallel(c: Context, want: Charge = None) -> list[tuple[Context, Context] | None]:
     """Every two-part split of the top-level parallel structure, as
     ordered pairs.  A Par root splits by any subset of its children
     (a multiset by any sub-multiset); other roots admit only the
@@ -269,24 +281,30 @@ def split_parallel(c: Context, want: int | None = None) -> list[tuple[Context, C
     Bit ``i`` of a split's mask puts child ``i`` on the left.  Equal
     children of a Par are one object and adjacent, so a mask taking a
     later copy without the earlier one is skipped: each split is listed
-    once, at its least mask.  A split whose left part's charge, summed
-    from the children's before anything is built, is known and not the
-    ``want``ed one is listed as None."""
+    once, at its least mask.  A split whose left part's charge cannot
+    meet the ``want``ed one is listed as None: unbuilt when its children
+    all have one value, their sum read off a table of the masks; built
+    and then tested when one has no charge or a value set."""
     if not isinstance(c, Par):
         return _refuting([(EMPTY, c)] if c is EMPTY else [(EMPTY, c), (c, EMPTY)], want)
     kids, n = c.children, len(c.children)
     dup = sum(1 << i for i in range(1, n) if kids[i] is kids[i - 1])
-    sums, untold = [0], 0  # untold: the children with no charge
+    sums, untold = [0], 0  # untold: the children whose charge is no one value
     for i, charge in enumerate(map(context_charge, kids) if want is not None else ()):
-        untold |= (charge is None) << i
-        sums += [s + (charge or 0) for s in sums]
-    return [None if want is not None and not mask & untold and sums[mask] != want else
-            (_sorted_par([kids[i] for i in range(n) if mask >> i & 1]),
-             _sorted_par([kids[i] for i in range(n) if not mask >> i & 1]))
-            for mask in range(1 << n) if not mask & dup & ~(mask << 1)]
+        if charge.__class__ is not int:
+            untold |= 1 << i
+            charge = 0
+        sums += [s + charge for s in sums]
+    # != on charges is the negated meet test, a value set's too
+    out = [None if want is not None and not mask & untold and sums[mask] != want else
+           (_sorted_par([kids[i] for i in range(n) if mask >> i & 1]),
+            _sorted_par([kids[i] for i in range(n) if not mask >> i & 1]))
+           for mask in range(1 << n) if not mask & dup & ~(mask << 1)]
+    # a left part holding an untold child is tested once built
+    return _refuting(out, want) if untold else out
 
 
-def split_serial(c: Context, want: int | None = None) -> list[tuple[Context, Context] | None]:
+def split_serial(c: Context, want: Charge = None) -> list[tuple[Context, Context] | None]:
     """The maximal serial cuts of ``c``: every pair (L, R) such that
     ``L ; R`` lies below ``c`` by entropy is below one listed pair,
     componentwise, and every listed ``L ; R`` lies below ``c``.
@@ -434,23 +452,28 @@ def entropy_le(x: Context, c: Context) -> bool:
         taken lowest index first so each choice is listed once."""
         kids = c.children
         out: list[tuple] = []
+        # rest[k]: the leaves of the children idx[k:], so that a branch
+        # needing more leaves than are still to come stops at once
+        rest = [0] * (len(idx) + 1)
+        for k in range(len(idx) - 1, -1, -1):
+            rest[k] = rest[k + 1] + size(kids[idx[k]])
 
-        def go(k: int, chosen: tuple, left: Counter) -> None:
-            if not left:
+        def go(k: int, chosen: tuple, left: Counter, need: int) -> None:
+            if not need:
                 out.append(chosen)
                 return
-            if k == len(idx):
+            if rest[k] < need:
                 return
             i = idx[k]
             b = bag(kids[i])
             if all(left[f] >= n for f, n in b.items()):
-                go(k + 1, chosen + (i,), left - b)
+                go(k + 1, chosen + (i,), left - b, need - size(kids[i]))
             k += 1
             while k < len(idx) and kids[idx[k]] == kids[i]:
                 k += 1
-            go(k, chosen, left)
+            go(k, chosen, left, need)
 
-        go(0, (), target)
+        go(0, (), target, sum(target.values()))
         return out
 
     def arranged(xs: tuple, c: Par, idx: tuple) -> bool:

@@ -16,16 +16,19 @@ that proves.  Only the rules whose principal connective
 succedent's class and the OR of the leaves' ``Formula.bit``: a skipped
 rule would list nothing, so no proof and no count changes.
 
-A formula has a signed atom charge (``Formula.charge``) unless it holds
-an ``&`` whose conjuncts' charges differ; ``[]`` and ``E[a]`` pass it
-through and ``bot`` weighs 0.  Every rule keeps antecedent and succedent
-charge equal where both have one, so by the subformula property a
+A formula has a signed atom charge (``Formula.charge``): one value, or
+a set of up to ``CHARGE_CAP`` values where it holds an ``&`` whose
+conjuncts' charges differ (one per reading of each ``&`` as a
+conjunct), or none past the cap; ``[]`` and ``E[a]`` pass it through
+and ``bot`` weighs 0.  Every rule keeps a value shared by antecedent
+and succedent where both have a charge, so by the subformula property a
 provable sequent balances (van Benthem's count invariant), and the root
-and each premise that ``balanced`` rejects is refuted unexpanded
-(``p & q |- p`` has no root charge; ``NotNec`` needs ``bot`` at 0).
-A split whose first premise cannot balance is refuted before it is
-built (``_Matcher`` lists it as None) and counts in ``pruned`` as the
-built premise would have, so every count is as if it were built.
+and each premise that ``balanced`` rejects (``charges_meet``) is
+refuted unexpanded (``p & q |- p * q`` at the root; ``NotNec`` needs
+``bot`` at 0).  ``_Matcher`` lists a split whose first premise cannot
+balance as None, unbuilt where the children of its left part each have
+one value, and it counts in ``pruned`` as the built premise would have,
+so every count is as if it were built.
 
 Every searched rule strictly decreases the premise total complexity,
 so the stack of open goals that the search loop keeps is never deeper
@@ -73,7 +76,7 @@ from .calculus import (
     _Matcher,
 )
 from .context import Sequent, context_charge, context_formulas
-from .syntax import Formula, System, subformulas
+from .syntax import Formula, System, charges_meet, subformulas
 
 INVERTIBLE_RULES: tuple[str, ...] = (
     TENSOR_L,
@@ -231,9 +234,10 @@ class _Engine:
 
 
 def balanced(seq: Sequent) -> bool:
-    """False only when both sides of ``seq`` have charges and they differ."""
+    """False only when both sides of ``seq`` have charges and they share
+    no value (``charges_meet``)."""
     succ = seq.succ.charge
-    return succ is None or context_charge(seq.ctx) in (None, succ)
+    return succ is None or charges_meet(context_charge(seq.ctx), succ)
 
 
 def prove_with_stats(goal: Sequent) -> tuple[SearchResult, SearchStats]:

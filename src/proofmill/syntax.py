@@ -97,6 +97,78 @@ def parse_system(text: str) -> System:
 
 
 # ---------------------------------------------------------------------------
+# Charges
+
+# the most values a charge holds; a formula or context with more has none
+CHARGE_CAP = 16
+
+
+class ChargeSet:
+    """A charge of two to ``CHARGE_CAP`` ``values``, ascending, any one
+    of which the formula may take (one per conjunct it keeps at each
+    ``&``).  ``==`` asks whether two charges share a value, with an
+    ``int`` read as the set of itself, so it is no equivalence and a
+    ``ChargeSet`` is never hashed.  ``_charge_set`` interns them: one
+    object per value set, whose tuple is its key in ``_CHARGE_SETS``."""
+
+    __slots__ = ("values",)
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, values: tuple[int, ...]):
+        self.values = values
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is int:
+            return other in self.values
+        if other.__class__ is ChargeSet:
+            return not set(self.values).isdisjoint(other.values)  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __repr__(self) -> str:
+        return f"ChargeSet{self.values}"
+
+
+Charge = int | ChargeSet | None
+_CHARGE_SETS: dict[tuple[int, ...], ChargeSet] = {}
+
+
+def _charge_set(values: set[int]) -> Charge:
+    """The charge whose values are ``values``: the value itself when
+    there is one, None past ``CHARGE_CAP``, else the interned set."""
+    if len(values) == 1:
+        return next(iter(values))
+    if len(values) > CHARGE_CAP:
+        return None
+    key = tuple(sorted(values))
+    got = _CHARGE_SETS.get(key)
+    if got is None:
+        got = _CHARGE_SETS[key] = ChargeSet(key)
+    return got
+
+
+def combine_charges(l: Charge, r: Charge, signs: tuple[int, int] | None) -> Charge:
+    """The union of ``l`` and ``r`` (``signs`` None, for ``&``), or their
+    elementwise signed sum; None when either has none."""
+    if l is None or r is None:
+        return None
+    ls = (l,) if l.__class__ is int else l.values  # type: ignore[union-attr]
+    rs = (r,) if r.__class__ is int else r.values  # type: ignore[union-attr]
+    if signs is None:
+        return _charge_set({*ls, *rs})
+    a, b = signs
+    return _charge_set({a * x + b * y for x in ls for y in rs})
+
+
+def charges_meet(a: Charge, b: Charge) -> bool:
+    """Whether charges ``a`` and ``b`` can agree: False only when both
+    are known and share no value.  Every refutation by charge asks this."""
+    return a is None or b is None or a == b
+
+
+# ---------------------------------------------------------------------------
 # Formula AST
 
 
@@ -104,10 +176,12 @@ class Formula:
     """Base class.  ``key`` is the fully parenthesized printed form, the
     intern table's key and the sort order of parallel contexts; ``size``
     is the complexity measure (connective/atom count); ``text`` is the
-    ``print_formula`` form, kept once printed; ``charge`` sums the
-    atoms' weights (``bot`` weighs 0), signed by polarity: ``[]A`` and
-    ``E[a]A`` carry ``A``'s, and ``A & B`` its conjuncts' when they are
-    equal, else None.  ``bit``, one per class, marks the main connective;
+    ``print_formula`` form, kept once printed.  ``charge`` is the sum of
+    the atoms' weights (``bot`` weighs 0), signed by polarity: ``[]A``
+    and ``E[a]A`` carry ``A``'s, ``A & B`` the union of its conjuncts'
+    (a ``ChargeSet`` when they differ), and the other connectives the
+    elementwise signed sums of their operands'; None past ``CHARGE_CAP``
+    values.  ``bit``, one per class, marks the main connective;
     ``uses`` is the OR of ``bit`` over the subformulas and ``agents`` the
     set of agents that their ``E[a]`` name, so whether a formula lies in
     a system's language is read off these two fields."""
@@ -116,7 +190,7 @@ class Formula:
     key: str
     size: int
     text: str | None
-    charge: int | None
+    charge: Charge
     uses: int
     agents: frozenset[str]
     bit: int
@@ -159,7 +233,7 @@ class Unit(Formula):
 class BinOp(Formula):
     __slots__ = ("left", "right")
     op: str = ""
-    # the signs of the operands' charges, None for & (equal ones shared)
+    # the signs of the operands' charges, None for & (their union)
     signs: tuple[int, int] | None = (1, 1)
 
     def __init__(self, left: Formula, right: Formula, key: str):
@@ -172,10 +246,10 @@ class BinOp(Formula):
         a, b = left.agents, right.agents
         self.agents = a if b <= a else b if a <= b else a | b
         s, l, r = self.signs, left.charge, right.charge
-        if s is None:
-            self.charge = l if l == r else None
-        else:
-            self.charge = None if l is None or r is None else s[0] * l + s[1] * r
+        if s is not None and l.__class__ is int and r.__class__ is int:
+            self.charge = s[0] * l + s[1] * r
+        else:  # an &, or an operand with no charge or a value set
+            self.charge = combine_charges(l, r, s)
 
 
 class Tensor(BinOp):

@@ -67,6 +67,10 @@ class TestProve:
         assert out.splitlines()[1] == "explored 1 sequents, pruned 1, peak depth 0"
         code, out, _ = cli("prove", "MILL", "p, q |- q * p")
         assert code == 0 and ", pruned 2, " in out.splitlines()[1]
+        # p & q takes p's charge or q's, and neither is p * q's
+        code, out, _ = cli("prove", "MILL", "p & q |- p * q")
+        assert code == 1
+        assert out.splitlines()[1] == "explored 1 sequents, pruned 1, peak depth 0"
 
     def test_unprovable_exits_one_with_hint(self):
         code, out, _ = cli("prove", "MILL", "p |- q")

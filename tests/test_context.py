@@ -344,15 +344,14 @@ def test_splits_are_listed_once_and_refuted_by_charge(t, data):
 
 
 def test_split_parallel_refutes_unbuilt():
-    t = parse_sequent("p, p, q, r & s |- p", MILL).ctx
+    t = parse_sequent("p, p, q, p & s |- p", MILL).ctx
     got = split_parallel(t, atom("p").charge)
-    # one split per canonical mask: 3 counts of p, 2 of q, 2 of r & s;
-    # a left part holding r & s has no charge, so it is built
+    # one split per canonical mask: 3 counts of p, 2 of q, 2 of p & s;
+    # a left part holding p & s has a value set, so it is built and
+    # kept only alone, the one such part whose values hold p's
     assert len(got) == 12
     assert [(a.key, b.key) for a, b in filter(None, got)] == [
-        ("(r & s)", "p, p, q"), ("p", "(r & s), p, q"), ("(r & s), p", "p, q"),
-        ("(r & s), p, p", "q"), ("(r & s), q", "p, p"), ("(r & s), p, q", "p"),
-        ("(r & s), p, p, q", "()")]
+        ("(p & s)", "p, p, q"), ("p", "(p & s), p, q")]
     # of the eight splits of fresh atoms, only u0 | u1, u2 balances u0:
     # its right part is the one context built
     t = parse_sequent("u0, u1, u2 |- u0", MILL).ctx

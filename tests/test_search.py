@@ -34,6 +34,7 @@ from proofmill.calculus import (
 )
 from proofmill.context import (
     EMPTY,
+    context_charge,
     context_formulas,
     leaf,
     mset,
@@ -55,6 +56,7 @@ from proofmill.search import (
 )
 from proofmill.syntax import (
     BOT,
+    CHARGE_CAP,
     Atom,
     Box,
     Brings,
@@ -372,62 +374,78 @@ def test_premises_shrink_on_pcmill_goals(ctx, succ):
 
 # -- the count invariant -------------------------------------------------------
 # In a provable sequent every atom but bot occurs as often positively as
-# negatively, reading []A and E[a]A as A and A & B as either conjunct
-# when their counts agree; search refutes any root or premise that
-# breaks this before expanding it.
+# negatively, once each & is read as one of its conjuncts (a choice for
+# every occurrence) and []A and E[a]A as A; search refutes any root or
+# premise with no such reading before expanding it.
 
 
 # the signs each binary connective but & gives its operands' counts
 _SIGNS = {Tensor: (1, 1), Odot: (1, 1), Limp: (-1, 1), Lres: (-1, 1), Rres: (1, -1)}
 
 
+def _vector(counts):
+    """A count vector as a set of (atom, nonzero count) pairs."""
+    return frozenset((name, n) for name, n in counts.items() if n)
+
+
+def _sums(xs, ys, signs=(1, 1)):
+    """Every signed sum of a vector of ``xs`` and one of ``ys``."""
+    out = set()
+    for x in xs:
+        for y in ys:
+            total: Counter = Counter()
+            for vec, sign in ((x, signs[0]), (y, signs[1])):
+                for name, n in vec:
+                    total[name] += sign * n
+            out.add(_vector(total))
+    return frozenset(out)
+
+
+@functools.cache
 def _counts(f):
-    """Each atom's occurrences in ``f``, positive ones counted +1 and
-    negative ones -1, with ``bot`` counted 0: ``[]`` and ``E[a]`` pass
-    their body's counts through, and ``&`` keeps its conjuncts' counts
-    when they are equal.  None when they are not."""
+    """The signed atom counts that ``f`` can take, one vector per reading
+    of its & occurrences: each atom's positive occurrences less its
+    negative ones, with ``bot`` counted 0.  ``[]`` and ``E[a]`` pass
+    their body's set through, ``&`` takes the union of its conjuncts'
+    sets, and the other connectives sum their operands' vectors."""
     if isinstance(f, Atom):
-        return Counter() if f is BOT else Counter([f.name])
+        return frozenset([_vector(Counter() if f is BOT else Counter([f.name]))])
     if isinstance(f, Unit):
-        return Counter()
+        return frozenset([frozenset()])
     if isinstance(f, (Box, Brings)):
         return _counts(f.body)
     left, right = _counts(f.left), _counts(f.right)
     if isinstance(f, With):
-        return left if left == right else None
-    if left is None or right is None:
-        return None
-    return _signed_sum(zip((left, right), _SIGNS[type(f)]))
+        return left | right
+    return _sums(left, right, _SIGNS[type(f)])
 
 
-def _signed_sum(parts):
-    out: Counter = Counter()
-    for counts, sign in parts:
-        for name, n in counts.items():
-            out[name] += sign * n
-    return out
-
-
-def _signed_atoms(seq):
-    """The atom counts of ``seq``'s succedent less its antecedent's;
-    None when a formula has none."""
-    parts = [(f, -1) for f in context_formulas(seq.ctx)] + [(seq.succ, 1)]
-    counts = [(_counts(f), sign) for f, sign in parts]
-    if any(c is None for c, _ in counts):
-        return None
-    return _signed_sum(counts)
+def _sides(seq):
+    """The count vectors of ``seq``'s antecedent, summed over its
+    formulas, and of its succedent."""
+    ante = frozenset([frozenset()])
+    for f in context_formulas(seq.ctx):
+        ante = _sums(ante, _counts(f))
+    return ante, _counts(seq.succ)
 
 
 def _assert_counts_balance(seq):
-    counts = _signed_atoms(seq)
-    assert counts is None or not any(counts.values()), seq.key
+    ante, succ = _sides(seq)
+    assert ante & succ, seq.key
+
+
+def _reference_balanced(seq):
+    """What ``balanced`` must answer: whether the two sides' vector
+    sets meet, or True when one holds more than ``CHARGE_CAP`` vectors
+    and so has no charge."""
+    ante, succ = _sides(seq)
+    return len(ante) > CHARGE_CAP or len(succ) > CHARGE_CAP or bool(ante & succ)
 
 
 def _assert_proof_balances(goal):
     """Every node of the goal's proof, if it has one, balances, and
     ``balanced`` agrees with the atom counts on the goal."""
-    counts = _signed_atoms(goal)
-    assert balanced(goal) == (counts is None or not any(counts.values())), goal.key
+    assert balanced(goal) == _reference_balanced(goal), goal.key
     r = prove(goal)
     if isinstance(r, Proved):
         for _, node in proof_nodes(r.proof):
@@ -451,6 +469,23 @@ def test_pcmill_proofs_balance_at_every_node(ctx, succ):
     _assert_proof_balances(sequent(ctx, succ, PCMILL))
 
 
+# formulas rich in &, so that about half the drawn sides hold value sets
+# (the cap is passed in test_a_root_without_a_charge_is_not_refuted_by_it)
+_WITH_FORMULAS = st.recursive(
+    st.sampled_from([atom("p"), atom("q"), atom("r"), BOT, unit()]),
+    lambda kids: st.one_of(
+        st.builds(box, kids),
+        *(st.builds(op, kids, kids) for op in (with_, with_, tensor, limp))),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_WITH_FORMULAS, max_size=4), _WITH_FORMULAS)
+def test_balanced_is_the_reference_sets_meeting(antecedent, succ):
+    goal = sequent(mset(antecedent), succ, MILL)
+    assert balanced(goal) == _reference_balanced(goal), goal.key
+
+
 @pytest.mark.parametrize("i", range(len(_UNIVERSES)),
                          ids=["MILL", "PCMILL"] + _UNIVERSE_IDS[2:])
 def test_every_derivable_sequent_of_the_oracle_universes_balances(i):
@@ -461,7 +496,7 @@ def test_every_derivable_sequent_of_the_oracle_universes_balances(i):
         seq = sequent(ctx, succ, system)
         _assert_counts_balance(seq)
         assert balanced(seq)
-        charged += _signed_atoms(seq) is not None
+        charged += succ.charge is not None and context_charge(ctx) is not None
     assert charged > 100
 
 
@@ -529,14 +564,28 @@ def test_ladder_counts_do_not_follow_the_hash_seed():
         assert done.stdout.strip() == want
 
 
+# the antecedent of the second row takes 32 values, past the cap
+_PAST_THE_CAP = "[]((p & q) * (r & s) * (t & u) * (v & w) * (x & y)) |- z"
+
+
 @pytest.mark.parametrize("system, text, verdict", [
     (MILL, "p & q |- p", Proved),
-    (MILL, "[](p & q) |- r", Exhausted),
+    pytest.param(MILL, _PAST_THE_CAP, Exhausted, id="past-the-cap"),
     (parse_system("RSBIAT:a"), "E[a]1 |- bot", Proved),
 ])
 def test_a_root_without_a_charge_is_not_refuted_by_it(system, text, verdict):
+    # p & q meets p among its values; the others have no charge
     r, st_ = prove_with_stats(parse_sequent(text, system))
     assert isinstance(r, verdict) and st_.pruned == 0
+
+
+def test_a_root_whose_values_miss_is_refuted():
+    # [](p & q) |- r went unrefuted while & took a charge only when its
+    # conjuncts' agreed
+    for text in ("[](p & q) |- r", "p & q |- p * q", "[](p & q) -o r, r |- r"):
+        r, st_ = prove_with_stats(parse_sequent(text, MILL))
+        assert (type(r), st_.explored, st_.pruned) == (Exhausted, 1, 1), text
+    assert context_charge(parse_sequent(_PAST_THE_CAP, MILL).ctx) is None
 
 
 # -- the principal filter ------------------------------------------------------
@@ -637,6 +686,19 @@ def test_refuting_by_charge_changes_no_proof(monkeypatch):
     unpruned = [r[:2] for r in _search_reports(goals)]
     for goal, a, b in zip(goals, pruned, unpruned):
         assert a == b, goal.key
+
+
+# -- one listing per premise list --------------------------------------------
+# Only OneL and the residual left rules pass _Matcher's duplicate filter;
+# every other rule must list each premise list once by construction.
+
+
+@pytest.mark.parametrize("i", range(len(_UNIVERSES)), ids=_UNIVERSE_IDS)
+def test_apply_rule_lists_each_premise_list_once_on_oracle_goals(i):
+    for goal in random.Random(i).sample(_universe(i), min(4000, len(_universe(i)))):
+        for rule in _every_rule(goal.system):
+            keys = [tuple(s.key for s in p) for p in apply_rule(goal, rule)]
+            assert len(set(keys)) == len(keys), (goal.key, str(rule))
 
 
 # -- refuted splits ------------------------------------------------------------
