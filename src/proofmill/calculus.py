@@ -15,9 +15,9 @@ the goal.
 
 Proofs are checked elsewhere: ``check_proof`` is the independent kernel
 in ``kernel.py``, which reads each inference forward and never calls
-this enumerator.  The rule names, ``Rule``, ``Proof``, ``SYSTEM_RULES``
-and the checker are defined there and re-exported here.  Premise order
-follows the rule schemas listed in ``kernel.py``.
+this enumerator.  The rule names, ``Rule``, ``Proof``, the checker and
+the rule table are defined there, and all but the table re-exported
+here.  Premise order follows the rule schemas listed in ``kernel.py``.
 """
 from __future__ import annotations
 
@@ -76,7 +76,9 @@ from .kernel import (  # noqa: F401  (re-exported)
     fold_tree,
     proof_nodes,
     rule_admissible,
+    rule_instances,
 )
+from .kernel import RULES
 from .syntax import (
     BOT,
     Box,
@@ -250,7 +252,7 @@ class _Matcher:
         empty two serial positions into one tree, and the residual left
         rules, whose argument groups can coincide, find a list twice, so
         only theirs pass the duplicate filter."""
-        lists = _DISPATCH[rule.name][0](self, rule)
+        lists = _DISPATCH[rule.name](self, rule)
         return _once(lists) if rule.name in _REPEATING else lists
 
     # -- leaves ------------------------------------------------------------
@@ -299,13 +301,26 @@ class _Matcher:
 
     # -- right rules ---------------------------------------------------------
 
-    def _pair(self, left_succ: Formula, right_succ: Formula) -> list[Sequent]:
-        sys = self.system
-        return [Sequent(self.ctx, left_succ, sys), Sequent(self.ctx, right_succ, sys)]
-
-    def _with_r(self, rule: Rule) -> Iterator[list[Sequent]]:
-        if isinstance(self.succ, With):
-            yield self._pair(self.succ.left, self.succ.right)
+    def _pair_right(self, rule: Rule) -> Iterator[list[Sequent] | None]:
+        """TensorR, OdotR, WithR and their ``E[a]`` forms, whose
+        connectives the kernel's ``RULES`` gives: the two halves over
+        the goal's antecedent (``&``) or over each of its splits,
+        serial for ``@``."""
+        g, a, sys, kind = self.succ, rule.agent, self.system, RULES[rule.name].kinds[-1]
+        if a is not None:
+            if not (isinstance(g, Brings) and g.agent == a):
+                return
+            g = g.body
+        if not isinstance(g, kind):
+            return
+        left, right = (g.left, g.right) if a is None else (brings(a, g.left), brings(a, g.right))
+        if kind is With:
+            yield [Sequent(self.ctx, left, sys), Sequent(self.ctx, right, sys)]
+            return
+        split = split_serial if kind is Odot else split_parallel
+        for pair in split(self.ctx, left.charge if self.refute else None):
+            yield None if pair is None else [
+                Sequent(pair[0], left, sys), Sequent(pair[1], right, sys)]
 
     def _limp_r(self, rule: Rule) -> Iterator[list[Sequent]]:
         if isinstance(self.succ, Limp):
@@ -321,22 +336,6 @@ class _Matcher:
         if isinstance(self.succ, Rres):
             prem = ser([self.ctx, leaf(self.succ.right)])  # type: ignore[list-item]
             yield [Sequent(prem, self.succ.left, self.system)]
-
-    def _split_pair(self, left_succ: Formula, right_succ: Formula,
-                    serial: bool) -> Iterator[list[Sequent] | None]:
-        sys = self.system
-        split = split_serial if serial else split_parallel
-        for pair in split(self.ctx, left_succ.charge if self.refute else None):
-            yield None if pair is None else [
-                Sequent(pair[0], left_succ, sys), Sequent(pair[1], right_succ, sys)]
-
-    def _tensor_r(self, rule: Rule) -> Iterator[list[Sequent]]:
-        if isinstance(self.succ, Tensor):
-            yield from self._split_pair(self.succ.left, self.succ.right, serial=False)
-
-    def _odot_r(self, rule: Rule) -> Iterator[list[Sequent]]:
-        if isinstance(self.succ, Odot):
-            yield from self._split_pair(self.succ.left, self.succ.right, serial=True)
 
     # -- implication left rules ----------------------------------------------
 
@@ -407,60 +406,32 @@ class _Matcher:
         if self.succ == BOT and isinstance(body, Brings) and body.agent == rule.agent:
             yield [Sequent(EMPTY, body.body, self.system)]
 
-    def _brings_body(self, rule: Rule, shape) -> Formula | None:
-        succ = self.succ
-        if isinstance(succ, Brings) and succ.agent == rule.agent and isinstance(succ.body, shape):
-            return succ.body
-        return None
 
-    def _brings_tensor(self, rule: Rule) -> Iterator[list[Sequent]]:
-        body = self._brings_body(rule, Tensor)
-        if body is not None:
-            a = rule.agent
-            yield from self._split_pair(brings(a, body.left), brings(a, body.right), serial=False)
-
-    def _brings_odot(self, rule: Rule) -> Iterator[list[Sequent]]:
-        body = self._brings_body(rule, Odot)
-        if body is not None:
-            a = rule.agent
-            yield from self._split_pair(brings(a, body.left), brings(a, body.right), serial=True)
-
-    def _brings_with(self, rule: Rule) -> Iterator[list[Sequent]]:
-        body = self._brings_body(rule, With)
-        if body is not None:
-            a = rule.agent
-            yield self._pair(brings(a, body.left), brings(a, body.right))
-
-
-# Each rule's enumerator and principal connective: the formula class
-# that a leaf (LEAF) or the succedent (SUCC) must have for the rule to
-# list anything (Ax has none).  Search skips the rules a goal lacks.
-LEAF, SUCC = "leaf", "succ"
-
+# each rule's premise enumerator, by name; Cut has none
 _DISPATCH = {
-    AX: (_Matcher._ax, None, None),
-    ONE_R: (_Matcher._one_r, SUCC, Unit),
-    TENSOR_L: (_Matcher._tensor_l, LEAF, Tensor),
-    ODOT_L: (_Matcher._odot_l, LEAF, Odot),
-    ONE_L: (_Matcher._one_l, LEAF, Unit),
-    WITH_L1: (lambda m, r: _Matcher._with_l(m, r, True), LEAF, With),
-    WITH_L2: (lambda m, r: _Matcher._with_l(m, r, False), LEAF, With),
-    WITH_R: (_Matcher._with_r, SUCC, With),
-    LIMP_R: (_Matcher._limp_r, SUCC, Limp),
-    LRES_R: (_Matcher._lres_r, SUCC, Lres),
-    RRES_R: (_Matcher._rres_r, SUCC, Rres),
-    TENSOR_R: (_Matcher._tensor_r, SUCC, Tensor),
-    ODOT_R: (_Matcher._odot_r, SUCC, Odot),
-    LIMP_L: (_Matcher._limp_l, LEAF, Limp),
-    LRES_L: (_Matcher._lres_l, LEAF, Lres),
-    RRES_L: (_Matcher._rres_l, LEAF, Rres),
-    BOX_RE: (_Matcher._box_re, SUCC, Box),
-    BRINGS_RE: (_Matcher._brings_re, SUCC, Brings),
-    BRINGS_REFL: (_Matcher._brings_refl, LEAF, Brings),
-    BRINGS_TENSOR: (_Matcher._brings_tensor, SUCC, Brings),
-    BRINGS_ODOT: (_Matcher._brings_odot, SUCC, Brings),
-    BRINGS_WITH: (_Matcher._brings_with, SUCC, Brings),
-    NOT_NEC: (_Matcher._not_nec, LEAF, Brings),
+    AX: _Matcher._ax,
+    ONE_R: _Matcher._one_r,
+    TENSOR_L: _Matcher._tensor_l,
+    ODOT_L: _Matcher._odot_l,
+    ONE_L: _Matcher._one_l,
+    WITH_L1: lambda m, r: _Matcher._with_l(m, r, True),
+    WITH_L2: lambda m, r: _Matcher._with_l(m, r, False),
+    WITH_R: _Matcher._pair_right,
+    LIMP_R: _Matcher._limp_r,
+    LRES_R: _Matcher._lres_r,
+    RRES_R: _Matcher._rres_r,
+    TENSOR_R: _Matcher._pair_right,
+    ODOT_R: _Matcher._pair_right,
+    LIMP_L: _Matcher._limp_l,
+    LRES_L: _Matcher._lres_l,
+    RRES_L: _Matcher._rres_l,
+    BOX_RE: _Matcher._box_re,
+    BRINGS_RE: _Matcher._brings_re,
+    BRINGS_REFL: _Matcher._brings_refl,
+    BRINGS_TENSOR: _Matcher._pair_right,
+    BRINGS_ODOT: _Matcher._pair_right,
+    BRINGS_WITH: _Matcher._pair_right,
+    NOT_NEC: _Matcher._not_nec,
 }
 
 
@@ -531,8 +502,10 @@ def proof_from_json(data: dict) -> Proof:
                      tuple(premises))
 
     try:
-        system = System(SystemId(data["system"]),
-                        tuple(data.get("agents", ())))
+        agents = data.get("agents", [])
+        if not isinstance(agents, list) or not all(isinstance(a, str) for a in agents):
+            raise TypeError(f"agents {agents!r} is not a list of strings")
+        system = System(SystemId(data["system"]), tuple(agents))
         return fold_tree(data["proof"], lambda d: d.get("premises", ()), node)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed proof object: {exc}") from None

@@ -6,7 +6,10 @@ normal premises goes to ``reduce_once(cut, session=None)``, which
 rewrites the cut at the root of its argument; the reduct is then
 folded in turn.  Each rewrite either reduces a principal pair,
 replacing the cut by cuts on strictly smaller formulas, or permutes
-the cut upward past a rule that does not touch the cut formula.
+the cut upward past a rule that does not touch the cut formula.  A
+producer is ready for a principal reduction when its last rule is
+principal on the succedent (the side that the kernel's ``RULES``
+gives it); otherwise the cut is permuted.
 Candidate subtrees are built semantically and verified with the proof
 checker before one is taken, so context bookkeeping mistakes cannot
 slip through.  Normal forms are memoised by node identity, and cuts by
@@ -78,28 +81,10 @@ from .context import (
     leaf,
     positions,
 )
+from .kernel import RULES, SUCC
 from .syntax import BOT, Formula, brings, odot, tensor, with_
 
 STEP_CAP = 1_000_000
-
-# right rules introducing the succedent connective; a producer ending in
-# one of these is ready for a principal reduction
-_RIGHT_INTRO = frozenset(
-    {
-        TENSOR_R,
-        ODOT_R,
-        LIMP_R,
-        LRES_R,
-        RRES_R,
-        WITH_R,
-        ONE_R,
-        BOX_RE,
-        BRINGS_RE,
-        BRINGS_TENSOR,
-        BRINGS_WITH,
-        BRINGS_ODOT,
-    }
-)
 
 # principal pairs with no reduction; see the module docstring
 DEFECTIVE_PAIRS = frozenset(
@@ -346,7 +331,7 @@ def reduce_once(
         sources = [("principal", [(False, producer)])]
     elif producer.rule.name == AX:
         sources = [("principal", [(False, consumer)])]
-    elif producer.rule.name not in _RIGHT_INTRO:
+    elif RULES[producer.rule.name].side != SUCC:
         # a left rule on the producer side; lift the cut past
         # it, falling back to the consumer side (needed when the producer
         # ends in NotNec, whose premise loses the cut formula)

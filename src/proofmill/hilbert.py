@@ -650,7 +650,9 @@ def deduction_from_json(obj: dict) -> tuple[DeductionTree, System]:
 
     try:
         name = obj["system"]
-        agents = obj.get("agents", ())
+        agents = obj.get("agents", [])
+        if not isinstance(agents, list) or not all(isinstance(a, str) for a in agents):
+            raise TypeError(f"agents {agents!r} is not a list of strings")
         text = name if not agents else f"{name}:{','.join(agents)}"
         system = parse_system(text)
         _require_hilbert(system)

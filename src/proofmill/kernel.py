@@ -1,4 +1,10 @@
-"""The proof kernel: rule names, proof objects and the proof checker.
+"""The proof kernel: the rule table, proof objects and the proof checker.
+
+``RULES`` holds one row per sequent rule: the side of its principal
+formula, the connectives it introduces and its forward check.  The rest
+is read off it: a system's rules (``SYSTEM_RULES``, ``rule_admissible``)
+are those whose connectives lie in the system's language, and the agent
+rules (``AGENT_RULES``) those of ``E[a]``.
 
 ``check_proof`` checks every inference on its own by reading the rule
 forward.  From a node's premises it computes the antecedent X that the
@@ -37,6 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable, Iterable, NamedTuple
 
 from .context import (
     EMPTY,
@@ -69,6 +76,7 @@ from .syntax import (
     Tensor,
     Unit,
     With,
+    _OUTSIDE,
     brings,
     language_error,
 )
@@ -101,33 +109,6 @@ BRINGS_WITH = "BringsWith"
 BRINGS_ODOT = "BringsOdot"
 NOT_NEC = "NotNec"
 
-AGENT_RULES = frozenset(
-    {BRINGS_RE, BRINGS_REFL, BRINGS_TENSOR, BRINGS_WITH, BRINGS_ODOT, NOT_NEC}
-)
-
-_CORE = (
-    AX,
-    CUT,
-    TENSOR_L,
-    TENSOR_R,
-    LIMP_L,
-    LIMP_R,
-    WITH_L1,
-    WITH_L2,
-    WITH_R,
-    ONE_L,
-    ONE_R,
-)
-_SERIAL = (ODOT_L, ODOT_R, LRES_L, LRES_R, RRES_L, RRES_R)
-_BRINGS = (BRINGS_RE, BRINGS_REFL, BRINGS_TENSOR, BRINGS_WITH, NOT_NEC)
-
-SYSTEM_RULES: dict[SystemId, tuple[str, ...]] = {
-    SystemId.MILL: _CORE + (BOX_RE,),
-    SystemId.PCMILL: _CORE + (BOX_RE,) + _SERIAL,
-    SystemId.RSBIAT: _CORE + _BRINGS,
-    SystemId.SRSBIAT: _CORE + _BRINGS + _SERIAL + (BRINGS_ODOT,),
-}
-
 
 @dataclass(frozen=True)
 class Rule:
@@ -140,17 +121,6 @@ class Rule:
 
     def __str__(self) -> str:
         return self.name if self.agent is None else f"{self.name}[{self.agent}]"
-
-
-_ALLOWED = {ident: frozenset(names) for ident, names in SYSTEM_RULES.items()}
-
-
-def rule_admissible(rule: Rule, system: System) -> bool:
-    if rule.name not in _ALLOWED[system.ident]:
-        return False
-    if rule.name in AGENT_RULES and rule.agent not in system.agents:
-        return False
-    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,28 +269,32 @@ def _unfill(y: Context, parts: tuple[Formula, ...], serial: bool, f: Formula):
 
 
 # ---------------------------------------------------------------------------
-# Forward instantiation, one function per rule.  Each takes the node's
-# conclusion, its premises' conclusions and the rule's agent.
+# Forward instantiation.  Each check takes the connectives of its rule's
+# row in ``RULES``, the node's conclusion, its premises' conclusions and
+# the rule's agent.
 
 
-def _ax(c: Sequent, ps: list[Sequent], agent) -> bool:
+def _ax(kinds, c: Sequent, ps: list[Sequent], agent) -> bool:
     return not ps and singleton_body(c.ctx) == c.succ
 
 
-def _one_r(c: Sequent, ps: list[Sequent], agent) -> bool:
-    return not ps and isinstance(c.succ, Unit) and c.ctx is EMPTY
+def _one_r(kinds, c: Sequent, ps: list[Sequent], agent) -> bool:
+    return not ps and isinstance(c.succ, kinds[0]) and c.ctx is EMPTY
 
 
-def _left_unary(kind, parts, serial: bool = False, agentive: bool = False):
-    """A left rule putting ``parts(f)`` in place of one principal ``f``."""
+def _left_unary(parts):
+    """A left rule putting ``parts(f)`` in place of one principal ``f``,
+    in series when ``f`` is a ``@``; an ``E[a]`` is principal only for
+    the rule's agent."""
 
-    def check(c: Sequent, ps: list[Sequent], agent) -> bool:
+    def check(kinds, c: Sequent, ps: list[Sequent], agent) -> bool:
         if len(ps) != 1 or ps[0].succ != c.succ:
             return False
+        kind = kinds[0]
         for f in _principals(c, kind):
-            if agentive and f.agent != agent:  # type: ignore[attr-defined]
+            if kind is Brings and f.agent != agent:  # type: ignore[attr-defined]
                 continue
-            for x in _unfill(ps[0].ctx, parts(f), serial, f):
+            for x in _unfill(ps[0].ctx, parts(f), kind is Odot, f):
                 if _fits(x, c):
                     return True
         return False
@@ -368,33 +342,31 @@ def _with_leaf(y: Context, u: Leaf):
             yield x
 
 
-def _pair_right(kind, serial: bool, shared: bool, agentive: bool = False):
+def _pair_right(kinds, c: Sequent, ps: list[Sequent], agent) -> bool:
     """TensorR, OdotR, WithR and their E[a] forms: premises prove the two
-    halves, over the shared antecedent or over two joined ones."""
-
-    def check(c: Sequent, ps: list[Sequent], agent) -> bool:
-        g = c.succ
-        if agentive:
-            if not isinstance(g, Brings) or g.agent != agent:
-                return False
-            g = g.body
-        if len(ps) != 2 or not isinstance(g, kind):
+    halves, over the shared antecedent (``&``) or over two joined ones,
+    in series for ``@``."""
+    g, kind = c.succ, kinds[-1]
+    agentive = kinds[0] is Brings
+    if agentive:
+        if not isinstance(g, Brings) or g.agent != agent:
             return False
-        want = (g.left, g.right)
-        if agentive:
-            want = (brings(agent, g.left), brings(agent, g.right))
-        if (ps[0].succ, ps[1].succ) != want:
-            return False
-        if shared:
-            return ps[0].ctx == ps[1].ctx and _fits(ps[0].ctx, c)
-        return _fits(join(ps[0].ctx, ps[1].ctx, serial), c)
+        g = g.body
+    if len(ps) != 2 or not isinstance(g, kind):
+        return False
+    want = (g.left, g.right)
+    if agentive:
+        want = (brings(agent, g.left), brings(agent, g.right))
+    if (ps[0].succ, ps[1].succ) != want:
+        return False
+    if kind is With:
+        return ps[0].ctx == ps[1].ctx and _fits(ps[0].ctx, c)
+    return _fits(join(ps[0].ctx, ps[1].ctx, kind is Odot), c)
 
-    return check
 
-
-def _limp_r(c: Sequent, ps: list[Sequent], agent) -> bool:
+def _limp_r(kinds, c: Sequent, ps: list[Sequent], agent) -> bool:
     g = c.succ
-    if len(ps) != 1 or not isinstance(g, Limp) or ps[0].succ != g.right:
+    if len(ps) != 1 or not isinstance(g, kinds[0]) or ps[0].succ != g.right:
         return False
     y = ps[0].ctx
     a = leaf(g.left)
@@ -407,12 +379,12 @@ def _limp_r(c: Sequent, ps: list[Sequent], agent) -> bool:
     return _fits(par(kids), c)
 
 
-def _res_r(c: Sequent, ps: list[Sequent], agent) -> bool:
+def _res_r(kinds, c: Sequent, ps: list[Sequent], agent) -> bool:
     g = c.succ
-    if len(ps) != 1 or not isinstance(g, (Lres, Rres)):
+    if len(ps) != 1 or not isinstance(g, kinds[0]):
         return False
     # A \ B reads A; Γ ⊢ B, and B / A reads Γ; A ⊢ B
-    lres = isinstance(g, Lres)
+    lres = kinds[0] is Lres
     arg, res = (g.left, g.right) if lres else (g.right, g.left)
     if ps[0].succ != res:
         return False
@@ -424,83 +396,119 @@ def _res_r(c: Sequent, ps: list[Sequent], agent) -> bool:
     return _fits(ser(kids[1:] if lres else kids[:-1]), c)
 
 
-def _imp_left(kind, arg_of, res_of, block):
+def _imp_left(kinds, c: Sequent, ps: list[Sequent], agent) -> bool:
     """LimpL, LresL, RresL: the second premise holds the residue where
-    the conclusion holds ``block(Γ, f)``, Γ being the first premise's
-    antecedent and f the principal implication."""
-
-    def check(c: Sequent, ps: list[Sequent], agent) -> bool:
-        if len(ps) != 2 or ps[1].succ != c.succ:
-            return False
-        gamma, y = ps[0].ctx, ps[1].ctx
-        for f in _principals(c, kind):
-            if arg_of(f) != ps[0].succ:
-                continue
-            res = res_of(f)
-            for pt in _leaf_paths(y, res):
-                if _fits(fill(y, pt, block(gamma, leaf(f))), c):
-                    return True
+    the conclusion holds ``Γ, A -o B``, ``Γ; A \\ B`` or ``B / A; Γ``,
+    Γ being the first premise's antecedent and A the argument."""
+    if len(ps) != 2 or ps[1].succ != c.succ:
         return False
+    gamma, y = ps[0].ctx, ps[1].ctx
+    kind = kinds[0]
+    for f in _principals(c, kind):
+        arg, res = (f.right, f.left) if kind is Rres else (f.left, f.right)
+        if arg != ps[0].succ:
+            continue
+        u = leaf(f)
+        block = par([gamma, u]) if kind is Limp else \
+            ser([u, gamma] if kind is Rres else [gamma, u])
+        for pt in _leaf_paths(y, res):
+            if _fits(fill(y, pt, block), c):
+                return True
+    return False
 
-    return check
 
-
-def _converse(c: Sequent, ps: list[Sequent], agent) -> bool:
+def _converse(kinds, c: Sequent, ps: list[Sequent], agent) -> bool:
     """BoxRe and BringsRe: []A ⊢ []B from A ⊢ B and B ⊢ A."""
     body, g = singleton_body(c.ctx), c.succ
-    if agent is None:
-        if not isinstance(body, Box) or not isinstance(g, Box):
-            return False
-    elif not (
-        isinstance(body, Brings)
-        and isinstance(g, Brings)
-        and body.agent == agent
-        and g.agent == agent
-    ):
+    if not (isinstance(body, kinds[0]) and isinstance(g, kinds[0])):
+        return False
+    if agent is not None and not body.agent == g.agent == agent:
         return False
     a, b = body.body, g.body
-    want = [(leaf(a), b), (leaf(b), a)]
-    return [(s.ctx, s.succ) for s in ps] == want
+    return [(s.ctx, s.succ) for s in ps] == [(leaf(a), b), (leaf(b), a)]
 
 
-def _not_nec(c: Sequent, ps: list[Sequent], agent) -> bool:
+def _not_nec(kinds, c: Sequent, ps: list[Sequent], agent) -> bool:
     body = singleton_body(c.ctx)
-    if c.succ != BOT or not isinstance(body, Brings) or body.agent != agent:
+    if c.succ != BOT or not isinstance(body, kinds[0]) or body.agent != agent:
         return False
     return [(s.ctx, s.succ) for s in ps] == [(EMPTY, body.body)]
 
 
-_CHECKS = {
-    AX: _ax,
-    ONE_R: _one_r,
-    TENSOR_L: _left_unary(Tensor, lambda f: (f.left, f.right)),
-    ODOT_L: _left_unary(Odot, lambda f: (f.left, f.right), serial=True),
-    ONE_L: _left_unary(Unit, lambda f: ()),
-    WITH_L1: _left_unary(With, lambda f: (f.left,)),
-    WITH_L2: _left_unary(With, lambda f: (f.right,)),
-    BRINGS_REFL: _left_unary(Brings, lambda f: (f.body,), agentive=True),
-    WITH_R: _pair_right(With, serial=False, shared=True),
-    TENSOR_R: _pair_right(Tensor, serial=False, shared=False),
-    ODOT_R: _pair_right(Odot, serial=True, shared=False),
-    BRINGS_WITH: _pair_right(With, serial=False, shared=True, agentive=True),
-    BRINGS_TENSOR: _pair_right(Tensor, serial=False, shared=False, agentive=True),
-    BRINGS_ODOT: _pair_right(Odot, serial=True, shared=False, agentive=True),
-    LIMP_R: _limp_r,
-    LRES_R: _res_r,
-    RRES_R: _res_r,
-    LIMP_L: _imp_left(
-        Limp, lambda f: f.left, lambda f: f.right, lambda g, f: par([g, f])
-    ),
-    LRES_L: _imp_left(
-        Lres, lambda f: f.left, lambda f: f.right, lambda g, f: ser([g, f])
-    ),
-    RRES_L: _imp_left(
-        Rres, lambda f: f.right, lambda f: f.left, lambda g, f: ser([f, g])
-    ),
-    BOX_RE: _converse,
-    BRINGS_RE: _converse,
-    NOT_NEC: _not_nec,
+# ---------------------------------------------------------------------------
+# The rule table
+
+# the side of a rule's principal formula: an antecedent leaf or the succedent
+LEAF, SUCC = "leaf", "succ"
+
+
+class RuleRow(NamedTuple):
+    """One rule: the side of its principal formula (None for Ax and
+    Cut), the connectives it introduces, principal first, the sum of
+    their ``Formula.bit``, and its forward check (None for Cut, which
+    ``_check_cut`` reads off the whole node)."""
+
+    side: str | None
+    kinds: tuple[type, ...]
+    uses: int
+    check: Callable[..., bool] | None
+
+
+def _row(side: str | None, kinds, check) -> RuleRow:
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    return RuleRow(side, kinds, sum(k.bit for k in kinds), check)
+
+
+RULES: dict[str, RuleRow] = {
+    AX: _row(None, (), _ax),
+    CUT: _row(None, (), None),
+    TENSOR_L: _row(LEAF, Tensor, _left_unary(lambda f: (f.left, f.right))),
+    TENSOR_R: _row(SUCC, Tensor, _pair_right),
+    LIMP_L: _row(LEAF, Limp, _imp_left),
+    LIMP_R: _row(SUCC, Limp, _limp_r),
+    WITH_L1: _row(LEAF, With, _left_unary(lambda f: (f.left,))),
+    WITH_L2: _row(LEAF, With, _left_unary(lambda f: (f.right,))),
+    WITH_R: _row(SUCC, With, _pair_right),
+    ONE_L: _row(LEAF, Unit, _left_unary(lambda f: ())),
+    ONE_R: _row(SUCC, Unit, _one_r),
+    BOX_RE: _row(SUCC, Box, _converse),
+    BRINGS_RE: _row(SUCC, Brings, _converse),
+    BRINGS_REFL: _row(LEAF, Brings, _left_unary(lambda f: (f.body,))),
+    BRINGS_TENSOR: _row(SUCC, (Brings, Tensor), _pair_right),
+    BRINGS_WITH: _row(SUCC, (Brings, With), _pair_right),
+    NOT_NEC: _row(LEAF, Brings, _not_nec),
+    ODOT_L: _row(LEAF, Odot, _left_unary(lambda f: (f.left, f.right))),
+    ODOT_R: _row(SUCC, Odot, _pair_right),
+    LRES_L: _row(LEAF, Lres, _imp_left),
+    LRES_R: _row(SUCC, Lres, _res_r),
+    RRES_L: _row(LEAF, Rres, _imp_left),
+    RRES_R: _row(SUCC, Rres, _res_r),
+    BRINGS_ODOT: _row(SUCC, (Brings, Odot), _pair_right),
 }
+
+# a system's rules are those whose connectives lie in its language, in
+# table order; the agent rules are those of E[a]
+SYSTEM_RULES: dict[SystemId, tuple[str, ...]] = {
+    ident: tuple(name for name, row in RULES.items() if not row.uses & _OUTSIDE[ident])
+    for ident in SystemId
+}
+AGENT_RULES = frozenset(name for name, row in RULES.items() if row.kinds[:1] == (Brings,))
+
+
+def rule_admissible(rule: Rule, system: System) -> bool:
+    row = RULES.get(rule.name)
+    if row is None or row.uses & _OUTSIDE[system.ident]:
+        return False
+    return rule.agent is None or rule.agent in system.agents
+
+
+def rule_instances(system: System, names: Iterable[str] = RULES) -> tuple[Rule, ...]:
+    """The rules named in ``names`` that ``system`` admits, in order,
+    each agent rule once per agent of ``system``."""
+    outside = _OUTSIDE[system.ident]
+    return tuple(
+        Rule(name, agent) for name in names if not RULES[name].uses & outside
+        for agent in (system.agents if name in AGENT_RULES else (None,)))
 
 
 def _check_cut(node: Proof) -> str | None:
@@ -559,9 +567,10 @@ def check_proof(p: Proof, session: CheckSession | None = None) -> CheckReport:
         prems = [q.conclusion for q in node.premises]
         if any(s.system is not system and s.system != system for s in prems):
             continue  # reported at the premise itself
+        row = RULES[rule.name]
         if rule.name == CUT:
             err = _check_cut(node)
-        elif _CHECKS[rule.name](node.conclusion, prems, rule.agent):
+        elif row.check(row.kinds, c, prems, rule.agent):
             continue
         elif rule.name == BOX_RE and len(prems) == 1:
             err = "missing converse premise"

@@ -11,10 +11,12 @@ rules and axioms.
 when one matches, only its first premise list is explored and no other
 rule is tried at that goal.  The remaining rules backtrack over every
 premise list, which each rule streams, building none past the first
-that proves.  Only the rules whose principal connective
-(``_DISPATCH``) the goal holds are tried, looked up per system by the
-succedent's class and the OR of the leaves' ``Formula.bit``: a skipped
-rule would list nothing, so no proof and no count changes.
+that proves.  Only the rules whose principal connective (the kernel's
+``RULES``) the goal holds on the rule's side are tried, looked up per
+system by the succedent's class and the OR of the leaves'
+``Formula.bit``: a skipped rule would list nothing, so no proof and no
+count changes.  Which rules a system has is the kernel's; the order
+and the commitments are search policy, kept here.
 
 A formula has a signed atom charge (``Formula.charge``): one value, or
 a set of up to ``CHARGE_CAP`` values where it holds an ``&`` whose
@@ -67,15 +69,12 @@ from .calculus import (
     WITH_L1,
     WITH_L2,
     WITH_R,
-    AGENT_RULES,
-    SYSTEM_RULES,
-    LEAF,
     Proof,
     Rule,
-    _DISPATCH,
     _Matcher,
 )
 from .context import Sequent, context_charge, context_formulas
+from .kernel import LEAF, RULES, rule_instances
 from .syntax import Formula, System, charges_meet, subformulas
 
 INVERTIBLE_RULES: tuple[str, ...] = (
@@ -139,18 +138,16 @@ class SearchStats:
 
 def _rules_holding(system: System, succ_type: type, mask: int) -> tuple[Rule, ...]:
     """The rules of ``system`` in ``DEFAULT_RULE_ORDER``, agent rules
-    instantiated per agent, whose principal connective (``_DISPATCH``) a
+    instantiated per agent, whose principal connective (``RULES``) a
     goal holds, given its succedent's class and the OR of its leaves'
     ``Formula.bit``: a rule left out would list nothing there."""
-    avail = SYSTEM_RULES[system.ident]
-    table: list[Rule] = []
+    names = []
     for name in DEFAULT_RULE_ORDER:
-        _, side, cls = _DISPATCH[name]
-        if name in avail and (side is None or (
-                mask & cls.bit if side == LEAF else succ_type is cls)):
-            agents = system.agents if name in AGENT_RULES else (None,)
-            table.extend(Rule(name, a) for a in agents)
-    return tuple(table)
+        row = RULES[name]
+        if row.side is None or (mask & row.kinds[0].bit if row.side == LEAF
+                                else succ_type is row.kinds[0]):
+            names.append(name)
+    return rule_instances(system, names)
 
 
 # per system, the rules to try by (succedent class, leaf bitmask)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proofmill.calculus import (
-    AGENT_RULES,
     SYSTEM_RULES,
     CheckReport,
     Proof,
@@ -22,11 +21,11 @@ from proofmill.calculus import (
     proof_size,
     proof_to_json,
     rule_admissible,
-    LEAF,
-    SUCC,
+    rule_instances,
     _DISPATCH,
 )
 from proofmill.context import Sequent, parse_sequent, total_complexity
+from proofmill.kernel import LEAF, RULES, SUCC
 from proofmill.search import DEFAULT_RULE_ORDER
 from proofmill.syntax import Formula, parse_formula, parse_system
 
@@ -186,13 +185,15 @@ def test_rule_availability():
     with pytest.raises(ValueError, match="not applied backward"):
         apply_rule(parse_sequent("p |- p", MILL), Rule("Cut"))
     every = set().union(*SYSTEM_RULES.values())
+    assert set(RULES) == every
     assert set(_DISPATCH) == set(DEFAULT_RULE_ORDER) == every - {"Cut"}
-    # every rule but Ax names its principal connective, on a leaf or on
-    # the succedent
-    principal = {name: entry[1:] for name, entry in _DISPATCH.items()}
-    assert principal.pop("Ax") == (None, None)
-    for name, (side, cls) in principal.items():
-        assert side in (LEAF, SUCC) and issubclass(cls, Formula), name
+    # every rule but Ax and Cut names its principal connective, on a
+    # leaf or on the succedent
+    principal = {name: (row.side, row.kinds) for name, row in RULES.items()}
+    assert principal.pop("Ax") == principal.pop("Cut") == (None, ())
+    for name, (side, kinds) in principal.items():
+        assert side in (LEAF, SUCC) and kinds, name
+        assert all(issubclass(cls, Formula) for cls in kinds), name
 
 
 def test_rule_agent_pairing_enforced():
@@ -211,18 +212,10 @@ def test_premise_totals_strictly_decrease():
     ]
     for text, system in goals:
         g = parse_sequent(text, system)
-        for name in SYSTEM_RULES[system.ident]:
-            if name == "Cut":
-                continue
-            rules = (
-                [Rule(name, a) for a in system.agents]
-                if name in AGENT_RULES
-                else [Rule(name)]
-            )
-            for rule in rules:
-                for prem in apply_rule(g, rule):
-                    for s in prem:
-                        assert total_complexity(s) < total_complexity(g)
+        for rule in rule_instances(system, DEFAULT_RULE_ORDER):
+            for prem in apply_rule(g, rule):
+                for s in prem:
+                    assert total_complexity(s) < total_complexity(g)
 
 
 # -- the maximal premise lists at the goal ----------------------------------------
@@ -245,12 +238,7 @@ def test_premise_totals_strictly_decrease():
 )
 def test_maximal_premise_lists_dominate_the_closure(system_text, alphabet, succs):
     system = parse_system(system_text)
-    rules = [
-        Rule(name, agent)
-        for name in SYSTEM_RULES[system.ident]
-        if name != "Cut"
-        for agent in (system.agents if name in AGENT_RULES else (None,))
-    ]
+    rules = rule_instances(system, DEFAULT_RULE_ORDER)
     formulas = [parse_formula(a, system) for a in alphabet]
     checked = 0
     for i, succ in enumerate(parse_formula(t, system) for t in succs):
@@ -274,10 +262,9 @@ def test_maximal_premise_lists_dominate_the_closure(system_text, alphabet, succs
     assert checked > 1000
 
 
+# the rules principal on a leaf, but NotNec, which needs the succedent bot
 _LEFT_RULES = frozenset(
-    ("TensorL", "OdotL", "OneL", "WithL1", "WithL2", "LimpL", "LresL", "RresL",
-     "BringsRefl")
-)
+    name for name, row in RULES.items() if row.side == LEAF and name != "NotNec")
 
 
 # -- proof checking -------------------------------------------------------------

@@ -240,6 +240,16 @@ class TestProofFiles:
         assert (code, out) == (2, "")
         assert err == f"error: {path}: {message}\n"
 
+    def test_check_proof_rule_outside_the_system_fails(self, tmp_path):
+        # the sequent lies in RSBIAT's language but OdotL is no RSBIAT rule
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"system": "RSBIAT", "agents": ["a"], "proof": {
+            "sequent": "p |- p", "rule": "OdotL",
+            "premises": [{"sequent": "p |- p", "rule": "Ax"}]}}))
+        code, out, err = cli("check-proof", str(path))
+        assert (code, out, err) == (
+            1, "at node []: OdotL not admissible in RSBIAT:a\n", "")
+
     def test_cut_eliminate_already_cut_free(self, proof_path):
         code, out, _ = cli("cut-eliminate", str(proof_path))
         assert code == 0
@@ -538,6 +548,7 @@ def _valid_documents():
         ("hilbert-to-sequent", deduction_to_json(agent_tree, RS), ()),
         ("model-check", model_to_json(random_model(7, 3, MILL)), ("MILL",)),
         ("model-check", model_to_json(random_model(2, 3, RS)), ("RSBIAT",)),
+        ("check-proof", proof_to_json(hilbert_to_sequent(agent_tree, RS)), ()),
     ]
 
 
@@ -595,6 +606,18 @@ class TestMalformedJson:
         code, _, err = _run_on(command, _replaced(obj, where, value), extra)
         assert code == 2, err
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["check-proof", "hilbert-check"])
+    @pytest.mark.parametrize("agents", ["ab", {"a": 1, "b": 2}])
+    def test_agents_not_a_list_of_strings_is_a_usage_error(self, command, agents):
+        # on an RSBIAT:a,b document, where a loader that read the field's
+        # letters or keys as agents would accept it
+        _, obj, extra = next(d for d in _valid_documents()
+                             if d[0] == command and d[1]["agents"])
+        assert _run_on(command, obj, extra)[0] == 0
+        code, _, err = _run_on(command, _replaced(obj, ("agents",), agents), extra)
+        assert code == 2, err
+        assert "is not a list of strings" in err
 
     @pytest.mark.parametrize("doc", range(len(_valid_documents())))
     @settings(max_examples=60, deadline=None)

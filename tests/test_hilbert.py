@@ -6,7 +6,7 @@ import random
 import pytest
 from gentrees import random_deduction
 
-from proofmill.calculus import check_proof, cut_count
+from proofmill.calculus import check_proof, cut_count, proof_from_json, proof_to_json
 from proofmill.context import mset, sequent
 from proofmill.cutelim import eliminate_cuts
 from proofmill.hilbert import (
@@ -400,6 +400,19 @@ def test_json_round_trip_with_agent():
     assert obj["tree"]["agent"] == "a"
     back, sys = deduction_from_json(obj)
     assert back == d and sys == RS
+
+
+@pytest.mark.parametrize("agents", ["ab", {"a": 1}])
+def test_agents_must_be_a_list_of_strings(agents):
+    # neither the letters of a string nor the keys of an object are agents
+    d = not_nec_rule("a", axiom_leaf(f("1"), RS))
+    for what, obj, load in [
+        ("deduction", deduction_to_json(d, RS), deduction_from_json),
+        ("proof", proof_to_json(hilbert_to_sequent(d, RS)), proof_from_json),
+    ]:
+        load(obj)
+        with pytest.raises(ValueError, match=f"malformed {what} object: agents"):
+            load({**obj, "agents": agents})
 
 
 # -- long deductions --------------------------------------------------------------

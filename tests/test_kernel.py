@@ -21,6 +21,7 @@ from proofmill.calculus import (
     check_proof,
     proof_nodes,
     rule_admissible,
+    rule_instances,
 )
 from proofmill.context import (
     EMPTY,
@@ -39,8 +40,10 @@ from proofmill.context import (
     validate_sequent,
 )
 from proofmill.corpus import load_corpus_dir
+from proofmill.kernel import RULES, SUCC
 from proofmill.search import Proved, prove
 from proofmill.syntax import (
+    SystemId,
     atom,
     brings,
     odot,
@@ -202,13 +205,9 @@ def test_kernel_agrees_with_reference_on_corpus_proofs(corpus_proofs):
 
 
 def _other_rules(node: Proof):
-    system = node.conclusion.system
-    for name in SYSTEM_RULES[system.ident]:
-        agents = system.agents if name in AGENT_RULES else (None,)
-        for agent in agents:
-            rule = Rule(name, agent)
-            if rule != node.rule:
-                yield rule
+    for rule in rule_instances(node.conclusion.system):
+        if rule != node.rule:
+            yield rule
 
 
 def _mutants(node: Proof, sequents: list[Sequent]):
@@ -392,8 +391,9 @@ def test_shared_nodes_are_checked_once(monkeypatch):
             return check(*args)
         return run
 
-    monkeypatch.setattr(kernel, "_CHECKS", {name: counted(check) for name, check
-                                            in kernel._CHECKS.items()})
+    monkeypatch.setattr(kernel, "RULES", {
+        name: row._replace(check=row.check and counted(row.check))
+        for name, row in kernel.RULES.items()})
     assert check_proof(result.proof).ok
     assert 0 < len(calls) <= 18
 
@@ -433,6 +433,55 @@ def test_ill_formed_sequents_are_reported_at_each_node():
     assert first.violations == (((), message), ((0,), message))
     # a check that fails records nothing: the same check reports both again
     assert check_proof(pair, session) == first
+
+
+# -- the rule table ---------------------------------------------------------------
+# Each system's rules, the agent rules and the right rules are read off
+# ``RULES``; these are the sets as they were listed by hand before.
+
+_LISTED_SYSTEM_RULES = {
+    SystemId.MILL: (
+        "Ax", "Cut", "TensorL", "TensorR", "LimpL", "LimpR", "WithL1", "WithL2",
+        "WithR", "OneL", "OneR", "BoxRe"),
+    SystemId.PCMILL: (
+        "Ax", "Cut", "TensorL", "TensorR", "LimpL", "LimpR", "WithL1", "WithL2",
+        "WithR", "OneL", "OneR", "BoxRe", "OdotL", "OdotR", "LresL", "LresR",
+        "RresL", "RresR"),
+    SystemId.RSBIAT: (
+        "Ax", "Cut", "TensorL", "TensorR", "LimpL", "LimpR", "WithL1", "WithL2",
+        "WithR", "OneL", "OneR", "BringsRe", "BringsRefl", "BringsTensor",
+        "BringsWith", "NotNec"),
+    SystemId.SRSBIAT: (
+        "Ax", "Cut", "TensorL", "TensorR", "LimpL", "LimpR", "WithL1", "WithL2",
+        "WithR", "OneL", "OneR", "BringsRe", "BringsRefl", "BringsTensor",
+        "BringsWith", "NotNec", "OdotL", "OdotR", "LresL", "LresR", "RresL",
+        "RresR", "BringsOdot"),
+}
+_LISTED_AGENT_RULES = {
+    "BringsRe", "BringsRefl", "BringsTensor", "BringsWith", "BringsOdot", "NotNec"}
+_LISTED_RIGHT_RULES = {
+    "TensorR", "OdotR", "LimpR", "LresR", "RresR", "WithR", "OneR", "BoxRe",
+    "BringsRe", "BringsTensor", "BringsWith", "BringsOdot"}
+
+
+def test_rule_table_gives_the_listed_rule_sets():
+    assert SYSTEM_RULES == _LISTED_SYSTEM_RULES
+    assert AGENT_RULES == _LISTED_AGENT_RULES
+    assert {name for name, row in RULES.items() if row.side == SUCC} == \
+        _LISTED_RIGHT_RULES
+    for text in ("MILL", "PCMILL", "RSBIAT:a,b", "SRSBIAT:a,b"):
+        system = parse_system(text)
+        listed = _LISTED_SYSTEM_RULES[system.ident]
+        for name in (*RULES, "Ent"):
+            for agent in ("a", "z") if name in _LISTED_AGENT_RULES else (None,):
+                want = name in listed and agent in (None, *system.agents)
+                assert rule_admissible(Rule(name, agent), system) == want, (
+                    text, name, agent)
+    rs = parse_system("RSBIAT:a,b")
+    assert [str(r) for r in rule_instances(rs, ("OdotR", "BringsRe", "Ax"))] == \
+        ["BringsRe[a]", "BringsRe[b]", "Ax"]
+    assert rule_instances(parse_system("MILL")) == tuple(
+        Rule(name) for name in _LISTED_SYSTEM_RULES[SystemId.MILL])
 
 
 # -- import boundary -------------------------------------------------------------

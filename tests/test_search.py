@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 import proofmill.search as search_module
 from proofmill import context
 from proofmill.calculus import (
-    AGENT_RULES,
     BRINGS_ODOT,
     BRINGS_TENSOR,
     LIMP_L,
@@ -30,7 +29,7 @@ from proofmill.calculus import (
     cut_count,
     proof_nodes,
     proof_size,
-    rule_admissible,
+    rule_instances,
 )
 from proofmill.context import (
     EMPTY,
@@ -328,16 +327,11 @@ CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 def _assert_premises_shrink(goal):
     size = total_complexity(goal)
-    for name in DEFAULT_RULE_ORDER:
-        agents = goal.system.agents if name in AGENT_RULES else (None,)
-        for agent in agents:
-            rule = Rule(name, agent)
-            if not rule_admissible(rule, goal.system):
-                continue
-            for premises in apply_rule(goal, rule):
-                for prem in premises:
-                    assert total_complexity(prem) < size, (
-                        goal.key, str(rule), prem.key)
+    for rule in rule_instances(goal.system, DEFAULT_RULE_ORDER):
+        for premises in apply_rule(goal, rule):
+            for prem in premises:
+                assert total_complexity(prem) < size, (
+                    goal.key, str(rule), prem.key)
 
 
 def test_premises_shrink_on_corpus_goals():
@@ -595,9 +589,7 @@ def test_a_root_whose_values_miss_is_refuted():
 
 def _every_rule(system):
     """The rules of ``system`` in search order, agent rules per agent."""
-    return tuple(Rule(name, a) for name in DEFAULT_RULE_ORDER
-                 for a in (system.agents if name in AGENT_RULES else (None,))
-                 if rule_admissible(Rule(name, a), system))
+    return rule_instances(system, DEFAULT_RULE_ORDER)
 
 
 def _assert_dropped_rules_list_nothing(goals):
@@ -662,10 +654,10 @@ def test_keeping_every_rule_changes_nothing(monkeypatch):
     for i in range(4):
         goals += rng.sample(_universe(i), 1500)
     filtered = _search_reports(goals)
-    # no rule names a principal connective, so every rule is kept
+    # no rule has a principal side, so every rule is kept
     monkeypatch.setattr(search_module, "_TABLES", {})
-    monkeypatch.setattr(search_module, "_DISPATCH", dict.fromkeys(
-        search_module._DISPATCH, (None, None, None)))
+    monkeypatch.setattr(search_module, "RULES", {
+        name: row._replace(side=None) for name, row in search_module.RULES.items()})
     assert _Engine(RS).rules_for(parse_sequent("p |- p", RS)) == _every_rule(RS)
     everything = _search_reports(goals)
     for goal, a, b in zip(goals, filtered, everything):
