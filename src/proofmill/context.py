@@ -204,6 +204,24 @@ def context_formulas(c: Context) -> list[Formula]:
     return list(got)
 
 
+def leaf_paths(c: Context, f: Formula) -> list[Path]:
+    """The paths of the leaves of ``c`` holding ``f``, walking only the
+    subtrees whose leaves hold it.  Of equal children of a parallel node
+    (one object, adjacent) only the first is listed: filling any of them
+    gives the same tree."""
+    if f not in context_formulas(c):
+        return []
+    if isinstance(c, Leaf):
+        return [()]
+    # context_formulas(c) has cached the leaves of every node below c
+    kids, parallel = c.children, isinstance(c, Par)  # type: ignore[attr-defined]
+    out: list[Path] = []
+    for i, ch in enumerate(kids):
+        if f in ch._formulas and not (parallel and i and kids[i - 1] is ch):
+            out += [(i,)] if isinstance(ch, Leaf) else [(i,) + pt for pt in leaf_paths(ch, f)]
+    return out
+
+
 def context_charge(c: Context) -> Charge:
     """The charges of the leaf formulas summed, elementwise where one is
     a value set; None when one has none or the sum passes the cap."""

@@ -62,7 +62,6 @@ from .syntax import (
     limp,
     operands,
     parse_formula,
-    parse_system,
     print_formula,
     substitute,
     with_,
@@ -649,12 +648,14 @@ def deduction_from_json(obj: dict) -> tuple[DeductionTree, System]:
         )
 
     try:
-        name = obj["system"]
         agents = obj.get("agents", [])
         if not isinstance(agents, list) or not all(isinstance(a, str) for a in agents):
             raise TypeError(f"agents {agents!r} is not a list of strings")
-        text = name if not agents else f"{name}:{','.join(agents)}"
-        system = parse_system(text)
+        # each string names one agent as it stands, as in a proof object
+        try:
+            system = System(SystemId(obj["system"]), tuple(agents))
+        except ValueError as exc:
+            raise ValueError(f"malformed deduction object: {exc}") from None
         _require_hilbert(system)
         tree = fold_tree(obj["tree"], lambda o: o.get("premises", ()), node)
     except (KeyError, TypeError, AttributeError) as exc:

@@ -20,6 +20,13 @@ NotNec read the conclusion as it stands in every system.  The kernel
 imports only ``syntax`` and ``context``: it shares nothing with the
 premise enumerator that proof search uses.
 
+A row's check lists those antecedents X.  ``check_proof`` reads the
+system's language (the connectives outside it and its agents), whether
+entropy applies, and the rule table once per call.  Per node it tests
+the succedent and the rule against the language, the antecedent only
+when the session has not yet found it inside (``language_error`` runs
+only to word a failure), and runs the row's check.
+
 ``check_proof`` checks each distinct node object once per call, so a
 proof whose subtrees are shared (search reuses the proof of a sequent
 it met before) costs its distinct nodes, not its tree size.  A
@@ -27,7 +34,7 @@ it met before) costs its distinct nodes, not its tree size.  A
 subtrees (cut elimination builds each candidate from checked parts of
 the proof and reuses them in the next one): a check that
 passes records every node it visited, and a later check in the same
-session skips any subtree so recorded.
+session neither visits nor pushes any subtree so recorded.
 
 Premise order follows the rule schemas:
 
@@ -40,7 +47,6 @@ Premise order follows the rule schemas:
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple
@@ -57,6 +63,7 @@ from .context import (
     fill,
     join,
     leaf,
+    leaf_paths,
     par,
     positions,
     ser,
@@ -204,13 +211,16 @@ class CheckSession:
     reference, so their ``id`` is not reused while the session lives.
     A verdict on a node depends on the node, its premises' conclusions
     and the system alone, so a recorded subtree needs no second look.
+    The antecedents found inside the system's language are kept too,
+    from any check: that depends on the antecedent alone.
     """
 
-    __slots__ = ("_system", "_accepted")
+    __slots__ = ("_system", "_accepted", "_inside")
 
     def __init__(self) -> None:
         self._system: System | None = None
         self._accepted: dict[int, Proof] = {}
+        self._inside: set[Context] = set()
 
 
 @dataclass(frozen=True)
@@ -226,20 +236,6 @@ class CheckReport:
 # Antecedent helpers
 
 
-def _principals(c: Sequent, kind) -> list[Formula]:
-    """Distinct leaves of the conclusion with main connective ``kind``."""
-    return list(dict.fromkeys(f for f in context_formulas(c.ctx) if isinstance(f, kind)))
-
-
-def _leaf_paths(ctx: Context, f: Formula) -> list[tuple[int, ...]]:
-    return [pt for pt, n in positions(ctx) if isinstance(n, Leaf) and n.formula == f]
-
-
-def _fits(x: Context, c: Sequent) -> bool:
-    """The rule concludes antecedent ``x``; does ``c`` follow from it?"""
-    return entropy_le(x, c.ctx) if c.system.is_tree else x == c.ctx
-
-
 def _unfill(y: Context, parts: tuple[Formula, ...], serial: bool, f: Formula):
     """Every antecedent with an occurrence of ``f`` at which putting the
     parallel (or serial) composition of ``parts`` gives ``y``; with no
@@ -248,38 +244,50 @@ def _unfill(y: Context, parts: tuple[Formula, ...], serial: bool, f: Formula):
         yield from _with_leaf(y, leaf(f))
         return
     if len(parts) == 1:
-        for pt in _leaf_paths(y, parts[0]):
+        for pt in leaf_paths(y, parts[0]):
             yield fill(y, pt, leaf(f))
         return
     # two parts: a Par node holding both leaves (the composition was
     # flattened into it or is the node itself), or a Ser node holding
     # them as a consecutive run
-    want = [leaf(g) for g in parts]
+    a, b = leaf(parts[0]), leaf(parts[1])
     for pt, n in positions(y):
         if serial and isinstance(n, Ser):
             kids = n.children
             for i in range(len(kids) - 1):
-                if list(kids[i : i + 2]) == want:
+                if kids[i] is a and kids[i + 1] is b:
                     yield fill(y, pt, ser(kids[:i] + (leaf(f),) + kids[i + 2 :]))
-        elif not serial and isinstance(n, Par):
-            left = Counter(n.children)
-            left.subtract(want)
-            if min(left.values()) >= 0:
-                yield fill(y, pt, par(list(left.elements()) + [leaf(f)]))
+        elif not serial and isinstance(n, Par) and a in n.children:
+            kids = list(n.children)
+            kids.remove(a)
+            if b in kids:
+                kids.remove(b)
+                yield fill(y, pt, par(kids + [leaf(f)]))
 
 
 # ---------------------------------------------------------------------------
 # Forward instantiation.  Each check takes the connectives of its rule's
 # row in ``RULES``, the node's conclusion, its premises' conclusions and
-# the rule's agent.
+# the rule's agent, and lists the antecedents that the rule concludes
+# from those premises: none when they fit no instance of it, and the
+# conclusion's own antecedent for a rule that reads it as it stands.
 
 
-def _ax(kinds, c: Sequent, ps: list[Sequent], agent) -> bool:
-    return not ps and singleton_body(c.ctx) == c.succ
+def _ax(kinds, c: Sequent, ps: list[Sequent], agent):
+    return (c.ctx,) if not ps and singleton_body(c.ctx) == c.succ else ()
 
 
-def _one_r(kinds, c: Sequent, ps: list[Sequent], agent) -> bool:
-    return not ps and isinstance(c.succ, kinds[0]) and c.ctx is EMPTY
+def _one_r(kinds, c: Sequent, ps: list[Sequent], agent):
+    return (c.ctx,) if not ps and isinstance(c.succ, kinds[0]) and c.ctx is EMPTY else ()
+
+
+def _cut(kinds, c: Sequent, ps: list[Sequent], agent):
+    """The first premise's antecedent with the second premise's put in
+    place of one occurrence of the cut formula."""
+    if len(ps) != 2 or ps[0].succ != c.succ:
+        return ()
+    y, gamma = ps[0].ctx, ps[1].ctx
+    return (fill(y, pt, gamma) for pt in leaf_paths(y, ps[1].succ))
 
 
 def _left_unary(parts):
@@ -287,17 +295,15 @@ def _left_unary(parts):
     in series when ``f`` is a ``@``; an ``E[a]`` is principal only for
     the rule's agent."""
 
-    def check(kinds, c: Sequent, ps: list[Sequent], agent) -> bool:
+    def check(kinds, c: Sequent, ps: list[Sequent], agent):
         if len(ps) != 1 or ps[0].succ != c.succ:
-            return False
+            return
         kind = kinds[0]
-        for f in _principals(c, kind):
-            if kind is Brings and f.agent != agent:  # type: ignore[attr-defined]
+        for f in dict.fromkeys(context_formulas(c.ctx)):
+            if not isinstance(f, kind) or \
+                    kind is Brings and f.agent != agent:  # type: ignore[attr-defined]
                 continue
-            for x in _unfill(ps[0].ctx, parts(f), kind is Odot, f):
-                if _fits(x, c):
-                    return True
-        return False
+            yield from _unfill(ps[0].ctx, parts(f), kind is Odot, f)
 
     return check
 
@@ -342,7 +348,7 @@ def _with_leaf(y: Context, u: Leaf):
             yield x
 
 
-def _pair_right(kinds, c: Sequent, ps: list[Sequent], agent) -> bool:
+def _pair_right(kinds, c: Sequent, ps: list[Sequent], agent):
     """TensorR, OdotR, WithR and their E[a] forms: premises prove the two
     halves, over the shared antecedent (``&``) or over two joined ones,
     in series for ``@``."""
@@ -350,89 +356,90 @@ def _pair_right(kinds, c: Sequent, ps: list[Sequent], agent) -> bool:
     agentive = kinds[0] is Brings
     if agentive:
         if not isinstance(g, Brings) or g.agent != agent:
-            return False
+            return ()
         g = g.body
     if len(ps) != 2 or not isinstance(g, kind):
-        return False
+        return ()
     want = (g.left, g.right)
     if agentive:
         want = (brings(agent, g.left), brings(agent, g.right))
     if (ps[0].succ, ps[1].succ) != want:
-        return False
+        return ()
     if kind is With:
-        return ps[0].ctx == ps[1].ctx and _fits(ps[0].ctx, c)
-    return _fits(join(ps[0].ctx, ps[1].ctx, kind is Odot), c)
+        return (ps[0].ctx,) if ps[0].ctx == ps[1].ctx else ()
+    return (join(ps[0].ctx, ps[1].ctx, kind is Odot),)
 
 
-def _limp_r(kinds, c: Sequent, ps: list[Sequent], agent) -> bool:
+def _limp_r(kinds, c: Sequent, ps: list[Sequent], agent):
     g = c.succ
     if len(ps) != 1 or not isinstance(g, kinds[0]) or ps[0].succ != g.right:
-        return False
+        return ()
     y = ps[0].ctx
     a = leaf(g.left)
     if y == a:
-        return _fits(EMPTY, c)
+        return (EMPTY,)
     if not isinstance(y, Par) or a not in y.children:
-        return False
+        return ()
     kids = list(y.children)
     kids.remove(a)
-    return _fits(par(kids), c)
+    return (par(kids),)
 
 
-def _res_r(kinds, c: Sequent, ps: list[Sequent], agent) -> bool:
+def _res_r(kinds, c: Sequent, ps: list[Sequent], agent):
     g = c.succ
     if len(ps) != 1 or not isinstance(g, kinds[0]):
-        return False
+        return ()
     # A \ B reads A; Γ ⊢ B, and B / A reads Γ; A ⊢ B
     lres = kinds[0] is Lres
     arg, res = (g.left, g.right) if lres else (g.right, g.left)
     if ps[0].succ != res:
-        return False
+        return ()
     y = ps[0].ctx
     kids = y.children if isinstance(y, Ser) else (y,)
     end = 0 if lres else -1
     if kids[end] != leaf(arg):
-        return False
-    return _fits(ser(kids[1:] if lres else kids[:-1]), c)
+        return ()
+    return (ser(kids[1:] if lres else kids[:-1]),)
 
 
-def _imp_left(kinds, c: Sequent, ps: list[Sequent], agent) -> bool:
+def _imp_left(kinds, c: Sequent, ps: list[Sequent], agent):
     """LimpL, LresL, RresL: the second premise holds the residue where
     the conclusion holds ``Γ, A -o B``, ``Γ; A \\ B`` or ``B / A; Γ``,
     Γ being the first premise's antecedent and A the argument."""
     if len(ps) != 2 or ps[1].succ != c.succ:
-        return False
+        return
     gamma, y = ps[0].ctx, ps[1].ctx
     kind = kinds[0]
-    for f in _principals(c, kind):
+    for f in dict.fromkeys(context_formulas(c.ctx)):
+        if not isinstance(f, kind):
+            continue
         arg, res = (f.right, f.left) if kind is Rres else (f.left, f.right)
         if arg != ps[0].succ:
             continue
         u = leaf(f)
         block = par([gamma, u]) if kind is Limp else \
             ser([u, gamma] if kind is Rres else [gamma, u])
-        for pt in _leaf_paths(y, res):
-            if _fits(fill(y, pt, block), c):
-                return True
-    return False
+        for pt in leaf_paths(y, res):
+            yield fill(y, pt, block)
 
 
-def _converse(kinds, c: Sequent, ps: list[Sequent], agent) -> bool:
+def _converse(kinds, c: Sequent, ps: list[Sequent], agent):
     """BoxRe and BringsRe: []A ⊢ []B from A ⊢ B and B ⊢ A."""
     body, g = singleton_body(c.ctx), c.succ
     if not (isinstance(body, kinds[0]) and isinstance(g, kinds[0])):
-        return False
+        return ()
     if agent is not None and not body.agent == g.agent == agent:
-        return False
+        return ()
     a, b = body.body, g.body
-    return [(s.ctx, s.succ) for s in ps] == [(leaf(a), b), (leaf(b), a)]
+    ok = [(s.ctx, s.succ) for s in ps] == [(leaf(a), b), (leaf(b), a)]
+    return (c.ctx,) if ok else ()
 
 
-def _not_nec(kinds, c: Sequent, ps: list[Sequent], agent) -> bool:
+def _not_nec(kinds, c: Sequent, ps: list[Sequent], agent):
     body = singleton_body(c.ctx)
     if c.succ != BOT or not isinstance(body, kinds[0]) or body.agent != agent:
-        return False
-    return [(s.ctx, s.succ) for s in ps] == [(EMPTY, body.body)]
+        return ()
+    return (c.ctx,) if [(s.ctx, s.succ) for s in ps] == [(EMPTY, body.body)] else ()
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +452,13 @@ LEAF, SUCC = "leaf", "succ"
 class RuleRow(NamedTuple):
     """One rule: the side of its principal formula (None for Ax and
     Cut), the connectives it introduces, principal first, the sum of
-    their ``Formula.bit``, and its forward check (None for Cut, which
-    ``_check_cut`` reads off the whole node)."""
+    their ``Formula.bit``, and its forward check, which lists the
+    antecedents that the rule concludes."""
 
     side: str | None
     kinds: tuple[type, ...]
     uses: int
-    check: Callable[..., bool] | None
+    check: Callable[..., Iterable[Context]]
 
 
 def _row(side: str | None, kinds, check) -> RuleRow:
@@ -461,7 +468,7 @@ def _row(side: str | None, kinds, check) -> RuleRow:
 
 RULES: dict[str, RuleRow] = {
     AX: _row(None, (), _ax),
-    CUT: _row(None, (), None),
+    CUT: _row(None, (), _cut),
     TENSOR_L: _row(LEAF, Tensor, _left_unary(lambda f: (f.left, f.right))),
     TENSOR_R: _row(SUCC, Tensor, _pair_right),
     LIMP_L: _row(LEAF, Limp, _imp_left),
@@ -511,18 +518,20 @@ def rule_instances(system: System, names: Iterable[str] = RULES) -> tuple[Rule, 
         for agent in (system.agents if name in AGENT_RULES else (None,)))
 
 
-def _check_cut(node: Proof) -> str | None:
-    if len(node.premises) != 2:
-        return "Cut needs two premises"
-    consumer, producer = node.premises[0].conclusion, node.premises[1].conclusion
-    a = producer.succ
-    concl = node.conclusion
-    if consumer.succ != concl.succ:
-        return "Cut conclusion succedent differs from first premise"
-    for path in _leaf_paths(consumer.ctx, a):
-        if _fits(fill(consumer.ctx, path, producer.ctx), concl):
-            return None
-    return "no cut-formula occurrence reproduces the conclusion antecedent"
+_PASSED = CheckReport(True, ())
+
+
+def _failure(rule: Rule, c: Sequent, ps: list[Sequent]) -> str:
+    """Why no antecedent that ``rule`` concludes from ``ps`` gives ``c``."""
+    if rule.name == CUT:
+        if len(ps) != 2:
+            return "Cut needs two premises"
+        if ps[0].succ != c.succ:
+            return "Cut conclusion succedent differs from first premise"
+        return "no cut-formula occurrence reproduces the conclusion antecedent"
+    if rule.name == BOX_RE and len(ps) == 1:
+        return "missing converse premise"
+    return f"premises do not instantiate {rule}"
 
 
 def check_proof(p: Proof, session: CheckSession | None = None) -> CheckReport:
@@ -535,49 +544,60 @@ def check_proof(p: Proof, session: CheckSession | None = None) -> CheckReport:
     fresh session."""
     if session is None:
         session = CheckSession()
-    violations: list[tuple[tuple[int, ...], str]] = []
     system = p.conclusion.system
     if session._system is None:
         session._system = system
-    elif session._system != system:
+    elif session._system is not system and session._system != system:
         raise ValueError(f"session checks {session._system} proofs, not {system}")
-    accepted = session._accepted
+    # read once per call, not once per node
+    outside, agents, tree, rules = _OUTSIDE[system.ident], system.agents, system.is_tree, RULES
+    accepted, inside = session._accepted, session._inside
     visited: dict[int, Proof] = {}  # nodes visited in this call, by id
-
+    violations: list[tuple[tuple[int, ...], str]] = []
     stack: list[tuple[tuple[int, ...], Proof]] = [((), p)]
     while stack:
         path, node = stack.pop()
-        if id(node) in accepted or id(node) in visited:
+        if id(node) in visited or id(node) in accepted:
             continue
         visited[id(node)] = node
-        for i in reversed(range(len(node.premises))):
-            stack.append((path + (i,), node.premises[i]))
+        prems = node.premises
+        for i in range(len(prems) - 1, -1, -1):
+            if id(prems[i]) not in accepted:
+                stack.append((path + (i,), prems[i]))
         c = node.conclusion
         if c.system is not system and c.system != system:
             violations.append((path, "mixed systems in one proof"))
             continue
-        err = language_error((*context_formulas(c.ctx), c.succ), system)
-        if err is not None:
+        ctx, g = c.ctx, c.succ
+        if ctx not in inside:
+            for f in context_formulas(ctx):
+                if f.uses & outside or f.agents and not f.agents.issubset(agents):
+                    break
+            else:
+                inside.add(ctx)
+        if ctx not in inside or g.uses & outside or \
+                g.agents and not g.agents.issubset(agents):
+            err = language_error((*context_formulas(ctx), g), system)
             violations.append((path, f"ill-formed sequent: {err}"))
             continue
         rule = node.rule
-        if not rule_admissible(rule, system):
+        row = rules.get(rule.name)  # rule_admissible's test, on the hoisted language
+        if row is None or row.uses & outside or \
+                rule.agent is not None and rule.agent not in agents:
             violations.append((path, f"{rule} not admissible in {system}"))
             continue
-        prems = [q.conclusion for q in node.premises]
-        if any(s.system is not system and s.system != system for s in prems):
-            continue  # reported at the premise itself
-        row = RULES[rule.name]
-        if rule.name == CUT:
-            err = _check_cut(node)
-        elif row.check(row.kinds, c, prems, rule.agent):
-            continue
-        elif rule.name == BOX_RE and len(prems) == 1:
-            err = "missing converse premise"
+        ps = []
+        for q in prems:
+            if q.conclusion.system is not system and q.conclusion.system != system:
+                break  # reported at the premise itself
+            ps.append(q.conclusion)
         else:
-            err = f"premises do not instantiate {rule}"
-        if err:
-            violations.append((path, err))
-    if not violations:
-        accepted.update(visited)
-    return CheckReport(not violations, tuple(violations))
+            for x in row.check(row.kinds, c, ps, rule.agent):
+                if x is ctx or tree and entropy_le(x, ctx):
+                    break
+            else:
+                violations.append((path, _failure(rule, c, ps)))
+    if violations:
+        return CheckReport(False, tuple(violations))
+    accepted.update(visited)
+    return _PASSED

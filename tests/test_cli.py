@@ -600,9 +600,14 @@ class TestMalformedJson:
         ("hilbert-to-sequent", ("system",), "PCMILL"),
         ("model-check", ("unit",), []),
         ("model-check", ("worlds",), [[1]]),
+        # one string is one agent's name: neither two agents nor agent a
+        ("hilbert-check", ("agents",), ["a,b"]),
+        ("hilbert-check", ("agents",), [" a"]),
     ])
     def test_is_a_usage_error(self, command, where, value):
-        _, obj, extra = next(d for d in _valid_documents() if d[0] == command)
+        # the agents are replaced in a document that names some
+        docs = [d for d in _valid_documents() if d[0] == command]
+        _, obj, extra = docs[-1] if where == ("agents",) else docs[0]
         code, _, err = _run_on(command, _replaced(obj, where, value), extra)
         assert code == 2, err
         assert err.startswith("error: ")

@@ -783,7 +783,7 @@ def test_a_shared_cut_is_reduced_once():
 
 
 def test_deep_proof_eliminates(monkeypatch):
-    import proofmill.kernel as kernel
+    from test_kernel import count_checks
 
     # one Ax/Ax cut under 1,500 OneL steps: the cut's path is 1,500 long
     ax_p = ax("p |- p", MILL)
@@ -793,14 +793,7 @@ def test_deep_proof_eliminates(monkeypatch):
         node = Proof(sequent(mset([one] * k + [p]), p, MILL), Rule("OneL"), (node,))
     # the kernel judges each of the 1,502 distinct input nodes once and
     # nothing else: the reduct, Ax, was checked with the input
-    judged = []
-    admissible = kernel.rule_admissible
-
-    def counting(rule, system):
-        judged.append(rule)
-        return admissible(rule, system)
-
-    monkeypatch.setattr(kernel, "rule_admissible", counting)
+    judged = count_checks(monkeypatch)
     final, trace = eliminate_cuts(node)
     assert len(judged) == 1502
     assert [(s.kind, s.path) for s in trace.steps] == [("principal", (0,) * 1500)]

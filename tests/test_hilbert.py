@@ -402,17 +402,24 @@ def test_json_round_trip_with_agent():
     assert back == d and sys == RS
 
 
-@pytest.mark.parametrize("agents", ["ab", {"a": 1}])
+@pytest.mark.parametrize("agents", ["ab", {"a": 1}, ["a,b"], [" a"]])
 def test_agents_must_be_a_list_of_strings(agents):
-    # neither the letters of a string nor the keys of an object are agents
+    # neither the letters of a string nor the keys of an object are
+    # agents, and a string names one agent as it stands: no comma in it
+    # separates two names and no space around it is trimmed
     d = not_nec_rule("a", axiom_leaf(f("1"), RS))
+    named = isinstance(agents, list)
+    why = f"bad agent name {agents[0]!r}" if named else "agents"
     for what, obj, load in [
         ("deduction", deduction_to_json(d, RS), deduction_from_json),
         ("proof", proof_to_json(hilbert_to_sequent(d, RS)), proof_from_json),
     ]:
         load(obj)
-        with pytest.raises(ValueError, match=f"malformed {what} object: agents"):
+        with pytest.raises(ValueError) as info:
             load({**obj, "agents": agents})
+        # a proof object passes a bad name on as the system words it
+        prefix = "" if named and what == "proof" else f"malformed {what} object: "
+        assert str(info.value).startswith(prefix + why)
 
 
 # -- long deductions --------------------------------------------------------------

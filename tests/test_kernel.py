@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proofmill.calculus import (
     AGENT_RULES,
@@ -45,7 +46,10 @@ from proofmill.search import Proved, prove
 from proofmill.syntax import (
     SystemId,
     atom,
+    box,
     brings,
+    language_error,
+    lres,
     odot,
     parse_formula,
     parse_system,
@@ -278,6 +282,9 @@ def _splice(proof: Proof, path, new: Proof) -> Proof:
         ("RresR", ["p", "q"], ["p / q", "q / p"], 3),
         ("WithR", ["p", "q"], ["p & q"], 3),
         ("WithL1", ["p & q", "p", "q"], ["p"], 3),
+        # both parts of the principal are one leaf, as is the rest
+        ("TensorL", ["p * p", "p"], ["p", "p * p"], 3),
+        ("OdotL", ["p @ p", "p"], ["p", "p @ p"], 3),
     ],
 )
 def test_tree_rules_accept_exactly_what_the_enumerator_lists(name, alphabet, succs, leaves):
@@ -342,19 +349,28 @@ def test_session_reports_match_sessionless_reports(corpus_proofs):
                 assert check_proof(whole, session) == check_proof(whole), entry_id
 
 
-def test_session_skips_only_what_it_accepted(corpus_proofs, monkeypatch):
+def count_checks(monkeypatch) -> list:
+    """Wrap the check in each row of ``kernel.RULES`` to record its
+    calls: one for each node of a well-formed proof that a check visits."""
     import proofmill.kernel as kernel
 
-    # rule_admissible runs once for each distinct node of a well-formed
-    # proof: search shares the proofs of sequents it met twice
-    judged = []
-    admissible = kernel.rule_admissible
+    calls: list = []
 
-    def counting(rule, system):
-        judged.append(rule)
-        return admissible(rule, system)
+    def counted(check):
+        def run(*args):
+            calls.append(args[1])
+            return check(*args)
+        return run
 
-    monkeypatch.setattr(kernel, "rule_admissible", counting)
+    monkeypatch.setattr(kernel, "RULES", {
+        name: row._replace(check=counted(row.check)) for name, row in kernel.RULES.items()})
+    return calls
+
+
+def test_session_skips_only_what_it_accepted(corpus_proofs, monkeypatch):
+    # the checks run once for each distinct node of a well-formed proof:
+    # search shares the proofs of sequents it met twice
+    judged = count_checks(monkeypatch)
     sized = [(len({id(n) for _, n in proof_nodes(pr)}), pr) for _, pr in corpus_proofs]
     size, proof = max(sized, key=lambda t: t[0])
     session = CheckSession()
@@ -373,8 +389,6 @@ def test_session_skips_only_what_it_accepted(corpus_proofs, monkeypatch):
 
 
 def test_shared_nodes_are_checked_once(monkeypatch):
-    import proofmill.kernel as kernel
-
     # |- X16, X0 = p -o p and X(k+1) = X(k) & X(k): search proves each
     # |- Xk once and shares it, so 196,607 tree nodes are 18 objects
     x = parse_formula("p -o p")
@@ -383,17 +397,7 @@ def test_shared_nodes_are_checked_once(monkeypatch):
     result = prove(Sequent(EMPTY, x, MILL))
     assert isinstance(result, Proved)
     assert sum(1 for _ in proof_nodes(result.proof)) == 196_607
-    calls = []
-
-    def counted(check):
-        def run(*args):
-            calls.append(args[0])
-            return check(*args)
-        return run
-
-    monkeypatch.setattr(kernel, "RULES", {
-        name: row._replace(check=row.check and counted(row.check))
-        for name, row in kernel.RULES.items()})
+    calls = count_checks(monkeypatch)
     assert check_proof(result.proof).ok
     assert 0 < len(calls) <= 18
 
@@ -433,6 +437,75 @@ def test_ill_formed_sequents_are_reported_at_each_node():
     assert first.violations == (((), message), ((0,), message))
     # a check that fails records nothing: the same check reports both again
     assert check_proof(pair, session) == first
+
+
+def test_tensor_l_takes_both_parts_of_a_repeated_pair():
+    # MILL TensorL over p, p and p * p, whose two parts are one leaf: the
+    # premise holds p twice more and p * p once less than the conclusion
+    pp = tensor(p, p)
+    bags = [mset([pp] * i + [p] * j) for i in range(3) for j in range(5) if 0 < i + j <= 4]
+    verdicts = Counter()
+    for c in bags:
+        for y in bags:
+            premise = Proof(Sequent(y, pp, MILL), Rule(AX))
+            node = Proof(Sequent(c, pp, MILL), Rule("TensorL"), (premise,))
+            ref, kernel = node_verdicts(node)
+            assert ref == kernel, (c, y)
+            verdicts[ref] += 1
+    assert verdicts[True] == 5 and verdicts[False] > 100
+
+
+# formulas inside some of the systems below and outside others: @ and \
+# lie outside the multiset systems, [] outside the agent systems, E[a]
+# outside the box systems, and E[b] outside every alphabet
+_LANGUAGES = [parse_system(s) for s in ("MILL", "PCMILL", "RSBIAT:a", "SRSBIAT:a")]
+_MIXED = (p, q, odot(p, q), box(p), brings("a", p), brings("b", q), lres(p, q),
+          tensor(p, box(q)), with_(brings("b", p), q))
+
+
+def _ill_formed(s: Sequent) -> str | None:
+    """What the kernel reports at a node concluding ``s`` when a formula
+    of ``s`` lies outside its system's language."""
+    err = language_error((*context_formulas(s.ctx), s.succ), s.system)
+    return None if err is None else f"ill-formed sequent: {err}"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(_LANGUAGES),
+    st.lists(trees(st.sampled_from(_MIXED).map(leaf), max_leaves=4), min_size=1, max_size=3),
+    st.lists(st.sampled_from(_MIXED), min_size=1, max_size=3),
+)
+def test_language_test_reports_what_language_error_words(system, ctxs, succs):
+    # every antecedent against every succedent, built with Sequent so
+    # that no parser keeps a foreign formula out
+    sequents = [Sequent(c, g, system) for c in ctxs for g in succs]
+    ill = lambda report: [v for v in report.violations if v[1].startswith("ill-formed")]
+    # in one proof: every sequent concludes a premise of the root
+    root = Proof(sequents[0], Rule(AX), tuple(Proof(s, Rule(AX)) for s in sequents))
+    want = [(path, _ill_formed(n.conclusion)) for path, n in proof_nodes(root)
+            if _ill_formed(n.conclusion)]
+    assert ill(check_proof(root)) == want
+    # in one session, which keeps the antecedents found inside the
+    # language: each later sequent is judged as on its own
+    session = CheckSession()
+    for s in sequents:
+        node = Proof(s, Rule(AX))
+        report = check_proof(node, session)
+        assert report == check_proof(node)
+        assert ill(report) == ([((), _ill_formed(s))] if _ill_formed(s) else [])
+
+
+def test_an_antecedent_inside_the_language_lets_no_foreign_succedent_through():
+    rs = parse_system("RSBIAT:a")
+    ea = brings("a", p)
+    session = CheckSession()
+    assert check_proof(Proof(Sequent(leaf(ea), ea, rs), Rule(AX)), session).ok
+    for succ, err in [(brings("b", p), "agent 'b' not in alphabet ['a']: E[b](p)"),
+                      (odot(p, p), "@ not available in RSBIAT:a: (p @ p)"),
+                      (tensor(p, box(q)), "[] not available in RSBIAT:a: [](q)")]:
+        node = Proof(Sequent(leaf(ea), succ, rs), Rule(AX))
+        assert check_proof(node, session).violations == (((), f"ill-formed sequent: {err}"),)
 
 
 # -- the rule table ---------------------------------------------------------------
