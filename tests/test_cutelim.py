@@ -1,6 +1,8 @@
 """Cut elimination: principal reductions, permutations, dead ends."""
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -16,6 +18,7 @@ from proofmill.calculus import (
     cutrank,
     proof_nodes,
     proof_size,
+    proof_to_json,
 )
 from proofmill.context import EMPTY, leaf, mset, parse_sequent, sequent
 from proofmill.cutelim import (
@@ -666,16 +669,36 @@ def test_eliminate_matches_reference_on_hilbert_translations():
         assert_eliminated(p)
 
 
-def test_eliminate_matches_reference_on_composed_proofs():
+def _composed_proofs():
+    """200 seeded composed-cut proofs: 120 in MILL, 40 in PCMILL and 40
+    in SRSBIAT:a,b."""
     rng = random.Random(20260815)
-    proofs = (
+    return (
         mill_cut_proofs(Closure(MILL, 8), rng, 120)
         + tree_cut_proofs(rng, PCMILL, 40)
         + tree_cut_proofs(rng, SRS_AB, 40)
     )
+
+
+def test_eliminate_matches_reference_on_composed_proofs():
+    proofs = _composed_proofs()
     assert sum(cut_count(p) >= 2 for p in proofs) >= 50
     for p in proofs:
         assert_matches_reference(p)
+
+
+def test_normal_forms_and_traces_are_pinned():
+    # the reference loop above takes its reducts from ``reduce_once``
+    # too, so it cannot see a change in which reduct a cut gets: this
+    # digest of every normal form and trace can
+    digest = hashlib.sha256()
+    for p in _composed_proofs():
+        final, trace = eliminate_cuts(p)
+        digest.update(json.dumps(proof_to_json(final), sort_keys=True).encode())
+        steps = [(s.kind, s.formula.key, list(s.path)) for s in trace.steps]
+        digest.update(json.dumps(steps).encode())
+    assert digest.hexdigest() == \
+        "0e702f57e7817c4fafc6c3ed3e81e1e3c88c71cf7bd39ba682a29871a9419d45"
 
 
 # -- counts on shared proofs ------------------------------------------------------
@@ -711,12 +734,7 @@ def test_counts_visit_each_shared_node_once():
 
 
 def test_proof_counts_match_a_tree_walk_on_composed_proofs():
-    rng = random.Random(20260815)
-    proofs = (
-        mill_cut_proofs(Closure(MILL, 8), rng, 120)
-        + tree_cut_proofs(rng, PCMILL, 40)
-        + tree_cut_proofs(rng, SRS_AB, 40)
-    )
+    proofs = _composed_proofs()
     # a cut of a proof against itself shares both premises
     proofs += [Proof(p.conclusion, Rule("Cut"), (p, p)) for p in proofs]
     for p in proofs:
