@@ -69,7 +69,6 @@ from .kernel import (  # noqa: F401  (re-exported)
     WITH_L2,
     WITH_R,
     CheckReport,
-    CheckSession,
     Proof,
     Rule,
     check_proof,

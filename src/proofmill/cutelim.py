@@ -2,22 +2,27 @@
 
 ``eliminate_cuts`` is one postorder fold over the distinct nodes of a
 proof: a node's premises reach normal form first, and a cut over
-normal premises goes to ``reduce_once(cut, session=None)``, which
-rewrites the cut at the root of its argument; the reduct is then
-folded in turn.  Each rewrite either reduces a principal pair,
-replacing the cut by cuts on strictly smaller formulas, or permutes
-the cut upward past a rule that does not touch the cut formula.  A
-producer is ready for a principal reduction when its last rule is
-principal on the succedent (the side that the kernel's ``RULES``
-gives it); otherwise the cut is permuted.
-Candidate subtrees are built semantically and verified with the proof
-checker before one is taken, so context bookkeeping mistakes cannot
-slip through.  Normal forms are memoised by node identity, and cuts by
-their normal premises and conclusion, so a shared subproof is reduced
-once, its normal form stays shared, and the trace lists its reduction
-once, at the first path where the fold reaches it.  One
-``CheckSession`` serves the whole elimination, so each candidate check
-covers only the nodes that no earlier check in it accepted.
+normal premises is rewritten at its root; the reduct is then folded in
+turn.  Each rewrite either reduces a principal pair, replacing the cut
+by cuts on strictly smaller formulas, or permutes the cut upward past
+a rule that does not touch the cut formula.  A producer is ready for a
+principal reduction when its last rule is principal on the succedent
+(the side that the kernel's ``RULES`` gives it); otherwise the cut is
+permuted.
+
+A proof node does not say which occurrence of a formula its rule was
+principal on, so a rewrite builds one candidate reduct per occurrence
+of the cut formula, in preorder, and takes the first whose root the
+kernel accepts as an inference (``kernel.infers``).  Every other node
+of a candidate is a node of the cut or built to be sound, so
+``eliminate_cuts`` checks its input and then its normal form once, with
+``check_proof``: a bookkeeping mistake fails that check and raises
+``RuntimeError`` instead of returning a proof.  ``reduce_once``, the
+same rewrite on its own, checks its reduct the same way.  Normal forms
+are memoised by node identity, and cuts by their normal premises and
+conclusion, so a shared subproof is reduced once, its normal form
+stays shared, and the trace lists its reduction once, at the first
+path where the fold reaches it.
 
 The agent systems admit five principal pairs with no reduction: a
 ``NotNec`` or ``BringsRe`` step consuming a formula that the producer
@@ -39,7 +44,7 @@ case table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .calculus import (
     AX,
@@ -66,7 +71,6 @@ from .calculus import (
     WITH_L1,
     WITH_L2,
     WITH_R,
-    CheckSession,
     Proof,
     Rule,
     check_proof,
@@ -74,14 +78,13 @@ from .calculus import (
 )
 from .context import (
     Context,
-    Leaf,
     Sequent,
     fill,
     join,
     leaf,
-    positions,
+    leaf_paths,
 )
-from .kernel import RULES, SUCC
+from .kernel import RULES, SUCC, infers
 from .syntax import BOT, Formula, brings, odot, tensor, with_
 
 STEP_CAP = 1_000_000
@@ -144,28 +147,18 @@ def _cut(consumer: Proof, producer: Proof, ctx: Context) -> Proof:
     return Proof(Sequent(ctx, c.succ, c.system), Rule(CUT), (consumer, producer))
 
 
-def _cuts(consumer: Proof, producer: Proof, early: int = 1) -> Iterator[tuple[bool, Proof]]:
+def _cuts(consumer: Proof, producer: Proof) -> Iterator[Proof]:
     """The cuts of ``producer`` into ``consumer``, one per occurrence of
     the cut formula in preorder, skipping an occurrence whose replacement
-    gives an antecedent already listed (as all occurrences of a formula
-    in one parallel node do).  Yields ``(late, cut)``; ``late`` marks an
-    occurrence after the first ``early`` ones."""
-    a = producer.conclusion.succ
-    cctx = consumer.conclusion.ctx
-    occs = [pt for pt, n in positions(cctx) if isinstance(n, Leaf) and n.formula == a]
+    gives an antecedent already listed (as ``x ; x`` does for either
+    ``x`` when the producer's antecedent is empty)."""
+    cctx, gamma = consumer.conclusion.ctx, producer.conclusion.ctx
     seen: set[Context] = set()
-    for i, pt in enumerate(occs):
-        ctx = fill(cctx, pt, producer.conclusion.ctx)
+    for pt in leaf_paths(cctx, producer.conclusion.succ):
+        ctx = fill(cctx, pt, gamma)
         if ctx not in seen:
             seen.add(ctx)
-            yield i >= early, _cut(consumer, producer, ctx)
-
-
-def _then(cuts: Iterable[tuple[bool, Proof]], build) -> Iterator[tuple[bool, Proof]]:
-    """``build(cut)`` for each of ``cuts``, late when either step is."""
-    for late, cut in cuts:
-        for later, out in build(cut):
-            yield late or later, out
+            yield _cut(consumer, producer, ctx)
 
 
 def _close_ctx(cand: Proof, want: Sequent) -> Proof | None:
@@ -190,10 +183,9 @@ def _refl_ax(agent: str, f: Formula, system) -> Proof:
 # candidate constructions
 
 
-def _principal_candidates(node: Proof) -> Iterator[tuple[bool, Proof]]:
+def _principal_candidates(node: Proof) -> Iterator[Proof]:
     """Principal reductions of a cut, each sub-cut at every occurrence of
-    its formula; the one at the first occurrences comes first and is the
-    only early one."""
+    its formula, the first occurrences first."""
     consumer, producer = node.premises
     system = node.conclusion.system
     cname, pname = consumer.rule.name, producer.rule.name
@@ -201,9 +193,10 @@ def _principal_candidates(node: Proof) -> Iterator[tuple[bool, Proof]]:
 
     if (cname, pname) in ((TENSOR_L, TENSOR_R), (ODOT_L, ODOT_R)):
         p1, p2 = producer.premises
-        yield from _then(_cuts(consumer.premises[0], p1), lambda cut1: _cuts(cut1, p2))
+        for cut1 in _cuts(consumer.premises[0], p1):
+            yield from _cuts(cut1, p2)
     elif cname == ONE_L and pname == ONE_R:
-        yield False, consumer.premises[0]
+        yield consumer.premises[0]
     elif cname in (WITH_L1, WITH_L2) and pname == WITH_R:
         side = producer.premises[0 if cname == WITH_L1 else 1]
         yield from _cuts(consumer.premises[0], side)
@@ -212,17 +205,18 @@ def _principal_candidates(node: Proof) -> Iterator[tuple[bool, Proof]]:
     ):
         arg, body = consumer.premises  # Σ |- X and Δ(Y) |- C
         q = producer.premises[0]  # (Γ', X) |- Y
-        yield from _then(_cuts(q, arg), lambda cut1: _cuts(body, cut1))
+        for cut1 in _cuts(q, arg):
+            yield from _cuts(body, cut1)
     elif cname == pname and cname in (BOX_RE, BRINGS_RE):
         c1, c2 = consumer.premises  # X |- W, W |- X
         d1, d2 = producer.premises  # Z |- X, X |- Z
-        for late, left in _cuts(c1, d1):  # Z |- W
-            for later, right in _cuts(d2, c2):  # W |- Z
-                yield late or later, Proof(node.conclusion, Rule(cname, agent), (left, right))
+        for left in _cuts(c1, d1):  # Z |- W
+            for right in _cuts(d2, c2):  # W |- Z
+                yield Proof(node.conclusion, Rule(cname, agent), (left, right))
     elif cname == BRINGS_REFL and pname == BRINGS_RE:
         d1 = producer.premises[0]  # Z |- X
-        for late, cut1 in _cuts(consumer.premises[0], d1):  # Γ(Z) |- C
-            yield late, Proof(node.conclusion, Rule(BRINGS_REFL, agent), (cut1,))
+        for cut1 in _cuts(consumer.premises[0], d1):  # Γ(Z) |- C
+            yield Proof(node.conclusion, Rule(BRINGS_REFL, agent), (cut1,))
     elif cname == BRINGS_REFL and pname in (BRINGS_TENSOR, BRINGS_ODOT, BRINGS_WITH):
         cp = consumer.premises[0]  # Γ(X op Y) |- C
         p1, p2 = producer.premises  # Γ1 |- E[a]X, Γ2 |- E[a]Y
@@ -247,8 +241,8 @@ def _principal_candidates(node: Proof) -> Iterator[tuple[bool, Proof]]:
         yield from _cuts(cp, comb)
     elif cname == NOT_NEC and pname == BRINGS_RE:
         d2 = producer.premises[1]  # W |- Z
-        for late, cut1 in _cuts(d2, consumer.premises[0]):  # |- Z
-            yield late, Proof(node.conclusion, Rule(NOT_NEC, agent), (cut1,))
+        for cut1 in _cuts(d2, consumer.premises[0]):  # |- Z
+            yield Proof(node.conclusion, Rule(NOT_NEC, agent), (cut1,))
     elif cname == NOT_NEC and pname == BRINGS_WITH:
         cp = consumer.premises[0]  # |- U & V, cut-free, must end in WithR
         if cp.rule.name == WITH_R:
@@ -262,75 +256,66 @@ def _principal_candidates(node: Proof) -> Iterator[tuple[bool, Proof]]:
             yield from _cuts(nn, producer.premises[0])
 
 
-def _permute_into_producer(node: Proof) -> Iterator[tuple[bool, Proof]]:
+def _permute_into_producer(node: Proof) -> Iterator[Proof]:
     consumer, producer = node.premises
     rule = producer.rule
     if rule.name in (TENSOR_L, ODOT_L, ONE_L, WITH_L1, WITH_L2, BRINGS_REFL):
-        for late, inner in _cuts(consumer, producer.premises[0]):
-            yield late, Proof(node.conclusion, rule, (inner,))
+        for inner in _cuts(consumer, producer.premises[0]):
+            yield Proof(node.conclusion, rule, (inner,))
     elif rule.name in (LIMP_L, LRES_L, RRES_L):
         arg, body = producer.premises
-        for late, inner in _cuts(consumer, body):
-            yield late, Proof(node.conclusion, rule, (arg, inner))
+        for inner in _cuts(consumer, body):
+            yield Proof(node.conclusion, rule, (arg, inner))
 
 
-def _permute_into_consumer(node: Proof) -> Iterator[tuple[bool, Proof]]:
-    """The cut moved into a premise of the consumer, at each occurrence;
-    the first four occurrences in each premise are early."""
+def _permute_into_consumer(node: Proof) -> Iterator[Proof]:
+    """The cut moved into a premise of the consumer, at each occurrence."""
     consumer, producer = node.premises
     rule = consumer.rule
     prems = consumer.premises
     if rule.name in (WITH_R, BRINGS_WITH):
         # the antecedent is shared: cut into both premises at one occurrence
-        for (late, left), (_, right) in zip(
-            _cuts(prems[0], producer, 4), _cuts(prems[1], producer, 4)
-        ):
-            yield late, Proof(node.conclusion, rule, (left, right))
+        for left, right in zip(_cuts(prems[0], producer), _cuts(prems[1], producer)):
+            yield Proof(node.conclusion, rule, (left, right))
         return
     for i, pr in enumerate(prems):
-        for late, inner in _cuts(pr, producer, 4):
-            new = tuple(inner if j == i else q for j, q in enumerate(prems))
-            yield late, Proof(node.conclusion, rule, new)
-
-
-def _early_first(sources) -> Iterator[tuple[str, Proof]]:
-    """The ``(kind, candidate)`` pairs of each ``(kind, candidates)``
-    source in order, every early candidate before every late one."""
-    late: list[tuple[str, Proof]] = []
-    for kind, cands in sources:
-        for is_late, cand in cands:
-            if is_late:
-                late.append((kind, cand))
-            else:
-                yield kind, cand
-    yield from late
+        for inner in _cuts(pr, producer):
+            yield Proof(node.conclusion, rule, prems[:i] + (inner,) + prems[i + 1 :])
 
 
 # ---------------------------------------------------------------------------
 # the reduction driver
 
 
-def reduce_once(
-    cut: Proof, session: CheckSession | None = None
-) -> tuple[Proof, ReductionStep]:
-    """Rewrite the cut at the root of ``cut``, whose premises are
-    cut-free, and return its reduct together with the step taken (at
-    path ``()``).
+def _certified(p: Proof) -> Proof:
+    """``p`` once the kernel accepts it.  Every input was checked, so a
+    proof built from it that fails is a fault of this module: a
+    RuntimeError, not a ``CutEliminationError``."""
+    report = check_proof(p)
+    if not report.ok:
+        raise RuntimeError(f"cut elimination built a proof that does not check: "
+                           f"{report.violations[:3]}")
+    return p
 
-    ``eliminate_cuts`` passes its ``session``: candidates are checked in
-    it, and the premises are taken to be cut-free, as its fold makes
-    them, without counting their cuts."""
-    if cut.rule.name != CUT:
-        raise ValueError("no cut at the root")
-    if session is None and cut_count(cut) != 1:
-        raise ValueError("the cut has cuts above it")
+
+def _checked_input(p: Proof) -> None:
+    report = check_proof(p)
+    if not report.ok:
+        raise ValueError(f"input proof does not check: {report.violations[:3]}")
+
+
+def _reduce(cut: Proof) -> tuple[Proof, ReductionStep]:
+    """Rewrite the cut at the root of ``cut``, whose premises are cut-free:
+    the first candidate reduct whose root the kernel accepts as an
+    inference (``infers``).  Every other node of a candidate is a node of
+    ``cut`` or built to be sound, so only the root is judged here."""
     consumer, producer = cut.premises
     a = producer.conclusion.succ
 
     if consumer.rule.name == AX:
-        sources = [("principal", [(False, producer)])]
+        sources = [("principal", [producer])]
     elif producer.rule.name == AX:
-        sources = [("principal", [(False, consumer)])]
+        sources = [("principal", [consumer])]
     elif RULES[producer.rule.name].side != SUCC:
         # a left rule on the producer side; lift the cut past
         # it, falling back to the consumer side (needed when the producer
@@ -350,14 +335,11 @@ def reduce_once(
             ("permutation", _permute_into_consumer(cut)),
         ]
 
-    # every occurrence of the cut formula is tried, but the candidates
-    # at the first one (the first four, into the consumer) come first
-    for kind, cand in _early_first(sources):
-        closed = _close_ctx(cand, cut.conclusion)
-        if closed is None:
-            continue
-        if check_proof(closed, session).ok:
-            return closed, ReductionStep(kind, a, ())
+    for kind, cands in sources:
+        for cand in cands:
+            closed = _close_ctx(cand, cut.conclusion)
+            if closed is not None and infers(closed):
+                return closed, ReductionStep(kind, a, ())
     raise CutEliminationError(
         "no verified reduction applies",
         pair=(consumer.rule.name, producer.rule.name),
@@ -366,17 +348,25 @@ def reduce_once(
     )
 
 
+def reduce_once(cut: Proof) -> tuple[Proof, ReductionStep]:
+    """Rewrite the cut at the root of ``cut``, a proof whose only cut is
+    that one, and return its reduct, checked by the kernel, together
+    with the step taken (at path ``()``)."""
+    if cut.rule.name != CUT:
+        raise ValueError("no cut at the root")
+    if cut_count(cut) != 1:
+        raise ValueError("the cut has cuts above it")
+    _checked_input(cut)
+    reduct, step = _reduce(cut)
+    return _certified(reduct), step
+
+
 def eliminate_cuts(p: Proof) -> tuple[Proof, ReductionTrace]:
     """A cut-free proof of the same sequent and its trace, by the fold
     described in the module docstring.  A node is rebuilt only when the
-    normal form of a premise is another object.
-
-    One check session lives for the call: the input is checked in it,
-    and so is every candidate, so a node is checked at most once."""
-    session = CheckSession()
-    report = check_proof(p, session)
-    if not report.ok:
-        raise ValueError(f"input proof does not check: {report.violations[:3]}")
+    normal form of a premise is another object.  The input is checked
+    first and the normal form once at the end."""
+    _checked_input(p)
     steps: list[ReductionStep] = []
     # id(node) -> its normal form, and (id(consumer), id(producer),
     # conclusion) of a cut over normal premises -> the cut's reduct.
@@ -415,7 +405,7 @@ def eliminate_cuts(p: Proof) -> tuple[Proof, ReductionTrace]:
                         f"no normal form within {STEP_CAP} steps", path=path
                     )
                 try:
-                    reduct, step = reduce_once(out, session)
+                    reduct, step = _reduce(out)
                 except CutEliminationError as exc:
                     exc.path = path
                     raise
@@ -429,5 +419,5 @@ def eliminate_cuts(p: Proof) -> tuple[Proof, ReductionTrace]:
         elif out is not node:
             normal[id(out)] = out
         normal[id(node)] = out
-    final = normal[id(p)]
+    final = _certified(normal[id(p)])
     return final, ReductionTrace(tuple(steps), final)

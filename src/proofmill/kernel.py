@@ -20,21 +20,18 @@ NotNec read the conclusion as it stands in every system.  The kernel
 imports only ``syntax`` and ``context``: it shares nothing with the
 premise enumerator that proof search uses.
 
-A row's check lists those antecedents X.  ``check_proof`` reads the
-system's language (the connectives outside it and its agents), whether
-entropy applies, and the rule table once per call.  Per node it tests
-the succedent and the rule against the language, the antecedent only
-when the session has not yet found it inside (``language_error`` runs
-only to word a failure), and runs the row's check.
+A row's check lists those antecedents X, and ``infers`` judges one
+node by it alone: the premises' own proofs and the language go
+untested.  ``check_proof`` reads the system's language (the connectives
+outside it and its agents), whether entropy applies, and the rule table
+once per call.  Per node it tests the succedent and the rule against
+the language, the antecedent only when the call has not yet found it
+inside (``language_error`` runs only to word a failure), and then makes
+the test that ``infers`` makes.
 
 ``check_proof`` checks each distinct node object once per call, so a
 proof whose subtrees are shared (search reuses the proof of a sequent
-it met before) costs its distinct nodes, not its tree size.  A
-``CheckSession`` carries that across calls over proofs that share
-subtrees (cut elimination builds each candidate from checked parts of
-the proof and reuses them in the next one): a check that
-passes records every node it visited, and a later check in the same
-session neither visits nor pushes any subtree so recorded.
+it met before) costs its distinct nodes, not its tree size.
 
 Premise order follows the rule schemas:
 
@@ -200,27 +197,6 @@ def fold_tree(root, children, build):
         del done[cut:]
         done.append(built)
     return done[0]
-
-
-class CheckSession:
-    """Nodes accepted by earlier ``check_proof`` calls, for proofs of one
-    system.
-
-    Only ``check_proof`` fills a session, and only from a check that
-    passes: a check with violations records no node.  Nodes are held by
-    reference, so their ``id`` is not reused while the session lives.
-    A verdict on a node depends on the node, its premises' conclusions
-    and the system alone, so a recorded subtree needs no second look.
-    The antecedents found inside the system's language are kept too,
-    from any check: that depends on the antecedent alone.
-    """
-
-    __slots__ = ("_system", "_accepted", "_inside")
-
-    def __init__(self) -> None:
-        self._system: System | None = None
-        self._accepted: dict[int, Proof] = {}
-        self._inside: set[Context] = set()
 
 
 @dataclass(frozen=True)
@@ -534,36 +510,49 @@ def _failure(rule: Rule, c: Sequent, ps: list[Sequent]) -> str:
     return f"premises do not instantiate {rule}"
 
 
-def check_proof(p: Proof, session: CheckSession | None = None) -> CheckReport:
+def _infers(row: RuleRow, c: Sequent, ps: list[Sequent], agent, tree: bool) -> bool:
+    """Whether some antecedent that ``row`` concludes from ``ps`` is the
+    antecedent of ``c`` or, in a tree system, reaches it by entropy."""
+    ctx = c.ctx
+    for x in row.check(row.kinds, c, ps, agent):
+        if x is ctx or tree and entropy_le(x, ctx):
+            return True
+    return False
+
+
+def infers(node: Proof) -> bool:
+    """Whether ``node`` is an inference of its system: its rule is
+    admissible and concludes its conclusion from its premises'
+    conclusions.  Neither the premises' own proofs nor the language of
+    the sequents is tested."""
+    c, rule = node.conclusion, node.rule
+    system = c.system
+    ps = [q.conclusion for q in node.premises]
+    if not rule_admissible(rule, system) or any(s.system != system for s in ps):
+        return False
+    return _infers(RULES[rule.name], c, ps, rule.agent, system.is_tree)
+
+
+def check_proof(p: Proof) -> CheckReport:
     """Check each distinct node of ``p`` once.  A node object reached
     again on another path (search and cut elimination share subtrees)
     is skipped with its subtree, so a shared bad node is reported once,
-    at its first path in preorder.  With a ``session``, also skip each
-    subtree that a passing check in the session visited; the report is
-    the one a check without the session gives, which is a check with a
-    fresh session."""
-    if session is None:
-        session = CheckSession()
+    at its first path in preorder."""
     system = p.conclusion.system
-    if session._system is None:
-        session._system = system
-    elif session._system is not system and session._system != system:
-        raise ValueError(f"session checks {session._system} proofs, not {system}")
     # read once per call, not once per node
     outside, agents, tree, rules = _OUTSIDE[system.ident], system.agents, system.is_tree, RULES
-    accepted, inside = session._accepted, session._inside
-    visited: dict[int, Proof] = {}  # nodes visited in this call, by id
+    inside: set[Context] = set()  # antecedents found inside the language
+    visited: set[int] = set()  # ids of the nodes visited, all held by ``p``
     violations: list[tuple[tuple[int, ...], str]] = []
     stack: list[tuple[tuple[int, ...], Proof]] = [((), p)]
     while stack:
         path, node = stack.pop()
-        if id(node) in visited or id(node) in accepted:
+        if id(node) in visited:
             continue
-        visited[id(node)] = node
+        visited.add(id(node))
         prems = node.premises
         for i in range(len(prems) - 1, -1, -1):
-            if id(prems[i]) not in accepted:
-                stack.append((path + (i,), prems[i]))
+            stack.append((path + (i,), prems[i]))
         c = node.conclusion
         if c.system is not system and c.system != system:
             violations.append((path, "mixed systems in one proof"))
@@ -592,12 +581,6 @@ def check_proof(p: Proof, session: CheckSession | None = None) -> CheckReport:
                 break  # reported at the premise itself
             ps.append(q.conclusion)
         else:
-            for x in row.check(row.kinds, c, ps, rule.agent):
-                if x is ctx or tree and entropy_le(x, ctx):
-                    break
-            else:
+            if not _infers(row, c, ps, rule.agent, tree):
                 violations.append((path, _failure(rule, c, ps)))
-    if violations:
-        return CheckReport(False, tuple(violations))
-    accepted.update(visited)
-    return _PASSED
+    return CheckReport(False, tuple(violations)) if violations else _PASSED

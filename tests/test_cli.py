@@ -281,6 +281,27 @@ class TestProofFiles:
         assert code == 0
         assert "0 cuts" in out
 
+    def test_cut_eliminate_takes_a_later_occurrence(self, tmp_path):
+        # the principal reduct's sub-cut belongs at the second a
+        fixture = Path(__file__).resolve().parent / "fixtures" / "pcmill_later_occurrence.json"
+        free = tmp_path / "free.json"
+        code, out, _ = cli("cut-eliminate", str(fixture), "--emit-proof", str(free))
+        assert code == 0
+        assert out.startswith("cut-free proof of a ; [(x -o a), b, x] |- (a @ (a * b))")
+        assert cli("check-proof", str(free))[0] == 0
+
+    def test_cut_eliminate_normal_form_failing_the_kernel_is_internal(
+            self, tmp_path, monkeypatch):
+        # a fault of cut elimination, not a dead end: exit 3, not 1
+        from test_cutelim import _refl_axiom_cut, _refl_over_one_r
+
+        path = tmp_path / "cut.json"
+        path.write_text(json.dumps(proof_to_json(_refl_axiom_cut())))
+        monkeypatch.setattr("proofmill.cutelim._refl_ax", _refl_over_one_r)
+        code, out, err = cli("cut-eliminate", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: RuntimeError: cut elimination built a proof")
+
 
 class TestHilbert:
     @pytest.fixture()

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 from gentrees import mill_cut_proofs, random_deduction, tree_cut_proofs
@@ -16,11 +17,13 @@ from proofmill.calculus import (
     cut_count,
     cut_formula,
     cutrank,
+    proof_from_json,
     proof_nodes,
     proof_size,
     proof_to_json,
 )
-from proofmill.context import EMPTY, leaf, mset, parse_sequent, sequent
+from proofmill import cutelim
+from proofmill.context import EMPTY, Sequent, leaf, mset, parse_sequent, sequent
 from proofmill.cutelim import (
     DEFECTIVE_PAIRS,
     CutEliminationError,
@@ -36,8 +39,11 @@ from proofmill.hilbert import (
     modus_ponens,
     schema,
 )
+from proofmill.kernel import infers
 from proofmill.search import Exhausted, Proved, prove
-from proofmill.syntax import atom, limp, parse_formula, parse_system, unit, with_
+from proofmill.syntax import atom, brings, limp, parse_formula, parse_system, unit, with_
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 MILL = parse_system("MILL")
 PCMILL = parse_system("PCMILL")
@@ -492,6 +498,28 @@ def test_principal_sub_cut_at_a_later_occurrence():
     assert len(assert_eliminated(twin)[1]) == 4
 
 
+def test_principal_reduct_cuts_the_parallel_occurrence():
+    # a ; [x -o a, b, x] |- a @ (a * b): the sub-cut of x -o a, x |- a
+    # into a ; [a, b] is an inference at either a, but at the serial a
+    # it concludes [x -o a, x] ; [a, b], from which no entropy reaches
+    # the cut's antecedent
+    cut = proof_from_json(json.loads((FIXTURES / "pcmill_later_occurrence.json").read_text()))
+    assert cut == _tensor_cut(
+        PCMILL, "a ; (a * b)", "a ; [a, b]", "a ; [x, x -o a, b]", "a @ (a * b)")
+    assert proof_size(cut) == 12
+    consumer, producer = cut.premises
+    serial = Proof(parse_sequent("[x -o a, x] ; [a, b] |- a @ (a * b)", PCMILL), Rule("Cut"),
+                   (consumer.premises[0], producer.premises[0]))
+    assert infers(serial)
+    assert not infers(Proof(cut.conclusion, Rule("Cut"), (serial, producer.premises[1])))
+    reduct, step = reduce_once(cut)
+    assert step == ReductionStep("principal", producer.conclusion.succ, ())
+    assert reduct.rule.name == "Cut" and reduct.premises[1] is producer.premises[1]
+    sub = reduct.premises[0]
+    assert sub.conclusion == parse_sequent("a ; [x, x -o a, b] |- a @ (a * b)", PCMILL)
+    assert sub.premises == serial.premises
+
+
 def _odot_cut(n: int):
     """OdotR over ``X ; ... ; X ; a`` (n copies of X = p * q), cut at its
     last X against ``p, q |- p * q``."""
@@ -516,6 +544,46 @@ def test_permutation_reaches_past_the_fourth_occurrence():
     reduced, step = reduce_once(cut)
     assert step.kind == "permutation" and reduced.rule.name == "OdotR"
     assert_eliminated(cut)
+
+
+# -- a reduct that fails the kernel -------------------------------------------------
+
+
+def _refl_axiom_cut():
+    """BringsRefl over an axiom against BringsTensor over axioms: every
+    node that the principal reduct builds reaches the normal form."""
+    consumer = Proof(
+        parse_sequent("E[a](p * q) |- p * q", RS),
+        Rule("BringsRefl", "a"),
+        (ax("p * q |- p * q", RS),),
+    )
+    producer = Proof(
+        parse_sequent("E[a]p, E[a]q |- E[a](p * q)", RS),
+        Rule("BringsTensor", "a"),
+        (ax("E[a]p |- E[a]p", RS), ax("E[a]q |- E[a]q", RS)),
+    )
+    return Proof(parse_sequent("E[a]p, E[a]q |- p * q", RS), Rule("Cut"), (consumer, producer))
+
+
+def _refl_over_one_r(agent, f, system):
+    """E[a]f |- f by BringsRefl over f |- f, concluded by OneR, which is
+    no inference."""
+    inner = Sequent(leaf(f), f, system)
+    outer = Sequent(leaf(brings(agent, f)), f, system)
+    return Proof(outer, Rule("BringsRefl", agent), (Proof(inner, Rule("OneR")),))
+
+
+def test_a_reduct_that_fails_the_kernel_is_an_internal_error(monkeypatch):
+    # every root built over the mutant is still an inference, and the
+    # mutant reaches the normal form unjudged: only the check of the
+    # reduct or of the normal form sees it, and raises
+    cut = _refl_axiom_cut()
+    assert_eliminated(cut)
+    monkeypatch.setattr(cutelim, "_refl_ax", _refl_over_one_r)
+    with pytest.raises(RuntimeError, match="does not check"):
+        eliminate_cuts(cut)
+    with pytest.raises(RuntimeError, match="does not check"):
+        reduce_once(cut)
 
 
 # -- dead ends ------------------------------------------------------------------
@@ -809,11 +877,12 @@ def test_deep_proof_eliminates(monkeypatch):
     one, p = parse_formula("1", MILL), parse_formula("p", MILL)
     for k in range(1, 1501):
         node = Proof(sequent(mset([one] * k + [p]), p, MILL), Rule("OneL"), (node,))
-    # the kernel judges each of the 1,502 distinct input nodes once and
-    # nothing else: the reduct, Ax, was checked with the input
+    # the kernel judges each of the 1,502 distinct input nodes once, the
+    # reduct's root (Ax) once, and each of the 1,501 nodes of the normal
+    # form once: the check of the input, one root, the final check
     judged = count_checks(monkeypatch)
     final, trace = eliminate_cuts(node)
-    assert len(judged) == 1502
+    assert len(judged) == 1502 + 1 + 1501
     assert [(s.kind, s.path) for s in trace.steps] == [("principal", (0,) * 1500)]
     assert final.conclusion == node.conclusion
     assert cut_count(final) == 0 and check_proof(final).ok

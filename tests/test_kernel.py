@@ -16,7 +16,6 @@ from proofmill.calculus import (
     AX,
     CUT,
     SYSTEM_RULES,
-    CheckSession,
     Proof,
     Rule,
     check_proof,
@@ -309,44 +308,13 @@ def test_tree_rules_accept_exactly_what_the_enumerator_lists(name, alphabet, suc
                             node.conclusion, [s.key for s in prems])
 
 
-# -- check sessions ----------------------------------------------------------------
+# -- each distinct node once -------------------------------------------------------
 
 MILL = parse_system("MILL")
-PCMILL = parse_system("PCMILL")
 
 
 def _node(text: str, rule: str, *premises: Proof) -> Proof:
     return Proof(parse_sequent(text, MILL), Rule(rule), premises)
-
-
-def test_session_rejection_records_nothing():
-    # the TensorR node is sound and its Ax premise p |- q is not: once the
-    # check fails, a proof that reuses the TensorR subtree must still be
-    # rejected at that premise
-    bad = _node("p |- q", AX)
-    pair = _node("p, q |- q * q", "TensorR", bad, _node("q |- q", AX))
-    reuse = _node("p, q |- q * q", CUT, _node("q * q |- q * q", AX), pair)
-    session = CheckSession()
-    first = check_proof(pair, session)
-    assert [path for path, _ in first.violations] == [(0,)]
-    second = check_proof(reuse, session)
-    assert second == check_proof(reuse)
-    assert [path for path, _ in second.violations] == [(1, 0)]
-
-
-def test_session_reports_match_sessionless_reports(corpus_proofs):
-    # one session per system sees each proof, then its one-node mutants,
-    # which reuse every subtree off the mutated path
-    sessions: dict = {}
-    for entry_id, proof in corpus_proofs[:8]:
-        session = sessions.setdefault(proof.system, CheckSession())
-        assert check_proof(proof, session) == check_proof(proof), entry_id
-        nodes = list(proof_nodes(proof))
-        sequents = list(dict.fromkeys(n.conclusion for _, n in nodes))
-        for path, node in nodes:
-            for mutant in list(_mutants(node, sequents))[:6]:
-                whole = _splice(proof, path, mutant)
-                assert check_proof(whole, session) == check_proof(whole), entry_id
 
 
 def count_checks(monkeypatch) -> list:
@@ -365,27 +333,6 @@ def count_checks(monkeypatch) -> list:
     monkeypatch.setattr(kernel, "RULES", {
         name: row._replace(check=counted(row.check)) for name, row in kernel.RULES.items()})
     return calls
-
-
-def test_session_skips_only_what_it_accepted(corpus_proofs, monkeypatch):
-    # the checks run once for each distinct node of a well-formed proof:
-    # search shares the proofs of sequents it met twice
-    judged = count_checks(monkeypatch)
-    sized = [(len({id(n) for _, n in proof_nodes(pr)}), pr) for _, pr in corpus_proofs]
-    size, proof = max(sized, key=lambda t: t[0])
-    session = CheckSession()
-    assert check_proof(proof, session).ok and len(judged) == size
-    assert check_proof(proof, session).ok and len(judged) == size
-    # without a session, every node is checked again
-    assert check_proof(proof).ok and len(judged) == 2 * size
-    # a new root over the accepted proof: only the two new nodes
-    succ = proof.conclusion.succ
-    wrapped = Proof(
-        proof.conclusion,
-        Rule(CUT),
-        (Proof(Sequent(leaf(succ), succ, proof.system), Rule(AX)), proof),
-    )
-    assert check_proof(wrapped, session).ok and len(judged) == 2 * size + 2
 
 
 def test_shared_nodes_are_checked_once(monkeypatch):
@@ -411,13 +358,6 @@ def test_shared_bad_node_is_reported_once():
     assert [path for path, _ in check_proof(twins).violations] == [(0,), (1,)]
 
 
-def test_session_serves_one_system():
-    session = CheckSession()
-    assert check_proof(_node("p |- p", AX), session).ok
-    with pytest.raises(ValueError, match="session"):
-        check_proof(Proof(parse_sequent("p |- p", PCMILL), Rule(AX)), session)
-
-
 def test_ill_formed_sequents_are_reported_at_each_node():
     # built with Sequent directly, so no parser keeps them out
     pq = odot(p, q)
@@ -432,11 +372,7 @@ def test_ill_formed_sequents_are_reported_at_each_node():
     )
     pair = Proof(Sequent(par([leaf(pq), leaf(q)]), tensor(pq, q), MILL),
                  Rule("TensorR"), (bad, Proof(Sequent(leaf(q), q, MILL), Rule(AX))))
-    session = CheckSession()
-    first = check_proof(pair, session)
-    assert first.violations == (((), message), ((0,), message))
-    # a check that fails records nothing: the same check reports both again
-    assert check_proof(pair, session) == first
+    assert check_proof(pair).violations == (((), message), ((0,), message))
 
 
 def test_tensor_l_takes_both_parts_of_a_repeated_pair():
@@ -478,34 +414,35 @@ def _ill_formed(s: Sequent) -> str | None:
 )
 def test_language_test_reports_what_language_error_words(system, ctxs, succs):
     # every antecedent against every succedent, built with Sequent so
-    # that no parser keeps a foreign formula out
+    # that no parser keeps a foreign formula out, in two proofs whose
+    # nodes share each antecedent: a check keeps the antecedents it has
+    # found inside the language, and each later node is still judged as
+    # on its own
     sequents = [Sequent(c, g, system) for c in ctxs for g in succs]
-    ill = lambda report: [v for v in report.violations if v[1].startswith("ill-formed")]
-    # in one proof: every sequent concludes a premise of the root
+    # every sequent concludes a premise of the root
     root = Proof(sequents[0], Rule(AX), tuple(Proof(s, Rule(AX)) for s in sequents))
-    want = [(path, _ill_formed(n.conclusion)) for path, n in proof_nodes(root)
-            if _ill_formed(n.conclusion)]
-    assert ill(check_proof(root)) == want
-    # in one session, which keeps the antecedents found inside the
-    # language: each later sequent is judged as on its own
-    session = CheckSession()
+    # each sequent concludes the premise of the one before, last first
+    chain = None
     for s in sequents:
-        node = Proof(s, Rule(AX))
-        report = check_proof(node, session)
-        assert report == check_proof(node)
-        assert ill(report) == ([((), _ill_formed(s))] if _ill_formed(s) else [])
+        chain = Proof(s, Rule(AX), (chain,) if chain else ())
+    for proof in (root, chain):
+        got = [v for v in check_proof(proof).violations if v[1].startswith("ill-formed")]
+        assert got == [(path, _ill_formed(n.conclusion)) for path, n in proof_nodes(proof)
+                       if _ill_formed(n.conclusion)]
 
 
 def test_an_antecedent_inside_the_language_lets_no_foreign_succedent_through():
+    # the root's antecedent is inside the language, and each premise
+    # shares it under a foreign succedent
     rs = parse_system("RSBIAT:a")
     ea = brings("a", p)
-    session = CheckSession()
-    assert check_proof(Proof(Sequent(leaf(ea), ea, rs), Rule(AX)), session).ok
-    for succ, err in [(brings("b", p), "agent 'b' not in alphabet ['a']: E[b](p)"),
-                      (odot(p, p), "@ not available in RSBIAT:a: (p @ p)"),
-                      (tensor(p, box(q)), "[] not available in RSBIAT:a: [](q)")]:
-        node = Proof(Sequent(leaf(ea), succ, rs), Rule(AX))
-        assert check_proof(node, session).violations == (((), f"ill-formed sequent: {err}"),)
+    foreign = [(brings("b", p), "agent 'b' not in alphabet ['a']: E[b](p)"),
+               (odot(p, p), "@ not available in RSBIAT:a: (p @ p)"),
+               (tensor(p, box(q)), "[] not available in RSBIAT:a: [](q)")]
+    prems = tuple(Proof(Sequent(leaf(ea), succ, rs), Rule(AX)) for succ, _ in foreign)
+    root = Proof(Sequent(leaf(ea), ea, rs), Rule(AX), prems)
+    assert check_proof(root).violations == (((), "premises do not instantiate Ax"), *(
+        ((i,), f"ill-formed sequent: {err}") for i, (_, err) in enumerate(foreign)))
 
 
 # -- the rule table ---------------------------------------------------------------
