@@ -255,6 +255,18 @@ def test_with_principal():
     assert trace.steps[0].kind == "principal"
 
 
+def test_with_l2_takes_the_second_with_r_premise():
+    # p & p |- p & p by WithR over a WithL1 and a WithL2 proof, cut into
+    # p & p |- p by WithL2 (or WithL1) over Ax: either premise gives a
+    # normal form that checks, so only its root tells which one was cut
+    cut = proof_from_json(json.loads((FIXTURES / "with_l2_cut.json").read_text()))
+    consumer, producer = cut.premises
+    assert assert_eliminated(cut)[0].rule.name == "WithL2"
+    first = Proof(consumer.conclusion, Rule("WithL1"), consumer.premises)
+    cut = Proof(cut.conclusion, Rule("Cut"), (first, producer))
+    assert assert_eliminated(cut)[0].rule.name == "WithL1"
+
+
 def test_unit_principal():
     producer = Proof(parse_sequent("|- 1", MILL), Rule("OneR"))
     consumer = Proof(
