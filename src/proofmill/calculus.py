@@ -11,7 +11,10 @@ around the principal leaf (``_arg_groups``).  What a rule gives at any
 structural preimage of the goal is thereby dominated by what it gives
 at the goal, so no preimage closure is computed and entropy needs no
 rule of its own.  ``Cut`` is not listed: its premises are not read off
-the goal.
+the goal.  A rule's shape is read off its row in the kernel's ``RULES``:
+one enumerator serves the one-premise left rules by the row's ``parts``,
+and one each serves the pair right rules, the implication right rules,
+the residual left rules and the converse rules by its connectives.
 
 Proofs are checked elsewhere: ``check_proof`` is the independent kernel
 in ``kernel.py``, which reads each inference forward and never calls
@@ -80,7 +83,6 @@ from .kernel import (  # noqa: F401  (re-exported)
 from .kernel import RULES
 from .syntax import (
     BOT,
-    Box,
     Brings,
     Formula,
     Limp,
@@ -89,11 +91,11 @@ from .syntax import (
     Rres,
     System,
     SystemId,
-    Tensor,
     Unit,
     With,
     brings,
     charges_meet,
+    operands,
 )
 
 def _tally(p: Proof) -> tuple[int, int, int]:
@@ -266,37 +268,21 @@ class _Matcher:
 
     # -- unary left rules ----------------------------------------------------
 
-    def _left_unary(self, pick) -> Iterator[list[Sequent]]:
-        """Apply a left rule replacing one principal occurrence; ``pick``
-        maps a formula to the replacement subcontext (or None)."""
+    def _left_unary(self, rule: Rule) -> Iterator[list[Sequent]]:
+        """A one-premise left rule: the operands that its row's ``parts``
+        names in place of one principal occurrence, in series for ``@``;
+        an ``E[a]`` is principal only for the rule's agent."""
+        row = RULES[rule.name]
+        kind, parts = row.kinds[0], row.parts
         for f, path in self.leaves():
-            repl = pick(f)
-            if repl is not None:
-                yield [Sequent(fill(self.ctx, path, repl), self.succ, self.system)]
-
-    def _tensor_l(self, rule: Rule) -> Iterator[list[Sequent]]:
-        return self._left_unary(
-            lambda f: par([leaf(f.left), leaf(f.right)]) if isinstance(f, Tensor) else None
-        )
-
-    def _odot_l(self, rule: Rule) -> Iterator[list[Sequent]]:
-        return self._left_unary(
-            lambda f: ser([leaf(f.left), leaf(f.right)]) if isinstance(f, Odot) else None
-        )
-
-    def _one_l(self, rule: Rule) -> Iterator[list[Sequent]]:
-        return self._left_unary(lambda f: EMPTY if isinstance(f, Unit) else None)
-
-    def _with_l(self, rule: Rule, first: bool) -> Iterator[list[Sequent]]:
-        return self._left_unary(
-            lambda f: leaf(f.left if first else f.right) if isinstance(f, With) else None
-        )
-
-    def _brings_refl(self, rule: Rule) -> Iterator[list[Sequent]]:
-        return self._left_unary(
-            lambda f: leaf(f.body)
-            if isinstance(f, Brings) and f.agent == rule.agent else None
-        )
+            if not isinstance(f, kind) or kind is Brings and f.agent != rule.agent:
+                continue
+            subs = operands(f)[parts]
+            if len(subs) == 2:
+                repl = (ser if kind is Odot else par)([leaf(subs[0]), leaf(subs[1])])
+            else:
+                repl = leaf(subs[0]) if subs else EMPTY
+            yield [Sequent(fill(self.ctx, path, repl), self.succ, self.system)]
 
     # -- right rules ---------------------------------------------------------
 
@@ -321,20 +307,18 @@ class _Matcher:
             yield None if pair is None else [
                 Sequent(pair[0], left, sys), Sequent(pair[1], right, sys)]
 
-    def _limp_r(self, rule: Rule) -> Iterator[list[Sequent]]:
-        if isinstance(self.succ, Limp):
-            prem = par([self.ctx, leaf(self.succ.left)])
-            yield [Sequent(prem, self.succ.right, self.system)]
-
-    def _lres_r(self, rule: Rule) -> Iterator[list[Sequent]]:
-        if isinstance(self.succ, Lres):
-            prem = ser([leaf(self.succ.left), self.ctx])  # type: ignore[list-item]
-            yield [Sequent(prem, self.succ.right, self.system)]
-
-    def _rres_r(self, rule: Rule) -> Iterator[list[Sequent]]:
-        if isinstance(self.succ, Rres):
-            prem = ser([self.ctx, leaf(self.succ.right)])  # type: ignore[list-item]
-            yield [Sequent(prem, self.succ.left, self.system)]
+    def _imp_r(self, rule: Rule) -> Iterator[list[Sequent]]:
+        """LimpR, LresR and RresR, by the connective in ``RULES``: the
+        argument joins the goal's antecedent, in parallel for ``-o``,
+        before it for ``\\`` and after it for ``/``."""
+        g, kind = self.succ, RULES[rule.name].kinds[0]
+        if not isinstance(g, kind):
+            return
+        arg, res = (g.right, g.left) if kind is Rres else (g.left, g.right)
+        u = leaf(arg)
+        prem = par([self.ctx, u]) if kind is Limp else \
+            ser([u, self.ctx] if kind is Lres else [self.ctx, u])
+        yield [Sequent(prem, res, self.system)]
 
     # -- implication left rules ----------------------------------------------
 
@@ -362,43 +346,30 @@ class _Matcher:
                 yield None if pair is None else [Sequent(pair[0], f.left, sys), Sequent(
                     fill(ctx, path[:-1], par([pair[1], leaf(f.right)])), succ, sys)]
 
-    def _res_l(self, rule: Rule, left_residual: bool) -> Iterator[list[Sequent]]:
+    def _res_l(self, rule: Rule) -> Iterator[list[Sequent]]:
+        """LresL and RresL, by the connective in ``RULES``."""
         sys = self.system
-        want = Lres if left_residual else Rres
+        kind = RULES[rule.name].kinds[0]
+        left_residual = kind is Lres
         for f, path in self.leaves():
-            if not isinstance(f, want):
+            if not isinstance(f, kind):
                 continue
             arg, res = (f.left, f.right) if left_residual else (f.right, f.left)
             for gamma, rest, _ in _arg_groups(self.ctx, path, res, left_residual):
                 yield [Sequent(gamma, arg, sys), Sequent(rest, self.succ, sys)]
 
-    def _lres_l(self, rule: Rule) -> Iterator[list[Sequent]]:
-        return self._res_l(rule, left_residual=True)
-
-    def _rres_l(self, rule: Rule) -> Iterator[list[Sequent]]:
-        return self._res_l(rule, left_residual=False)
-
     # -- modal rules -----------------------------------------------------------
 
-    def _converse(self, a: Formula, b: Formula) -> list[Sequent]:
-        """BoxRe and BringsRe: A ⊢ B and B ⊢ A."""
-        sys = self.system
-        return [Sequent(leaf(a), b, sys), Sequent(leaf(b), a, sys)]
-
-    def _box_re(self, rule: Rule) -> Iterator[list[Sequent]]:
-        body = singleton_body(self.ctx)
-        if isinstance(body, Box) and isinstance(self.succ, Box):
-            yield self._converse(body.body, self.succ.body)
-
-    def _brings_re(self, rule: Rule) -> Iterator[list[Sequent]]:
-        body = singleton_body(self.ctx)
-        if (
-            isinstance(body, Brings)
-            and isinstance(self.succ, Brings)
-            and body.agent == rule.agent
-            and self.succ.agent == rule.agent
-        ):
-            yield self._converse(body.body, self.succ.body)
+    def _converse(self, rule: Rule) -> Iterator[list[Sequent]]:
+        """BoxRe and BringsRe, by the connective in ``RULES``: A ⊢ B and
+        B ⊢ A below []A ⊢ []B; an ``E[a]`` pair only for the rule's agent."""
+        body, g, kind = singleton_body(self.ctx), self.succ, RULES[rule.name].kinds[0]
+        if not (isinstance(body, kind) and isinstance(g, kind)):
+            return
+        if rule.agent is not None and not body.agent == g.agent == rule.agent:
+            return
+        a, b, sys = body.body, g.body, self.system
+        yield [Sequent(leaf(a), b, sys), Sequent(leaf(b), a, sys)]
 
     def _not_nec(self, rule: Rule) -> Iterator[list[Sequent]]:
         body = singleton_body(self.ctx)
@@ -410,23 +381,23 @@ class _Matcher:
 _DISPATCH = {
     AX: _Matcher._ax,
     ONE_R: _Matcher._one_r,
-    TENSOR_L: _Matcher._tensor_l,
-    ODOT_L: _Matcher._odot_l,
-    ONE_L: _Matcher._one_l,
-    WITH_L1: lambda m, r: _Matcher._with_l(m, r, True),
-    WITH_L2: lambda m, r: _Matcher._with_l(m, r, False),
+    TENSOR_L: _Matcher._left_unary,
+    ODOT_L: _Matcher._left_unary,
+    ONE_L: _Matcher._left_unary,
+    WITH_L1: _Matcher._left_unary,
+    WITH_L2: _Matcher._left_unary,
     WITH_R: _Matcher._pair_right,
-    LIMP_R: _Matcher._limp_r,
-    LRES_R: _Matcher._lres_r,
-    RRES_R: _Matcher._rres_r,
+    LIMP_R: _Matcher._imp_r,
+    LRES_R: _Matcher._imp_r,
+    RRES_R: _Matcher._imp_r,
     TENSOR_R: _Matcher._pair_right,
     ODOT_R: _Matcher._pair_right,
     LIMP_L: _Matcher._limp_l,
-    LRES_L: _Matcher._lres_l,
-    RRES_L: _Matcher._rres_l,
-    BOX_RE: _Matcher._box_re,
-    BRINGS_RE: _Matcher._brings_re,
-    BRINGS_REFL: _Matcher._brings_refl,
+    LRES_L: _Matcher._res_l,
+    RRES_L: _Matcher._res_l,
+    BOX_RE: _Matcher._converse,
+    BRINGS_RE: _Matcher._converse,
+    BRINGS_REFL: _Matcher._left_unary,
     BRINGS_TENSOR: _Matcher._pair_right,
     BRINGS_ODOT: _Matcher._pair_right,
     BRINGS_WITH: _Matcher._pair_right,

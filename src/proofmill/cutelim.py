@@ -8,7 +8,12 @@ by cuts on strictly smaller formulas, or permutes the cut upward past
 a rule that does not touch the cut formula.  A producer is ready for a
 principal reduction when its last rule is principal on the succedent
 (the side that the kernel's ``RULES`` gives it); otherwise the cut is
-permuted.
+permuted.  Most pairs are read off the kernel's ``RULES`` as well: a
+one-premise left rule other than BringsRefl against the right rule of
+its connective cuts in the producer premises that its row's ``parts``
+names, and an implication left rule against its right rule cuts the
+argument's proof into the producer's premise and that into the result's
+proof.  The modal pairs are written out one by one.
 
 A proof node does not say which occurrence of a formula its rule was
 principal on, so a rewrite builds one candidate reduct per occurrence
@@ -38,8 +43,10 @@ and exhausted, for instance
     E[a]p, E[a]q |- E[a](1 * (p * q))
 
 Eliminating a cut from such a proof raises ``CutEliminationError``
-naming the offending pair.  See docs/cut_elimination.md for the full
-case table.
+naming the offending pair.  Every other cut has a reduct, so a cut for
+which no candidate's root is an inference is a fault of this module and
+raises ``RuntimeError``.  See docs/cut_elimination.md for the full case
+table.
 """
 from __future__ import annotations
 
@@ -55,21 +62,9 @@ from .calculus import (
     BRINGS_TENSOR,
     BRINGS_WITH,
     CUT,
-    LIMP_L,
-    LIMP_R,
-    LRES_L,
-    LRES_R,
     NOT_NEC,
-    ODOT_L,
     ODOT_R,
-    ONE_L,
-    ONE_R,
-    RRES_L,
-    RRES_R,
-    TENSOR_L,
     TENSOR_R,
-    WITH_L1,
-    WITH_L2,
     WITH_R,
     Proof,
     Rule,
@@ -84,10 +79,14 @@ from .context import (
     leaf,
     leaf_paths,
 )
-from .kernel import RULES, SUCC, infers
-from .syntax import BOT, Formula, brings, odot, tensor, with_
+from .kernel import LEAF, RULES, SUCC, infers
+from .syntax import BOT, Formula, Limp, Lres, Rres, brings, odot, tensor, with_
 
 STEP_CAP = 1_000_000
+
+# the connectives of LimpL/R, LresL/R and RresL/R, whose left rules take
+# the argument's proof and the result's
+_ARROWS = (Limp, Lres, Rres)
 
 # principal pairs with no reduction; see the module docstring
 DEFECTIVE_PAIRS = frozenset(
@@ -172,6 +171,16 @@ def _close_ctx(cand: Proof, want: Sequent) -> Proof | None:
     return None
 
 
+def _cut_each(consumer: Proof, producers: tuple[Proof, ...]) -> Iterator[Proof]:
+    """The producers cut into ``consumer`` one after another, each at
+    every occurrence of its formula, the first occurrences first."""
+    if not producers:
+        yield consumer
+        return
+    for cut1 in _cuts(consumer, producers[0]):
+        yield from _cut_each(cut1, producers[1:])
+
+
 def _refl_ax(agent: str, f: Formula, system) -> Proof:
     """E[a]f |- f by reflexive elimination over an axiom."""
     inner = Sequent(leaf(f), f, system)
@@ -189,20 +198,17 @@ def _principal_candidates(node: Proof) -> Iterator[Proof]:
     consumer, producer = node.premises
     system = node.conclusion.system
     cname, pname = consumer.rule.name, producer.rule.name
+    crow, prow = RULES[cname], RULES[pname]
     agent = consumer.rule.agent
 
-    if (cname, pname) in ((TENSOR_L, TENSOR_R), (ODOT_L, ODOT_R)):
-        p1, p2 = producer.premises
-        for cut1 in _cuts(consumer.premises[0], p1):
-            yield from _cuts(cut1, p2)
-    elif cname == ONE_L and pname == ONE_R:
-        yield consumer.premises[0]
-    elif cname in (WITH_L1, WITH_L2) and pname == WITH_R:
-        side = producer.premises[0 if cname == WITH_L1 else 1]
-        yield from _cuts(consumer.premises[0], side)
-    elif (cname, pname) == (LIMP_L, LIMP_R) or (
-        cname in (LRES_L, RRES_L) and pname in (LRES_R, RRES_R)
-    ):
+    # a left rule against a right rule of its connective
+    paired = crow.side == LEAF and crow.kinds == prow.kinds
+    if paired and crow.parts is not None and cname != BRINGS_REFL:
+        # TensorL, OdotL, OneL, WithL1 or WithL2, whose producer's
+        # premises prove the operands in order: those that the consumer
+        # puts back are cut in one after another
+        yield from _cut_each(consumer.premises[0], producer.premises[crow.parts])
+    elif paired and crow.kinds[0] in _ARROWS:
         arg, body = consumer.premises  # Σ |- X and Δ(Y) |- C
         q = producer.premises[0]  # (Γ', X) |- Y
         for cut1 in _cuts(q, arg):
@@ -257,12 +263,16 @@ def _principal_candidates(node: Proof) -> Iterator[Proof]:
 
 
 def _permute_into_producer(node: Proof) -> Iterator[Proof]:
+    """The cut moved above the producer's left rule, into its only
+    premise or the second premise of an implication rule, at each
+    occurrence."""
     consumer, producer = node.premises
     rule = producer.rule
-    if rule.name in (TENSOR_L, ODOT_L, ONE_L, WITH_L1, WITH_L2, BRINGS_REFL):
+    row = RULES[rule.name]
+    if row.parts is not None:
         for inner in _cuts(consumer, producer.premises[0]):
             yield Proof(node.conclusion, rule, (inner,))
-    elif rule.name in (LIMP_L, LRES_L, RRES_L):
+    elif row.kinds[0] in _ARROWS:
         arg, body = producer.premises
         for inner in _cuts(consumer, body):
             yield Proof(node.conclusion, rule, (arg, inner))
@@ -340,12 +350,10 @@ def _reduce(cut: Proof) -> tuple[Proof, ReductionStep]:
             closed = _close_ctx(cand, cut.conclusion)
             if closed is not None and infers(closed):
                 return closed, ReductionStep(kind, a, ())
-    raise CutEliminationError(
-        "no verified reduction applies",
-        pair=(consumer.rule.name, producer.rule.name),
-        formula=a,
-        path=(),
-    )
+    # every pair outside DEFECTIVE_PAIRS has a reduction, so a cut that
+    # gets none met a fault of this module, not a dead end
+    raise RuntimeError(f"no verified reduction applies (consumer {consumer.rule.name} "
+                       f"against producer {producer.rule.name}) on cut formula {a.key}")
 
 
 def reduce_once(cut: Proof) -> tuple[Proof, ReductionStep]:

@@ -1,10 +1,14 @@
 """The proof kernel: the rule table, proof objects and the proof checker.
 
 ``RULES`` holds one row per sequent rule: the side of its principal
-formula, the connectives it introduces and its forward check.  The rest
-is read off it: a system's rules (``SYSTEM_RULES``, ``rule_admissible``)
-are those whose connectives lie in the system's language, and the agent
-rules (``AGENT_RULES``) those of ``E[a]``.
+formula, the connectives it introduces, its forward check and, for the
+six one-premise left rules, which operands of the principal formula the
+rule puts back (``parts``: both for TensorL and OdotL, the left for
+WithL1, the right for WithL2, the body for BringsRefl, none for OneL).
+The rest is read off it: a system's rules (``SYSTEM_RULES``,
+``rule_admissible``) are those whose connectives lie in the system's
+language, and the agent rules (``AGENT_RULES``) those of ``E[a]``.
+Search's premise enumerator and cut elimination read the same rows.
 
 ``check_proof`` checks every inference on its own by reading the rule
 forward.  From a node's premises it computes the antecedent X that the
@@ -20,8 +24,9 @@ NotNec read the conclusion as it stands in every system.  The kernel
 imports only ``syntax`` and ``context``: it shares nothing with the
 premise enumerator that proof search uses.
 
-A row's check lists those antecedents X, and ``infers`` judges one
-node by it alone: the premises' own proofs and the language go
+A row's check takes the row and lists those antecedents X (one check,
+``_left_unary``, serves the six rules with ``parts``), and ``infers``
+judges one node by it alone: the premises' own proofs and the language go
 untested.  ``check_proof`` reads the system's language (the connectives
 outside it and its agents), whether entropy applies, and the rule table
 once per call.  Per node it tests the succedent and the rule against
@@ -83,6 +88,7 @@ from .syntax import (
     _OUTSIDE,
     brings,
     language_error,
+    operands,
 )
 
 # ---------------------------------------------------------------------------
@@ -242,22 +248,22 @@ def _unfill(y: Context, parts: tuple[Formula, ...], serial: bool, f: Formula):
 
 
 # ---------------------------------------------------------------------------
-# Forward instantiation.  Each check takes the connectives of its rule's
-# row in ``RULES``, the node's conclusion, its premises' conclusions and
-# the rule's agent, and lists the antecedents that the rule concludes
-# from those premises: none when they fit no instance of it, and the
-# conclusion's own antecedent for a rule that reads it as it stands.
+# Forward instantiation.  Each check takes its rule's row in ``RULES``,
+# the node's conclusion, its premises' conclusions and the rule's agent,
+# and lists the antecedents that the rule concludes from those premises:
+# none when they fit no instance of it, and the conclusion's own
+# antecedent for a rule that reads it as it stands.
 
 
-def _ax(kinds, c: Sequent, ps: list[Sequent], agent):
+def _ax(row, c: Sequent, ps: list[Sequent], agent):
     return (c.ctx,) if not ps and singleton_body(c.ctx) == c.succ else ()
 
 
-def _one_r(kinds, c: Sequent, ps: list[Sequent], agent):
-    return (c.ctx,) if not ps and isinstance(c.succ, kinds[0]) and c.ctx is EMPTY else ()
+def _one_r(row, c: Sequent, ps: list[Sequent], agent):
+    return (c.ctx,) if not ps and isinstance(c.succ, row.kinds[0]) and c.ctx is EMPTY else ()
 
 
-def _cut(kinds, c: Sequent, ps: list[Sequent], agent):
+def _cut(row, c: Sequent, ps: list[Sequent], agent):
     """The first premise's antecedent with the second premise's put in
     place of one occurrence of the cut formula."""
     if len(ps) != 2 or ps[0].succ != c.succ:
@@ -266,22 +272,18 @@ def _cut(kinds, c: Sequent, ps: list[Sequent], agent):
     return (fill(y, pt, gamma) for pt in leaf_paths(y, ps[1].succ))
 
 
-def _left_unary(parts):
-    """A left rule putting ``parts(f)`` in place of one principal ``f``,
-    in series when ``f`` is a ``@``; an ``E[a]`` is principal only for
-    the rule's agent."""
-
-    def check(kinds, c: Sequent, ps: list[Sequent], agent):
-        if len(ps) != 1 or ps[0].succ != c.succ:
-            return
-        kind = kinds[0]
-        for f in dict.fromkeys(context_formulas(c.ctx)):
-            if not isinstance(f, kind) or \
-                    kind is Brings and f.agent != agent:  # type: ignore[attr-defined]
-                continue
-            yield from _unfill(ps[0].ctx, parts(f), kind is Odot, f)
-
-    return check
+def _left_unary(row, c: Sequent, ps: list[Sequent], agent):
+    """A one-premise left rule putting the operands ``row.parts`` of one
+    principal ``f`` in its place, in series when ``f`` is a ``@``; an
+    ``E[a]`` is principal only for the rule's agent."""
+    if len(ps) != 1 or ps[0].succ != c.succ:
+        return
+    kind, parts = row.kinds[0], row.parts
+    for f in dict.fromkeys(context_formulas(c.ctx)):
+        if not isinstance(f, kind) or \
+                kind is Brings and f.agent != agent:  # type: ignore[attr-defined]
+            continue
+        yield from _unfill(ps[0].ctx, operands(f)[parts], kind is Odot, f)
 
 
 def _with_leaf(y: Context, u: Leaf):
@@ -324,12 +326,12 @@ def _with_leaf(y: Context, u: Leaf):
             yield x
 
 
-def _pair_right(kinds, c: Sequent, ps: list[Sequent], agent):
+def _pair_right(row, c: Sequent, ps: list[Sequent], agent):
     """TensorR, OdotR, WithR and their E[a] forms: premises prove the two
     halves, over the shared antecedent (``&``) or over two joined ones,
     in series for ``@``."""
-    g, kind = c.succ, kinds[-1]
-    agentive = kinds[0] is Brings
+    g, kind = c.succ, row.kinds[-1]
+    agentive = row.kinds[0] is Brings
     if agentive:
         if not isinstance(g, Brings) or g.agent != agent:
             return ()
@@ -346,9 +348,9 @@ def _pair_right(kinds, c: Sequent, ps: list[Sequent], agent):
     return (join(ps[0].ctx, ps[1].ctx, kind is Odot),)
 
 
-def _limp_r(kinds, c: Sequent, ps: list[Sequent], agent):
+def _limp_r(row, c: Sequent, ps: list[Sequent], agent):
     g = c.succ
-    if len(ps) != 1 or not isinstance(g, kinds[0]) or ps[0].succ != g.right:
+    if len(ps) != 1 or not isinstance(g, row.kinds[0]) or ps[0].succ != g.right:
         return ()
     y = ps[0].ctx
     a = leaf(g.left)
@@ -361,12 +363,12 @@ def _limp_r(kinds, c: Sequent, ps: list[Sequent], agent):
     return (par(kids),)
 
 
-def _res_r(kinds, c: Sequent, ps: list[Sequent], agent):
+def _res_r(row, c: Sequent, ps: list[Sequent], agent):
     g = c.succ
-    if len(ps) != 1 or not isinstance(g, kinds[0]):
+    if len(ps) != 1 or not isinstance(g, row.kinds[0]):
         return ()
     # A \ B reads A; Γ ⊢ B, and B / A reads Γ; A ⊢ B
-    lres = kinds[0] is Lres
+    lres = row.kinds[0] is Lres
     arg, res = (g.left, g.right) if lres else (g.right, g.left)
     if ps[0].succ != res:
         return ()
@@ -378,14 +380,14 @@ def _res_r(kinds, c: Sequent, ps: list[Sequent], agent):
     return (ser(kids[1:] if lres else kids[:-1]),)
 
 
-def _imp_left(kinds, c: Sequent, ps: list[Sequent], agent):
+def _imp_left(row, c: Sequent, ps: list[Sequent], agent):
     """LimpL, LresL, RresL: the second premise holds the residue where
     the conclusion holds ``Γ, A -o B``, ``Γ; A \\ B`` or ``B / A; Γ``,
     Γ being the first premise's antecedent and A the argument."""
     if len(ps) != 2 or ps[1].succ != c.succ:
         return
     gamma, y = ps[0].ctx, ps[1].ctx
-    kind = kinds[0]
+    kind = row.kinds[0]
     for f in dict.fromkeys(context_formulas(c.ctx)):
         if not isinstance(f, kind):
             continue
@@ -399,10 +401,10 @@ def _imp_left(kinds, c: Sequent, ps: list[Sequent], agent):
             yield fill(y, pt, block)
 
 
-def _converse(kinds, c: Sequent, ps: list[Sequent], agent):
+def _converse(row, c: Sequent, ps: list[Sequent], agent):
     """BoxRe and BringsRe: []A ⊢ []B from A ⊢ B and B ⊢ A."""
-    body, g = singleton_body(c.ctx), c.succ
-    if not (isinstance(body, kinds[0]) and isinstance(g, kinds[0])):
+    body, g, kind = singleton_body(c.ctx), c.succ, row.kinds[0]
+    if not (isinstance(body, kind) and isinstance(g, kind)):
         return ()
     if agent is not None and not body.agent == g.agent == agent:
         return ()
@@ -411,9 +413,9 @@ def _converse(kinds, c: Sequent, ps: list[Sequent], agent):
     return (c.ctx,) if ok else ()
 
 
-def _not_nec(kinds, c: Sequent, ps: list[Sequent], agent):
+def _not_nec(row, c: Sequent, ps: list[Sequent], agent):
     body = singleton_body(c.ctx)
-    if c.succ != BOT or not isinstance(body, kinds[0]) or body.agent != agent:
+    if c.succ != BOT or not isinstance(body, row.kinds[0]) or body.agent != agent:
         return ()
     return (c.ctx,) if [(s.ctx, s.succ) for s in ps] == [(EMPTY, body.body)] else ()
 
@@ -428,39 +430,48 @@ LEAF, SUCC = "leaf", "succ"
 class RuleRow(NamedTuple):
     """One rule: the side of its principal formula (None for Ax and
     Cut), the connectives it introduces, principal first, the sum of
-    their ``Formula.bit``, and its forward check, which lists the
-    antecedents that the rule concludes."""
+    their ``Formula.bit``, its forward check, which takes the row and
+    lists the antecedents that the rule concludes, and, for a
+    one-premise left rule, which operands of its principal formula it
+    puts in the formula's place (a slice of ``syntax.operands``; None
+    for every other rule)."""
 
     side: str | None
     kinds: tuple[type, ...]
     uses: int
     check: Callable[..., Iterable[Context]]
+    parts: slice | None
 
 
-def _row(side: str | None, kinds, check) -> RuleRow:
+# the operands that a one-premise left rule puts back: both, the first
+# (or a modality's body), the second, none
+BOTH, FIRST, SECOND, NEITHER = slice(None), slice(1), slice(1, None), slice(0)
+
+
+def _row(side: str | None, kinds, check, parts: slice | None = None) -> RuleRow:
     kinds = kinds if isinstance(kinds, tuple) else (kinds,)
-    return RuleRow(side, kinds, sum(k.bit for k in kinds), check)
+    return RuleRow(side, kinds, sum(k.bit for k in kinds), check, parts)
 
 
 RULES: dict[str, RuleRow] = {
     AX: _row(None, (), _ax),
     CUT: _row(None, (), _cut),
-    TENSOR_L: _row(LEAF, Tensor, _left_unary(lambda f: (f.left, f.right))),
+    TENSOR_L: _row(LEAF, Tensor, _left_unary, BOTH),
     TENSOR_R: _row(SUCC, Tensor, _pair_right),
     LIMP_L: _row(LEAF, Limp, _imp_left),
     LIMP_R: _row(SUCC, Limp, _limp_r),
-    WITH_L1: _row(LEAF, With, _left_unary(lambda f: (f.left,))),
-    WITH_L2: _row(LEAF, With, _left_unary(lambda f: (f.right,))),
+    WITH_L1: _row(LEAF, With, _left_unary, FIRST),
+    WITH_L2: _row(LEAF, With, _left_unary, SECOND),
     WITH_R: _row(SUCC, With, _pair_right),
-    ONE_L: _row(LEAF, Unit, _left_unary(lambda f: ())),
+    ONE_L: _row(LEAF, Unit, _left_unary, NEITHER),
     ONE_R: _row(SUCC, Unit, _one_r),
     BOX_RE: _row(SUCC, Box, _converse),
     BRINGS_RE: _row(SUCC, Brings, _converse),
-    BRINGS_REFL: _row(LEAF, Brings, _left_unary(lambda f: (f.body,))),
+    BRINGS_REFL: _row(LEAF, Brings, _left_unary, FIRST),
     BRINGS_TENSOR: _row(SUCC, (Brings, Tensor), _pair_right),
     BRINGS_WITH: _row(SUCC, (Brings, With), _pair_right),
     NOT_NEC: _row(LEAF, Brings, _not_nec),
-    ODOT_L: _row(LEAF, Odot, _left_unary(lambda f: (f.left, f.right))),
+    ODOT_L: _row(LEAF, Odot, _left_unary, BOTH),
     ODOT_R: _row(SUCC, Odot, _pair_right),
     LRES_L: _row(LEAF, Lres, _imp_left),
     LRES_R: _row(SUCC, Lres, _res_r),
@@ -514,7 +525,7 @@ def _infers(row: RuleRow, c: Sequent, ps: list[Sequent], agent, tree: bool) -> b
     """Whether some antecedent that ``row`` concludes from ``ps`` is the
     antecedent of ``c`` or, in a tree system, reaches it by entropy."""
     ctx = c.ctx
-    for x in row.check(row.kinds, c, ps, agent):
+    for x in row.check(row, c, ps, agent):
         if x is ctx or tree and entropy_le(x, ctx):
             return True
     return False

@@ -302,6 +302,17 @@ class TestProofFiles:
         assert (code, out) == (3, "")
         assert err.startswith("internal error: RuntimeError: cut elimination built a proof")
 
+    def test_cut_eliminate_with_no_reduct_is_internal(self, tmp_path, monkeypatch):
+        # no reduct outside the defective pairs is a fault: exit 3, not 1
+        from test_cutelim import _refl_axiom_cut, _swapped_comb
+
+        path = tmp_path / "cut.json"
+        path.write_text(json.dumps(proof_to_json(_refl_axiom_cut())))
+        monkeypatch.setattr("proofmill.cutelim.Proof", _swapped_comb)
+        code, out, err = cli("cut-eliminate", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: RuntimeError: no verified reduction applies")
+
 
 class TestHilbert:
     @pytest.fixture()

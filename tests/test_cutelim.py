@@ -598,6 +598,26 @@ def test_a_reduct_that_fails_the_kernel_is_an_internal_error(monkeypatch):
         reduce_once(cut)
 
 
+def _swapped_comb(conclusion, rule, premises=()):
+    """``Proof``, but the TensorR node that a principal reduction builds
+    over two cuts takes them in the wrong order."""
+    if rule.name == "TensorR" and premises and premises[0].rule.name == "Cut":
+        premises = premises[::-1]
+    return Proof(conclusion, rule, premises)
+
+
+def test_a_cut_with_no_reduct_is_an_internal_error(monkeypatch):
+    # the reduct cuts the swapped TensorR node into the axiom on p * q;
+    # that cut's only candidate is the node itself, which is no
+    # inference.  Outside DEFECTIVE_PAIRS every cut has a reduct, so
+    # this is a fault of cut elimination, not a dead end
+    cut = _refl_axiom_cut()
+    monkeypatch.setattr(cutelim, "Proof", _swapped_comb)
+    with pytest.raises(RuntimeError, match=r"no verified reduction applies \(consumer Ax "
+                                           r"against producer TensorR\)"):
+        eliminate_cuts(cut)
+
+
 # -- dead ends ------------------------------------------------------------------
 
 
