@@ -4,6 +4,7 @@ through the whole entropy closure, and the kernel's import boundary."""
 from __future__ import annotations
 
 import ast
+import hashlib
 from collections import Counter
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from proofmill.calculus import (
     Proof,
     Rule,
     check_proof,
+    fold_tree,
     proof_nodes,
     rule_admissible,
     rule_instances,
@@ -356,6 +358,79 @@ def test_shared_bad_node_is_reported_once():
     # equal but distinct nodes are each reported
     twins = _node("p |- q & q", "WithR", bad, _node("p |- q", AX))
     assert [path for path, _ in check_proof(twins).violations] == [(0,), (1,)]
+
+
+# -- a node accepted by one check, met again by another ----------------------------
+
+
+def _fresh(p: Proof) -> Proof:
+    """An equal tree of new node objects, none of them checked yet."""
+    return fold_tree(p, lambda n: n.premises,
+                     lambda n, kids: Proof(n.conclusion, n.rule, tuple(kids)))
+
+
+def _tensor_pq() -> Proof:
+    return _node("p, q |- p * q", "TensorR", _node("p |- p", AX), _node("q |- q", AX))
+
+
+def test_a_subproof_accepted_in_one_system_is_mixed_in_another():
+    # E[a]p, E[a]q |- E[a](p * q) accepted in RSBIAT:a, then the first
+    # premise of an RSBIAT:a,b root: each of its nodes is reported as
+    # on a first check, as a node of another system
+    rs_a, rs_ab = parse_system("RSBIAT:a"), parse_system("RSBIAT:a,b")
+    sub = prove(parse_sequent("E[a]p, E[a]q |- E[a](p * q)", rs_a)).proof
+    assert check_proof(sub).ok
+    text = "E[a]p, E[a]q |- E[a](p * q) & E[a](p * q)"
+    other = prove(parse_sequent("E[a]p, E[a]q |- E[a](p * q)", rs_ab)).proof
+    root = Proof(parse_sequent(text, rs_ab), Rule("WithR"), (sub, other))
+    report = check_proof(root)
+    assert report == check_proof(_fresh(root))
+    mixed = [path for path, why in report.violations if why == "mixed systems in one proof"]
+    assert mixed == [(0,) + path for path, _ in proof_nodes(sub)]
+
+
+def test_a_failing_check_marks_nothing(monkeypatch):
+    # a proof with one bad node gives one report however often it is
+    # checked, and its good subproof, checked afterwards, is judged at
+    # every node
+    calls = count_checks(monkeypatch)
+    good = _tensor_pq()
+    bad = _node("p, q |- (p * q) & q", "WithR", good, _node("p, q |- q", AX))
+    first = check_proof(bad)
+    assert first.violations == (((1,), "premises do not instantiate Ax"),)
+    assert check_proof(bad) == first
+    calls.clear()
+    assert check_proof(good).ok
+    assert len(calls) == 3
+
+
+def test_a_new_rule_table_judges_every_node_again(monkeypatch):
+    good = _tensor_pq()
+    assert check_proof(good).ok
+    calls = count_checks(monkeypatch)
+    assert check_proof(good).ok
+    assert len(calls) == 3
+
+
+def test_reports_on_mutants_are_pinned(corpus_proofs):
+    # each one-node mutant of the corpus proofs, checked on its own twice
+    # and then spliced into its whole proof, which the kernel accepted
+    # first: a check that meets nodes a former check judged gives the
+    # report of a first check
+    digest = hashlib.sha256()
+    checks = 0
+    for _, proof in corpus_proofs:
+        assert check_proof(proof).ok
+        nodes = list(proof_nodes(proof))
+        sequents = list(dict.fromkeys(n.conclusion for _, n in nodes))
+        for path, node in nodes:
+            for mutant in _mutants(node, sequents):
+                for p in (mutant, mutant, _splice(proof, path, mutant)):
+                    report = check_proof(p)
+                    digest.update(repr((report.ok, report.violations)).encode())
+                    checks += 1
+    assert (checks, digest.hexdigest()) == (
+        13_791, "3d668634efd9eb33b39e970c250c5ed9f2e78a9949332a11104a4fae7ef8915c")
 
 
 def test_ill_formed_sequents_are_reported_at_each_node():
