@@ -22,8 +22,10 @@ kernel accepts as an inference (``kernel.infers``).  Every other node
 of a candidate is a node of the cut or built to be sound, so
 ``eliminate_cuts`` checks its input and then its normal form once, with
 ``check_proof``: a bookkeeping mistake fails that check and raises
-``RuntimeError`` instead of returning a proof.  ``reduce_once``, the
-same rewrite on its own, checks its reduct the same way.  Normal forms
+``RuntimeError`` instead of returning a proof.  The kernel skips the
+nodes that the check of the input accepted, so the final check judges
+only the nodes that the fold built.  ``reduce_once``, the same rewrite
+on its own, checks its reduct the same way.  Normal forms
 are memoised by node identity, and cuts by their normal premises and
 conclusion, so a shared subproof is reduced once, its normal form
 stays shared, and the trace lists its reduction once, at the first

@@ -36,7 +36,11 @@ the test that ``infers`` makes.
 
 ``check_proof`` checks each distinct node object once per call, so a
 proof whose subtrees are shared (search reuses the proof of a sequent
-it met before) costs its distinct nodes, not its tree size.
+it met before) costs its distinct nodes, not its tree size.  Nodes are
+immutable, so a check that passes marks each node it visited with the
+rule table it read, and a later check skips a node so marked, with its
+subtree, when the node's system is the root's: a node is checked once
+per rule table, and re-checking an accepted proof is one lookup.
 
 Premise order follows the rule schemas:
 
@@ -142,6 +146,7 @@ class Proof:
     conclusion: Sequent
     rule: Rule
     premises: tuple["Proof", ...] = ()
+    _accepted = None  # set by ``check_proof``: the RULES that accepted this subtree
 
     @property
     def system(self) -> System:
@@ -548,19 +553,22 @@ def check_proof(p: Proof) -> CheckReport:
     """Check each distinct node of ``p`` once.  A node object reached
     again on another path (search and cut elimination share subtrees)
     is skipped with its subtree, so a shared bad node is reported once,
-    at its first path in preorder."""
+    at its first path in preorder.  So is a node that a former check
+    accepted under the same ``RULES`` table, when its system is the
+    root's.  A passing check marks the nodes it visited; a failing one
+    marks none."""
     system = p.conclusion.system
     # read once per call, not once per node
     outside, agents, tree, rules = _OUTSIDE[system.ident], system.agents, system.is_tree, RULES
     inside: set[Context] = set()  # antecedents found inside the language
-    visited: set[int] = set()  # ids of the nodes visited, all held by ``p``
+    visited: dict[int, Proof] = {}  # the nodes visited, by id
     violations: list[tuple[tuple[int, ...], str]] = []
     stack: list[tuple[tuple[int, ...], Proof]] = [((), p)]
     while stack:
         path, node = stack.pop()
-        if id(node) in visited:
+        if id(node) in visited or node._accepted is rules and node.conclusion.system == system:
             continue
-        visited.add(id(node))
+        visited[id(node)] = node
         prems = node.premises
         for i in range(len(prems) - 1, -1, -1):
             stack.append((path + (i,), prems[i]))
@@ -594,4 +602,8 @@ def check_proof(p: Proof) -> CheckReport:
         else:
             if not _infers(row, c, ps, rule.agent, tree):
                 violations.append((path, _failure(rule, c, ps)))
-    return CheckReport(False, tuple(violations)) if violations else _PASSED
+    if violations:
+        return CheckReport(False, tuple(violations))
+    for node in visited.values():
+        object.__setattr__(node, "_accepted", rules)
+    return _PASSED

@@ -910,11 +910,12 @@ def test_deep_proof_eliminates(monkeypatch):
     for k in range(1, 1501):
         node = Proof(sequent(mset([one] * k + [p]), p, MILL), Rule("OneL"), (node,))
     # the kernel judges each of the 1,502 distinct input nodes once, the
-    # reduct's root (Ax) once, and each of the 1,501 nodes of the normal
-    # form once: the check of the input, one root, the final check
+    # reduct's root (Ax) once, and the 1,500 OneL nodes that the fold
+    # built once: the normal form's Ax is the input's own ax_p, which
+    # the check of the input accepted, so the final check skips it
     judged = count_checks(monkeypatch)
     final, trace = eliminate_cuts(node)
-    assert len(judged) == 1502 + 1 + 1501
+    assert len(judged) == 1502 + 1 + 1500
     assert [(s.kind, s.path) for s in trace.steps] == [("principal", (0,) * 1500)]
     assert final.conclusion == node.conclusion
     assert cut_count(final) == 0 and check_proof(final).ok

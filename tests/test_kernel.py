@@ -42,6 +42,7 @@ from proofmill.context import (
     validate_sequent,
 )
 from proofmill.corpus import load_corpus_dir
+from proofmill.cutelim import eliminate_cuts
 from proofmill.kernel import RULES, SUCC
 from proofmill.search import Proved, prove
 from proofmill.syntax import (
@@ -410,6 +411,18 @@ def test_a_new_rule_table_judges_every_node_again(monkeypatch):
     calls = count_checks(monkeypatch)
     assert check_proof(good).ok
     assert len(calls) == 3
+
+
+def test_a_normal_form_is_rechecked_by_lookup(monkeypatch):
+    # eliminate_cuts checks the normal form it returns, so a caller's
+    # check of it judges no node
+    calls = count_checks(monkeypatch)
+    consumer = _node("p * q |- p * q", "TensorL", _tensor_pq())
+    cut = _node("p, q |- p * q", CUT, consumer, _tensor_pq())
+    final, trace = eliminate_cuts(cut)
+    assert len(trace) > 0 and calls
+    calls.clear()
+    assert check_proof(final).ok and calls == []
 
 
 def test_reports_on_mutants_are_pinned(corpus_proofs):
