@@ -438,8 +438,8 @@ def test_reports_on_mutants_are_pinned(corpus_proofs):
         sequents = list(dict.fromkeys(n.conclusion for _, n in nodes))
         for path, node in nodes:
             for mutant in _mutants(node, sequents):
-                for p in (mutant, mutant, _splice(proof, path, mutant)):
-                    report = check_proof(p)
+                for checked in (mutant, mutant, _splice(proof, path, mutant)):
+                    report = check_proof(checked)
                     digest.update(repr((report.ok, report.violations)).encode())
                     checks += 1
     assert (checks, digest.hexdigest()) == (
