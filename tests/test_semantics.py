@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -446,6 +449,18 @@ def test_brings_clause_and_missing_agent_table():
     two = parse_system("RSBIAT:a,b")
     with pytest.raises(ValueError, match="agent 'b'"):
         extension(m, parse_formula("E[b]p", two))
+    # the same, once the body's extension is known in the evaluator
+    ev = Evaluator(m)
+    ev.extension_mask(parse_formula("p", two))
+    with pytest.raises(ValueError, match="agent 'b'"):
+        ev.extension_mask(parse_formula("E[b]p", two))
+
+
+def test_serial_formula_raises_after_its_operands_are_known():
+    ev = Evaluator(one_world())
+    ev.extension_mask(parse_formula("p", SRS))
+    with pytest.raises(ValueError, match="serial operation"):
+        ev.extension_mask(parse_formula("p @ p", SRS))
 
 
 @pytest.mark.parametrize("name", ["RSBIAT:box", "SRSBIAT:box", "RSBIAT:a,box"])
@@ -836,6 +851,51 @@ def test_countermodel_search_matches_its_golden_digest():
             found.append(None if cm is None
                          else [model_to_json(cm.model), cm.world])
     assert _digest(found) == GOLDEN_COUNTERMODELS
+
+
+# target system -> (system whose draws share its frames, search goals)
+COLD_WARM = {
+    "RSBIAT:a": ("MILL", ["E[a]p |- E[a]q", "E[a]p |- p",
+                          "E[a](p * q) |- E[a]p"]),
+    "SRSBIAT:a": ("PCMILL", ["E[a](p @ q) |- E[a](q @ p)", "E[a]p |- p",
+                             "p @ q |- q @ p"]),
+}
+
+
+def _drawn_in(target: str) -> str:
+    """The generator's models and the search's countermodels in
+    ``target``, as JSON."""
+    system = parse_system(target)
+    models = [model_to_json(random_model(seed, size, system))
+              for size in range(1, 6) for seed in range(6)]
+    found = []
+    for text in COLD_WARM[target][1]:
+        for seed in range(2):
+            cm = find_countermodel(parse_sequent(text, system), 5, seed=seed)
+            found.append(None if cm is None
+                         else [model_to_json(cm.model), cm.world])
+    return json.dumps([models, found])
+
+
+@pytest.mark.parametrize("target", sorted(COLD_WARM))
+def test_draws_do_not_depend_on_the_draws_before_them(target):
+    # cold: a fresh process draws nothing else first; warm: this one,
+    # after draws in a system whose frames are the target's
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"),
+                                           str(tests)]))
+    cold = subprocess.run(
+        [sys.executable, "-c", "import sys, test_semantics as t; "
+         "print(t._drawn_in(sys.argv[1]))", target],
+        env=env, capture_output=True, text=True, check=True).stdout
+    before = parse_system(COLD_WARM[target][0])
+    for size in range(1, 6):
+        for seed in range(30):
+            random_model(seed, size, before)
+    for text in ("p |- p * p", "p * q |- q", "p |- q"):
+        find_countermodel(parse_sequent(text, before), 5, seed=3)
+    assert cold == _drawn_in(target) + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
