@@ -912,7 +912,7 @@ def test_mask_evaluator_agrees_with_the_named_model(name):
                                                binaries) for f in layer]
     for size in range(1, 6):
         for seed in range(0, 20, 5):
-            draw = _draw(seed, size, system, {})
+            draw = _draw(seed, size, system)
             masks = Evaluator._on(draw.fr, draw.val, draw.nbhd)
             named = Evaluator(draw.named())
             for f in formulas:
