@@ -164,6 +164,9 @@ class Proof:
     def __hash__(self) -> int:
         return hash(self._own())
 
+    def __getstate__(self) -> dict:  # the mark names this process's RULES: a copy starts unchecked
+        return {k: v for k, v in self.__dict__.items() if k != "_accepted"}
+
 
 def proof_nodes(p: Proof):
     """Preorder (path, node) traversal of any tree with ``premises``."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import pickle
 from collections import Counter
 from pathlib import Path
 
@@ -423,6 +424,25 @@ def test_a_normal_form_is_rechecked_by_lookup(monkeypatch):
     assert len(trace) > 0 and calls
     calls.clear()
     assert check_proof(final).ok and calls == []
+
+
+def test_a_pickled_proof_leaves_its_mark_behind(monkeypatch):
+    # the mark names this process's RULES table, so a check adds nothing
+    # to the pickle and a loaded copy is judged at every node.  Interned
+    # contexts keep their formulas once listed, so an equal tree of other
+    # nodes is checked first
+    assert check_proof(_tensor_pq()).ok
+    proof = _tensor_pq()
+    before = pickle.dumps(proof)
+    assert check_proof(proof).ok
+    assert pickle.dumps(proof) == before
+    copy = pickle.loads(before)
+    assert all(node._accepted is None for _, node in proof_nodes(copy))
+    calls = count_checks(monkeypatch)
+    # the verdict is left out: a loaded copy's contexts are not the
+    # interned objects that the kernel compares by identity
+    check_proof(copy)
+    assert len(calls) == 3
 
 
 def test_reports_on_mutants_are_pinned(corpus_proofs):
