@@ -119,7 +119,7 @@ class _Frame:
     masks of the order generated by ``pairs``.  A frame holds no
     valuation or neighbourhoods, so models that differ only there share
     one.  Generated frames live for the process (``_draw``); one built
-    from a user's :class:`Model`, as long as its :class:`Evaluator`."""
+    from a user's :class:`Model` is private to its caller."""
 
     def __init__(self, names: tuple[str, ...], e: int, op: list[list[int]],
                  ser: list[list[int]] | None, pairs: list[tuple[int, int]]):
