@@ -411,9 +411,9 @@ _REPEATING = (ONE_L, LRES_L, RRES_L)
 
 def _once(lists: Iterator[list[Sequent]]) -> Iterator[list[Sequent]]:
     """``lists`` without repeats, in order."""
-    seen: set[tuple[str, ...]] = set()
+    seen: set[tuple[Sequent, ...]] = set()
     for premises in lists:
-        key = tuple([s.key for s in premises])
+        key = tuple(premises)
         if key not in seen:
             seen.add(key)
             yield premises
@@ -461,15 +461,19 @@ def proof_to_json(p: Proof) -> dict:
 
 def proof_from_json(data: dict) -> Proof:
     """The proof a :func:`proof_to_json` object describes; ValueError
-    when it has any other shape."""
+    when it has any other shape.  A sequent text that recurs is parsed
+    once, and its nodes share the one ``Sequent``."""
+    sequents: dict[str, Sequent] = {}
 
     def node(d: dict, premises: list[Proof]) -> Proof:
-        name, agent = d["rule"], d.get("agent")
+        name, agent, text = d["rule"], d.get("agent"), d["sequent"]
         if not isinstance(name, str) or \
                 not isinstance(agent, (str, type(None))):
             raise ValueError(f"bad rule {name!r} with agent {agent!r}")
-        return Proof(parse_sequent(d["sequent"], system), Rule(name, agent),
-                     tuple(premises))
+        got = sequents.get(text)
+        if got is None:
+            got = sequents[text] = parse_sequent(text, system)
+        return Proof(got, Rule.of(name, agent), tuple(premises))
 
     try:
         agents = data.get("agents", [])

@@ -14,9 +14,16 @@ are flattened, empty contexts are dropped, and the children of a
 parallel node are sorted by printed form (``,`` is commutative).  The
 smart constructors ``par`` and ``ser`` establish the normal form, so
 every Context in the system is normalized by construction.  Like
-formulas (see ``syntax``), contexts are hash-consed: ``leaf``, ``par``
-and ``ser`` return the one object that ``_TREE_INTERN`` holds for its
-printed form, so ``==`` and ``hash`` are object identity.
+formulas (see ``syntax``), contexts are hash-consed, so ``==`` and
+``hash`` are object identity: ``leaf`` returns the one leaf that
+``_LEAVES`` holds for its formula, and ``par`` and ``ser`` the one node
+that ``_PARS`` or ``_SERS`` holds for its tuple of children (Filliâtre
+and Conchon's hash-consing), that tuple being the node's own
+``children``.  A node's printed ``key`` is built when first read, and
+the sort of a parallel node's children reads theirs.  A ``Sequent`` is
+not interned: it is equal to another holding the same context and
+formula, and hashes them.  Pickling goes through the same builders, so
+a loaded context is the interned one.
 
 Entropy (``Γ ; Δ`` gives ``Γ , Δ``) is the only structural rule that
 the normal form does not absorb, and no proof states it as a step.
@@ -55,7 +62,7 @@ _UNSET = object()
 
 
 class Context:
-    __slots__ = ("key", "_formulas", "_charge")
+    __slots__ = ("_formulas", "_charge")
     key: str
     # the leaf formulas, left to right, and (``_charge``) their charges
     # summed; computed once by context_formulas and context_charge
@@ -66,7 +73,7 @@ class Context:
 
 
 class Leaf(Context):
-    __slots__ = ("formula",)
+    __slots__ = ("formula", "key")
 
     def __init__(self, formula: Formula):
         self.formula = formula
@@ -74,48 +81,75 @@ class Leaf(Context):
         self._formulas = (formula,)
         self._charge = formula.charge
 
+    def __reduce__(self):
+        return leaf, (self.formula,)
+
 
 class EmptyCtx(Context):
     __slots__ = ()
+    key = "()"
 
     def __init__(self) -> None:
-        self.key = "()"
         self._formulas = ()
         self._charge = 0
+
+    def __reduce__(self):
+        return "EMPTY"
 
 
 EMPTY = EmptyCtx()
 
 
-class Par(Context):
-    __slots__ = ("children",)
+class _Node(Context):
+    """A parallel or serial node.  ``children`` is also the node's key in
+    its intern table, and its printed ``key`` is joined when first read."""
 
-    def __init__(self, children: tuple[Context, ...], key: str):
+    __slots__ = ("children", "_key")
+    sep: str
+
+    def __init__(self, children: tuple[Context, ...]):
         self.children = children
-        self.key = key
+        self._key: str | None = None
         self._formulas = None
         self._charge = _UNSET
 
+    @property
+    def key(self) -> str:
+        got = self._key
+        if got is None:
+            # a child is a leaf or a bracketed node of the other kind
+            got = self._key = self.sep.join(
+                [c.key if isinstance(c, Leaf) else f"[{c.key}]" for c in self.children])
+        return got
 
-class Ser(Context):
-    __slots__ = ("children",)
 
-    def __init__(self, children: tuple[Context, ...], key: str):
-        self.children = children
-        self.key = key
-        self._formulas = None
-        self._charge = _UNSET
+class Par(_Node):
+    __slots__ = ()
+    sep = ", "
+
+    def __reduce__(self):
+        return par, (self.children,)
 
 
-_TREE_INTERN: dict[str, Context] = {"()": EMPTY}
+class Ser(_Node):
+    __slots__ = ()
+    sep = " ; "
+
+    def __reduce__(self):
+        return ser, (self.children,)
+
+
+# the intern tables: a leaf by its formula, a node by its children
+_LEAVES: dict[Formula, Leaf] = {}
+_PARS: dict[tuple[Context, ...], Par] = {}
+_SERS: dict[tuple[Context, ...], Ser] = {}
 
 
 def leaf(f: Formula) -> Leaf:
-    got = _TREE_INTERN.get(f.key)
+    got = _LEAVES.get(f)
     if got is None:
-        got = Leaf(f)
-        _TREE_INTERN[f.key] = got
-    return got  # type: ignore[return-value]
+        got = _LEAVES[f] = Leaf(f)
+    return got
 
 
 _KEY = attrgetter("key")
@@ -128,12 +162,10 @@ def _sorted_par(kids: list[Context]) -> Context:
         return EMPTY
     if len(kids) == 1:
         return kids[0]
-    # a child is a leaf or a bracketed serial node
-    key = ", ".join([c.key if isinstance(c, Leaf) else f"[{c.key}]" for c in kids])
-    got = _TREE_INTERN.get(key)
+    children = tuple(kids)
+    got = _PARS.get(children)
     if got is None:
-        got = Par(tuple(kids), key)
-        _TREE_INTERN[key] = got
+        got = _PARS[children] = Par(children)
     return got
 
 
@@ -165,12 +197,10 @@ def ser(children: Iterable[Context]) -> Context:
         return EMPTY
     if len(flat) == 1:
         return flat[0]
-    # a child is a leaf or a bracketed parallel node
-    key = " ; ".join([c.key if isinstance(c, Leaf) else f"[{c.key}]" for c in flat])
-    got = _TREE_INTERN.get(key)
+    children = tuple(flat)
+    got = _SERS.get(children)
     if got is None:
-        got = Ser(tuple(flat), key)
-        _TREE_INTERN[key] = got
+        got = _SERS[children] = Ser(children)
     return got
 
 
@@ -541,26 +571,39 @@ def entropy_le(x: Context, c: Context) -> bool:
 
 
 class Sequent:
-    __slots__ = ("ctx", "succ", "system", "key")
+    """An antecedent, a succedent and a system.  Contexts and formulas
+    are interned, so ``==`` and the hash read those two objects (and
+    ``==`` the system), and ``key`` is built when first read."""
+
+    __slots__ = ("ctx", "succ", "system", "_key")
 
     def __init__(self, ctx: Context, succ: Formula, system: System):
         self.ctx = ctx
         self.succ = succ
         self.system = system
-        if ctx is EMPTY and not system.is_tree:
-            self.key = f"|- {succ.key}"
-        else:
-            self.key = f"{ctx.key} |- {succ.key}"
+        self._key: str | None = None
+
+    @property
+    def key(self) -> str:
+        got = self._key
+        if got is None:
+            head = "" if self.ctx is EMPTY and not self.system.is_tree else f"{self.ctx.key} "
+            got = self._key = f"{head}|- {self.succ.key}"
+        return got
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Sequent)
-            and self.key == other.key
+            and self.ctx is other.ctx
+            and self.succ is other.succ
             and self.system == other.system
         )
 
     def __hash__(self) -> int:
-        return hash(self.key)
+        return hash((self.ctx, self.succ))
+
+    def __reduce__(self):
+        return Sequent, (self.ctx, self.succ, self.system)
 
     def __repr__(self) -> str:
         return f"<{self.system} {self.key}>"

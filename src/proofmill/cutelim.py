@@ -145,7 +145,7 @@ class ReductionTrace:
 def _cut(consumer: Proof, producer: Proof, ctx: Context) -> Proof:
     """The cut of ``producer`` into ``consumer`` concluding antecedent ``ctx``."""
     c = consumer.conclusion
-    return Proof(Sequent(ctx, c.succ, c.system), Rule(CUT), (consumer, producer))
+    return Proof(Sequent(ctx, c.succ, c.system), Rule.of(CUT), (consumer, producer))
 
 
 def _cuts(consumer: Proof, producer: Proof) -> Iterator[Proof]:
@@ -187,7 +187,7 @@ def _refl_ax(agent: str, f: Formula, system) -> Proof:
     """E[a]f |- f by reflexive elimination over an axiom."""
     inner = Sequent(leaf(f), f, system)
     outer = Sequent(leaf(brings(agent, f)), f, system)
-    return Proof(outer, Rule(BRINGS_REFL, agent), (Proof(inner, Rule(AX)),))
+    return Proof(outer, Rule.of(BRINGS_REFL, agent), (Proof(inner, Rule.of(AX)),))
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +220,11 @@ def _principal_candidates(node: Proof) -> Iterator[Proof]:
         d1, d2 = producer.premises  # Z |- X, X |- Z
         for left in _cuts(c1, d1):  # Z |- W
             for right in _cuts(d2, c2):  # W |- Z
-                yield Proof(node.conclusion, Rule(cname, agent), (left, right))
+                yield Proof(node.conclusion, Rule.of(cname, agent), (left, right))
     elif cname == BRINGS_REFL and pname == BRINGS_RE:
         d1 = producer.premises[0]  # Z |- X
         for cut1 in _cuts(consumer.premises[0], d1):  # Γ(Z) |- C
-            yield Proof(node.conclusion, Rule(BRINGS_REFL, agent), (cut1,))
+            yield Proof(node.conclusion, Rule.of(BRINGS_REFL, agent), (cut1,))
     elif cname == BRINGS_REFL and pname in (BRINGS_TENSOR, BRINGS_ODOT, BRINGS_WITH):
         cp = consumer.premises[0]  # Γ(X op Y) |- C
         p1, p2 = producer.premises  # Γ1 |- E[a]X, Γ2 |- E[a]Y
@@ -235,7 +235,7 @@ def _principal_candidates(node: Proof) -> Iterator[Proof]:
         if pname == BRINGS_WITH:
             comb = Proof(
                 Sequent(cut_x.conclusion.ctx, with_(x, y), system),
-                Rule(WITH_R),
+                Rule.of(WITH_R),
                 (cut_x, cut_y),
             )
         else:
@@ -243,14 +243,14 @@ def _principal_candidates(node: Proof) -> Iterator[Proof]:
             ctx = join(cut_x.conclusion.ctx, cut_y.conclusion.ctx, serial)
             comb = Proof(
                 Sequent(ctx, odot(x, y) if serial else tensor(x, y), system),
-                Rule(ODOT_R if serial else TENSOR_R),
+                Rule.of(ODOT_R if serial else TENSOR_R),
                 (cut_x, cut_y),
             )
         yield from _cuts(cp, comb)
     elif cname == NOT_NEC and pname == BRINGS_RE:
         d2 = producer.premises[1]  # W |- Z
         for cut1 in _cuts(d2, consumer.premises[0]):  # |- Z
-            yield Proof(node.conclusion, Rule(NOT_NEC, agent), (cut1,))
+            yield Proof(node.conclusion, Rule.of(NOT_NEC, agent), (cut1,))
     elif cname == NOT_NEC and pname == BRINGS_WITH:
         cp = consumer.premises[0]  # |- U & V, cut-free, must end in WithR
         if cp.rule.name == WITH_R:
@@ -258,7 +258,7 @@ def _principal_candidates(node: Proof) -> Iterator[Proof]:
             u = first.conclusion.succ
             nn = Proof(
                 Sequent(leaf(brings(agent, u)), BOT, system),
-                Rule(NOT_NEC, agent),
+                Rule.of(NOT_NEC, agent),
                 (first,),
             )
             yield from _cuts(nn, producer.premises[0])

@@ -509,16 +509,16 @@ def _mp_lemma(a: Formula, b: Formula, system: System) -> Proof:
     """The two-axiom proof of  A, A -o B |- B."""
     return Proof(
         sequent(mset((a, limp(a, b))), b, system),
-        Rule(LIMP_L),
+        Rule.of(LIMP_L),
         (
-            Proof(sequent(mset((a,)), a, system), Rule(AX)),
-            Proof(sequent(mset((b,)), b, system), Rule(AX)),
+            Proof(sequent(mset((a,)), a, system), Rule.of(AX)),
+            Proof(sequent(mset((b,)), b, system), Rule.of(AX)),
         ),
     )
 
 
 def _cut(consumer: Proof, producer: Proof, conclusion: Sequent) -> Proof:
-    return Proof(conclusion, Rule(CUT), (consumer, producer))
+    return Proof(conclusion, Rule.of(CUT), (consumer, producer))
 
 
 def _from_implication(p: Proof, system: System) -> Proof:
@@ -549,7 +549,7 @@ def _translate(d: DeductionTree, subs: list[Proof], system: System,
     """The sequent proof of node ``d``, given those of its premises."""
     if d.rule == ASSUMPTION:
         return Proof(
-            sequent(mset(d.assumptions), d.formula, system), Rule(AX)
+            sequent(mset(d.assumptions), d.formula, system), Rule.of(AX)
         )
     if d.rule == AXIOM_LEAF:
         return _searched(d.formula, system, memo)
@@ -572,7 +572,7 @@ def _translate(d: DeductionTree, subs: list[Proof], system: System,
     if d.rule == WITH_RULE:
         return Proof(
             sequent(mset(d.assumptions), d.formula, system),
-            Rule(WITH_R), tuple(subs),
+            Rule.of(WITH_R), tuple(subs),
         )
     if d.rule in (BOX_RE_RULE, BRINGS_RE_RULE):
         fwd, _ = d.premises
@@ -580,16 +580,16 @@ def _translate(d: DeductionTree, subs: list[Proof], system: System,
         a = fwd.formula.left
         if d.rule == BOX_RE_RULE:
             boxed_a, boxed_b = box(a), box(fwd.formula.right)
-            rule = Rule(BOX_RE)
+            rule = Rule.of(BOX_RE)
         else:
             boxed_a = brings(d.agent, a)
             boxed_b = brings(d.agent, fwd.formula.right)
-            rule = Rule(BRINGS_RE, d.agent)
+            rule = Rule.of(BRINGS_RE, d.agent)
         inner = Proof(
             sequent(mset((boxed_a,)), boxed_b, system), rule, (fp, bp)
         )
         return Proof(
-            sequent(mset(()), d.formula, system), Rule(LIMP_R),
+            sequent(mset(()), d.formula, system), Rule.of(LIMP_R),
             (inner,),
         )
     if d.rule == NOT_NEC_RULE:
@@ -597,10 +597,10 @@ def _translate(d: DeductionTree, subs: list[Proof], system: System,
         ea = brings(d.agent, premise.formula)
         inner = Proof(
             sequent(mset((ea,)), BOT, system),
-            Rule(NOT_NEC, d.agent), tuple(subs),
+            Rule.of(NOT_NEC, d.agent), tuple(subs),
         )
         return Proof(
-            sequent(mset(()), d.formula, system), Rule(LIMP_R),
+            sequent(mset(()), d.formula, system), Rule.of(LIMP_R),
             (inner,),
         )
     raise AssertionError(d.rule)

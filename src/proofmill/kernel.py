@@ -53,7 +53,7 @@ Premise order follows the rule schemas:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple
 
@@ -136,8 +136,20 @@ class Rule:
     def __str__(self) -> str:
         return self.name if self.agent is None else f"{self.name}[{self.agent}]"
 
+    @staticmethod
+    def of(name: str, agent: str | None = None) -> Rule:
+        """The one ``Rule`` of ``name`` and ``agent``, built and validated
+        once: proof nodes share it."""
+        got = _SHARED_RULES.get((name, agent))
+        if got is None:
+            got = _SHARED_RULES[name, agent] = Rule(name, agent)
+        return got
 
-@dataclass(frozen=True, eq=False)
+
+_SHARED_RULES: dict[tuple[str, str | None], Rule] = {}
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Proof:
     """A proof tree.  Equality compares the trees node by node on an
     explicit stack, and the hash reads the root's conclusion and rule
@@ -146,7 +158,8 @@ class Proof:
     conclusion: Sequent
     rule: Rule
     premises: tuple["Proof", ...] = ()
-    _accepted = None  # set by ``check_proof``: the RULES that accepted this subtree
+    # set by ``check_proof``: the RULES that accepted this subtree
+    _accepted: dict | None = field(default=None, init=False, repr=False)
 
     @property
     def system(self) -> System:
@@ -164,8 +177,8 @@ class Proof:
     def __hash__(self) -> int:
         return hash(self._own())
 
-    def __getstate__(self) -> dict:  # the mark names this process's RULES: a copy starts unchecked
-        return {k: v for k, v in self.__dict__.items() if k != "_accepted"}
+    def __reduce__(self):  # the mark names this process's RULES: a copy starts unchecked
+        return Proof, (self.conclusion, self.rule, self.premises)
 
 
 def proof_nodes(p: Proof):
@@ -509,7 +522,7 @@ def rule_instances(system: System, names: Iterable[str] = RULES) -> tuple[Rule, 
     each agent rule once per agent of ``system``."""
     outside = _OUTSIDE[system.ident]
     return tuple(
-        Rule(name, agent) for name in names if not RULES[name].uses & outside
+        Rule.of(name, agent) for name in names if not RULES[name].uses & outside
         for agent in (system.agents if name in AGENT_RULES else (None,)))
 
 

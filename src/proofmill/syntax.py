@@ -20,8 +20,9 @@ returns the one object that ``_INTERN`` holds for its printed form, so
 two formulas of the same shape are the same object, and ``==`` and
 ``hash`` are object identity.  That rests on one rule: a live formula is
 always the interned one.  Nothing may build a ``Formula`` past the
-builders, and a bound on ``_INTERN`` may drop entries through weak
-references but may never clear the table while its formulas live.
+builders (a pickled formula loads through them too), and a bound on
+``_INTERN`` may drop entries through weak references but may never
+clear the table while its formulas live.
 """
 from __future__ import annotations
 
@@ -218,6 +219,9 @@ class Atom(Formula):
         # bot weighs 0, so that NotNec (|- A over E[a]A |- bot) balances
         self.charge = 0 if name == "bot" else h ^ h >> 31
 
+    def __reduce__(self):
+        return atom, (self.name,)
+
 
 class Unit(Formula):
     __slots__ = ()
@@ -228,6 +232,9 @@ class Unit(Formula):
         self.size = 1
         self.uses, self.agents = self.bit, _NO_AGENTS
         self.charge = 0
+
+    def __reduce__(self):
+        return unit, ()
 
 
 class BinOp(Formula):
@@ -250,6 +257,9 @@ class BinOp(Formula):
             self.charge = s[0] * l + s[1] * r
         else:  # an &, or an operand with no charge or a value set
             self.charge = combine_charges(l, r, s)
+
+    def __reduce__(self):
+        return _binary, (type(self), self.left, self.right)
 
 
 class Tensor(BinOp):
@@ -308,6 +318,9 @@ class Box(Formula):
         self.uses, self.agents = self.bit | body.uses, body.agents
         self.charge = body.charge
 
+    def __reduce__(self):
+        return box, (self.body,)
+
 
 class Brings(Formula):
     __slots__ = ("agent", "body")
@@ -322,6 +335,9 @@ class Brings(Formula):
         self.uses = self.bit | body.uses
         self.agents = body.agents | {agent}
         self.charge = body.charge
+
+    def __reduce__(self):
+        return brings, (self.agent, self.body)
 
 
 _INTERN: dict[str, Formula] = {}

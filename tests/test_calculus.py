@@ -461,6 +461,19 @@ def test_deep_proof_round_trips_through_json():
     assert back == pr
 
 
+def test_read_proof_shares_rules_and_repeated_sequents():
+    # every node of the cut tower concludes p |- p: the text is parsed
+    # once, and each rule is one object, shared with every other proof
+    s = parse_sequent("p |- p", MILL)
+    back = proof_from_json(proof_to_json(_cut_tower(s, ax(s), 20)))
+    nodes = [n for _, n in proof_nodes(back)]
+    assert len({id(n.conclusion) for n in nodes}) == 1
+    assert {id(n.rule) for n in nodes} == {id(Rule.of("Cut")), id(Rule.of("Ax"))}
+    g = parse_sequent("E[i]p |- bot", RS)
+    pr = Proof(g, Rule("NotNec", "i"), (ax(parse_sequent("|- p", RS)),))
+    assert proof_from_json(proof_to_json(pr)).rule is Rule.of("NotNec", "i")
+
+
 def test_long_chain_proof_reads_back():
     # the fully parenthesized key of this goal nests 149 levels, past
     # the parser's bound; the printed form does not nest at all

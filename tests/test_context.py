@@ -355,9 +355,10 @@ def test_split_parallel_refutes_unbuilt():
     # of the eight splits of fresh atoms, only u0 | u1, u2 balances u0:
     # its right part is the one context built
     t = parse_sequent("u0, u1, u2 |- u0", MILL).ctx
-    before = len(context._TREE_INTERN)
+    tables = (context._LEAVES, context._PARS, context._SERS)
+    before = sum(map(len, tables))
     assert split_parallel(t, atom("u0").charge).count(None) == 7
-    assert len(context._TREE_INTERN) == before + 1
+    assert sum(map(len, tables)) == before + 1
 
 
 @given(trees())
@@ -377,6 +378,35 @@ def test_printed_sequent_parses_back(t, succ):
 
 
 # -- hash-consing ------------------------------------------------------------------
+
+
+@given(trees())
+def test_one_shape_is_one_object(t):
+    # par, ser, normalize and the parser all return the interned node
+    assert normalize(t) is t
+    assert parse_sequent(print_sequent(Sequent(t, p, PCMILL)), PCMILL).ctx is t
+    if isinstance(t, Par):
+        assert par(t.children[::-1]) is t
+        assert normalize(Par(t.children[::-1])) is t
+    elif isinstance(t, Ser):
+        assert ser([ser(t.children[:1]), EMPTY, ser(t.children[1:])]) is t
+
+
+_SEQUENTS = st.builds(
+    Sequent,
+    st.one_of(trees(), st.just(EMPTY)),
+    st.sampled_from([p, q, tensor(p, q)]),
+    # the last two are equal systems but distinct objects
+    st.sampled_from([MILL, PCMILL, SRS, parse_system("SRSBIAT:i,s")]),
+)
+
+
+@given(_SEQUENTS, _SEQUENTS)
+def test_sequents_are_equal_as_their_keys_and_systems_are(a, b):
+    # == reads the interned parts, not the printed key
+    for x, y in [(a, b), (a, Sequent(normalize(a.ctx), a.succ, parse_system(str(a.system))))]:
+        assert (x == y) == (x.key == y.key and x.system == y.system)
+        assert x != y or hash(x) == hash(y)
 
 
 def test_every_way_in_yields_the_interned_objects():
@@ -399,7 +429,11 @@ def test_every_way_in_yields_the_interned_objects():
 
     def sequent_ok(s):
         for _, n in positions(s.ctx):
-            assert context._TREE_INTERN[n.key] is n, n.key
+            if isinstance(n, Leaf):
+                assert context._LEAVES[n.formula] is n, n.key
+            else:
+                table = {Par: context._PARS, Ser: context._SERS}.get(type(n))
+                assert n is EMPTY if table is None else table[n.children] is n, n.key
         for f in context_formulas(s.ctx) + [s.succ]:
             formula_ok(f)
 

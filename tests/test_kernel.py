@@ -30,6 +30,7 @@ from proofmill.context import (
     EMPTY,
     Leaf,
     Sequent,
+    Ser,
     context_formulas,
     entropy_le,
     fill,
@@ -38,6 +39,7 @@ from proofmill.context import (
     par,
     parse_sequent,
     positions,
+    print_sequent,
     ser,
     structural_preimages,
     validate_sequent,
@@ -428,10 +430,7 @@ def test_a_normal_form_is_rechecked_by_lookup(monkeypatch):
 
 def test_a_pickled_proof_leaves_its_mark_behind(monkeypatch):
     # the mark names this process's RULES table, so a check adds nothing
-    # to the pickle and a loaded copy is judged at every node.  Interned
-    # contexts keep their formulas once listed, so an equal tree of other
-    # nodes is checked first
-    assert check_proof(_tensor_pq()).ok
+    # to the pickle and a loaded copy is judged at every node
     proof = _tensor_pq()
     before = pickle.dumps(proof)
     assert check_proof(proof).ok
@@ -439,10 +438,39 @@ def test_a_pickled_proof_leaves_its_mark_behind(monkeypatch):
     copy = pickle.loads(before)
     assert all(node._accepted is None for _, node in proof_nodes(copy))
     calls = count_checks(monkeypatch)
-    # the verdict is left out: a loaded copy's contexts are not the
-    # interned objects that the kernel compares by identity
-    check_proof(copy)
+    assert check_proof(copy).ok
     assert len(calls) == 3
+
+
+def test_a_proof_node_has_no_dict():
+    proof = _tensor_pq()
+    assert not hasattr(proof, "__dict__")
+    assert "_accepted" not in repr(proof)
+
+
+@pytest.mark.parametrize("system, text", [
+    ("MILL", "pk0, pk1 |- pk0 * pk1"),
+    # a serial antecedent under a parallel one
+    ("PCMILL", "pk2, [pk3 ; [pk4, pk5]] |- pk2 * (pk3 @ (pk4 * pk5))"),
+])
+def test_a_pickled_proof_loads_the_interned_objects(system, text):
+    # formulas, contexts and sequents load through their builders, so a
+    # copy holds the objects the kernel compares by identity and checks;
+    # the caches that a check, a print and a listing fill are not pickled
+    proof = prove(parse_sequent(text, parse_system(system))).proof
+    before = pickle.dumps(proof)
+    copy = pickle.loads(before)
+    assert check_proof(copy).ok and copy == proof
+    for (_, a), (_, b) in zip(proof_nodes(proof), proof_nodes(copy)):
+        assert b.conclusion.ctx is a.conclusion.ctx and b.conclusion.succ is a.conclusion.succ
+        assert b.rule == a.rule
+    assert any(isinstance(n, Ser) for _, node in proof_nodes(copy)
+               for _, n in positions(node.conclusion.ctx)) == (system == "PCMILL")
+    assert check_proof(proof).ok
+    for _, node in proof_nodes(proof):
+        print_sequent(node.conclusion)
+        context_formulas(node.conclusion.ctx)
+    assert pickle.dumps(proof) == before
 
 
 def test_reports_on_mutants_are_pinned(corpus_proofs):

@@ -541,10 +541,11 @@ def test_refuted_splits_are_never_built():
     # at n=14 LimpL refutes 229,376 splits; building each before
     # refuting it interned 262,126 contexts
     goal = parse_sequent(_identity_ladder(14), MILL)
-    before = len(context._TREE_INTERN)
+    tables = (context._LEAVES, context._PARS, context._SERS)
+    before = sum(map(len, tables))
     r, st_ = prove_with_stats(goal)
     assert (type(r), st_.explored, st_.pruned) == (Exhausted, 1, 229_376)
-    assert len(context._TREE_INTERN) - before < 100
+    assert sum(map(len, tables)) - before < 100
 
 
 def test_ladder_counts_do_not_follow_the_hash_seed():
