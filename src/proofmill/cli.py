@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import sys
 
@@ -107,15 +108,24 @@ def _model_system(m: Model, sequent_text: str) -> System:
 
 
 def _emit_proof(path: str | None, proof) -> None:
-    """Write ``proof`` as JSON to ``path``, when the caller gave one; a
-    path that cannot be written is a usage error."""
+    """Write ``proof`` as JSON to ``path``, when the caller gave one, whole
+    or not at all; a path that cannot be written is a usage error."""
     if path:
+        # a new or regular file is replaced once the proof is written
+        # whole; a link, pipe or device (/dev/stdout) is written through
+        whole = not os.path.lexists(path) or os.path.isfile(path) and not os.path.islink(path)
+        tmp = f"{path}.{os.getpid()}.tmp" if whole else path
         try:
-            with open(path, "w") as fh:
+            with open(tmp, "w") as fh:
                 json.dump(proof_to_json(proof), fh, indent=2)
                 fh.write("\n")
+            if whole:
+                os.replace(tmp, path)
         except OSError as exc:
             raise UsageError(f"cannot write {path}: {exc}") from None
+        finally:
+            if whole and os.path.exists(tmp):
+                os.remove(tmp)
         print(f"proof written to {path}")
 
 

@@ -48,6 +48,7 @@ from .syntax import (
     ParseError,
     System,
     _Parser,
+    _read_formula,
     charges_meet,
     combine_charges,
     print_formula,
@@ -696,6 +697,21 @@ def _parse_item(p: _Parser, system: System) -> Context:
 
 
 def parse_sequent(text: str, system: System) -> Sequent:
+    """The sequent ``text`` holds in ``system``.  With no ``;`` before
+    its ``|-`` (so no printed group), each item and the succedent are
+    read alone by ``_read_formula``; other texts, and any with a syntax
+    error, are parsed whole, so every error is the full parser's."""
+    ante, turnstile, rest = text.partition("|-")
+    if turnstile and ";" not in ante:
+        try:
+            items = [_read_formula(t) for t in ante.split(",")] if ante.strip() else []
+            items.append(_read_formula(rest))
+        except ParseError:
+            pass
+        else:  # validated only now, as a stray character anywhere wins
+            for f in items:
+                validate_formula(f, system)
+            return Sequent(mset(items[:-1]), items[-1], system)
     p = _Parser(text)
     ctx = _parse_group(p, system, "|-")
     p.i += 1  # the group stops only at '|-'

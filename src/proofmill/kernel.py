@@ -512,7 +512,7 @@ AGENT_RULES = frozenset(name for name, row in RULES.items() if row.kinds[:1] == 
 
 def rule_admissible(rule: Rule, system: System) -> bool:
     row = RULES.get(rule.name)
-    if row is None or row.uses & _OUTSIDE[system.ident]:
+    if row is None or row.uses & system.outside:
         return False
     return rule.agent is None or rule.agent in system.agents
 
@@ -520,7 +520,7 @@ def rule_admissible(rule: Rule, system: System) -> bool:
 def rule_instances(system: System, names: Iterable[str] = RULES) -> tuple[Rule, ...]:
     """The rules named in ``names`` that ``system`` admits, in order,
     each agent rule once per agent of ``system``."""
-    outside = _OUTSIDE[system.ident]
+    outside = system.outside
     return tuple(
         Rule.of(name, agent) for name in names if not RULES[name].uses & outside
         for agent in (system.agents if name in AGENT_RULES else (None,)))
@@ -575,7 +575,7 @@ def check_proof(p: Proof) -> CheckReport:
     marks none."""
     system = p.conclusion.system
     # read once per call, not once per node
-    outside, agents, tree, rules = _OUTSIDE[system.ident], system.agents, system.is_tree, RULES
+    outside, agents, tree, rules = system.outside, system.agents, system.is_tree, RULES
     inside: set[Context] = set()  # antecedents found inside the language
     visited: dict[int, Proof] = {}  # the nodes visited, by id
     violations: list[tuple[tuple[int, ...], str]] = []

@@ -156,7 +156,7 @@ _TABLES: dict[System, dict[tuple[type, int], tuple[Rule, ...]]] = {}
 
 class _Engine:
     def __init__(self, system: System):
-        self.table = _TABLES.setdefault(system, {})
+        self.table = _TABLES.get(system) or _TABLES.setdefault(system, {})
         self.success: dict[Sequent, Proof] = {}
         self.failed: set[Sequent] = set()
         self.stats = SearchStats()

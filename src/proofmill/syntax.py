@@ -22,12 +22,15 @@ two formulas of the same shape are the same object, and ``==`` and
 always the interned one.  Nothing may build a ``Formula`` past the
 builders (a pickled formula loads through them too), and a bound on
 ``_INTERN`` may drop entries through weak references but may never
-clear the table while its formulas live.
+clear the table while its formulas live.  The parser tries the table
+first: a text whose stripped form is the key of a formula of size at
+most ``MAX_NESTING // 2`` (a connective nests at most two levels) is
+that formula, so ``parse_formula(f.key) is f``; other texts are parsed.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NoReturn
 
@@ -56,6 +59,9 @@ class System:
 
     ident: SystemId
     agents: tuple[str, ...] = ()
+    # read by every parse and search, so set once (and never pickled)
+    outside: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ident in AGENT_SYSTEMS:
@@ -68,6 +74,14 @@ class System:
                 raise ValueError("duplicate agent names")
         elif self.agents:
             raise ValueError(f"{self.ident.value} does not take agents")
+        object.__setattr__(self, "outside", _OUTSIDE[self.ident])
+        object.__setattr__(self, "_hash", hash((self.ident, self.agents)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return System, (self.ident, self.agents)
 
     @property
     def is_tree(self) -> bool:
@@ -493,15 +507,11 @@ _OUTSIDE = {
 def connective_error(g: Formula, system: System) -> str | None:
     """Why the main connective of ``g`` lies outside ``system``'s
     language, or None when it does not."""
-    if isinstance(g, Box) and system.ident not in BOX_SYSTEMS:
-        return f"[] not available in {system}: {g.key}"
-    if isinstance(g, Brings):
-        if system.ident not in AGENT_SYSTEMS:
-            return f"E[_] not available in {system}: {g.key}"
-        if g.agent not in system.agents:
-            return f"agent {g.agent!r} not in alphabet {list(system.agents)}: {g.key}"
-    if isinstance(g, (Odot, Lres, Rres)) and system.ident not in SERIAL_SYSTEMS:
-        return f"{type(g).op} not available in {system}: {g.key}"
+    if g.bit & system.outside:
+        op = "[]" if isinstance(g, Box) else "E[_]" if isinstance(g, Brings) else type(g).op
+        return f"{op} not available in {system}: {g.key}"
+    if isinstance(g, Brings) and g.agent not in system.agents:
+        return f"agent {g.agent!r} not in alphabet {list(system.agents)}: {g.key}"
     return None
 
 
@@ -512,7 +522,7 @@ def language_error(formulas: Iterable[Formula], system: System) -> str | None:
     a formula holds such a subformula is read off its ``uses`` and
     ``agents``, so the search follows one path down from the first
     formula that holds one: formulas that fit cost one test each."""
-    outside, agents = _OUTSIDE[system.ident], system.agents
+    outside, agents = system.outside, system.agents
     todo = formulas
     while True:
         todo = [g for g in todo
@@ -527,7 +537,7 @@ def language_error(formulas: Iterable[Formula], system: System) -> str | None:
 
 def validate_formula(f: Formula, system: System) -> None:
     """Raise the ``language_error`` of ``f``, if it has one."""
-    if f.uses & _OUTSIDE[system.ident] or f.agents and not f.agents.issubset(system.agents):
+    if f.uses & system.outside or f.agents and not f.agents.issubset(system.agents):
         raise SystemMismatchError(language_error((f,), system))
 
 
@@ -760,10 +770,19 @@ class _Parser:
             i += 1
 
 
+def _read_formula(text: str) -> Formula:
+    """``parse_formula`` with no system, for ``parse_sequent``: a tracer
+    that wraps ``parse_formula`` then counts one call per parse."""
+    f = _INTERN.get(text.strip())
+    if f is None or f.size > MAX_NESTING // 2:
+        p = _Parser(text)
+        f = p.formula()
+        p.end()
+    return f
+
+
 def parse_formula(text: str, system: System | None = None) -> Formula:
-    p = _Parser(text)
-    f = p.formula()
-    p.end()
+    f = _read_formula(text)
     if system is not None:
         validate_formula(f, system)
     return f

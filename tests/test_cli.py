@@ -7,6 +7,7 @@ import io
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
@@ -105,6 +106,43 @@ class TestProve:
         assert code == 2
         assert f"cannot write {path}" in err
         assert "written" not in out
+
+    def test_a_failed_emit_leaves_no_file(self, tmp_path):
+        # the nested proof JSON of a 500-link chain is too deep for json's
+        # recursion: the write fails after the verdict is printed, and
+        # leaves neither part of a proof nor a changed file behind
+        path = tmp_path / "p.json"
+        argv = ("prove", "MILL", "p |- " + " & ".join(["p"] * 500), "--emit-proof", str(path))
+        code, out, err = cli(*argv)
+        assert (code, out.splitlines()[0]) == (3, "Proved")
+        assert "RecursionError" in err and "written" not in out
+        assert list(tmp_path.iterdir()) == []
+        path.write_text("kept\n")
+        assert cli(*argv)[0] == 3
+        assert list(tmp_path.iterdir()) == [path] and path.read_text() == "kept\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_emit_proof_writes_through_a_pipe(self, tmp_path):
+        # a pipe or device, such as /dev/stdout, is written as it stands,
+        # never replaced by a file; the open end makes the write not block
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        end = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, _, _ = cli("prove", "MILL", "p * q |- q * p", "--emit-proof", str(pipe))
+            data = os.read(end, 1 << 16)
+        finally:
+            os.close(end)
+        assert code == 0 and stat.S_ISFIFO(os.stat(pipe).st_mode)
+        assert json.loads(data)["system"] == "MILL"
+
+    def test_emit_proof_writes_through_a_link(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert cli("prove", "MILL", "p |- p", "--emit-proof", str(link))[0] == 0
+        assert link.is_symlink() and json.loads(target.read_text())["system"] == "MILL"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
 
     def test_emitted_long_chain_proof_checks(self, tmp_path):
         # the fully parenthesized chain would nest past the parser's bound

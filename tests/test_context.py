@@ -2,10 +2,12 @@
 preimages."""
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, strategies as st
+import re
 
-from proofmill import context
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from proofmill import context, syntax
 from proofmill.context import (
     DEFAULT_STRUCTURAL_BOUND,
     EMPTY,
@@ -34,9 +36,21 @@ from proofmill.context import (
     total_complexity,
     validate_sequent,
 )
-from proofmill.syntax import atom, odot, parse_formula, parse_system, tensor, unit
+from proofmill.syntax import (
+    NestingTooDeepError,
+    _Parser,
+    atom,
+    box,
+    odot,
+    parse_formula,
+    parse_system,
+    tensor,
+    unit,
+    validate_formula,
+)
 
 from gentrees import trees
+from test_syntax import _MALFORMED, SPACES, fresh_atoms, result_of
 
 MILL = parse_system("MILL")
 PCMILL = parse_system("PCMILL")
@@ -454,3 +468,113 @@ def test_every_way_in_yields_the_interned_objects():
     for _, node in proof_nodes(read):
         for f in node.assumptions + (node.formula,):
             formula_ok(f)
+
+
+# -- the fast path of parse_sequent --------------------------------------------
+
+RS = parse_system("RSBIAT:i,s")
+SYSTEMS = (MILL, PCMILL, RS, SRS)
+
+
+def parsed(text, system):
+    """``text`` as the full sequent parser reads it, with no look-up in
+    ``_INTERN``: how ``parse_sequent`` reads what its fast path leaves."""
+    p = _Parser(text)
+    ctx = context._parse_group(p, system, "|-")
+    p.i += 1
+    succ = p.formula()
+    p.end()
+    validate_formula(succ, system)
+    return Sequent(ctx, succ, system)
+
+
+def agree(text):
+    """``parse_sequent`` and the full parser make the same of ``text`` in
+    every system: contexts and succedents that are one object each, or
+    errors of one class, message and position."""
+    for system in SYSTEMS:
+        got, want = result_of(parse_sequent, text, system), result_of(parsed, text, system)
+        if isinstance(want, Sequent):
+            assert got.ctx is want.ctx and got.succ is want.succ, (text, system)
+        else:
+            assert got == want, (text, system)
+
+
+# formulas in each system's language, as leaves
+_LEAVES_OF = {
+    system: st.sampled_from(texts).map(lambda t, s=system: leaf(parse_formula(t, s)))
+    for system, texts in [
+        (MILL, ["p", "1", "bot", "q -o r", "[](p * q)", "p & q -o r"]),
+        (PCMILL, ["p", "1", "p @ q", "[]p -o q", "(p & q) \\ r", "r / (p * q)"]),
+        (RS, ["p", "1", "E[i](p * q)", "E[s]p -o q", "p & E[i]r"]),
+        (SRS, ["p", "E[i](p @ q)", "q \\ E[s]p", "p / r", "1"]),
+    ]
+}
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_parse_sequent_reads_what_the_full_parser_reads(system, data):
+    leafs = _LEAVES_OF[system]
+    ctx = data.draw(st.one_of(trees(leafs), st.just(EMPTY)) if system.is_tree
+                    else st.lists(leafs, max_size=4).map(par))
+    s = Sequent(ctx, data.draw(leafs).formula, system)
+    printed = s.key if data.draw(st.booleans()) else print_sequent(s)
+    # padding where an item starts or ends, so that keys still match
+    text = re.sub(r" ?(,|\|-) ", lambda m: data.draw(SPACES) + m[1] + data.draw(SPACES),
+                  fresh_atoms(printed))
+    agree(data.draw(SPACES) + text + data.draw(SPACES))  # fresh formulas
+    agree(text)  # interned now
+
+
+@pytest.mark.parametrize("system, text", [(r[1], r[2]) for r in _MALFORMED if r[0] == "seq"])
+def test_malformed_sequents_fail_as_the_full_parser_fails(system, text):
+    got = result_of(parse_sequent, text, parse_system(system))
+    assert got == result_of(parsed, text, parse_system(system))
+    assert isinstance(got, tuple)
+    agree(text)
+
+
+@pytest.mark.parametrize("text", [
+    "p, |- p", "p |- q |- r", "(p * q) |- q |- r", "p @ q, r $ |- p", "|- p", " \u00a0|-p",
+    "p,q|-p", "p ; q |- p", "[p ; q], r |- p @ q", "[p, q] |- p", "[p] |- p", "() |- p",
+    "(), p |- p", "p ; () |- p", "[]p, [ ]q |- p", "[[]p ; q] |- p", "E[i]p, E [ s ] q |- p",
+])
+def test_odd_shapes_read_as_the_full_parser_reads_them(text):
+    agree(text)
+
+
+def test_a_key_too_deep_to_parse_is_refused_in_a_sequent():
+    tower = atom("p")
+    for _ in range(60):
+        tower = box(tower)
+    for text in (f"{tower.key} |- p", f"p |- {tower.key}", f"p, {tower.key} |- p"):
+        with pytest.raises(NestingTooDeepError):
+            parse_sequent(text, MILL)
+        agree(text)
+
+
+def test_a_printed_key_is_looked_up_not_parsed(monkeypatch):
+    s = parse_sequent("p -o q, E[s](p * q), p |- q & E[i]p", RS)
+    made = []
+
+    class Counted(_Parser):
+        __slots__ = ()
+
+        def __init__(self, text):
+            made.append(text)
+            super().__init__(text)
+
+    monkeypatch.setattr(syntax, "_Parser", Counted)
+    monkeypatch.setattr(context, "_Parser", Counted)
+    padded = "\x1c" + s.key.replace(", ", " ,\u00a0").replace(" |- ", "\t|-  ") + "\n"
+    assert parse_sequent(s.key, RS) == parse_sequent(padded, RS) == s
+    assert parse_formula(s.succ.key, RS) is s.succ
+    assert made == []
+    # an item that is no key is parsed alone, and a group sends the
+    # whole text to the full parser
+    assert parse_sequent("p -o q, p, E[s]((p * q)) |- q & E[i]p", RS) == s
+    assert made == ["p -o q", " q & E[i]p"]
+    assert parse_sequent("[(p -o q) ; p] |- p", SRS).ctx.key == "(p -o q) ; p"
+    assert made[2:] == ["[(p -o q) ; p] |- p"]

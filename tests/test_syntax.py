@@ -1,6 +1,14 @@
 """Formula grammar, printing, and system validation."""
 from __future__ import annotations
 
+import itertools
+import os
+import pickle
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +31,8 @@ from proofmill.syntax import (
     Tensor,
     Unit,
     With,
+    _INTERN,
+    _Parser,
     atom,
     box,
     brings,
@@ -166,8 +176,11 @@ _N = MAX_NESTING + 1
 # position, message); SystemMismatchError carries no position
 _MALFORMED = [
     ("seq", "MILL", "p $ q |- p", ("LexError", 2, "unexpected character '$'")),
-    # a stray character wins over an earlier syntax error
+    # a stray character wins over an earlier syntax error, and over an
+    # earlier item's connective outside the system
     ("seq", "MILL", "p * * q |- r -", ("LexError", 13, "unexpected character '-'")),
+    ("seq", "MILL", "p @ q, r $ |- p", ("LexError", 9, "unexpected character '$'")),
+    ("seq", "MILL", "p @ q |- r $", ("LexError", 11, "unexpected character '$'")),
     ("seq", "MILL", "p | q |- p", ("LexError", 2, "unexpected character '|'")),
     ("seq", "MILL", "", ("UnexpectedTokenError", 0, f"{_ATOM_EXPECTED} end of input")),
     ("formula", "MILL", "", ("UnexpectedTokenError", 0, f"{_ATOM_EXPECTED} end of input")),
@@ -299,6 +312,22 @@ def test_parse_system_agents():
 def test_parse_system_rejects_garbage():
     with pytest.raises(ValueError):
         parse_system("KM4")
+
+
+def test_a_system_hashes_as_its_ident_and_agents_wherever_it_loads():
+    # the hash and the language mask are worked out once per System; a
+    # pickle carries neither, so a process with another hash seed hashes
+    # the loaded system as it hashes its own
+    check = ("import pickle, sys; from proofmill.syntax import _OUTSIDE, parse_system; "
+             "s = pickle.loads(sys.stdin.buffer.read()); t = parse_system(str(s)); "
+             "assert hash(s) == hash(t) == hash((t.ident, t.agents)) and s == t; "
+             "assert s.outside == _OUTSIDE[s.ident]")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for system in (MILL, PCMILL, RS, SRS):
+        assert hash(system) == hash((system.ident, system.agents))
+        for seed in ("1", "2"):
+            subprocess.run([sys.executable, "-c", check], input=pickle.dumps(system), check=True,
+                           env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src))
 
 
 def test_validate_box_only_in_box_systems():
@@ -470,3 +499,77 @@ def test_print_leaves_long_chains_unbracketed():
     assert print_formula(parse_formula("(a -o b) -o c")) == "(a -o b) -o c"
     assert print_formula(parse_formula("a / (b / c)")) == "a / (b / c)"
     assert print_formula(parse_formula("[](a * b) & E[i]([]c -o d)")) == "[](a * b) & E[i]([]c -o d)"
+
+
+# -- the intern table as the parse memo ----------------------------------------
+
+
+def parsed(text, system=None):
+    """``text`` as the parser reads it, with no look-up in ``_INTERN``."""
+    p = _Parser(text)
+    f = p.formula()
+    p.end()
+    if system is not None:
+        validate_formula(f, system)
+    return f
+
+
+def result_of(read, text, system):
+    """What ``read`` makes of ``text``: its result, or its error's class,
+    message and position."""
+    try:
+        return read(text, system)
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "pos", None)
+
+
+# padding, with two spaces that str.strip and the lexer's \s both skip
+SPACES = st.text(st.sampled_from(" \t\n\u00a0\x1c"), max_size=3)
+_FRESH = itertools.count()
+
+
+def fresh_atoms(text: str) -> str:
+    """``text`` with the atoms p, q, r and x1 renamed to names not used
+    before, so that the formulas it holds are not yet interned."""
+    n = next(_FRESH)
+    return re.sub(r"\b(p|q|r|x1)\b", rf"\1_{n}", text)
+
+
+def test_spaces_are_whitespace_to_the_lexer_and_to_strip():
+    for ch in " \t\n\u00a0\x1c":
+        assert re.fullmatch(r"\s", ch) and not ch.strip()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ALL_CONNECTIVES, st.booleans(), SPACES, SPACES)
+def test_parse_formula_reads_what_the_parser_reads(f, keyed, before, after):
+    printed = f.key if keyed else print_formula(f)
+    text = before + fresh_atoms(printed) + after
+    # the copy of f over fresh atoms, if f has any, is not interned yet
+    assert text.strip() == printed or text.strip() not in _INTERN
+    for _ in range(2):  # before the formula is interned, then after
+        for system in (None, MILL, PCMILL, RS, SRS):
+            assert result_of(parse_formula, text, system) == result_of(parsed, text, system)
+    got = parse_formula(text)
+    assert parse_formula(got.key) is got
+
+
+@pytest.mark.parametrize("system, text", [(r[1], r[2]) for r in _MALFORMED if r[0] == "formula"])
+def test_malformed_formulas_fail_as_the_parser_fails(system, text):
+    got = result_of(parse_formula, text, parse_system(system))
+    assert got == result_of(parsed, text, parse_system(system))
+    assert isinstance(got, tuple)
+
+
+def test_a_key_too_deep_to_parse_is_refused_though_interned():
+    # builders nest as deep as they like; of the keys, the parser reads
+    # those within MAX_NESTING levels: two per [] and its bracket
+    tower = atom("p")
+    for depth in range(1, 61):
+        tower = box(tower)
+        assert _INTERN[tower.key] is tower
+        if depth <= MAX_NESTING // 2:
+            assert parse_formula(tower.key, MILL) is tower
+    with pytest.raises(NestingTooDeepError):
+        parse_formula(tower.key, MILL)
+    assert result_of(parse_formula, tower.key, MILL) == result_of(parsed, tower.key, MILL)
