@@ -50,7 +50,7 @@ from .semantics import (
     model_to_json,
     validate_model,
 )
-from .syntax import System, mentioned_agents, parse_system
+from .syntax import AGENT_SYSTEMS, System, mentioned_agents, parse_system
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -65,7 +65,7 @@ class UsageError(Exception):
 def _system_named(name: str, agents: list[str]) -> System:
     """The system ``name`` names; a bare RSBIAT or SRSBIAT takes
     ``agents``, when there are any."""
-    if agents and ":" not in name and name.strip().upper() in ("RSBIAT", "SRSBIAT"):
+    if agents and ":" not in name and name.strip() in [s.value for s in AGENT_SYSTEMS]:
         name = f"{name}:{','.join(agents)}"
     try:
         return parse_system(name)

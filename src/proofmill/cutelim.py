@@ -13,12 +13,18 @@ one-premise left rule other than BringsRefl against the right rule of
 its connective cuts in the producer premises that its row's ``parts``
 names, and an implication left rule against its right rule cuts the
 argument's proof into the producer's premise and that into the result's
-proof.  The modal pairs are written out one by one.
+proof.  The modal pairs are written out one by one; the node that
+combines the halves of a ``BringsTensor``, ``BringsOdot`` or
+``BringsWith`` producer is the right rule of its inner connective, read
+off ``RULES``.
 
 A proof node does not say which occurrence of a formula its rule was
 principal on, so a rewrite builds one candidate reduct per occurrence
 of the cut formula, in preorder, and takes the first whose root the
-kernel accepts as an inference (``kernel.infers``).  Every other node
+kernel accepts as an inference (``kernel.infers``).  A candidate that
+concludes another sequent than the cut is re-rooted at the cut's
+sequent, in every system, and the kernel alone decides whether its
+last rule reaches it (by entropy, in a tree system).  Every other node
 of a candidate is a node of the cut or built to be sound, so
 ``eliminate_cuts`` checks its input and then its normal form once, with
 ``check_proof``: a bookkeeping mistake fails that check and raises
@@ -65,8 +71,6 @@ from .calculus import (
     BRINGS_WITH,
     CUT,
     NOT_NEC,
-    ODOT_R,
-    TENSOR_R,
     WITH_R,
     Proof,
     Rule,
@@ -82,13 +86,16 @@ from .context import (
     leaf_paths,
 )
 from .kernel import LEAF, RULES, SUCC, infers
-from .syntax import BOT, Formula, Limp, Lres, Rres, brings, odot, tensor, with_
+from .syntax import BOT, Formula, Limp, Lres, Odot, Rres, With, brings
 
 STEP_CAP = 1_000_000
 
 # the connectives of LimpL/R, LresL/R and RresL/R, whose left rules take
 # the argument's proof and the result's
 _ARROWS = (Limp, Lres, Rres)
+
+# the right rule of each connective, by its row's ``kinds``
+_RIGHT_RULE = {row.kinds: name for name, row in RULES.items() if row.side == SUCC}
 
 # principal pairs with no reduction; see the module docstring
 DEFECTIVE_PAIRS = frozenset(
@@ -162,17 +169,6 @@ def _cuts(consumer: Proof, producer: Proof) -> Iterator[Proof]:
             yield _cut(consumer, producer, ctx)
 
 
-def _close_ctx(cand: Proof, want: Sequent) -> Proof | None:
-    """The candidate concluding the wanted sequent.  In a tree system a
-    candidate with the same succedent is re-rooted at it: its last rule
-    may reach the wanted antecedent by entropy, and the kernel decides."""
-    if cand.conclusion == want:
-        return cand
-    if cand.conclusion.succ == want.succ and want.system.is_tree:
-        return Proof(want, cand.rule, cand.premises)
-    return None
-
-
 def _cut_each(consumer: Proof, producers: tuple[Proof, ...]) -> Iterator[Proof]:
     """The producers cut into ``consumer`` one after another, each at
     every occurrence of its formula, the first occurrences first."""
@@ -225,27 +221,18 @@ def _principal_candidates(node: Proof) -> Iterator[Proof]:
         d1 = producer.premises[0]  # Z |- X
         for cut1 in _cuts(consumer.premises[0], d1):  # Γ(Z) |- C
             yield Proof(node.conclusion, Rule.of(BRINGS_REFL, agent), (cut1,))
-    elif cname == BRINGS_REFL and pname in (BRINGS_TENSOR, BRINGS_ODOT, BRINGS_WITH):
+    elif cname == BRINGS_REFL and len(prow.kinds) == 2:
+        # BringsTensor, BringsOdot or BringsWith: the right rule of the
+        # producer's inner connective combines the two halves
         cp = consumer.premises[0]  # Γ(X op Y) |- C
         p1, p2 = producer.premises  # Γ1 |- E[a]X, Γ2 |- E[a]Y
-        x = p1.conclusion.succ.body
-        y = p2.conclusion.succ.body
-        cut_x = _cut(_refl_ax(agent, x, system), p1, p1.conclusion.ctx)  # Γ1 |- X
-        cut_y = _cut(_refl_ax(agent, y, system), p2, p2.conclusion.ctx)  # Γ2 |- Y
-        if pname == BRINGS_WITH:
-            comb = Proof(
-                Sequent(cut_x.conclusion.ctx, with_(x, y), system),
-                Rule.of(WITH_R),
-                (cut_x, cut_y),
-            )
-        else:
-            serial = pname == BRINGS_ODOT
-            ctx = join(cut_x.conclusion.ctx, cut_y.conclusion.ctx, serial)
-            comb = Proof(
-                Sequent(ctx, odot(x, y) if serial else tensor(x, y), system),
-                Rule.of(ODOT_R if serial else TENSOR_R),
-                (cut_x, cut_y),
-            )
+        g1, g2 = p1.conclusion, p2.conclusion
+        cut_x = _cut(_refl_ax(agent, g1.succ.body, system), p1, g1.ctx)  # Γ1 |- X
+        cut_y = _cut(_refl_ax(agent, g2.succ.body, system), p2, g2.ctx)  # Γ2 |- Y
+        kind = prow.kinds[-1]
+        ctx = g1.ctx if kind is With else join(g1.ctx, g2.ctx, kind is Odot)
+        comb = Proof(Sequent(ctx, producer.conclusion.succ.body, system),
+                     Rule.of(_RIGHT_RULE[prow.kinds[1:]]), (cut_x, cut_y))
         yield from _cuts(cp, comb)
     elif cname == NOT_NEC and pname == BRINGS_RE:
         d2 = producer.premises[1]  # W |- Z
@@ -347,11 +334,13 @@ def _reduce(cut: Proof) -> tuple[Proof, ReductionStep]:
             ("permutation", _permute_into_consumer(cut)),
         ]
 
+    want = cut.conclusion
     for kind, cands in sources:
         for cand in cands:
-            closed = _close_ctx(cand, cut.conclusion)
-            if closed is not None and infers(closed):
-                return closed, ReductionStep(kind, a, ())
+            if cand.conclusion != want:
+                cand = Proof(want, cand.rule, cand.premises)
+            if infers(cand):
+                return cand, ReductionStep(kind, a, ())
     # every pair outside DEFECTIVE_PAIRS has a reduction, so a cut that
     # gets none met a fault of this module, not a dead end
     raise RuntimeError(f"no verified reduction applies (consumer {consumer.rule.name} "

@@ -529,6 +529,10 @@ def _from_implication(p: Proof, system: System) -> Proof:
     return _cut(lemma, p, sequent(mset((a,)), b, system))
 
 
+# the sequent rule that proves each modal rule's L |- R
+_SEQUENT_RULE = {BOX_RE_RULE: BOX_RE, BRINGS_RE_RULE: BRINGS_RE, NOT_NEC_RULE: NOT_NEC}
+
+
 def hilbert_to_sequent(d: DeductionTree, system: System) -> Proof:
     """Translate a checked deduction tree into a sequent proof.
 
@@ -574,36 +578,13 @@ def _translate(d: DeductionTree, subs: list[Proof], system: System,
             sequent(mset(d.assumptions), d.formula, system),
             Rule.of(WITH_R), tuple(subs),
         )
-    if d.rule in (BOX_RE_RULE, BRINGS_RE_RULE):
-        fwd, _ = d.premises
-        fp, bp = (_from_implication(p, system) for p in subs)
-        a = fwd.formula.left
-        if d.rule == BOX_RE_RULE:
-            boxed_a, boxed_b = box(a), box(fwd.formula.right)
-            rule = Rule.of(BOX_RE)
-        else:
-            boxed_a = brings(d.agent, a)
-            boxed_b = brings(d.agent, fwd.formula.right)
-            rule = Rule.of(BRINGS_RE, d.agent)
-        inner = Proof(
-            sequent(mset((boxed_a,)), boxed_b, system), rule, (fp, bp)
-        )
-        return Proof(
-            sequent(mset(()), d.formula, system), Rule.of(LIMP_R),
-            (inner,),
-        )
-    if d.rule == NOT_NEC_RULE:
-        (premise,) = d.premises
-        ea = brings(d.agent, premise.formula)
-        inner = Proof(
-            sequent(mset((ea,)), BOT, system),
-            Rule.of(NOT_NEC, d.agent), tuple(subs),
-        )
-        return Proof(
-            sequent(mset(()), d.formula, system), Rule.of(LIMP_R),
-            (inner,),
-        )
-    raise AssertionError(d.rule)
+    # a modal rule: L -o R over L |- R, proved by the sequent rule of
+    # the same name, over A |- B and B |- A for the converse rules
+    f = d.formula
+    prems = subs if d.rule == NOT_NEC_RULE else [_from_implication(p, system) for p in subs]
+    inner = Proof(sequent(mset((f.left,)), f.right, system),
+                  Rule.of(_SEQUENT_RULE[d.rule], d.agent), tuple(prems))
+    return Proof(sequent(mset(()), f, system), Rule.of(LIMP_R), (inner,))
 
 
 # ---------------------------------------------------------------------------
@@ -639,9 +620,12 @@ def deduction_from_json(obj: dict) -> tuple[DeductionTree, System]:
         agent = o.get("agent")
         if agent is not None and not isinstance(agent, str):
             raise ValueError(f"agent must be a string, got {agent!r}")
+        texts = o.get("assumptions", [])
+        if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+            raise TypeError(f"assumptions {texts!r} is not a list of strings")
         return DeductionTree(
             o["rule"],
-            tuple(parse_formula(t, system) for t in o.get("assumptions", ())),
+            tuple(parse_formula(t, system) for t in texts),
             parse_formula(o["formula"], system),
             tuple(premises),
             agent,

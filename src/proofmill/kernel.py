@@ -25,14 +25,15 @@ imports only ``syntax`` and ``context``: it shares nothing with the
 premise enumerator that proof search uses.
 
 A row's check takes the row and lists those antecedents X (one check,
-``_left_unary``, serves the six rules with ``parts``), and ``infers``
-judges one node by it alone: the premises' own proofs and the language go
-untested.  ``check_proof`` reads the system's language (the connectives
-outside it and its agents), whether entropy applies, and the rule table
-once per call.  Per node it tests the succedent and the rule against
-the language, the antecedent only when the call has not yet found it
-inside (``language_error`` runs only to word a failure), and then makes
-the test that ``infers`` makes.
+``_left_unary``, serves the six rules with ``parts``, and one,
+``_imp_r``, the three implication right rules), and ``infers`` judges
+one node by it alone, entropy included: the premises' own proofs and
+the language go untested.  ``check_proof`` reads the system's language
+(the connectives outside it and its agents), whether entropy applies,
+and the rule table once per call.  Per node it tests the succedent and
+the rule against the language, the antecedent only when the call has
+not yet found it inside (``language_error`` runs only to word a
+failure), and then makes the test that ``infers`` makes.
 
 ``check_proof`` checks each distinct node object once per call, so a
 proof whose subtrees are shared (search reuses the proof of a sequent
@@ -369,36 +370,26 @@ def _pair_right(row, c: Sequent, ps: list[Sequent], agent):
     return (join(ps[0].ctx, ps[1].ctx, kind is Odot),)
 
 
-def _limp_r(row, c: Sequent, ps: list[Sequent], agent):
-    g = c.succ
-    if len(ps) != 1 or not isinstance(g, row.kinds[0]) or ps[0].succ != g.right:
+def _imp_r(row, c: Sequent, ps: list[Sequent], agent):
+    """LimpR, LresR and RresR: the premise's antecedent with the
+    argument leaf taken out, from among its parallel children for
+    ``-o``, first in series for ``\\`` and last in series for ``/``."""
+    g, kind = c.succ, row.kinds[0]
+    if len(ps) != 1 or not isinstance(g, kind):
         return ()
-    y = ps[0].ctx
-    a = leaf(g.left)
-    if y == a:
-        return (EMPTY,)
-    if not isinstance(y, Par) or a not in y.children:
-        return ()
-    kids = list(y.children)
-    kids.remove(a)
-    return (par(kids),)
-
-
-def _res_r(row, c: Sequent, ps: list[Sequent], agent):
-    g = c.succ
-    if len(ps) != 1 or not isinstance(g, row.kinds[0]):
-        return ()
-    # A \ B reads A; Γ ⊢ B, and B / A reads Γ; A ⊢ B
-    lres = row.kinds[0] is Lres
-    arg, res = (g.left, g.right) if lres else (g.right, g.left)
+    arg, res = (g.right, g.left) if kind is Rres else (g.left, g.right)
     if ps[0].succ != res:
         return ()
-    y = ps[0].ctx
-    kids = y.children if isinstance(y, Ser) else (y,)
-    end = 0 if lres else -1
-    if kids[end] != leaf(arg):
+    y, u = ps[0].ctx, leaf(arg)
+    kids = list(y.children) if isinstance(y, Par if kind is Limp else Ser) else [y]
+    if kind is Limp:
+        at = kids.index(u) if u in kids else 0
+    else:
+        at = 0 if kind is Lres else -1
+    if kids[at] != u:
         return ()
-    return (ser(kids[1:] if lres else kids[:-1]),)
+    del kids[at]
+    return ((par if kind is Limp else ser)(kids),)
 
 
 def _imp_left(row, c: Sequent, ps: list[Sequent], agent):
@@ -480,7 +471,7 @@ RULES: dict[str, RuleRow] = {
     TENSOR_L: _row(LEAF, Tensor, _left_unary, BOTH),
     TENSOR_R: _row(SUCC, Tensor, _pair_right),
     LIMP_L: _row(LEAF, Limp, _imp_left),
-    LIMP_R: _row(SUCC, Limp, _limp_r),
+    LIMP_R: _row(SUCC, Limp, _imp_r),
     WITH_L1: _row(LEAF, With, _left_unary, FIRST),
     WITH_L2: _row(LEAF, With, _left_unary, SECOND),
     WITH_R: _row(SUCC, With, _pair_right),
@@ -495,9 +486,9 @@ RULES: dict[str, RuleRow] = {
     ODOT_L: _row(LEAF, Odot, _left_unary, BOTH),
     ODOT_R: _row(SUCC, Odot, _pair_right),
     LRES_L: _row(LEAF, Lres, _imp_left),
-    LRES_R: _row(SUCC, Lres, _res_r),
+    LRES_R: _row(SUCC, Lres, _imp_r),
     RRES_L: _row(LEAF, Rres, _imp_left),
-    RRES_R: _row(SUCC, Rres, _res_r),
+    RRES_R: _row(SUCC, Rres, _imp_r),
     BRINGS_ODOT: _row(SUCC, (Brings, Odot), _pair_right),
 }
 

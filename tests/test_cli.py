@@ -378,6 +378,15 @@ class TestHilbert:
         assert code == 1
         assert "at node" in out
 
+    def test_hilbert_check_rejects_assumptions_that_are_no_list(self, tmp_path):
+        # the letters of "p" are no list of formulas: a malformed file
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"system": "MILL", "tree": {
+            "rule": "Assumption", "formula": "p", "assumptions": "p"}}))
+        code, _, err = cli("hilbert-check", str(bad))
+        assert code == 2
+        assert "malformed deduction object: assumptions 'p' is not a list" in err
+
     def test_hilbert_to_sequent_rechecks(self, deduction_path, tmp_path):
         out_path = tmp_path / "seq.json"
         code, out, _ = cli("hilbert-to-sequent", str(deduction_path),

@@ -422,6 +422,22 @@ def test_agents_must_be_a_list_of_strings(agents):
         assert str(info.value).startswith(prefix + why)
 
 
+@pytest.mark.parametrize("assumptions", ["pq", {"p": 0}, 1])
+def test_assumptions_must_be_a_list_of_strings(assumptions):
+    # neither the letters of a string nor the keys of an object are
+    # assumptions, though iterating either gives formula texts ("pq"
+    # gives p and q)
+    obj = {"system": "MILL", "tree": {"rule": "Assumption", "formula": "pq",
+                                      "assumptions": ["pq"]}}
+    back, _ = deduction_from_json(obj)
+    assert back.assumptions == (f("pq"),)
+    bad = {**obj, "tree": {**obj["tree"], "assumptions": assumptions}}
+    with pytest.raises(ValueError) as info:
+        deduction_from_json(bad)
+    assert str(info.value) == (
+        f"malformed deduction object: assumptions {assumptions!r} is not a list of strings")
+
+
 # -- long deductions --------------------------------------------------------------
 
 

@@ -290,6 +290,10 @@ def _splice(proof: Proof, path, new: Proof) -> Proof:
         # both parts of the principal are one leaf, as is the rest
         ("TensorL", ["p * p", "p"], ["p", "p * p"], 3),
         ("OdotL", ["p @ p", "p"], ["p", "p @ p"], 3),
+        # the argument leaf among 4, each implication right rule
+        ("LimpR", ["p", "q"], ["p -o q"], 4),
+        ("LresR", ["p", "q"], ["p \\ q"], 4),
+        ("RresR", ["p", "q"], ["q / p"], 4),
     ],
 )
 def test_tree_rules_accept_exactly_what_the_enumerator_lists(name, alphabet, succs, leaves):
