@@ -303,7 +303,7 @@ class _Matcher:
             yield [Sequent(self.ctx, left, sys), Sequent(self.ctx, right, sys)]
             return
         split = split_serial if kind is Odot else split_parallel
-        for pair in split(self.ctx, left.charge if self.refute else None):
+        for pair in split(self.ctx, left.needs if self.refute else None):
             yield None if pair is None else [
                 Sequent(pair[0], left, sys), Sequent(pair[1], right, sys)]
 
@@ -329,9 +329,9 @@ class _Matcher:
         for f, path in self.leaves():
             if not isinstance(f, Limp):
                 continue
-            want = f.left.charge if self.refute else None
+            want = f.left.needs if self.refute else None
             # the implication alone, with an empty argument group
-            yield None if not charges_meet(want, 0) else [
+            yield None if not charges_meet(0, want) else [
                 Sequent(EMPTY, f.left, sys), Sequent(fill(ctx, path, leaf(f.right)), succ, sys)]
             if len(path) == 0:
                 continue

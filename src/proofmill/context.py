@@ -45,6 +45,7 @@ from typing import Iterable
 from .syntax import (
     Charge,
     Formula,
+    Needs,
     ParseError,
     System,
     _Parser,
@@ -313,15 +314,15 @@ def fill(c: Context, path: Path, replacement: Context) -> Context:
     return par(kids) if isinstance(c, Par) else ser(kids)
 
 
-def _refuting(pairs: list, want: Charge) -> list:
+def _refuting(pairs: list, want: Needs) -> list:
     """``pairs``, with None for each whose left part's charge cannot
-    meet ``want``; a None in ``pairs`` stays."""
+    meet ``want`` (``charges_meet``); a None in ``pairs`` stays."""
     return pairs if want is None else [
         p if p is not None and charges_meet(context_charge(p[0]), want) else None
         for p in pairs]
 
 
-def split_parallel(c: Context, want: Charge = None) -> list[tuple[Context, Context] | None]:
+def split_parallel(c: Context, want: Needs = None) -> list[tuple[Context, Context] | None]:
     """Every two-part split of the top-level parallel structure, as
     ordered pairs.  A Par root splits by any subset of its children
     (a multiset by any sub-multiset); other roots admit only the
@@ -331,9 +332,9 @@ def split_parallel(c: Context, want: Charge = None) -> list[tuple[Context, Conte
     children of a Par are one object and adjacent, so a mask taking a
     later copy without the earlier one is skipped: each split is listed
     once, at its least mask.  A split whose left part's charge cannot
-    meet the ``want``ed one is listed as None: unbuilt when its children
-    all have one value, their sum read off a table of the masks; built
-    and then tested when one has no charge or a value set."""
+    meet ``want`` (a ``Formula.needs``) is listed as None: unbuilt when
+    its children all have one value, their sum read off a table of the
+    masks; built and then tested when one has no charge or a value set."""
     if not isinstance(c, Par):
         return _refuting([(EMPTY, c)] if c is EMPTY else [(EMPTY, c), (c, EMPTY)], want)
     kids, n = c.children, len(c.children)
@@ -344,8 +345,11 @@ def split_parallel(c: Context, want: Charge = None) -> list[tuple[Context, Conte
             untold |= 1 << i
             charge = 0
         sums += [s + charge for s in sums]
+    one = want
+    if want.__class__ is tuple:  # several needs: mark the sums meeting each
+        sums, one = [charges_meet(s, want) for s in sums], True
     # != on charges is the negated meet test, a value set's too
-    out = [None if want is not None and not mask & untold and sums[mask] != want else
+    out = [None if want is not None and not mask & untold and sums[mask] != one else
            (_sorted_par([kids[i] for i in range(n) if mask >> i & 1]),
             _sorted_par([kids[i] for i in range(n) if not mask >> i & 1]))
            for mask in range(1 << n) if not mask & dup & ~(mask << 1)]
@@ -353,7 +357,7 @@ def split_parallel(c: Context, want: Charge = None) -> list[tuple[Context, Conte
     return _refuting(out, want) if untold else out
 
 
-def split_serial(c: Context, want: Charge = None) -> list[tuple[Context, Context] | None]:
+def split_serial(c: Context, want: Needs = None) -> list[tuple[Context, Context] | None]:
     """The maximal serial cuts of ``c``: every pair (L, R) such that
     ``L ; R`` lies below ``c`` by entropy is below one listed pair,
     componentwise, and every listed ``L ; R`` lies below ``c``.

@@ -24,9 +24,11 @@ conjuncts' charges differ (one per reading of each ``&`` as a
 conjunct), or none past the cap; ``[]`` and ``E[a]`` pass it through
 and ``bot`` weighs 0.  Every rule keeps a value shared by antecedent
 and succedent where both have a charge, so by the subformula property a
-provable sequent balances (van Benthem's count invariant), and the root
-and each premise that ``balanced`` rejects (``charges_meet``) is
-refuted unexpanded (``p & q |- p * q`` at the root; ``NotNec`` needs
+provable sequent balances (van Benthem's count invariant), even one
+step up each invertible right rule: the antecedent's charge meets each
+of the succedent's ``Formula.needs``.  The root and each premise that
+``balanced`` rejects is refuted unexpanded (``p & q |- p * q`` and
+``p |- p & q`` at the root, which builds no engine; ``NotNec`` needs
 ``bot`` at 0).  ``_Matcher`` lists a split whose first premise cannot
 balance as None, unbuilt where the children of its left part each have
 one value, and it counts in ``pruned`` as the built premise would have,
@@ -231,18 +233,19 @@ class _Engine:
 
 
 def balanced(seq: Sequent) -> bool:
-    """False only when both sides of ``seq`` have charges and they share
-    no value (``charges_meet``)."""
-    succ = seq.succ.charge
-    return succ is None or charges_meet(context_charge(seq.ctx), succ)
+    """Whether the antecedent's charge meets each need of the succedent
+    (``Formula.needs``, ``charges_meet``)."""
+    return charges_meet(context_charge(seq.ctx), seq.succ.needs)
+
+
+_REFUTED = Exhausted(1)  # frozen, so every refuted root shares it
 
 
 def prove_with_stats(goal: Sequent) -> tuple[SearchResult, SearchStats]:
+    if not balanced(goal):  # no engine is built
+        return _REFUTED, SearchStats(explored=1, pruned=1)
     engine = _Engine(goal.system)
     st = engine.stats
-    if not balanced(goal):
-        st.explored = st.pruned = 1
-        return Exhausted(1), st
     proof = engine.search(goal)
     if proof is not None:
         return Proved(proof, st.explored, st.peak_depth), st

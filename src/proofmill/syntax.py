@@ -147,7 +147,9 @@ class ChargeSet:
 
 
 Charge = int | ChargeSet | None
+Needs = Charge | tuple[Charge, ...]  # a formula's needs
 _CHARGE_SETS: dict[tuple[int, ...], ChargeSet] = {}
+_NEEDS: dict[tuple, tuple[Charge, ...]] = {}  # the tuples of needs, interned
 
 
 def _charge_set(values: set[int]) -> Charge:
@@ -177,10 +179,30 @@ def combine_charges(l: Charge, r: Charge, signs: tuple[int, int] | None) -> Char
     return _charge_set({a * x + b * y for x in ls for y in rs})
 
 
-def charges_meet(a: Charge, b: Charge) -> bool:
-    """Whether charges ``a`` and ``b`` can agree: False only when both
-    are known and share no value.  Every refutation by charge asks this."""
+def charges_meet(a: Charge, b: Needs) -> bool:
+    """Whether charges ``a`` and ``b`` can agree, or ``a`` and each of a
+    tuple ``b`` (``Formula.needs``): False only when both are known and
+    share no value.  Every refutation by charge asks this."""
+    if b.__class__ is tuple:
+        return a is None or all(a == n for n in b)  # type: ignore[union-attr]
     return a is None or b is None or a == b
+
+
+def _needs(f: BinOp) -> Needs:
+    """``f.needs`` for ``&`` and the implications: its charge, or a tuple
+    of each known need once (a value set is interned: its values key it)."""
+    if f.signs is None:
+        needs = (f.left.needs, f.right.needs)
+    else:
+        arg, res = (f.left, f.right) if f.signs[0] < 0 else (f.right, f.left)
+        if res.needs.__class__ is not tuple:
+            return f.charge
+        needs = [combine_charges(n, arg.charge, (1, -1)) for n in res.needs]
+    got = {n if n.__class__ is int else n.values: n for part in needs  # type: ignore
+           for n in (part if part.__class__ is tuple else (part,)) if n is not None}
+    if not got or len(got) == 1 and f.charge is next(iter(got.values())):
+        return f.charge
+    return _NEEDS.setdefault(tuple(got), tuple(got.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +218,11 @@ class Formula:
     and ``E[a]A`` carry ``A``'s, ``A & B`` the union of its conjuncts'
     (a ``ChargeSet`` when they differ), and the other connectives the
     elementwise signed sums of their operands'; None past ``CHARGE_CAP``
-    values.  ``bit``, one per class, marks the main connective;
+    values.  ``needs``, what an antecedent must meet for the formula to
+    follow, is its ``charge`` or, where an invertible right rule asks
+    more, a tuple of charges to meet each: ``A & B`` needs what ``A`` and
+    ``B`` need, ``A -o B``, ``A \\ B`` and ``B / A`` each need of ``B`` less
+    ``A``'s charge.  ``bit``, one per class, marks the main connective;
     ``uses`` is the OR of ``bit`` over the subformulas and ``agents`` the
     set of agents that their ``E[a]`` name, so whether a formula lies in
     a system's language is read off these two fields."""
@@ -212,6 +238,10 @@ class Formula:
 
     def __repr__(self) -> str:
         return self.key
+
+    @property
+    def needs(self) -> Needs:
+        return self.charge  # &, -o, \ and / store their own
 
 
 class Atom(Formula):
@@ -271,6 +301,8 @@ class BinOp(Formula):
             self.charge = s[0] * l + s[1] * r
         else:  # an &, or an operand with no charge or a value set
             self.charge = combine_charges(l, r, s)
+        if s != (1, 1):  # &, -o, \ and /
+            self.needs = _needs(self)
 
     def __reduce__(self):
         return _binary, (type(self), self.left, self.right)
@@ -283,14 +315,14 @@ class Tensor(BinOp):
 
 
 class With(BinOp):
-    __slots__ = ()
+    __slots__ = ("needs",)
     bit = 1 << 3
     op = "&"
     signs = None
 
 
 class Limp(BinOp):
-    __slots__ = ()
+    __slots__ = ("needs",)
     bit = 1 << 4
     op = "-o"
     signs = (-1, 1)
@@ -305,7 +337,7 @@ class Odot(BinOp):
 class Lres(BinOp):
     """Left residual ``A \\ B``: consume an A on the left to yield B."""
 
-    __slots__ = ()
+    __slots__ = ("needs",)
     bit = 1 << 6
     op = "\\"
     signs = (-1, 1)
@@ -314,7 +346,7 @@ class Lres(BinOp):
 class Rres(BinOp):
     """Right residual ``B / A``: yields B when an A follows on the right."""
 
-    __slots__ = ()
+    __slots__ = ("needs",)
     bit = 1 << 7
     op = "/"
     signs = (1, -1)

@@ -13,7 +13,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import proofmill.search as search_module
 from proofmill import context
@@ -431,12 +431,26 @@ def _assert_counts_balance(seq):
     assert ante & succ, seq.key
 
 
+def _need_sets(f):
+    """The vector sets that an antecedent must each meet for ``f`` to
+    follow: both conjuncts' of an ``&`` (WithR), the result's of an
+    implication less the argument's vectors (LimpR, LresR, RresR), and
+    the vectors of ``f`` itself otherwise."""
+    if isinstance(f, With):
+        return _need_sets(f.left) | _need_sets(f.right)
+    if isinstance(f, (Limp, Lres, Rres)):
+        arg, res = (f.right, f.left) if isinstance(f, Rres) else (f.left, f.right)
+        return frozenset(_sums(need, _counts(arg), (1, -1)) for need in _need_sets(res))
+    return frozenset([_counts(f)])
+
+
 def _reference_balanced(seq):
-    """What ``balanced`` must answer: whether the two sides' vector
-    sets meet, or True when one holds more than ``CHARGE_CAP`` vectors
-    and so has no charge."""
-    ante, succ = _sides(seq)
-    return len(ante) > CHARGE_CAP or len(succ) > CHARGE_CAP or bool(ante & succ)
+    """What ``balanced`` must answer: whether the antecedent's vector
+    set meets each of the succedent's need sets, where a set of more
+    than ``CHARGE_CAP`` vectors has no charge and meets any."""
+    ante = _sides(seq)[0]
+    return len(ante) > CHARGE_CAP or all(
+        len(need) > CHARGE_CAP or bool(ante & need) for need in _need_sets(seq.succ))
 
 
 def _assert_proof_balances(goal):
@@ -580,10 +594,47 @@ def test_a_root_without_a_charge_is_not_refuted_by_it(system, text, verdict):
 def test_a_root_whose_values_miss_is_refuted():
     # [](p & q) |- r went unrefuted while & took a charge only when its
     # conjuncts' agreed
-    for text in ("[](p & q) |- r", "p & q |- p * q", "[](p & q) -o r, r |- r"):
+    for text in ("[](p & q) |- r", "p & q |- p * q", "[](p & q) -o r, r |- r",
+                 # WithR needs both conjuncts: refuted at the root, not
+                 # one step later at its premise p |- q
+                 "p |- p & q"):
         r, st_ = prove_with_stats(parse_sequent(text, MILL))
         assert (type(r), st_.explored, st_.pruned) == (Exhausted, 1, 1), text
     assert context_charge(parse_sequent(_PAST_THE_CAP, MILL).ctx) is None
+
+
+def test_a_refuted_root_builds_no_engine(monkeypatch):
+    def no_engine(system):
+        raise AssertionError(f"an engine was built for {system}")
+
+    monkeypatch.setattr(search_module, "_Engine", no_engine)
+    for text in ("p & q |- p * q", "p |- p & q"):
+        goal = parse_sequent(text, MILL)
+        (r, st_), (_, again) = prove_with_stats(goal), prove_with_stats(goal)
+        assert isinstance(r, Exhausted), text
+        assert (st_.explored, st_.pruned, st_.memo_hits, st_.peak_depth) == (1, 1, 0, 0)
+        # each call counts in its own stats
+        assert st_ is not again
+
+
+@pytest.mark.parametrize("system", [MILL, PCMILL, SRS], ids=str)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_what_balanced_rejects_unpruned_search_refutes(system, data):
+    # past the oracle universes: goals rich in & and -o, searched with
+    # no refutation by charge at all
+    if system is MILL:
+        formulas = _WITH_FORMULAS
+        ctx = mset(data.draw(st.lists(formulas, max_size=3)))
+    else:
+        formulas = _every_formula(system)
+        ctx = data.draw(st.one_of(st.just(EMPTY), trees(formulas.map(leaf), max_leaves=4)))
+    goal = sequent(ctx, data.draw(formulas), system)
+    assume(not balanced(goal))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search_module, "balanced", lambda seq: True)
+        mp.setattr(search_module, "_Matcher", lambda goal, refute: _Matcher(goal))
+        assert isinstance(prove(goal), Exhausted), goal.key
 
 
 # -- the principal filter ------------------------------------------------------
@@ -684,22 +735,31 @@ def test_refuting_by_charge_changes_no_proof(monkeypatch):
         assert a == b, goal.key
 
 
+def _digest(items):
+    digest = hashlib.sha256()
+    for item in items:
+        digest.update(json.dumps(item, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
 def test_first_proofs_and_counts_are_pinned():
     # the tests above compare search with itself, so none sees a change
     # in which proof a rule's premise order makes search find first, or
-    # in its counts: this digest over the corpus and 5,000 seeded goals
-    # of each system's universe does
+    # in its counts: these digests over the corpus and 5,000 seeded goals
+    # of each system's universe do
     rng = random.Random(23)
     goals = [e.sequent for e in load_corpus_dir(CORPUS_DIR)]
     # the MILL, PCMILL, RSBIAT:a and SRSBIAT:a universes
     for i in range(4):
         goals += rng.sample(_universe(i), 5000)
-    digest = hashlib.sha256()
-    for verdict, proof, *counts in _search_reports(goals):
-        tree = proof_to_json(proof) if proof is not None else verdict.__name__
-        digest.update(json.dumps([tree, counts], sort_keys=True).encode())
-    assert digest.hexdigest() == \
-        "6fc40dfd61a87ff464b3d089677b846950d494ec4474b2bd034be8507ed7d00d"
+    reports = _search_reports(goals)
+    # the verdicts and proofs, which a sharper refutation leaves as they are
+    assert _digest(proof_to_json(proof) if proof is not None else verdict.__name__
+                   for verdict, proof, *_ in reports) == \
+        "6c647c975f14e5c9686eee0c705ff65d5b86d814cb321caed298cebf3c8443da"
+    # explored, pruned, memo hits and peak depth
+    assert _digest(r[2:] for r in reports) == \
+        "54cb43a5d55735134b08b307f2364399040a92ea3e546baf4160b308ddd17037"
 
 
 # -- one listing per premise list --------------------------------------------
@@ -751,6 +811,24 @@ def test_refuted_lists_are_the_unbalanced_on_drawn_trees(system, data):
     formulas = _every_formula(system)
     ctx = data.draw(trees(formulas.map(leaf), max_leaves=6))
     _assert_refuted_lists_are_the_unbalanced([sequent(ctx, data.draw(formulas), system)])
+
+
+def test_a_split_missing_one_need_is_refuted_unbuilt():
+    # each TensorR split's first premise, Γ1 |- p & q, needs p and q
+    # both: no left part of p, q, r meets them, so none is built
+    goal = parse_sequent("p, q, r |- (p & q) * r", MILL)
+    tables = (context._LEAVES, context._PARS, context._SERS)
+    before = sum(map(len, tables))
+    assert list(_Matcher(goal, refute=True).run(Rule(TENSOR_R))) == [None] * 8
+    assert sum(map(len, tables)) == before
+    # and where they are met or a left part holds a value set, the
+    # unbuilt and the built lists are the unbalanced ones
+    _assert_refuted_lists_are_the_unbalanced(parse_sequent(text, system) for system, text in [
+        (MILL, "p, r, s |- (((p & q) * r) & (p * r)) * s"),
+        (MILL, "p & q, r, (p & r) -o s |- s * ((p & q) * r)"),
+        (MILL, "(p * q) & (q * p), q * p, (r & p) -o q |- (((p * q) & (q * p)) * q) * q"),
+        (PCMILL, "p ; [q, (p & q) -o r] |- (p & (q @ p)) @ r"),
+    ])
 
 
 # -- the subformula audit ------------------------------------------------------
