@@ -185,7 +185,7 @@ def par(children: Iterable[Context]) -> Context:
 def mset(formulas: Iterable[Formula]) -> Context:
     """The multiset of ``formulas`` as an antecedent: a flat ``Par`` of
     leaves, a single leaf, or ``()``."""
-    return par([leaf(f) for f in formulas])
+    return _sorted_par(sorted(map(leaf, formulas), key=_KEY))
 
 
 def ser(children: Iterable[Context]) -> Context:

@@ -25,7 +25,9 @@ builders (a pickled formula loads through them too), and a bound on
 clear the table while its formulas live.  The parser tries the table
 first: a text whose stripped form is the key of a formula of size at
 most ``MAX_NESTING // 2`` (a connective nests at most two levels) is
-that formula, so ``parse_formula(f.key) is f``; other texts are parsed.
+that formula, so ``parse_formula(f.key) is f``.  So is a key built from
+interned halves within that bound (``_from_halves``): ``(L op R)``,
+``[](B)`` or ``E[a](B)`` over keys in the table.  Other texts are parsed.
 """
 from __future__ import annotations
 
@@ -301,8 +303,11 @@ class BinOp(Formula):
             self.charge = s[0] * l + s[1] * r
         else:  # an &, or an operand with no charge or a value set
             self.charge = combine_charges(l, r, s)
-        if s != (1, 1):  # &, -o, \ and /
+        if s is None:
             self.needs = _needs(self)
+        elif s != (1, 1):  # -o, \ and /: the charge, unless the result asks more
+            res = right if s[0] < 0 else left
+            self.needs = _needs(self) if res.needs.__class__ is tuple else self.charge
 
     def __reduce__(self):
         return _binary, (type(self), self.left, self.right)
@@ -802,10 +807,37 @@ class _Parser:
             i += 1
 
 
+# the separator of a binary key, between its two operands' keys, and a
+# prefixed key: its agent, if any, and its body
+_SEPARATOR_RE = re.compile(r" (\*|&|-o|@|\\|/) ")
+_PREFIXED_RE = re.compile(rf"(?:\[\]|E\[({_NAME_RE.pattern})\])\((.*)\)")
+
+
+def _from_halves(key: str) -> Formula | None:
+    """The formula whose key is ``key``, built from its operands' interned
+    keys within ``MAX_NESTING // 2`` symbols, or None.  Only a key's
+    depth-1 connective has keys on both sides, so the first such split is it."""
+    if key[:1] == "(" and key[-1:] == ")":
+        for m in _SEPARATOR_RE.finditer(key, 1, len(key) - 1):
+            left = _INTERN.get(key[1:m.start()])
+            right = left and _INTERN.get(key[m.end():-1])
+            if right is not None:
+                if 1 + left.size + right.size <= MAX_NESTING // 2:
+                    return _binary(_CONNECTIVE[m[1]], left, right)
+                return None
+        return None
+    m = _PREFIXED_RE.fullmatch(key)
+    body = m and _INTERN.get(m[2])
+    if body is None or 1 + body.size > MAX_NESTING // 2:
+        return None
+    return box(body) if m[1] is None else brings(m[1], body)
+
+
 def _read_formula(text: str) -> Formula:
     """``parse_formula`` with no system, for ``parse_sequent``: a tracer
     that wraps ``parse_formula`` then counts one call per parse."""
-    f = _INTERN.get(text.strip())
+    key = text.strip()
+    f = _INTERN.get(key) or _from_halves(key)
     if f is None or f.size > MAX_NESTING // 2:
         p = _Parser(text)
         f = p.formula()

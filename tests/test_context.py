@@ -50,7 +50,16 @@ from proofmill.syntax import (
 )
 
 from gentrees import trees
-from test_syntax import _MALFORMED, SPACES, fresh_atoms, result_of
+from test_syntax import (
+    _MALFORMED,
+    COMPOUND,
+    SPACES,
+    counted_parsers,
+    fresh_atoms,
+    one_edit,
+    over_interned_halves,
+    result_of,
+)
 
 MILL = parse_system("MILL")
 PCMILL = parse_system("PCMILL")
@@ -540,6 +549,8 @@ def test_malformed_sequents_fail_as_the_full_parser_fails(system, text):
     "p, |- p", "p |- q |- r", "(p * q) |- q |- r", "p @ q, r $ |- p", "|- p", " \u00a0|-p",
     "p,q|-p", "p ; q |- p", "[p ; q], r |- p @ q", "[p, q] |- p", "[p] |- p", "() |- p",
     "(), p |- p", "p ; () |- p", "[]p, [ ]q |- p", "[[]p ; q] |- p", "E[i]p, E [ s ] q |- p",
+    # one edit from a key over interned halves
+    "E[i s](p) |- p", "p |- E[i s](p)", "p, E[](p) |- p", "(p  * q) |- p", "p |- (p * q))",
 ])
 def test_odd_shapes_read_as_the_full_parser_reads_them(text):
     agree(text)
@@ -555,26 +566,40 @@ def test_a_key_too_deep_to_parse_is_refused_in_a_sequent():
         agree(text)
 
 
-def test_a_printed_key_is_looked_up_not_parsed(monkeypatch):
+def test_a_printed_key_is_looked_up_not_parsed():
     s = parse_sequent("p -o q, E[s](p * q), p |- q & E[i]p", RS)
-    made = []
-
-    class Counted(_Parser):
-        __slots__ = ()
-
-        def __init__(self, text):
-            made.append(text)
-            super().__init__(text)
-
-    monkeypatch.setattr(syntax, "_Parser", Counted)
-    monkeypatch.setattr(context, "_Parser", Counted)
     padded = "\x1c" + s.key.replace(", ", " ,\u00a0").replace(" |- ", "\t|-  ") + "\n"
-    assert parse_sequent(s.key, RS) == parse_sequent(padded, RS) == s
-    assert parse_formula(s.succ.key, RS) is s.succ
+    with counted_parsers() as made:
+        assert parse_sequent(s.key, RS) == parse_sequent(padded, RS) == s
+        assert parse_formula(s.succ.key, RS) is s.succ
+        assert made == []
+        # an item that is no key is parsed alone, and a group sends the
+        # whole text to the full parser
+        assert parse_sequent("p -o q, p, E[s]((p * q)) |- q & E[i]p", RS) == s
+        assert made == ["p -o q", " q & E[i]p"]
+        assert parse_sequent("[(p -o q) ; p] |- p", SRS).ctx.key == "(p -o q) ; p"
+        assert made[2:] == ["[(p -o q) ; p] |- p"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(COMPOUND, st.booleans(), SPACES, SPACES)
+def test_an_item_over_interned_halves_is_built_not_parsed(f, succedent, before, after):
+    key = over_interned_halves(f)
+    text = (f"p |-{before}{key}{after}" if succedent
+            else f"p,{before}{key}{after}|- p")
+    with counted_parsers() as made:
+        got = [result_of(parse_sequent, text, system) for system in SYSTEMS]
     assert made == []
-    # an item that is no key is parsed alone, and a group sends the
-    # whole text to the full parser
-    assert parse_sequent("p -o q, p, E[s]((p * q)) |- q & E[i]p", RS) == s
-    assert made == ["p -o q", " q & E[i]p"]
-    assert parse_sequent("[(p -o q) ; p] |- p", SRS).ctx.key == "(p -o q) ; p"
-    assert made[2:] == ["[(p -o q) ; p] |- p"]
+    for system, g in zip(SYSTEMS, got):
+        want = result_of(parsed, text, system)
+        if isinstance(want, Sequent):
+            assert g.ctx is want.ctx and g.succ is want.succ, (text, system)
+        else:
+            assert g == want, (text, system)
+
+
+@settings(max_examples=100, deadline=None)
+@given(COMPOUND, st.data())
+def test_an_item_one_edit_from_such_a_key_reads_as_the_full_parser_reads_it(f, data):
+    text = one_edit(over_interned_halves(f), data, stray="$x()[]-*,;|")
+    agree(data.draw(st.sampled_from(["p, {} |- p", "{} |- p", "p |- {}"])).format(text))

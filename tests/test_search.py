@@ -69,6 +69,7 @@ from proofmill.syntax import (
     Tensor,
     Unit,
     With,
+    _needs,
     atom,
     box,
     brings,
@@ -78,6 +79,7 @@ from proofmill.syntax import (
     parse_formula,
     parse_system,
     rres,
+    subformulas,
     tensor,
     unit,
     with_,
@@ -509,6 +511,21 @@ def test_every_derivable_sequent_of_the_oracle_universes_balances(i):
         assert balanced(seq)
         charged += succ.charge is not None and context_charge(ctx) is not None
     assert charged > 100
+
+
+def test_stored_needs_are_what_needs_computes():
+    # an implication stores its charge as its needs, without asking
+    # _needs, when its result needs no more than its own charge
+    formulas = {g for e in load_corpus_dir(CORPUS_DIR)
+                for f in context_formulas(e.sequent.ctx) + [e.sequent.succ]
+                for g in subformulas(f)}
+    for i in range(len(_UNIVERSES)):
+        formulas.update(f for layer in _closure(i).layers for f in layer)
+    stored = [f for f in formulas if isinstance(f, (With, Limp, Lres, Rres))]
+    for kind in (With, Limp, Lres, Rres):
+        assert any(isinstance(f, kind) and f.needs.__class__ is tuple for f in stored), kind
+    for f in stored:
+        assert f.needs is _needs(f), f.key
 
 
 _P10 = [f"p{i}" for i in range(10)]

@@ -1,6 +1,7 @@
 """Formula grammar, printing, and system validation."""
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import pickle
@@ -10,11 +11,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from proofmill import context, syntax
 from proofmill.syntax import (
     BOT,
     Atom,
+    BinOp,
     Box,
     Brings,
     Limp,
@@ -33,6 +36,7 @@ from proofmill.syntax import (
     With,
     _INTERN,
     _Parser,
+    _read_formula,
     atom,
     box,
     brings,
@@ -50,6 +54,7 @@ from proofmill.syntax import (
     print_formula,
     rres,
     subformulas,
+    substitute,
     tensor,
     unit,
     validate_formula,
@@ -573,3 +578,109 @@ def test_a_key_too_deep_to_parse_is_refused_though_interned():
     with pytest.raises(NestingTooDeepError):
         parse_formula(tower.key, MILL)
     assert result_of(parse_formula, tower.key, MILL) == result_of(parsed, tower.key, MILL)
+
+
+# -- a key read from its interned halves ----------------------------------------
+
+
+@contextlib.contextmanager
+def counted_parsers():
+    """The texts that a ``_Parser`` is built for while the block runs."""
+    made = []
+
+    class Counted(_Parser):
+        __slots__ = ()
+
+        def __init__(self, text):
+            made.append(text)
+            super().__init__(text)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(syntax, "_Parser", Counted)
+        mp.setattr(context, "_Parser", Counted)
+        yield made
+
+
+COMPOUND = _ALL_CONNECTIVES.filter(operands)
+
+
+def over_interned_halves(f):
+    """The key of a copy of the compound formula ``f`` over fresh atoms,
+    whose operands are interned and which is not."""
+    n = next(_FRESH)
+    fresh = {a: atom(f"{a}_{n}") for a in formula_atoms(f)}
+    kids = [substitute(k, fresh) for k in operands(f)]
+    if isinstance(f, BinOp):
+        key = f"({kids[0].key} {f.op} {kids[1].key})"
+    else:
+        key = ("[]" if isinstance(f, Box) else f"E[{f.agent}]") + f"({kids[0].key})"
+    assume(key not in _INTERN)  # f over the unit alone has no fresh copy
+    return key
+
+
+@pytest.mark.parametrize("read", [_read_formula, parse_formula])
+@settings(max_examples=150, deadline=None)
+@given(COMPOUND, SPACES, SPACES)
+def test_a_key_over_interned_halves_is_built_not_parsed(read, f, before, after):
+    key = over_interned_halves(f)
+    with counted_parsers() as made:
+        got = read(before + key + after)
+    assert made == []
+    assert got.key == key and parsed(key) is got
+
+
+def one_edit(key, data, stray="$x()[]-*"):
+    """``key`` with one space or ``stray`` character put in, or one
+    bracket dropped, as ``data`` draws."""
+    edit = data.draw(st.sampled_from(["space", "bracket", "stray"]))
+    if edit == "bracket":
+        i = data.draw(st.sampled_from([i for i, ch in enumerate(key) if ch in "()[]"]))
+        return key[:i] + key[i + 1:]
+    i = data.draw(st.integers(1, len(key) - 1))
+    return key[:i] + (" " if edit == "space" else data.draw(st.sampled_from(stray))) + key[i:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(COMPOUND, st.data())
+def test_a_text_one_edit_from_such_a_key_reads_as_the_parser_reads_it(f, data):
+    text = one_edit(over_interned_halves(f), data)
+    for system in (None, MILL, RS):  # before the parser interns it, then after
+        assert result_of(parse_formula, text, system) == result_of(parsed, text, system)
+
+
+@pytest.mark.parametrize("text", [
+    "E[i s](p)", "E[](p)", "E[i](p", "E[i]p)", "E[i]((p)", "E[i] (p)", "[(p)", "[] (p)",
+    "[]](p)", "( p * q)", "(p  * q)", "(p *q)", "(p * q))", "((p * q)", "(p $ q)",
+    "(p -o q -o p)", "(p -o q \\ p)", "(p * (q)", "(1 / 1)",
+])
+def test_a_text_one_edit_from_a_key_reads_as_the_parser_reads_it(text):
+    for system in (None, MILL, PCMILL, RS):
+        assert result_of(parse_formula, text, system) == result_of(parsed, text, system)
+
+
+def test_a_key_past_the_bound_is_parsed_not_built_from_its_halves():
+    def halves(boxes, op):
+        """A key over interned halves: ``boxes`` boxes over a fresh atom,
+        then a box over that, or that ``op`` the atom."""
+        p = body = atom(f"p_{next(_FRESH)}")
+        for _ in range(boxes):
+            body = box(body)
+        return f"[]({body.key})" if op is None else f"({body.key} {op} {p.key})"
+
+    half = MAX_NESTING // 2
+    # within MAX_NESTING // 2 connectives: built from its halves
+    for key in (halves(half - 2, None), halves(half - 3, "*")):
+        with counted_parsers() as made:
+            got = parse_formula(key)
+        assert made == [] and got.size == half and got.key == key
+    # one past it: parsed, and the parser reads it
+    for key in (halves(half - 1, None), halves(half - 2, "-o")):
+        with counted_parsers() as made:
+            got = parse_formula(key)
+        assert made == [key] and got.size == half + 1 and got.key == key
+    # past the nesting limit: refused, and nothing new is interned
+    for key in (halves(half, None), halves(half, "&")):
+        before = len(_INTERN)
+        with counted_parsers() as made, pytest.raises(NestingTooDeepError):
+            parse_formula(key)
+        assert made == [key] and len(_INTERN) == before
