@@ -32,8 +32,11 @@ maximal serial cuts that entropy makes available, and the residual
 rules in ``calculus`` do the same for their argument groups.  The
 kernel lets every rule conclude any antecedent that ``entropy_le``
 reaches; that test decides membership in the backward entropy closure
-without building it.  ``structural_preimages`` builds the closure, as
-the reference that the tests compare ``entropy_le`` with.
+without building it.  When the leaves are pairwise distinct it tests
+the inclusion of two series-parallel orders, with no search (see
+``docs/entropy.md``); when a formula repeats, ``cover_le`` searches
+block covers.  ``structural_preimages`` builds the closure, as the
+reference that the tests compare both with.
 """
 from __future__ import annotations
 
@@ -446,14 +449,120 @@ def entropy_le(x: Context, c: Context) -> bool:
     """Whether ``x`` lies in the backward entropy closure of ``c``, that
     is ``x in structural_preimages(c)[0]`` with no bound.
 
-    Entropy strengthens a series-parallel order (de Groote's partially
-    commutative logic) and never breaks a parallel child apart, so:
-    a leaf or ``()`` is only below itself; below ``c1 ; ... ; ck`` lie
-    the trees whose serial children split into k consecutive runs, the
-    j-th run below ``cj``; below ``c1, ..., cn`` lie the series-parallel
-    arrangements of n blocks, the i-th block below ``ci``.  A serial
-    sequence ``xs`` stands for ``ser(xs)`` so no context is built; the
-    memo lives for this call only.
+    A tree whose leaves are pairwise distinct is a series-parallel order
+    on them: ``a`` precedes ``b`` when their lowest common node is
+    serial and ``a``'s branch comes first, and they are parallel when
+    it is parallel (de Groote's partially commutative logic; Bechet,
+    de Groote and Retoré, RTA 1997, on the inclusion of such orders).
+    A module of an order is a leaf set that every leaf outside it
+    precedes, follows, or is parallel to as a whole.  When the leaves
+    of ``c`` are pairwise distinct, ``x`` lies below ``c`` exactly when
+
+    - both have the same leaves,
+    - every precedence of ``c`` holds in ``x``, and
+    - the leaves of each child of each parallel node of ``c`` form a
+      module of ``x``'s order.
+
+    Only if: an entropy step only drops precedences.  Every node of a
+    tree that entropy reaches from ``x`` holds a run of consecutive
+    serial children of some node of ``x`` (or a set of parallel
+    children, or one leaf), and such a run stays a module of ``x``.
+
+    If: a serial ``c1 ; ... ; ck`` orders every leaf of one child
+    before every leaf of the next, so ``x`` is serial too, its children
+    fall into k consecutive runs, the j-th holding the leaves of ``cj``,
+    and ``x`` is ``run1 ; ... ; runk`` with each run below its ``cj``
+    by induction.  Under a parallel ``c1, ..., cn`` the children's leaf
+    sets are a modular partition of ``x``, so ``x`` re-brackets as a
+    quotient order over n points with the i-th filled by ``x``
+    restricted to the leaves of ``ci``.  Entropy turns the quotient
+    parallel, and each block is below its ``ci`` by induction.
+
+    ``_included`` follows that induction, building no context.
+    Precedences alone do not decide: under ``c = [a ; b], q`` lies no
+    ``x = [a, q] ; b``, where ``a ; b`` is no module.  Repeated leaves
+    make no order, and ``cover_le`` searches for them once the leaf
+    multisets agree: on others it can take seconds to fail.
+    """
+    if x is c:
+        return True
+    if not isinstance(x, (Leaf, Par, Ser)) or not isinstance(c, (Leaf, Par, Ser)):
+        return False
+    xs, cs = context_formulas(x), context_formulas(c)
+    if len(xs) != len(cs):
+        return False
+    leaves = set(cs)
+    if len(leaves) < len(cs):  # the search, only on the same leaves
+        return Counter(xs) == Counter(cs) and cover_le(x, c)
+    if leaves != set(xs):
+        return False
+    return _included(x.children if isinstance(x, Ser) else (x,), True, c)
+
+
+def _included(kids: tuple, serial: bool, c: Context) -> bool:
+    """Whether ``ser(kids)`` (``par(kids)`` when not ``serial``), which
+    holds exactly the pairwise distinct leaves of ``c``, lies below
+    ``c``.  Every node's leaves are cached (``context_formulas``)."""
+    if isinstance(c, Leaf):
+        return True
+    if len(kids) == 1:
+        kids, serial = kids[0].children, isinstance(kids[0], Ser)
+    if isinstance(c, Ser):
+        if not serial:
+            return False  # two of c's leaves in parallel
+        i = 0
+        for cj in c.children:
+            want, start, need = set(cj._formulas), i, len(cj._formulas)
+            while need:
+                if not want.issuperset(kids[i]._formulas):
+                    return False  # a precedence of c fails in x
+                need -= len(kids[i]._formulas)
+                i += 1
+            if not _included(kids[start:i], True, cj):
+                return False
+        return True
+    for ci in c.children:
+        if isinstance(ci, Leaf):
+            continue  # one leaf is a module, and below itself
+        block = _module(kids, serial, set(ci._formulas))
+        if block is None or not _included(*block, ci):
+            return False
+    return True
+
+
+def _module(kids: tuple, serial: bool, m: set) -> tuple[tuple, bool] | None:
+    """The subtree of ``ser(kids)`` (``par(kids)``) on two or more of
+    its leaves ``m``, as ``(kids, serial)``, when ``m`` is a module of
+    it; else None.  Below the lowest node holding ``m``, ``m`` is a
+    module exactly when it is a set of that node's children,
+    consecutive if the node is serial."""
+    while True:
+        meet = [i for i, k in enumerate(kids) if not m.isdisjoint(k._formulas)]
+        if len(meet) > 1:
+            break
+        node = kids[meet[0]]  # a node: m has two leaves or more
+        kids, serial = node.children, isinstance(node, Ser)
+    if serial and meet[-1] - meet[0] >= len(meet):
+        return None
+    inside = tuple(kids[i] for i in meet)
+    if any(not m.issuperset(k._formulas) for k in inside):
+        return None
+    return inside, serial
+
+
+def cover_le(x: Context, c: Context) -> bool:
+    """``entropy_le`` by searching block covers, for any leaves: a
+    multiset of leaves makes no order, and the same formula may fill
+    either of two places.
+
+    Entropy strengthens a series-parallel order and never breaks a
+    parallel child apart, so: a leaf or ``()`` is only below itself;
+    below ``c1 ; ... ; ck`` lie the trees whose serial children split
+    into k consecutive runs, the j-th run below ``cj``; below
+    ``c1, ..., cn`` lie the series-parallel arrangements of n blocks,
+    the i-th block below ``ci``.  A serial sequence ``xs`` stands for
+    ``ser(xs)`` so no context is built; the memo lives for this call
+    only.
     """
     if x == c:
         return True
@@ -533,28 +642,20 @@ def entropy_le(x: Context, c: Context) -> bool:
         """``ser(xs)`` arranges the blocks ``c.children[i]``, i in idx."""
         if len(idx) == 1:
             return below(xs, c.children[idx[0]])
-        key = (xs, c, idx)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        got = False
         if len(xs) == 1:
             # a Par arranges its children side by side; nothing else
             # arranges two or more blocks as one serial child
-            got = isinstance(xs[0], Par) and spread(xs[0].children, c, idx)
-        else:
-            # a serial arrangement: some prefix of xs arranges some blocks
-            first: Counter = Counter()
-            for i in range(1, len(xs)):
-                first += bag(xs[i - 1])
-                if any(
-                    arranged(xs[:i], c, sub) and arranged(xs[i:], c, without(idx, sub))
-                    for sub in covers(c, idx, first)
-                ):
-                    got = True
-                    break
-        memo[key] = got
-        return got
+            return isinstance(xs[0], Par) and spread(xs[0].children, c, idx)
+        # a serial arrangement: some prefix of xs arranges some blocks
+        first: Counter = Counter()
+        for i in range(1, len(xs)):
+            first += bag(xs[i - 1])
+            if any(
+                arranged(xs[:i], c, sub) and arranged(xs[i:], c, without(idx, sub))
+                for sub in covers(c, idx, first)
+            ):
+                return True
+        return False
 
     def spread(zs: tuple, c: Par, idx: tuple) -> bool:
         """The parallel children ``zs`` share out the blocks in idx."""

@@ -162,10 +162,6 @@ class Proof:
     # set by ``check_proof``: the RULES that accepted this subtree
     _accepted: dict | None = field(default=None, init=False, repr=False)
 
-    @property
-    def system(self) -> System:
-        return self.conclusion.system
-
     def _own(self) -> tuple:
         """What this node holds beside its premises."""
         return self.conclusion, self.rule

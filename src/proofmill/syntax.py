@@ -34,6 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import Iterable, NoReturn
 
 
@@ -816,9 +817,13 @@ _PREFIXED_RE = re.compile(rf"(?:\[\]|E\[({_NAME_RE.pattern})\])\((.*)\)")
 def _from_halves(key: str) -> Formula | None:
     """The formula whose key is ``key``, built from its operands' interned
     keys within ``MAX_NESTING // 2`` symbols, or None.  Only a key's
-    depth-1 connective has keys on both sides, so the first such split is it."""
+    depth-1 connective has keys on both sides, so the first such split is
+    it; within the bound the left operand holds fewer binary connectives
+    than ``MAX_NESTING // 2``, and no name holds a separator, so it is
+    among the first ``MAX_NESTING // 2`` separators: the read of a long
+    text tries no more."""
     if key[:1] == "(" and key[-1:] == ")":
-        for m in _SEPARATOR_RE.finditer(key, 1, len(key) - 1):
+        for m in islice(_SEPARATOR_RE.finditer(key, 1, len(key) - 1), MAX_NESTING // 2):
             left = _INTERN.get(key[1:m.start()])
             right = left and _INTERN.get(key[m.end():-1])
             if right is not None:

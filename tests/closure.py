@@ -1,5 +1,5 @@
 """Reference premise lists read through the whole entropy closure, and
-every small normal-form tree.
+every small normal-form tree, repeated leaves allowed or not.
 
 ``closure_premises(goal, rule)`` is what a rule gives at every
 structural preimage of the goal, the antecedent closed backward under
@@ -7,6 +7,8 @@ entropy with no cap.  ``apply_rule`` lists only the maximal premise
 lists at the goal itself; the tests compare the two.
 """
 from __future__ import annotations
+
+from itertools import combinations
 
 from proofmill.calculus import Rule, apply_rule
 from proofmill.context import (
@@ -86,3 +88,29 @@ def normal_trees(formulas: list[Formula], max_leaves: int) -> list[list[Context]
         for t in sorted(trees, key=lambda t: t.key):
             groups.setdefault(leaf_bag(t), []).append(t)
     return list(groups.values())
+
+
+def distinct_trees(formulas: list[Formula]) -> list[Context]:
+    """Every normal-form tree whose leaves are ``formulas``, pairwise
+    distinct, each once: the series-parallel orders on them, by key."""
+    built: dict[frozenset, set[Context]] = {}
+
+    def over(fs: frozenset) -> set[Context]:
+        got = built.get(fs)
+        if got is None:
+            if len(fs) == 1:
+                got = {leaf(next(iter(fs)))}
+            else:
+                items = sorted(fs, key=lambda f: f.key)
+                got = {
+                    make([a, b])
+                    for k in range(1, len(items))
+                    for left in combinations(items, k)
+                    for a in over(frozenset(left))
+                    for b in over(fs.difference(left))
+                    for make in (par, ser)
+                }
+            built[fs] = got
+        return got
+
+    return sorted(over(frozenset(formulas)), key=lambda t: t.key)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proofmill import context
 from proofmill.calculus import (
     AGENT_RULES,
     AX,
@@ -62,7 +63,8 @@ from proofmill.syntax import (
     with_,
 )
 
-from closure import below, closure_premises, leaf_bag, normal_trees
+from closure import below, closure_premises, distinct_trees, leaf_bag, normal_trees
+from entropy_orders import disagreements
 from gentrees import trees
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -117,6 +119,44 @@ def test_entropy_le_basics():
     x = ser([par([leaf(a), leaf(q)]), leaf(b)])
     assert not entropy_le(x, c)
     assert x not in structural_preimages(c, 10**6)[0]
+
+
+def _no_search(x, c):
+    raise AssertionError(f"searched {x.key} below {c.key}")
+
+
+def test_entropy_le_decides_distinct_leaves_by_order(monkeypatch):
+    # every pair of normal trees over the same one to four distinct
+    # leaves: the order test, never the cover search, agrees with the
+    # whole closure
+    monkeypatch.setattr(context, "cover_le", _no_search)
+    atoms = [atom(n) for n in "abcd"]
+    pairs = 0
+    for n in range(1, 5):
+        group = distinct_trees(atoms[:n])
+        for c in group:
+            pres = set(structural_preimages(c, 10**6)[0])
+            for x in group:
+                assert entropy_le(x, c) == (x in pres), (x, c)
+                pairs += 1
+    assert pairs == 1 + 9 + 361 + 38025
+    # as many leaves, all of them c's, yet not the same leaves
+    assert not entropy_le(mset(atoms[:1] * 3), mset(atoms[:3]))
+
+
+def test_entropy_le_searches_only_on_the_same_leaves(monkeypatch):
+    # a repeated leaf goes to the cover search, which could take seconds
+    # to fail on 48 leaves when one of them differs
+    leaves = [leaf(atom(f"m{i}")) for i in range(46)] + [leaf(p), leaf(p)]
+    x = ser([par(leaves[1:24]), par(leaves[24:] + [leaf(q)])])
+    monkeypatch.setattr(context, "cover_le", _no_search)
+    assert not entropy_le(x, par(leaves))
+    assert not entropy_le(mset([p, p, q]), mset([p, q, q]))
+
+
+def test_entropy_le_agrees_with_the_cover_search_past_the_precedences():
+    # the check that CI runs over five leaves, here over four
+    assert disagreements(4) == (195, 2717, [])
 
 
 # -- a reference checker built on the search's premise enumerator ---------------
@@ -456,6 +496,9 @@ def test_a_proof_node_has_no_dict():
     ("MILL", "pk0, pk1 |- pk0 * pk1"),
     # a serial antecedent under a parallel one
     ("PCMILL", "pk2, [pk3 ; [pk4, pk5]] |- pk2 * (pk3 @ (pk4 * pk5))"),
+    # the unit and the two modalities pickle as calls to their builders
+    ("MILL", "1, []pk6 |- []pk6"),
+    ("RSBIAT:a", "E[a]pk7 |- E[a]pk7"),
 ])
 def test_a_pickled_proof_loads_the_interned_objects(system, text):
     # formulas, contexts and sequents load through their builders, so a
